@@ -98,7 +98,7 @@ uint64_t FetchCounter(net::Client* stats_client, const std::string& name) {
 /// attendance fold-ins for the whole measured window.
 PhaseResult RunPhase(net::NetServer* server, uint32_t num_users,
                      uint32_t num_events, bool with_writers) {
-  const net::NetStats before = server->stats();
+  const obs::MetricsSnapshot before = server->metrics_registry()->Snapshot();
   std::vector<std::vector<double>> latencies(kQueryConnections);
   std::atomic<uint64_t> transport_failures{0};
   std::atomic<uint64_t> foldins{0};
@@ -230,7 +230,7 @@ PhaseResult RunPhase(net::NetServer* server, uint32_t num_users,
     all.insert(all.end(), mine.begin(), mine.end());
   }
   std::sort(all.begin(), all.end());
-  const net::NetStats after = server->stats();
+  const obs::MetricsSnapshot after = server->metrics_registry()->Snapshot();
   PhaseResult result;
   result.queries = all.size();
   result.qps = wall_seconds > 0 ? all.size() / wall_seconds : 0;
@@ -242,7 +242,9 @@ PhaseResult RunPhase(net::NetServer* server, uint32_t num_users,
   result.publishes = publishes_after - publishes_before;
   result.publish_lag_p50_us = lag_window.Percentile(0.50);
   result.publish_lag_p99_us = lag_window.Percentile(0.99);
-  result.overload_sheds = after.overload_sheds - before.overload_sheds;
+  result.overload_sheds =
+      after.Find("gemrec_net_overload_sheds_total")->counter -
+      before.Find("gemrec_net_overload_sheds_total")->counter;
   result.transport_failures = transport_failures.load();
   return result;
 }

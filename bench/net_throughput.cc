@@ -29,6 +29,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -80,7 +81,7 @@ obs::HistogramData FetchRoundTripHistogram(net::Client* stats_client) {
 
 RunResult RunLoad(net::NetServer* server, uint32_t num_users,
                   uint32_t connections) {
-  const net::NetStats before = server->stats();
+  const obs::MetricsSnapshot before = server->metrics_registry()->Snapshot();
   std::vector<std::vector<double>> latencies(connections);
   std::atomic<uint64_t> transport_failures{0};
   std::atomic<uint32_t> warmed{0};
@@ -165,7 +166,10 @@ RunResult RunLoad(net::NetServer* server, uint32_t num_users,
     all.insert(all.end(), mine.begin(), mine.end());
   }
   std::sort(all.begin(), all.end());
-  const net::NetStats after = server->stats();
+  const obs::MetricsSnapshot after = server->metrics_registry()->Snapshot();
+  const auto delta = [&](std::string_view name) {
+    return after.Find(name)->counter - before.Find(name)->counter;
+  };
   RunResult result;
   result.connections = connections;
   result.queries = all.size();
@@ -177,8 +181,8 @@ RunResult RunLoad(net::NetServer* server, uint32_t num_users,
   result.server_p50_us = server_window.Percentile(0.50);
   result.server_p90_us = server_window.Percentile(0.90);
   result.server_p99_us = server_window.Percentile(0.99);
-  result.overload_sheds = after.overload_sheds - before.overload_sheds;
-  result.protocol_errors = after.protocol_errors - before.protocol_errors;
+  result.overload_sheds = delta("gemrec_net_overload_sheds_total");
+  result.protocol_errors = delta("gemrec_net_protocol_errors_total");
   result.transport_failures = transport_failures.load();
   return result;
 }

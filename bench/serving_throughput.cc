@@ -16,6 +16,7 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -104,7 +105,10 @@ RunResult RunLoad(const embedding::EmbeddingStore& store,
     return all[std::min(all.size() - 1,
                         static_cast<size_t>(p * all.size()))];
   };
-  const auto stats = service.stats();
+  const obs::MetricsSnapshot stats = service.metrics()->Snapshot();
+  const auto count = [&](std::string_view name) {
+    return stats.Find(name)->counter;
+  };
   RunResult result;
   result.workers = workers;
   result.qps = all.size() / wall_seconds;
@@ -112,10 +116,10 @@ RunResult RunLoad(const embedding::EmbeddingStore& store,
   result.p90_us = percentile(0.90);
   result.p99_us = percentile(0.99);
   result.cache_hit_rate =
-      static_cast<double>(stats.cache_hits) /
-      std::max<uint64_t>(1, stats.queries);
-  result.batches = stats.batches;
-  result.publishes = stats.publishes;
+      static_cast<double>(count("gemrec_service_cache_hits_total")) /
+      std::max<uint64_t>(1, count("gemrec_service_queries_total"));
+  result.batches = count("gemrec_service_batches_total");
+  result.publishes = count("gemrec_service_publishes_total");
   return result;
 }
 

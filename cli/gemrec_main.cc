@@ -665,9 +665,12 @@ int ServeListen(const Args& args, const std::string& listen_spec,
   // was accepted (journal + apply + ack + final publish) before exit.
   if (ingest) ingest->Shutdown();
 
-  const net::NetStats net_stats = server.stats();
   std::printf("drained after %llu connections; final metrics:\n",
-              static_cast<unsigned long long>(net_stats.accepted));
+              static_cast<unsigned long long>(
+                  service->metrics()
+                      ->Snapshot()
+                      .Find("gemrec_net_accepted_total")
+                      ->counter));
   DumpMetrics(service);
   return 0;
 }

@@ -13,8 +13,9 @@
 # the journal unit tests, the online/offline differential and the
 # writer-vs-query-vs-reload stress (TSan + UBSan); net_test carries the
 # ingest wire codecs, the server write-path bridge, and the
-# multi-reactor front-end (per-reactor ownership, fd handoff, frame-id
-# pipelining, reload+drain stress) under BOTH TSan and UBSan; and
+# multi-reactor front-end (per-reactor ownership, frame-id pipelining,
+# the typed refusal of other wire versions, reload+drain stress) under
+# BOTH TSan and UBSan; and
 # fault_test carries the SIGKILL/truncation/corruption journal harness
 # (UBSan only — fault_test forks children and stays out of TSan).
 # shard_test carries the scatter-gather serving tier (partitioner,
@@ -28,7 +29,12 @@
 # ebsn_test (dislike/group TSV parsing of untrusted bytes) and
 # eval_test (Recall@k / NDCG@k guard math) join the UBSan stage.
 #
-# Usage: scripts/tier1.sh [--no-tsan] [--no-ubsan]
+# An AddressSanitizer pass (build-asan/, GEMREC_SANITIZE=address) runs
+# the suites that parse untrusted bytes or own raw buffers — fault,
+# net, serving, shard, embedding and obs — so an out-of-bounds read in
+# a decoder or a use-after-free in the reactor fails the stage.
+#
+# Usage: scripts/tier1.sh [--no-tsan] [--no-ubsan] [--no-asan]
 #
 # The net stage talks loopback TCP only and every test server binds
 # port 0 (kernel-assigned ephemeral ports), so parallel CI jobs on one
@@ -46,10 +52,12 @@ cd "$(dirname "$0")/.."
 
 RUN_TSAN=1
 RUN_UBSAN=1
+RUN_ASAN=1
 for arg in "$@"; do
   case "$arg" in
     --no-tsan) RUN_TSAN=0 ;;
     --no-ubsan) RUN_UBSAN=0 ;;
+    --no-asan) RUN_ASAN=0 ;;
   esac
 done
 
@@ -99,8 +107,8 @@ if [[ "$RUN_UBSAN" == "1" ]]; then
   # casts and float->int rounding must all be defined.
   ./build-ubsan/tests/recommend_test
   ./build-ubsan/tests/serving_test
-  # Wire codec v1/v2 header parsing (u64 frame ids, length fields from
-  # untrusted bytes) and the reactor pointer<->epoll-tag casts.
+  # Wire header parsing (u64 frame ids, length fields from untrusted
+  # bytes) and the reactor pointer<->epoll-tag casts.
   ./build-ubsan/tests/net_test
   # Scatter-gather tier: the splitmix64 pair-hash shifts, the fp32 TA
   # bound trailer parse, and the merge/certificate float comparisons.
@@ -111,6 +119,22 @@ if [[ "$RUN_UBSAN" == "1" ]]; then
   # Recall@k / NDCG@k guard math: log discounts, clamped depths, and
   # the packed (event, partner) u64 key shifts.
   ./build-ubsan/tests/eval_test
+fi
+
+if [[ "$RUN_ASAN" == "1" ]]; then
+  echo "== tier-1: AddressSanitizer pass (fault/net/serving/shard/embedding/obs) =="
+  cmake -B build-asan -S . -DGEMREC_SANITIZE=address >/dev/null
+  cmake --build build-asan -j "$(nproc)" --target \
+    fault_test net_test serving_test shard_test embedding_test obs_test
+  # Out-of-bounds reads while decoding frames, payloads, journal
+  # records and model artifacts, and use-after-free across the
+  # reactor/worker completion hand-off, abort the binary.
+  ./build-asan/tests/fault_test
+  ./build-asan/tests/net_test
+  ./build-asan/tests/serving_test
+  ./build-asan/tests/shard_test
+  ./build-asan/tests/embedding_test
+  ./build-asan/tests/obs_test
 fi
 
 echo "== tier-1: OK =="

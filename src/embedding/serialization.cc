@@ -13,7 +13,6 @@
 namespace gemrec::embedding {
 namespace {
 
-constexpr char kMagicV1[8] = {'G', 'E', 'M', 'R', 'E', 'C', '0', '1'};
 constexpr char kMagicV2[8] = {'G', 'E', 'M', 'R', 'E', 'C', '0', '2'};
 
 // GEMREC02 layout constants (see serialization.h / DESIGN.md §10).
@@ -64,39 +63,6 @@ void DecodeFloatsLe(const uint8_t* src, size_t n, float* dst) {
       std::memcpy(&dst[i], &bits, sizeof(bits));
     }
   }
-}
-
-Result<EmbeddingStore> LoadV1(std::ifstream& in, const std::string& path) {
-  GEMREC_LOG(Warning)
-      << "loading deprecated GEMREC01 artifact " << path
-      << " (native-endian, no checksums); re-save to upgrade to GEMREC02";
-  uint32_t dim = 0;
-  in.read(reinterpret_cast<char*>(&dim), sizeof(dim));
-  if (!in.good() || dim == 0 || dim > kMaxDim) {
-    return Status::InvalidArgument("bad dimension in " + path);
-  }
-  std::array<uint32_t, EmbeddingStore::kNumTypes> counts{};
-  for (auto& count : counts) {
-    in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  }
-  if (!in.good()) return Status::IoError("truncated header: " + path);
-
-  EmbeddingStore store(dim, counts);
-  for (size_t t = 0; t < EmbeddingStore::kNumTypes; ++t) {
-    Matrix& m = store.MatrixOf(static_cast<graph::NodeType>(t));
-    for (size_t r = 0; r < m.rows(); ++r) {
-      in.read(reinterpret_cast<char*>(m.Row(r)),
-              static_cast<std::streamsize>(m.cols() * sizeof(float)));
-      if (!in.good()) {
-        return Status::IoError("truncated matrix payload: " + path);
-      }
-    }
-  }
-  if (in.peek() != std::char_traits<char>::eof()) {
-    return Status::InvalidArgument("trailing garbage after payload in " +
-                                   path);
-  }
-  return store;
 }
 
 Result<EmbeddingStore> LoadV2(std::ifstream& in, const std::string& path,
@@ -240,26 +206,6 @@ Status SaveEmbeddingStore(const EmbeddingStore& store,
   return file.Commit();
 }
 
-Status SaveEmbeddingStoreV1ForTesting(const EmbeddingStore& store,
-                                      const std::string& path) {
-  GEMREC_ASSIGN_OR_RETURN(AtomicFile file, AtomicFile::Create(path));
-  GEMREC_RETURN_IF_ERROR(file.Append(kMagicV1, sizeof(kMagicV1)));
-  const uint32_t dim = store.dim();
-  GEMREC_RETURN_IF_ERROR(file.Append(&dim, sizeof(dim)));
-  for (size_t t = 0; t < EmbeddingStore::kNumTypes; ++t) {
-    const uint32_t count = store.CountOf(static_cast<graph::NodeType>(t));
-    GEMREC_RETURN_IF_ERROR(file.Append(&count, sizeof(count)));
-  }
-  for (size_t t = 0; t < EmbeddingStore::kNumTypes; ++t) {
-    const Matrix& m = store.MatrixOf(static_cast<graph::NodeType>(t));
-    for (size_t r = 0; r < m.rows(); ++r) {
-      GEMREC_RETURN_IF_ERROR(
-          file.Append(m.Row(r), m.cols() * sizeof(float)));
-    }
-  }
-  return file.Commit();
-}
-
 Result<EmbeddingStore> LoadEmbeddingStore(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in.is_open()) {
@@ -274,11 +220,8 @@ Result<EmbeddingStore> LoadEmbeddingStore(const std::string& path) {
   if (std::memcmp(magic, kMagicV2, sizeof(kMagicV2)) == 0) {
     return LoadV2(in, path, magic);
   }
-  if (std::memcmp(magic, kMagicV1, sizeof(kMagicV1)) == 0) {
-    return LoadV1(in, path);
-  }
   return Status::InvalidArgument("bad magic in " + path +
-                                 " (not a GEMREC artifact)");
+                                 " (not a GEMREC02 artifact)");
 }
 
 }  // namespace gemrec::embedding

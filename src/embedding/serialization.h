@@ -31,28 +31,18 @@ namespace gemrec::embedding {
 /// common/atomic_file.h), so a crash mid-save leaves the previous
 /// artifact intact and readers never observe a partial file.
 ///
-/// Versioning policy: the 8-byte magic carries the version. Readers
-/// accept the current version plus one legacy version back
-/// ("GEMREC01", native-endian, checksum-free) with a deprecation
-/// warning; writers only emit the current version. Any other magic is
-/// rejected.
+/// Versioning policy: the 8-byte magic carries the version, and
+/// GEMREC02 is the only one. Any other magic — including the retired
+/// checksum-free "GEMREC01" — is rejected with InvalidArgument.
 Status SaveEmbeddingStore(const EmbeddingStore& store,
                           const std::string& path);
 
-/// Loads a store written by SaveEmbeddingStore (GEMREC02) or by the
-/// pre-checksum writer (GEMREC01, with a deprecation warning).
+/// Loads a store written by SaveEmbeddingStore (GEMREC02).
 ///
 /// Every failure mode returns a precise non-OK Status instead of a
 /// corrupt store: bad magic, truncation (at any byte), header/section/
 /// footer checksum mismatch, and trailing garbage after the footer.
 Result<EmbeddingStore> LoadEmbeddingStore(const std::string& path);
-
-/// Legacy GEMREC01 writer (native-endian, no checksums, non-atomic
-/// layout semantics but still written via the atomic temp-file path).
-/// Kept only so tests and migration tooling can fabricate v1 artifacts;
-/// production code paths must use SaveEmbeddingStore.
-Status SaveEmbeddingStoreV1ForTesting(const EmbeddingStore& store,
-                                      const std::string& path);
 
 /// Size in bytes of a GEMREC02 file for a store of this shape — the
 /// fault harness uses it to enumerate section boundaries.

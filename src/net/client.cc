@@ -121,7 +121,6 @@ Status Client::Send(const serving::QueryRequest& request) {
 Result<TaggedReply> Client::DecodeReply(Frame frame) {
   TaggedReply reply;
   reply.frame_id = frame.frame_id;
-  reply.tagged = frame.tagged;
   switch (frame.type) {
     case MessageType::kQueryResponse:
       GEMREC_RETURN_IF_ERROR(
@@ -219,9 +218,9 @@ Result<QueryOutcome> Client::Query(const serving::QueryRequest& request) {
   const uint64_t id = next_frame_id_++;
   GEMREC_RETURN_IF_ERROR(SendTagged(request, id));
   GEMREC_ASSIGN_OR_RETURN(TaggedReply reply, ReceiveAny());
-  // Lockstep: exactly one request is outstanding, so a tagged reply
-  // must echo its id (v1 peers answer untagged — nothing to check).
-  if (reply.tagged && reply.frame_id != id) {
+  // Lockstep: exactly one request is outstanding, so the reply must
+  // echo its id.
+  if (reply.frame_id != id) {
     return Status::Internal(
         "frame id mismatch: sent " + std::to_string(id) + ", got " +
         std::to_string(reply.frame_id));
@@ -300,7 +299,7 @@ Status Client::Ping() {
   if (frame.type != MessageType::kPong) {
     return Status::Internal("expected pong");
   }
-  if (frame.tagged && frame.frame_id != tag.frame_id) {
+  if (frame.frame_id != tag.frame_id) {
     return Status::Internal("pong echoed wrong frame id");
   }
   return Status::Ok();

@@ -43,14 +43,11 @@ struct IngestOutcome {
 
 /// One reply pulled off a pipelined connection: the frame id it
 /// answers (echoed by the server from the matching SendTagged), plus
-/// the outcome. `tagged` is false only when the peer answered with a
-/// legacy v1 frame (no id to match on). A kStatsResponse (answering
-/// SendStatsRequest on the same pipelined connection) arrives with
-/// `is_stats` set and `stats` filled; `outcome` is meaningful
-/// otherwise.
+/// the outcome. A kStatsResponse (answering SendStatsRequest on the
+/// same pipelined connection) arrives with `is_stats` set and `stats`
+/// filled; `outcome` is meaningful otherwise.
 struct TaggedReply {
   uint64_t frame_id = 0;
-  bool tagged = false;
   bool is_stats = false;
   obs::MetricsSnapshot stats;  // valid when is_stats
   QueryOutcome outcome;        // valid when !is_stats
@@ -58,13 +55,12 @@ struct TaggedReply {
 
 /// Blocking client for the wire.h protocol — the reference peer used
 /// by tests, the bench load generator, and one-liner scripting against
-/// `gemrec serve --listen`. One socket; speaks wire v2 (every request
-/// frame carries a u64 frame id the server echoes), so many requests
-/// may be in flight at once and complete OUT OF ORDER: issue ids with
-/// SendTagged, then match replies by TaggedReply::frame_id from
-/// ReceiveAny. The lockstep verbs (Query/Send/Receive/...) are thin
-/// wrappers that auto-assign ids and read one reply per request —
-/// byte-compatible with how v1 callers used them.
+/// `gemrec serve --listen`. One socket; every request frame carries a
+/// u64 frame id the server echoes, so many requests may be in flight
+/// at once and complete OUT OF ORDER: issue ids with SendTagged, then
+/// match replies by TaggedReply::frame_id from ReceiveAny. The
+/// lockstep verbs (Query/Send/Receive/...) are thin wrappers that
+/// auto-assign ids and read one reply per request.
 ///
 /// Not thread-safe: one thread per client (open one client per
 /// connection, as bench/net_throughput does).
@@ -87,7 +83,7 @@ class Client {
   /// Reads the next response/error frame (whatever id it carries).
   Result<QueryOutcome> Receive();
 
-  /// Pipelining/multiplexing half-pair. SendTagged writes one v2 query
+  /// Pipelining/multiplexing half-pair. SendTagged writes one query
   /// frame carrying the caller-chosen `frame_id`; ReceiveAny blocks
   /// for the NEXT response or error frame — in completion order, not
   /// send order — and surfaces its echoed id for the caller to match.

@@ -1,72 +1,19 @@
-#ifndef GEMREC_NET_NET_STATS_H_
-#define GEMREC_NET_NET_STATS_H_
+#ifndef GEMREC_NET_NET_METRICS_H_
+#define GEMREC_NET_NET_METRICS_H_
 
-#include <algorithm>
 #include <cstdint>
 
 #include "obs/metrics.h"
 
-namespace gemrec::net {
+namespace gemrec::net::internal {
 
-/// Thin plain-value view of the network front-end's registry metrics,
-/// the socket-level sibling of serving::ServiceStats. Snapshot via
-/// NetServer::stats(); the registry carries the same values under
-/// their `gemrec_net_*` exposition names plus the round-trip latency
-/// histogram.
-///
-/// All fields are monotonic counters EXCEPT `active_connections`,
-/// which is an instantaneous gauge (rises on accept, falls on close —
-/// an earlier revision mislabelled it a counter; the registry now
-/// types it properly as a gauge).
-struct NetStats {
-  uint64_t accepted = 0;
-  /// accept4 failures beyond the benign EAGAIN/EINTR/ECONNABORTED
-  /// trio — chiefly EMFILE/ENFILE fd exhaustion (each such failure
-  /// burns the reactor's reserved spare fd to refuse the pending
-  /// connection instead of spinning on a forever-readable listener).
-  uint64_t accept_errors = 0;
-  /// Connections refused (accepted then closed) at max_connections.
-  uint64_t conn_limit_rejects = 0;
-  /// Gauge: connections currently open.
-  uint64_t active_connections = 0;
-  uint64_t requests = 0;   // CRC-clean query frames decoded
-  uint64_t responses = 0;  // response frames queued for write
-  /// Write path: attendance/new-event frames received, and the acks
-  /// queued after the record was journaled and applied.
-  uint64_t ingest_requests = 0;
-  uint64_t ingest_acks = 0;
-  /// Ping frames answered with a pong (health checks were previously
-  /// invisible to operators).
-  uint64_t pings = 0;
-  /// Stats frames answered with a metrics snapshot.
-  uint64_t stats_requests = 0;
-  /// Requests answered with a typed OVERLOADED error because the
-  /// in-flight budget or the service queue was saturated.
-  uint64_t overload_sheds = 0;
-  /// Requests refused with SHUTTING_DOWN: refused up front while
-  /// draining, or rejected by the service racing its own Shutdown.
-  uint64_t drain_rejects = 0;
-  uint64_t bad_requests = 0;      // decodable frame, bogus payload
-  uint64_t protocol_errors = 0;   // connection killed by FrameDecoder
-  uint64_t idle_timeouts = 0;     // closed: silent past idle_timeout
-  uint64_t read_timeouts = 0;     // closed: partial frame past read_timeout
-  /// Closed because the peer stopped reading and the connection's
-  /// write buffer exceeded max_write_buffer.
-  uint64_t slow_reader_disconnects = 0;
-  /// Responses completed after their connection was already gone.
-  uint64_t orphaned_responses = 0;
-  uint64_t bytes_received = 0;
-  uint64_t bytes_sent = 0;
-};
-
-namespace internal {
-
-/// Registry-backed metric handles for NetStats: the event-loop thread
-/// and service workers bump these concurrently with readers
-/// snapshotting them. Registered into the owning service's registry
-/// (RecommendationService::metrics()), so one stats scrape covers the
-/// whole serve stack; re-registration (a second server over the same
-/// service) re-attaches to the same metrics.
+/// Registry-backed metric handles of the network front-end: reactor
+/// threads and service workers bump these concurrently with readers
+/// snapshotting them. Registered into the owning backend's registry
+/// (QueryBackend::metrics()), so one stats scrape covers the whole
+/// serve stack; re-registration (a second server over the same
+/// service) re-attaches to the same metrics. All are monotonic
+/// counters except the active_connections gauge.
 struct NetMetrics {
   obs::Counter* accepted = nullptr;
   obs::Counter* accept_errors = nullptr;
@@ -156,35 +103,8 @@ struct NetMetrics {
         "Microseconds from query frame decoded to response frame "
         "queued (server-side round trip).");
   }
-
-  NetStats Snapshot() const {
-    NetStats s;
-    s.accepted = accepted->Value();
-    s.accept_errors = accept_errors->Value();
-    s.conn_limit_rejects = conn_limit_rejects->Value();
-    s.active_connections = static_cast<uint64_t>(
-        std::max<int64_t>(0, active_connections->Value()));
-    s.requests = requests->Value();
-    s.responses = responses->Value();
-    s.ingest_requests = ingest_requests->Value();
-    s.ingest_acks = ingest_acks->Value();
-    s.pings = pings->Value();
-    s.stats_requests = stats_requests->Value();
-    s.overload_sheds = overload_sheds->Value();
-    s.drain_rejects = drain_rejects->Value();
-    s.bad_requests = bad_requests->Value();
-    s.protocol_errors = protocol_errors->Value();
-    s.idle_timeouts = idle_timeouts->Value();
-    s.read_timeouts = read_timeouts->Value();
-    s.slow_reader_disconnects = slow_reader_disconnects->Value();
-    s.orphaned_responses = orphaned_responses->Value();
-    s.bytes_received = bytes_received->Value();
-    s.bytes_sent = bytes_sent->Value();
-    return s;
-  }
 };
 
-}  // namespace internal
-}  // namespace gemrec::net
+}  // namespace gemrec::net::internal
 
-#endif  // GEMREC_NET_NET_STATS_H_
+#endif  // GEMREC_NET_NET_METRICS_H_

@@ -51,14 +51,12 @@ Reactor::~Reactor() {
   }
 }
 
-void Reactor::Start(int listen_fd, std::vector<Reactor*> peers) {
+void Reactor::Start(int listen_fd) {
   GEMREC_CHECK(!started_) << "Reactor started twice";
+  GEMREC_CHECK(listen_fd >= 0);
   listen_fd_ = listen_fd;
-  peers_ = std::move(peers);
-  if (listen_fd_ >= 0) {
-    loop_.Add(listen_fd_, EPOLLIN, kListenTag);
-    spare_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
-  }
+  loop_.Add(listen_fd_, EPOLLIN, kListenTag);
+  spare_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
 
   completions_ = std::make_shared<CompletionQueue>();
   completions_->loop = &loop_;
@@ -68,7 +66,7 @@ void Reactor::Start(int listen_fd, std::vector<Reactor*> peers) {
   obs::MetricsRegistry* registry = shared_.service->metrics();
   owned_total_ = registry->GetCounter(
       prefix + "owned_total",
-      "Connections this reactor accepted or adopted over its lifetime.");
+      "Connections this reactor accepted over its lifetime.");
   owned_connections_ = registry->GetGauge(
       prefix + "connections",
       "Connections currently owned by this reactor.");
@@ -94,21 +92,6 @@ void Reactor::WaitUntilStopped() {
 
 void Reactor::Join() {
   if (loop_thread_.joinable()) loop_thread_.join();
-}
-
-void Reactor::SubmitConnection(int fd) {
-  {
-    std::lock_guard<std::mutex> lock(inbox_.mu);
-    if (!inbox_.closed) {
-      inbox_.fds.push_back(fd);
-      loop_.Wakeup();
-      return;
-    }
-  }
-  // The reactor already shut down; undo the acceptor's accounting.
-  ::close(fd);
-  shared_.total_connections->fetch_sub(1, std::memory_order_relaxed);
-  metrics().active_connections->Sub(1);
 }
 
 Reactor::Connection* Reactor::FindConnection(uint64_t id) {
@@ -157,15 +140,13 @@ void Reactor::Loop() {
         UpdateInterest(conn);
       }
     }
-    DrainInbox();
     DrainCompletions();
     SweepTimeouts(std::chrono::steady_clock::now());
   }
 
   // Teardown: cut surviving connections (drain deadline passed or all
   // work flushed), close the completion channel so late worker
-  // callbacks become no-ops, refuse late fd handoffs, then announce
-  // the stop.
+  // callbacks become no-ops, then announce the stop.
   std::vector<uint64_t> ids;
   ids.reserve(connections_.size());
   for (const auto& [id, conn] : connections_) ids.push_back(id);
@@ -176,17 +157,6 @@ void Reactor::Loop() {
     std::lock_guard<std::mutex> lock(completions_->mu);
     completions_->closed = true;
     completions_->loop = nullptr;
-  }
-  std::vector<int> late_fds;
-  {
-    std::lock_guard<std::mutex> lock(inbox_.mu);
-    inbox_.closed = true;
-    late_fds.swap(inbox_.fds);
-  }
-  for (const int fd : late_fds) {
-    ::close(fd);
-    shared_.total_connections->fetch_sub(1, std::memory_order_relaxed);
-    metrics().active_connections->Sub(1);
   }
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
@@ -272,15 +242,6 @@ void Reactor::HandleAccept() {
     shared_.total_connections->fetch_add(1, std::memory_order_relaxed);
     metrics().accepted->Increment();
     metrics().active_connections->Add(1);
-    if (!peers_.empty()) {
-      // Handoff fallback: this reactor is the only acceptor;
-      // round-robin ownership across all reactors (including itself).
-      Reactor* target = peers_[next_peer_++ % peers_.size()];
-      if (target != this) {
-        target->SubmitConnection(fd);
-        continue;
-      }
-    }
     AdoptConnection(fd);
   }
 }
@@ -302,15 +263,6 @@ void Reactor::AdoptConnection(int fd) {
   owned_total_->Increment();
   owned_connections_->Add(1);
   connections_.emplace(conn->id, std::move(conn));
-}
-
-void Reactor::DrainInbox() {
-  std::vector<int> fds;
-  {
-    std::lock_guard<std::mutex> lock(inbox_.mu);
-    fds.swap(inbox_.fds);
-  }
-  for (const int fd : fds) AdoptConnection(fd);
 }
 
 void Reactor::HandleReadable(Connection* conn) {
@@ -336,6 +288,12 @@ void Reactor::HandleReadable(Connection* conn) {
       GEMREC_LOG(Debug) << "protocol error on conn " << conn->id << ": "
                         << s.ToString();
       metrics().protocol_errors->Increment();
+      // One best-effort typed answer before the close: a peer speaking
+      // another wire version learns why instead of seeing a bare EOF.
+      // Frame id 0 — the offending frame's id cannot be trusted.
+      AppendErrorFrame(ErrorCode::kBadRequest, s.message(), FrameTag{},
+                       &conn->write_buf);
+      FlushWrites(conn);
       conn->dead = true;
       break;
     }
@@ -600,14 +558,7 @@ void Reactor::DrainCompletions() {
       AppendStatsResponseFrame(completion.stats, completion.tag,
                                &conn->write_buf);
       AfterQueue(conn);
-      if (conn->dead) {
-        CloseConnection(conn);
-      } else {
-        UpdateInterest(conn);
-      }
-      continue;
-    }
-    if (completion.is_ingest) {
+    } else if (completion.is_ingest) {
       if (completion.ingest_status.ok()) {
         AppendIngestAckFrame(completion.ingest_seq, completion.tag,
                              &conn->write_buf);
@@ -633,36 +584,20 @@ void Reactor::DrainCompletions() {
         SendError(conn, wire_code, completion.ingest_status.message(),
                   completion.tag);
       }
-      if (conn->dead) {
-        CloseConnection(conn);
-      } else {
-        UpdateInterest(conn);
-      }
-      continue;
-    }
-    if (completion.response.rejected) {
-      // The service refused the request racing its own Shutdown; the
-      // client gets the same typed error as an up-front drain refusal
-      // instead of an empty result it might mistake for a real answer.
-      metrics().drain_rejects->Increment();
-      SendError(conn, ErrorCode::kShuttingDown, "service shutting down",
-                completion.tag);
-    } else if (completion.response.bad_request) {
-      // Semantically invalid against the live snapshot (out-of-range
-      // user or group member) — only the backend can know. Same typed
-      // error the wire decoder sends for malformed payloads.
-      metrics().bad_requests->Increment();
-      SendError(conn, ErrorCode::kBadRequest,
-                "request invalid against the serving snapshot",
-                completion.tag);
-    } else if (completion.response.overloaded) {
-      // OVERLOADED propagation: a coordinator whose shard answered
-      // kOverloaded relays the same typed signal instead of passing
-      // off a silently thinner answer as complete.
-      metrics().overload_sheds->Increment();
-      SendError(conn, ErrorCode::kOverloaded, "shard overloaded",
-                completion.tag);
     } else {
+      RespondToQuery(conn, completion);
+    }
+    if (conn->dead) {
+      CloseConnection(conn);
+    } else {
+      UpdateInterest(conn);
+    }
+  }
+}
+
+void Reactor::RespondToQuery(Connection* conn, const Completion& completion) {
+  switch (completion.response.code) {
+    case serving::ResponseCode::kOk: {
       AppendQueryResponseFrame(completion.response, completion.tag,
                                &conn->write_buf);
       metrics().responses->Increment();
@@ -672,12 +607,31 @@ void Reactor::DrainCompletions() {
           std::chrono::duration_cast<std::chrono::microseconds>(elapsed)
               .count()));
       AfterQueue(conn);
+      break;
     }
-    if (conn->dead) {
-      CloseConnection(conn);
-    } else {
-      UpdateInterest(conn);
-    }
+    case serving::ResponseCode::kShuttingDown:
+      // Refused racing the backend's own Shutdown: the same typed
+      // error as an up-front drain refusal, never an empty result a
+      // client might mistake for a real answer.
+      metrics().drain_rejects->Increment();
+      SendError(conn, ErrorCode::kShuttingDown, "service shutting down",
+                completion.tag);
+      break;
+    case serving::ResponseCode::kBadRequest:
+      // Invalid against the live snapshot (out-of-range user or
+      // group member) — only the backend can know.
+      metrics().bad_requests->Increment();
+      SendError(conn, ErrorCode::kBadRequest,
+                "request invalid against the serving snapshot",
+                completion.tag);
+      break;
+    case serving::ResponseCode::kOverloaded:
+      // A coordinator whose shard answered kOverloaded relays the same
+      // typed signal instead of a silently thinner answer.
+      metrics().overload_sheds->Increment();
+      SendError(conn, ErrorCode::kOverloaded, "shard overloaded",
+                completion.tag);
+      break;
   }
 }
 

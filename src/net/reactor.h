@@ -14,7 +14,7 @@
 
 #include "common/status.h"
 #include "net/event_loop.h"
-#include "net/net_stats.h"
+#include "net/net_metrics.h"
 #include "net/server.h"
 #include "net/wire.h"
 #include "obs/metrics.h"
@@ -24,18 +24,13 @@
 namespace gemrec::net {
 
 /// One event-loop thread of the multi-reactor front-end. A reactor
-/// exclusively owns: its epoll EventLoop, (usually) one SO_REUSEPORT
-/// listening socket, every connection it accepted or adopted — table,
-/// decode buffers, write buffers — and the completion queue worker
-/// callbacks route responses back through. Nothing here is touched by
-/// another reactor; the only cross-reactor state is the pair of
-/// atomic admission counters and the shared registry metrics, both
+/// exclusively owns: its epoll EventLoop, one SO_REUSEPORT listening
+/// socket, every connection it accepted — table, decode buffers,
+/// write buffers — and the completion queue worker callbacks route
+/// responses back through. Nothing here is touched by another
+/// reactor; the only cross-reactor state is the pair of atomic
+/// admission counters and the shared registry metrics, both
 /// concurrency-safe by construction.
-///
-/// Fallback topology (SO_REUSEPORT unavailable, or
-/// ServerOptions::force_acceptor_handoff): only reactor 0 listens and
-/// it round-robins accepted fds to its peers via SubmitConnection —
-/// a mutex-guarded inbox plus an eventfd wakeup.
 class Reactor {
  public:
   /// Dependencies shared across all reactors of one NetServer; every
@@ -54,13 +49,9 @@ class Reactor {
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
 
-  /// Takes ownership of `listen_fd` (already bound + listening;
-  /// -1 = no listener on this reactor, connections arrive through
-  /// SubmitConnection). A non-empty `peers` makes this reactor the
-  /// shared acceptor of the handoff fallback: accepted fds round-robin
-  /// across `peers` (which includes this reactor itself). Spawns the
-  /// loop thread.
-  void Start(int listen_fd, std::vector<Reactor*> peers);
+  /// Takes ownership of `listen_fd` (already bound + listening) and
+  /// spawns the loop thread.
+  void Start(int listen_fd);
 
   /// Async-signal-safe: atomic store + eventfd write.
   void RequestDrain();
@@ -73,12 +64,6 @@ class Reactor {
 
   bool running() const { return running_.load(std::memory_order_acquire); }
   uint32_t index() const { return index_; }
-
-  /// Hands an accepted, nonblocking fd to this reactor (callable from
-  /// any thread). The fd was already counted against the global
-  /// connection limit by the acceptor; if the reactor already shut
-  /// down the fd is closed and uncounted here.
-  void SubmitConnection(int fd);
 
  private:
   struct Connection {
@@ -115,7 +100,7 @@ class Reactor {
     serving::QueryResponse response;
     /// When the query frame was decoded (round-trip histogram anchor).
     std::chrono::steady_clock::time_point received_at;
-    /// Echoed into the response frame (v2 pipelining).
+    /// Echoed into the response frame (pipelining).
     FrameTag tag;
     /// Ingest acks ride the same queue: `is_ingest` selects the
     /// ack/error encoding instead of the query-response one.
@@ -140,9 +125,8 @@ class Reactor {
   void Loop();
   void EnterDrain(std::chrono::steady_clock::time_point now);
   void HandleAccept();
-  /// Register an accepted/handed-off fd as a connection owned here.
+  /// Register an accepted fd as a connection owned here.
   void AdoptConnection(int fd);
-  void DrainInbox();
   void HandleReadable(Connection* conn);
   void HandleFrame(Connection* conn, const Frame& frame);
   void SendError(Connection* conn, ErrorCode code, std::string_view msg,
@@ -151,6 +135,9 @@ class Reactor {
   void AfterQueue(Connection* conn);
   void FlushWrites(Connection* conn);
   void DrainCompletions();
+  /// Encodes a query completion: a response frame for kOk, the typed
+  /// kError frame of the same name for every other ResponseCode.
+  void RespondToQuery(Connection* conn, const Completion& completion);
   void SweepTimeouts(std::chrono::steady_clock::time_point now);
   int PollTimeoutMs(std::chrono::steady_clock::time_point now) const;
   void UpdateInterest(Connection* conn);
@@ -171,16 +158,6 @@ class Reactor {
   /// listener is deregistered and re-armed after a short pause.
   bool listen_parked_ = false;
   std::chrono::steady_clock::time_point listen_rearm_at_;
-
-  /// Handoff fallback: non-empty only on the acceptor reactor.
-  std::vector<Reactor*> peers_;
-  size_t next_peer_ = 0;
-  struct Inbox {
-    std::mutex mu;
-    std::vector<int> fds;
-    bool closed = false;
-  };
-  Inbox inbox_;
 
   std::unordered_map<uint64_t, std::unique_ptr<Connection>> connections_;
   uint64_t next_conn_id_ = 1;

@@ -21,6 +21,51 @@ namespace {
 
 constexpr int kListenBacklog = 512;
 
+/// One nonblocking SO_REUSEPORT listener bound to `addr`. EADDRINUSE
+/// is retried `retries` times, `delay` apart, so a restart over a
+/// TIME_WAIT remnant succeeds.
+Result<int> OpenListener(const sockaddr_in& addr, uint32_t retries,
+                         std::chrono::milliseconds delay) {
+  const int fd =
+      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (fd < 0) {
+    return Status::IoError(std::string("socket: ") + std::strerror(errno));
+  }
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  // Set before bind, or the sibling reactors' binds to the same port
+  // fail.
+  if (::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
+    const Status s = Status::IoError(std::string("SO_REUSEPORT: ") +
+                                     std::strerror(errno));
+    ::close(fd);
+    return s;
+  }
+  for (uint32_t attempt = 0;; ++attempt) {
+    if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr),
+               sizeof(addr)) == 0) {
+      break;
+    }
+    char host[INET_ADDRSTRLEN] = "?";
+    ::inet_ntop(AF_INET, &addr.sin_addr, host, sizeof(host));
+    const Status s = Status::IoError(
+        std::string("bind ") + host + ":" +
+        std::to_string(ntohs(addr.sin_port)) + ": " + std::strerror(errno));
+    if (errno != EADDRINUSE || attempt >= retries) {
+      ::close(fd);
+      return s;
+    }
+    std::this_thread::sleep_for(delay);
+  }
+  if (::listen(fd, kListenBacklog) != 0) {
+    const Status s =
+        Status::IoError(std::string("listen: ") + std::strerror(errno));
+    ::close(fd);
+    return s;
+  }
+  return fd;
+}
+
 }  // namespace
 
 Status ParseHostPort(const std::string& spec, std::string* host,
@@ -81,97 +126,32 @@ Status NetServer::Start() {
                                    options_.listen_address + "'");
   }
 
+  // Every reactor owns a SO_REUSEPORT listener on the same port; the
+  // kernel load-balances accepts across them. The first socket resolves
+  // a port-0 request, and its siblings bind the RESOLVED port.
   const uint32_t n = options_.num_reactors;
-  bool handoff = options_.force_acceptor_handoff;
-
-  const int fd0 = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
-                           0);
-  if (fd0 < 0) {
-    return Status::IoError(std::string("socket: ") + std::strerror(errno));
-  }
-  const int one = 1;
-  ::setsockopt(fd0, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  if (!handoff && n > 1) {
-    // The first socket needs SO_REUSEPORT set BEFORE bind or the
-    // siblings' binds to the same port will fail. If the kernel
-    // refuses the option, fall back to the shared-acceptor topology.
-    if (::setsockopt(fd0, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) !=
-        0) {
-      GEMREC_LOG(Warning)
-          << "SO_REUSEPORT unavailable (" << std::strerror(errno)
-          << "); falling back to single acceptor with fd handoff";
-      handoff = true;
+  std::vector<int> listen_fds;
+  listen_fds.reserve(n);
+  for (uint32_t r = 0; r < n; ++r) {
+    // Ephemeral binds (port 0) cannot collide, and siblings share the
+    // first listener's port by design: only a fixed port retries.
+    const uint32_t retries =
+        r == 0 && options_.port != 0 ? options_.bind_retries : 0;
+    Result<int> fd =
+        OpenListener(addr, retries, options_.bind_retry_delay);
+    if (!fd.ok()) {
+      for (const int open_fd : listen_fds) ::close(open_fd);
+      return fd.status();
     }
-  }
-
-  // Ephemeral binds (port 0) cannot collide; fixed ports get a bounded
-  // EADDRINUSE retry so a restart over a TIME_WAIT remnant succeeds.
-  Status bind_status;
-  for (uint32_t attempt = 0;; ++attempt) {
-    if (::bind(fd0, reinterpret_cast<const sockaddr*>(&addr),
-               sizeof(addr)) == 0) {
-      bind_status = Status::Ok();
-      break;
-    }
-    bind_status =
-        Status::IoError(std::string("bind ") + options_.listen_address +
-                        ":" + std::to_string(options_.port) + ": " +
-                        std::strerror(errno));
-    if (errno != EADDRINUSE || options_.port == 0 ||
-        attempt >= options_.bind_retries) {
-      break;
-    }
-    std::this_thread::sleep_for(options_.bind_retry_delay);
-  }
-  if (!bind_status.ok()) {
-    ::close(fd0);
-    return bind_status;
-  }
-  if (::listen(fd0, kListenBacklog) != 0) {
-    const Status s =
-        Status::IoError(std::string("listen: ") + std::strerror(errno));
-    ::close(fd0);
-    return s;
-  }
-  sockaddr_in bound{};
-  socklen_t bound_len = sizeof(bound);
-  GEMREC_CHECK(::getsockname(fd0, reinterpret_cast<sockaddr*>(&bound),
-                             &bound_len) == 0);
-  bound_port_ = ntohs(bound.sin_port);
-
-  // Sibling listeners bind the RESOLVED port (a port-0 request already
-  // got its ephemeral port above), so the whole group shares one
-  // address and the kernel load-balances accepts across reactors.
-  std::vector<int> listen_fds(n, -1);
-  listen_fds[0] = fd0;
-  if (!handoff) {
-    sockaddr_in sibling = addr;
-    sibling.sin_port = htons(bound_port_);
-    for (uint32_t r = 1; r < n; ++r) {
-      const int fd = ::socket(
-          AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-      Status s;
-      if (fd < 0) {
-        s = Status::IoError(std::string("socket: ") +
-                            std::strerror(errno));
-      } else {
-        ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-        ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one));
-        if (::bind(fd, reinterpret_cast<const sockaddr*>(&sibling),
-                   sizeof(sibling)) != 0 ||
-            ::listen(fd, kListenBacklog) != 0) {
-          s = Status::IoError(std::string("reactor ") + std::to_string(r) +
-                              " listener: " + std::strerror(errno));
-        }
-      }
-      if (!s.ok()) {
-        if (fd >= 0) ::close(fd);
-        for (const int open_fd : listen_fds) {
-          if (open_fd >= 0) ::close(open_fd);
-        }
-        return s;
-      }
-      listen_fds[r] = fd;
+    listen_fds.push_back(fd.value());
+    if (r == 0) {
+      sockaddr_in bound{};
+      socklen_t bound_len = sizeof(bound);
+      GEMREC_CHECK(::getsockname(listen_fds[0],
+                                 reinterpret_cast<sockaddr*>(&bound),
+                                 &bound_len) == 0);
+      bound_port_ = ntohs(bound.sin_port);
+      addr.sin_port = bound.sin_port;
     }
   }
 
@@ -186,19 +166,11 @@ Status NetServer::Start() {
   for (uint32_t r = 0; r < n; ++r) {
     reactors_.push_back(std::make_unique<Reactor>(r, shared));
   }
-  std::vector<Reactor*> peers;
-  if (handoff && n > 1) {
-    peers.reserve(n);
-    for (const auto& reactor : reactors_) peers.push_back(reactor.get());
-  }
   service_->metrics()
       ->GetGauge("gemrec_net_reactors",
                  "Reactor (event-loop) threads of the network front-end.")
       ->Set(static_cast<int64_t>(n));
-  for (uint32_t r = 0; r < n; ++r) {
-    reactors_[r]->Start(listen_fds[r],
-                        r == 0 ? peers : std::vector<Reactor*>{});
-  }
+  for (uint32_t r = 0; r < n; ++r) reactors_[r]->Start(listen_fds[r]);
   started_ = true;
   return Status::Ok();
 }

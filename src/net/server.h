@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "common/status.h"
-#include "net/net_stats.h"
+#include "net/net_metrics.h"
 #include "net/wire.h"
 #include "serving/ingestion_queue.h"
 #include "serving/query_backend.h"
@@ -37,10 +37,6 @@ struct ServerOptions {
   /// registry metrics. 1 reproduces the old single-threaded front-end
   /// exactly; `gemrec serve` defaults to min(4, hw_concurrency).
   uint32_t num_reactors = 1;
-  /// Test hook: pretend SO_REUSEPORT is unavailable and exercise the
-  /// fallback — reactor 0 owns the only listener and hands accepted
-  /// fds to its peers round-robin through their eventfd-woken inboxes.
-  bool force_acceptor_handoff = false;
 
   /// Across ALL reactors (enforced through one shared atomic).
   uint32_t max_connections = 1024;
@@ -51,7 +47,7 @@ struct ServerOptions {
   uint32_t max_in_flight = 256;
   /// Second admission gate: shed when the service itself reports this
   /// much saturation (queue depth + in-flight) — real backpressure
-  /// from ServiceStats, not a guess.
+  /// from QueryBackend::QueueDepth/InFlight, not a guess.
   size_t max_service_saturation = 1024;
   /// Per-connection write-buffer cap. A peer that stops reading while
   /// responses accumulate past this is disconnected (slow-reader
@@ -74,13 +70,12 @@ struct ServerOptions {
 /// (the scatter-gather tier reuses this exact front-end):
 /// num_reactors event-loop threads, each owning a SO_REUSEPORT
 /// listening socket plus the complete lifecycle of every connection
-/// the kernel hashes to it, speaking the wire.h framed protocol (v1
-/// lockstep and v2 pipelined frames mix freely per connection; every
-/// response echoes its request's version and frame id). Decoded
-/// queries bridge into RecommendationService::SubmitAsync; completions
-/// hop back to the OWNING reactor through its private wakeup queue —
-/// reactors never touch each other's connections, so the hot path has
-/// no cross-reactor lock. Workers never touch a socket.
+/// the kernel hashes to it, speaking the wire.h framed protocol (every
+/// response echoes its request's frame id). Decoded queries bridge
+/// into QueryBackend::SubmitAsync; completions hop back to the OWNING
+/// reactor through its private wakeup queue — reactors never touch
+/// each other's connections, so the hot path has no cross-reactor
+/// lock. Workers never touch a socket.
 ///
 /// Overload behaviour is fail-fast by design: admission control (the
 /// shared in-flight budget plus the service's own saturation gauges)
@@ -139,12 +134,10 @@ class NetServer {
   /// True while at least one reactor thread is still running.
   bool running() const;
 
-  /// Aggregate across all reactors (the registry counters are shared;
-  /// per-reactor gemrec_net_reactor{r}_* metrics break them down).
-  NetStats stats() const { return metrics_.Snapshot(); }
-
   /// The registry everything is recorded into — the owning service's
-  /// (service->metrics()), which kStatsRequest frames serialize.
+  /// (service->metrics()), which kStatsRequest frames serialize. The
+  /// gemrec_net_* counters aggregate across reactors; per-reactor
+  /// gemrec_net_reactor{r}_* metrics break them down.
   obs::MetricsRegistry* metrics_registry() const;
 
  private:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 
 #include "common/crc32c.h"
 #include "common/logging.h"
@@ -54,18 +53,23 @@ float BitsFloat(uint32_t bits) {
   return f;
 }
 
+/// Header field offsets (layout in wire.h).
+constexpr size_t kVersionOffset = 4;
+constexpr size_t kTypeOffset = 5;
+constexpr size_t kReservedOffset = 6;
+constexpr size_t kSizeOffset = 8;
+constexpr size_t kFrameIdOffset = 12;
+
 constexpr uint8_t kRequestFlagBypassCache = 1u << 0;
 constexpr uint8_t kResponseFlagCacheHit = 1u << 0;
-/// v2-only: the merge is missing at least one shard (see wire.h).
+/// The merge is missing at least one shard (see wire.h).
 constexpr uint8_t kResponseFlagPartial = 1u << 1;
-constexpr size_t kQueryRequestPayload = 17;   // user, n, filter_hash, flags
-/// Extended request layout (non-partner kinds): the 17 legacy bytes +
-/// u8 kind + u8 aggregator + u16 group count, then the member ids.
-constexpr size_t kQueryRequestExtended = 21;
+/// user, n, filter_hash, flags, kind, aggregator, group count.
+constexpr size_t kQueryRequestFixed = 21;
 constexpr size_t kQueryRequestMemberStride = 4;
 constexpr size_t kQueryResponseFixed = 13;    // epoch, flags, count
 constexpr size_t kQueryResponseStride = 12;   // event, partner, score
-constexpr size_t kQueryResponseBound = 4;     // fp32 ta_bound trailer (v2)
+constexpr size_t kQueryResponseBound = 4;     // fp32 ta_bound trailer
 constexpr size_t kErrorFixed = 2;             // code; message is the rest
 constexpr uint8_t kAttendanceFlagNewUser = 1u << 0;
 constexpr size_t kAttendancePayload = 9;      // user, event, flags
@@ -90,82 +94,43 @@ void AppendFrame(MessageType type, const uint8_t* payload, size_t n,
   GEMREC_CHECK(n <= kMaxPayload)
       << "frame payload " << n << " exceeds kMaxPayload";
   const size_t start = out->size();
-  const size_t header = tag.tagged ? kTaggedHeaderSize : kHeaderSize;
-  out->reserve(start + header + n + kTrailerSize);
   PutU32(kMagic, out);
-  out->push_back(tag.tagged ? kWireVersion : kWireVersionV1);
+  out->push_back(kWireVersion);
   out->push_back(static_cast<uint8_t>(type));
   PutU16(0, out);  // reserved
   PutU32(static_cast<uint32_t>(n), out);
-  if (tag.tagged) PutU64(tag.frame_id, out);
+  PutU64(tag.frame_id, out);
   if (n > 0) out->insert(out->end(), payload, payload + n);
-  const uint32_t crc = Crc32c(out->data() + start, header + n);
+  const uint32_t crc = Crc32c(out->data() + start, kHeaderSize + n);
   PutU32(crc, out);
-}
-
-void AppendFrame(MessageType type, const uint8_t* payload, size_t n,
-                 std::vector<uint8_t>* out) {
-  AppendFrame(type, payload, n, FrameTag{}, out);
-}
-
-std::vector<uint8_t> EncodeFrame(MessageType type,
-                                 const std::vector<uint8_t>& payload) {
-  std::vector<uint8_t> out;
-  AppendFrame(type, payload.data(), payload.size(), &out);
-  return out;
-}
-
-std::vector<uint8_t> EncodeTaggedFrame(MessageType type,
-                                       const std::vector<uint8_t>& payload,
-                                       uint64_t frame_id) {
-  std::vector<uint8_t> out;
-  AppendFrame(type, payload.data(), payload.size(),
-              FrameTag{true, frame_id}, &out);
-  return out;
 }
 
 void AppendQueryRequestFrame(const serving::QueryRequest& request,
                              const FrameTag& tag,
                              std::vector<uint8_t>* out) {
+  GEMREC_CHECK(request.group.size() <= kMaxGroupMembers)
+      << "group of " << request.group.size() << " exceeds "
+      << kMaxGroupMembers;
   std::vector<uint8_t> payload;
-  const bool extended =
-      request.kind != recommend::QueryKind::kPartner;
-  payload.reserve(extended ? kQueryRequestExtended +
-                                 kQueryRequestMemberStride *
-                                     request.group.size()
-                           : kQueryRequestPayload);
+  payload.reserve(kQueryRequestFixed +
+                  kQueryRequestMemberStride * request.group.size());
   PutU32(request.user, &payload);
   PutU32(request.n, &payload);
   PutU64(request.filter_hash, &payload);
   payload.push_back(request.bypass_cache ? kRequestFlagBypassCache : 0);
-  // Partner requests keep the legacy 17-byte layout byte-for-byte;
-  // only the new kinds emit the extension (which a legacy decoder
-  // rejects with a typed error rather than misreading).
-  if (extended) {
-    payload.push_back(static_cast<uint8_t>(request.kind));
-    payload.push_back(static_cast<uint8_t>(request.aggregator));
-    GEMREC_CHECK(request.group.size() <= kMaxGroupMembers)
-        << "group of " << request.group.size() << " exceeds "
-        << kMaxGroupMembers;
-    PutU16(static_cast<uint16_t>(request.group.size()), &payload);
-    for (const ebsn::UserId m : request.group) PutU32(m, &payload);
-  }
+  payload.push_back(static_cast<uint8_t>(request.kind));
+  payload.push_back(static_cast<uint8_t>(request.aggregator));
+  PutU16(static_cast<uint16_t>(request.group.size()), &payload);
+  for (const ebsn::UserId m : request.group) PutU32(m, &payload);
   AppendFrame(MessageType::kQueryRequest, payload.data(), payload.size(),
               tag, out);
 }
 
-void AppendQueryRequestFrame(const serving::QueryRequest& request,
-                             std::vector<uint8_t>* out) {
-  AppendQueryRequestFrame(request, FrameTag{}, out);
-}
-
 Status DecodeQueryRequest(const uint8_t* payload, size_t n,
                           serving::QueryRequest* out) {
-  if (n != kQueryRequestPayload && n < kQueryRequestExtended) {
-    return Status::InvalidArgument("query request payload must be " +
-                                   std::to_string(kQueryRequestPayload) +
-                                   " or >= " +
-                                   std::to_string(kQueryRequestExtended) +
+  if (n < kQueryRequestFixed) {
+    return Status::InvalidArgument("query request payload must be >= " +
+                                   std::to_string(kQueryRequestFixed) +
                                    " bytes, got " + std::to_string(n));
   }
   out->user = GetU32(payload);
@@ -176,52 +141,41 @@ Status DecodeQueryRequest(const uint8_t* payload, size_t n,
     return Status::InvalidArgument("unknown query request flags");
   }
   out->bypass_cache = (flags & kRequestFlagBypassCache) != 0;
-  out->kind = recommend::QueryKind::kPartner;
-  out->aggregator = recommend::GroupAggregator::kSum;
+  // A kind from the future is a typed error: the caller must learn it
+  // is not understood, never receive a silently-wrong partner answer.
+  const uint8_t kind_byte = payload[17];
+  const uint8_t agg_byte = payload[18];
+  const uint16_t count = GetU16(payload + 19);
+  if (kind_byte >
+      static_cast<uint8_t>(recommend::QueryKind::kReciprocal)) {
+    return Status::InvalidArgument("unsupported query kind " +
+                                   std::to_string(kind_byte));
+  }
+  out->kind = static_cast<recommend::QueryKind>(kind_byte);
+  if (agg_byte > static_cast<uint8_t>(recommend::GroupAggregator::kMin)) {
+    return Status::InvalidArgument("unknown group aggregator " +
+                                   std::to_string(agg_byte));
+  }
+  out->aggregator = static_cast<recommend::GroupAggregator>(agg_byte);
+  if (out->kind == recommend::QueryKind::kGroup) {
+    if (count == 0 || count > kMaxGroupMembers) {
+      return Status::InvalidArgument(
+          "group member count must be in [1, " +
+          std::to_string(kMaxGroupMembers) + "], got " +
+          std::to_string(count));
+    }
+  } else if (count != 0) {
+    return Status::InvalidArgument("non-group query carries group members");
+  }
+  if (n != kQueryRequestFixed +
+               kQueryRequestMemberStride * static_cast<size_t>(count)) {
+    return Status::InvalidArgument("query request length mismatch");
+  }
   out->group.clear();
-  if (n > kQueryRequestPayload) {
-    // Extended layout. The kind byte must name a non-partner kind this
-    // decoder knows: kPartner has exactly one canonical (legacy)
-    // encoding, and a kind from the future is a typed error — the
-    // caller must learn it is not understood, never receive a
-    // silently-wrong partner answer.
-    const uint8_t kind_byte = payload[17];
-    const uint8_t agg_byte = payload[18];
-    const uint16_t count = GetU16(payload + 19);
-    if (kind_byte != static_cast<uint8_t>(recommend::QueryKind::kGroup) &&
-        kind_byte !=
-            static_cast<uint8_t>(recommend::QueryKind::kReciprocal)) {
-      return Status::InvalidArgument("unsupported query kind " +
-                                     std::to_string(kind_byte));
-    }
-    out->kind = static_cast<recommend::QueryKind>(kind_byte);
-    if (agg_byte >
-        static_cast<uint8_t>(recommend::GroupAggregator::kMin)) {
-      return Status::InvalidArgument("unknown group aggregator " +
-                                     std::to_string(agg_byte));
-    }
-    out->aggregator = static_cast<recommend::GroupAggregator>(agg_byte);
-    if (out->kind == recommend::QueryKind::kGroup) {
-      if (count == 0 || count > kMaxGroupMembers) {
-        return Status::InvalidArgument(
-            "group member count must be in [1, " +
-            std::to_string(kMaxGroupMembers) + "], got " +
-            std::to_string(count));
-      }
-    } else if (count != 0) {
-      return Status::InvalidArgument(
-          "non-group query carries group members");
-    }
-    if (n != kQueryRequestExtended +
-                 kQueryRequestMemberStride * static_cast<size_t>(count)) {
-      return Status::InvalidArgument(
-          "extended query request length mismatch");
-    }
-    out->group.reserve(count);
-    for (uint16_t i = 0; i < count; ++i) {
-      out->group.push_back(GetU32(payload + kQueryRequestExtended +
-                                  kQueryRequestMemberStride * i));
-    }
+  out->group.reserve(count);
+  for (uint16_t i = 0; i < count; ++i) {
+    out->group.push_back(GetU32(payload + kQueryRequestFixed +
+                                kQueryRequestMemberStride * i));
   }
   if (out->n == 0 || out->n > kMaxTopN) {
     return Status::InvalidArgument("query n must be in [1, " +
@@ -234,17 +188,13 @@ Status DecodeQueryRequest(const uint8_t* payload, size_t n,
 void AppendQueryResponseFrame(const serving::QueryResponse& response,
                               const FrameTag& tag,
                               std::vector<uint8_t>* out) {
-  // The partial flag and ta_bound trailer are v2-only: a v1 decoder
-  // rejects unknown flag bits and unexpected payload lengths, so the
-  // untagged (v1) encoder suppresses both.
-  const bool v2 = tag.tagged;
   std::vector<uint8_t> payload;
   payload.reserve(kQueryResponseFixed +
                   kQueryResponseStride * response.items.size() +
-                  (v2 ? kQueryResponseBound : 0));
+                  kQueryResponseBound);
   PutU64(response.epoch, &payload);
   uint8_t flags = response.cache_hit ? kResponseFlagCacheHit : 0;
-  if (v2 && response.partial) flags |= kResponseFlagPartial;
+  if (response.partial) flags |= kResponseFlagPartial;
   payload.push_back(flags);
   PutU32(static_cast<uint32_t>(response.items.size()), &payload);
   for (const recommend::Recommendation& item : response.items) {
@@ -252,14 +202,9 @@ void AppendQueryResponseFrame(const serving::QueryResponse& response,
     PutU32(item.partner, &payload);
     PutU32(FloatBits(item.score), &payload);
   }
-  if (v2) PutU32(FloatBits(response.ta_bound), &payload);
+  PutU32(FloatBits(response.ta_bound), &payload);
   AppendFrame(MessageType::kQueryResponse, payload.data(), payload.size(),
               tag, out);
-}
-
-void AppendQueryResponseFrame(const serving::QueryResponse& response,
-                              std::vector<uint8_t>* out) {
-  AppendQueryResponseFrame(response, FrameTag{}, out);
 }
 
 Status DecodeQueryResponse(const uint8_t* payload, size_t n,
@@ -275,19 +220,13 @@ Status DecodeQueryResponse(const uint8_t* payload, size_t n,
   out->cache_hit = (flags & kResponseFlagCacheHit) != 0;
   out->partial = (flags & kResponseFlagPartial) != 0;
   const uint32_t count = GetU32(payload + 9);
-  // Two accepted shapes, disambiguated by length alone: the legacy
-  // item list, or the item list plus the 4-byte fp32 ta_bound trailer
-  // (12c and 12c' + 4 can never coincide). Legacy answers carry no
-  // bound — +inf, "this peer makes no completeness claim".
-  const size_t legacy = kQueryResponseFixed +
-                        kQueryResponseStride * size_t{count};
-  if (n == legacy) {
-    out->ta_bound = std::numeric_limits<float>::infinity();
-  } else if (n == legacy + kQueryResponseBound) {
-    out->ta_bound = BitsFloat(GetU32(payload + legacy));
-  } else {
+  const size_t bound_at = kQueryResponseFixed +
+                          kQueryResponseStride * size_t{count};
+  if (n != bound_at + kQueryResponseBound) {
     return Status::InvalidArgument("query response length mismatch");
   }
+  out->code = serving::ResponseCode::kOk;
+  out->ta_bound = BitsFloat(GetU32(payload + bound_at));
   out->items.clear();
   out->items.reserve(count);
   const uint8_t* p = payload + kQueryResponseFixed;
@@ -309,11 +248,6 @@ void AppendErrorFrame(ErrorCode code, std::string_view message,
               out);
 }
 
-void AppendErrorFrame(ErrorCode code, std::string_view message,
-                      std::vector<uint8_t>* out) {
-  AppendErrorFrame(code, message, FrameTag{}, out);
-}
-
 Status DecodeError(const uint8_t* payload, size_t n, ErrorCode* code,
                    std::string* message) {
   if (n < kErrorFixed) {
@@ -328,10 +262,6 @@ Status DecodeError(const uint8_t* payload, size_t n, ErrorCode* code,
 void AppendStatsRequestFrame(const FrameTag& tag,
                              std::vector<uint8_t>* out) {
   AppendFrame(MessageType::kStatsRequest, nullptr, 0, tag, out);
-}
-
-void AppendStatsRequestFrame(std::vector<uint8_t>* out) {
-  AppendStatsRequestFrame(FrameTag{}, out);
 }
 
 Status DecodeStatsRequest(const uint8_t* /*payload*/, size_t n) {
@@ -377,11 +307,6 @@ void AppendStatsResponseFrame(const obs::MetricsSnapshot& snapshot,
   }
   AppendFrame(MessageType::kStatsResponse, payload.data(), payload.size(),
               tag, out);
-}
-
-void AppendStatsResponseFrame(const obs::MetricsSnapshot& snapshot,
-                              std::vector<uint8_t>* out) {
-  AppendStatsResponseFrame(snapshot, FrameTag{}, out);
 }
 
 Status DecodeStatsResponse(const uint8_t* payload, size_t n,
@@ -482,11 +407,6 @@ void AppendAttendanceFrame(ebsn::UserId user, ebsn::EventId event,
               tag, out);
 }
 
-void AppendAttendanceFrame(ebsn::UserId user, ebsn::EventId event,
-                           bool new_user, std::vector<uint8_t>* out) {
-  AppendAttendanceFrame(user, event, new_user, FrameTag{}, out);
-}
-
 Status DecodeAttendance(const uint8_t* payload, size_t n,
                         serving::IngestRecord* out) {
   if (n != kAttendancePayload) {
@@ -525,12 +445,6 @@ void AppendNewEventFrame(ebsn::EventId event,
               out);
 }
 
-void AppendNewEventFrame(ebsn::EventId event,
-                         const embedding::NewEventSignals& signals,
-                         std::vector<uint8_t>* out) {
-  AppendNewEventFrame(event, signals, FrameTag{}, out);
-}
-
 Status DecodeNewEvent(const uint8_t* payload, size_t n,
                       serving::IngestRecord* out) {
   if (n < kNewEventFixed) {
@@ -567,10 +481,6 @@ void AppendIngestAckFrame(uint64_t seq, const FrameTag& tag,
               out);
 }
 
-void AppendIngestAckFrame(uint64_t seq, std::vector<uint8_t>* out) {
-  AppendIngestAckFrame(seq, FrameTag{}, out);
-}
-
 Status DecodeIngestAck(const uint8_t* payload, size_t n, uint64_t* seq) {
   if (n != kIngestAckPayload) {
     return Status::InvalidArgument("ingest ack payload must be " +
@@ -598,42 +508,41 @@ bool FrameDecoder::Next(Frame* out) {
 Status FrameDecoder::Parse() {
   while (true) {
     const size_t avail = buffer_.size() - pos_;
-    if (avail < kHeaderSize) break;
+    // Validate the fixed fields the moment the size field is complete —
+    // a corrupted length must not make the decoder wait for megabytes
+    // that will never come, and a frame of another version (whose
+    // header may be shorter) is refused without waiting for more.
+    if (avail < kFrameIdOffset) break;
     const uint8_t* header = buffer_.data() + pos_;
-    // Validate the header the moment it is complete — a corrupted
-    // length field must not make the decoder wait for megabytes that
-    // will never come.
     if (GetU32(header) != kMagic) {
       return Status::InvalidArgument("bad frame magic");
     }
-    if (header[4] != kWireVersionV1 && header[4] != kWireVersion) {
-      return Status::InvalidArgument("unsupported wire version " +
-                                     std::to_string(header[4]));
+    if (header[kVersionOffset] != kWireVersion) {
+      return Status::InvalidArgument(
+          "unsupported wire version " +
+          std::to_string(header[kVersionOffset]));
     }
-    const bool tagged = header[4] == kWireVersion;
-    if (GetU16(header + 6) != 0) {
+    if (GetU16(header + kReservedOffset) != 0) {
       return Status::InvalidArgument("nonzero reserved header bytes");
     }
-    const uint32_t payload_size = GetU32(header + 8);
+    const uint32_t payload_size = GetU32(header + kSizeOffset);
     if (payload_size > kMaxPayload) {
       return Status::InvalidArgument(
           "frame payload " + std::to_string(payload_size) +
           " exceeds limit " + std::to_string(kMaxPayload));
     }
-    const size_t header_size = tagged ? kTaggedHeaderSize : kHeaderSize;
-    const size_t total = header_size + payload_size + kTrailerSize;
+    const size_t total = kHeaderSize + payload_size + kTrailerSize;
     if (avail < total) break;
-    const uint32_t want = Crc32c(header, header_size + payload_size);
-    const uint32_t got = GetU32(header + header_size + payload_size);
+    const uint32_t want = Crc32c(header, kHeaderSize + payload_size);
+    const uint32_t got = GetU32(header + kHeaderSize + payload_size);
     if (want != got) {
       return Status::InvalidArgument("frame CRC mismatch");
     }
     Frame frame;
-    frame.type = static_cast<MessageType>(header[5]);
-    frame.tagged = tagged;
-    if (tagged) frame.frame_id = GetU64(header + kHeaderSize);
-    frame.payload.assign(header + header_size,
-                         header + header_size + payload_size);
+    frame.type = static_cast<MessageType>(header[kTypeOffset]);
+    frame.frame_id = GetU64(header + kFrameIdOffset);
+    frame.payload.assign(header + kHeaderSize,
+                         header + kHeaderSize + payload_size);
     frames_.push_back(std::move(frame));
     pos_ += total;
   }

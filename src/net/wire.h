@@ -16,50 +16,42 @@
 namespace gemrec::net {
 
 /// Length-prefixed binary frame carried over TCP (all integers
-/// little-endian, matching the GEMREC02 artifact convention). Two
-/// header layouts share the stream, selected by the version byte:
+/// little-endian, matching the GEMREC02 artifact convention). One
+/// layout, wire version 2:
 ///
-/// v1 (kWireVersionV1 — lockstep, one request in flight):
 ///   [0, 4)        magic "GMNP"
-///   [4]           wire version = 1
+///   [4]           wire version = 2 (kWireVersion)
 ///   [5]           message type
 ///   [6, 8)        reserved, must be zero
 ///   [8, 12)       payload size N (<= kMaxPayload)
-///   [12, 12+N)    payload
-///   [12+N, 16+N)  CRC32C over bytes [0, 12+N)  (common/crc32c)
-///
-/// v2 (kWireVersion — pipelined): identical through byte 12, then a
-/// client-chosen u64 frame id the server echoes verbatim in the
-/// answering kQueryResponse/kIngestAck/kError/kPong/kStatsResponse,
-/// so one connection carries many in-flight requests completing out
-/// of order:
 ///   [12, 20)      frame id (u64, chosen by the requester)
 ///   [20, 20+N)    payload
-///   [20+N, 24+N)  CRC32C over bytes [0, 20+N)
+///   [20+N, 24+N)  CRC32C over bytes [0, 20+N)  (common/crc32c)
 ///
-/// Versions mix freely on one connection: every response reuses the
-/// version (and id) of the request it answers, so a v1-only peer
-/// never sees a v2 frame. The CRC covers header AND payload, so a
-/// flipped byte anywhere in a frame — including the length field
-/// itself — is rejected before the payload is interpreted. Header
-/// fields are validated as soon as the first 12 bytes arrive: a bad
-/// magic/version/size poisons the connection immediately instead of
-/// waiting for a bogus length.
+/// The server echoes the request's frame id verbatim in the answering
+/// kQueryResponse/kIngestAck/kError/kPong/kStatsResponse, so one
+/// connection carries many in-flight requests completing out of
+/// order. The CRC covers header AND payload, so a flipped byte
+/// anywhere in a frame — including the length field itself — is
+/// rejected before the payload is interpreted. Magic, version,
+/// reserved bytes and size are validated as soon as the size field
+/// arrives: a bad header poisons the connection immediately instead
+/// of waiting for a bogus length, and any version byte other than 2
+/// is answered with a typed kBadRequest error frame (frame id 0)
+/// before the server closes the connection.
 inline constexpr uint32_t kMagic = 0x504E4D47u;  // "GMNP" little-endian
-inline constexpr uint8_t kWireVersionV1 = 1;
 inline constexpr uint8_t kWireVersion = 2;
-inline constexpr size_t kHeaderSize = 12;        // v1 header
-inline constexpr size_t kTaggedHeaderSize = 20;  // v2: v1 + u64 frame id
+inline constexpr size_t kHeaderSize = 20;
 inline constexpr size_t kTrailerSize = 4;
 inline constexpr size_t kMaxPayload = 1u << 20;  // 1 MiB
 /// Largest top-n a query may request; keeps every response frame well
-/// under kMaxPayload (13 + 12n bytes of payload).
+/// under kMaxPayload (17 + 12n bytes of payload).
 inline constexpr uint32_t kMaxTopN = 4096;
 /// Largest word list a kNewEvent frame may carry (20 + 8w payload
 /// bytes, so the cap keeps new-event frames well under kMaxPayload).
 inline constexpr uint32_t kMaxIngestWords = 4096;
 /// Largest partner set a kGroup query request may carry (21 + 4g
-/// payload bytes in the extended request layout).
+/// payload bytes).
 inline constexpr uint32_t kMaxGroupMembers = 256;
 
 enum class MessageType : uint8_t {
@@ -74,9 +66,7 @@ enum class MessageType : uint8_t {
   /// while draining or overloaded — that is when operators need it.
   kStatsRequest = 6,
   kStatsResponse = 7,
-  /// Write path (wire v1 extension; old clients never send these and
-  /// old servers answer them with kBadRequest, keeping both directions
-  /// compatible). kAttendance carries "user registered for event",
+  /// Write path. kAttendance carries "user registered for event",
   /// kNewEvent a just-published event's fold-in signals; the server
   /// answers each with kIngestAck (the record's journal sequence
   /// number) once the write is durable and applied, or with a typed
@@ -99,88 +89,61 @@ enum class ErrorCode : uint16_t {
 
 const char* ErrorCodeName(ErrorCode code);
 
-/// The pipelining half of a frame's identity: whether it was a v2
-/// frame, and if so the u64 id the requester chose. A responder
-/// passes the request frame's tag() straight into the Append*
-/// overloads below so the answer travels in the same version, with
-/// the same id — v1 requests get v1 (untagged) answers.
+/// The frame id a responder echoes: it passes the request frame's
+/// tag() straight into the Append* encoders below.
 struct FrameTag {
-  bool tagged = false;
+  /// Always true: every frame carries an id. Kept only because the
+  /// benchmark harness in perfbench/ builds FrameTag{true, id} and
+  /// reads Frame::tagged; encoders ignore it.
+  bool tagged = true;
   uint64_t frame_id = 0;
 };
 
 struct Frame {
   MessageType type = MessageType::kPing;
   std::vector<uint8_t> payload;
-  /// Set for v2 frames: the client-chosen id to echo back.
-  bool tagged = false;
+  /// Always true for decoded frames; see FrameTag::tagged.
+  bool tagged = true;
+  /// The requester-chosen id to echo back.
   uint64_t frame_id = 0;
   FrameTag tag() const { return FrameTag{tagged, frame_id}; }
 };
 
-/// Appends one complete v1 frame (header + payload + CRC trailer) to
-/// `out`. Payload larger than kMaxPayload is a programming error.
-void AppendFrame(MessageType type, const uint8_t* payload, size_t n,
-                 std::vector<uint8_t>* out);
-/// Tag-dispatched overload: emits a v2 frame carrying tag.frame_id
-/// when tag.tagged, a plain v1 frame otherwise.
+/// Appends one complete frame (header carrying tag.frame_id + payload
+/// + CRC trailer) to `out`, letting `out` grow geometrically so many
+/// frames appended to one buffer cost amortised O(1) reallocations.
+/// Payload larger than kMaxPayload is a programming error.
 void AppendFrame(MessageType type, const uint8_t* payload, size_t n,
                  const FrameTag& tag, std::vector<uint8_t>* out);
-std::vector<uint8_t> EncodeFrame(MessageType type,
-                                 const std::vector<uint8_t>& payload);
-std::vector<uint8_t> EncodeTaggedFrame(MessageType type,
-                                       const std::vector<uint8_t>& payload,
-                                       uint64_t frame_id);
 
-/// Payload codecs. Encoders append a full frame (the FrameTag
-/// overloads choose v1/v2 framing; the tag-less legacy signatures emit
-/// v1); decoders take the payload bytes of an already-CRC-verified
-/// frame — the frame id, living in the header, never appears here.
+/// Payload codecs. Encoders append a full frame; decoders take the
+/// payload bytes of an already-CRC-verified frame — the frame id,
+/// living in the header, never appears here.
 ///
-/// Query requests have two payload layouts, disambiguated by length:
-///   legacy (17 bytes): u32 user, u32 n, u64 filter_hash, u8 flags —
-///     always QueryKind::kPartner. Emitted whenever the request IS a
-///     partner query, so partner traffic stays byte-identical to every
-///     deployed peer.
-///   extended (21 + 4g bytes): the 17 legacy bytes, then u8 kind
-///     (must be a non-partner QueryKind the decoder knows — anything
-///     else is InvalidArgument, which the server answers with a typed
-///     kBadRequest), u8 aggregator, u16 group count g (kGroup: 1 ..
-///     kMaxGroupMembers; kReciprocal: 0), then g u32 member ids.
-///     A legacy decoder rejects the unexpected length outright, so a
-///     coordinator fanning a new kind out to an old shard gets a typed
-///     kBadRequest back and degrades to a typed partial — never a
-///     silently-wrong kPartner answer.
-void AppendQueryRequestFrame(const serving::QueryRequest& request,
-                             std::vector<uint8_t>* out);
+/// Query request payload (21 + 4g bytes): u32 user, u32 n, u64
+/// filter_hash, u8 flags (bit0 = bypass cache), u8 kind (a
+/// QueryKind; anything else is InvalidArgument, which the server
+/// answers with a typed kBadRequest), u8 aggregator, u16 group count
+/// g (kGroup: 1 .. kMaxGroupMembers; other kinds: 0), then g u32
+/// member ids.
 void AppendQueryRequestFrame(const serving::QueryRequest& request,
                              const FrameTag& tag, std::vector<uint8_t>* out);
 Status DecodeQueryRequest(const uint8_t* payload, size_t n,
                           serving::QueryRequest* out);
 
-/// Query responses carry two v2-only fields for the sharded
-/// scatter-gather tier, both inside the CRC-covered payload:
-///   * a `partial` flag bit (the answer is missing at least one
-///     shard's contribution), and
-///   * a 4-byte fp32 trailer after the item list with the responding
-///     search's TA unreturned-score bound (ta_bound).
-/// The tagged (v2) encoder emits both; the untagged (v1) encoder
-/// suppresses them, so v1 peers — whose decoders reject unknown flag
-/// bits — keep interoperating. The decoder accepts both shapes by
-/// length: 13 + 12*count is a legacy payload (ta_bound = +inf, "no
-/// completeness claim"), 13 + 12*count + 4 carries the bound. The two
-/// lengths can never collide across counts (12c + 4 = 12c' has no
-/// solution), so the framing stays unambiguous.
-void AppendQueryResponseFrame(const serving::QueryResponse& response,
-                              std::vector<uint8_t>* out);
+/// Query response payload (17 + 12c bytes, checked exactly): u64
+/// epoch, u8 flags (bit0 = cache hit, bit1 = partial: the merge is
+/// missing at least one shard's slice), u32 item count c, c x (u32
+/// event, u32 partner, f32 score), then the f32 ta_bound trailer —
+/// the responding search's unreturned-score bound. Only kOk
+/// responses travel as kQueryResponse; every other ResponseCode is
+/// sent as a kError frame.
 void AppendQueryResponseFrame(const serving::QueryResponse& response,
                               const FrameTag& tag,
                               std::vector<uint8_t>* out);
 Status DecodeQueryResponse(const uint8_t* payload, size_t n,
                            serving::QueryResponse* out);
 
-void AppendErrorFrame(ErrorCode code, std::string_view message,
-                      std::vector<uint8_t>* out);
 void AppendErrorFrame(ErrorCode code, std::string_view message,
                       const FrameTag& tag, std::vector<uint8_t>* out);
 Status DecodeError(const uint8_t* payload, size_t n, ErrorCode* code,
@@ -194,12 +157,9 @@ Status DecodeError(const uint8_t* payload, size_t n, ErrorCode* code,
 /// bucket count, (u8 bucket index, u64 bucket count)...) for
 /// histograms (buckets are sparse: only nonzero entries travel).
 /// Help strings stay server-side.
-void AppendStatsRequestFrame(std::vector<uint8_t>* out);
 void AppendStatsRequestFrame(const FrameTag& tag, std::vector<uint8_t>* out);
 Status DecodeStatsRequest(const uint8_t* payload, size_t n);
 
-void AppendStatsResponseFrame(const obs::MetricsSnapshot& snapshot,
-                              std::vector<uint8_t>* out);
 void AppendStatsResponseFrame(const obs::MetricsSnapshot& snapshot,
                               const FrameTag& tag,
                               std::vector<uint8_t>* out);
@@ -215,8 +175,6 @@ Status DecodeStatsResponse(const uint8_t* payload, size_t n,
 /// The decoders fill a serving::IngestRecord ready for the ingestion
 /// queue (seq stays 0 — the queue assigns it).
 void AppendAttendanceFrame(ebsn::UserId user, ebsn::EventId event,
-                           bool new_user, std::vector<uint8_t>* out);
-void AppendAttendanceFrame(ebsn::UserId user, ebsn::EventId event,
                            bool new_user, const FrameTag& tag,
                            std::vector<uint8_t>* out);
 Status DecodeAttendance(const uint8_t* payload, size_t n,
@@ -224,14 +182,10 @@ Status DecodeAttendance(const uint8_t* payload, size_t n,
 
 void AppendNewEventFrame(ebsn::EventId event,
                          const embedding::NewEventSignals& signals,
-                         std::vector<uint8_t>* out);
-void AppendNewEventFrame(ebsn::EventId event,
-                         const embedding::NewEventSignals& signals,
                          const FrameTag& tag, std::vector<uint8_t>* out);
 Status DecodeNewEvent(const uint8_t* payload, size_t n,
                       serving::IngestRecord* out);
 
-void AppendIngestAckFrame(uint64_t seq, std::vector<uint8_t>* out);
 void AppendIngestAckFrame(uint64_t seq, const FrameTag& tag,
                           std::vector<uint8_t>* out);
 Status DecodeIngestAck(const uint8_t* payload, size_t n, uint64_t* seq);

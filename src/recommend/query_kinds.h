@@ -14,7 +14,7 @@
 namespace gemrec::recommend {
 
 /// The workload a query asks for. Wire values are frozen (they travel
-/// in v2 request frames); add new kinds at the end only.
+/// in every request frame); add new kinds at the end only.
 enum class QueryKind : uint8_t {
   /// The paper's joint event-partner ranking: top-n (event, partner)
   /// pairs under f(u, u', x) = u·x + u'·x + u·u' (Eqn 8).

@@ -26,8 +26,6 @@ struct QueryRequest {
   /// Skip cache lookup AND insertion (always recompute).
   bool bypass_cache = false;
   /// Which workload this query asks for (see recommend/query_kinds.h).
-  /// kPartner keeps the legacy wire encoding byte-for-byte; the other
-  /// kinds ride the extended v2 request payload.
   recommend::QueryKind kind = recommend::QueryKind::kPartner;
   /// kGroup only: how per-member pairwise terms fold.
   recommend::GroupAggregator aggregator = recommend::GroupAggregator::kSum;
@@ -37,23 +35,27 @@ struct QueryRequest {
   std::vector<ebsn::UserId> group;
 };
 
+/// Typed outcome of one query. Every code but kOk carries no items
+/// and a +inf ta_bound; the net layer answers it with the kError frame
+/// of the same name instead of a response frame.
+enum class ResponseCode : uint8_t {
+  kOk = 0,
+  /// The backend was shutting down and never served the request.
+  kShuttingDown,
+  /// The request was semantically invalid against the live snapshot
+  /// (user or group member id out of range, say) — something the wire
+  /// decoder cannot know.
+  kBadRequest,
+  /// A downstream shard answered OVERLOADED (coordinator only).
+  kOverloaded,
+};
+
 struct QueryResponse {
   std::vector<recommend::Recommendation> items;
   /// Epoch of the snapshot that produced (or validated) the items.
   uint64_t epoch = 0;
   bool cache_hit = false;
-  /// The service was shutting down and never served this request
-  /// (items is empty). The net layer maps this to a typed
-  /// ErrorCode::kShuttingDown instead of a response frame.
-  bool rejected = false;
-  /// The request was semantically invalid against the live snapshot
-  /// (group member id out of range, say) — something the wire decoder
-  /// cannot know. The net layer maps this to ErrorCode::kBadRequest;
-  /// items is empty.
-  bool bad_request = false;
-  /// A downstream shard answered OVERLOADED (coordinator only). The
-  /// net layer maps this to ErrorCode::kOverloaded.
-  bool overloaded = false;
+  ResponseCode code = ResponseCode::kOk;
   /// At least one shard's answer is missing from the merge (deadline
   /// miss, dead connection, or breaker eviction), so `items` covers a
   /// subset of the candidate space. Coordinator only; single-instance
@@ -61,8 +63,8 @@ struct QueryResponse {
   bool partial = false;
   /// Sound upper bound on the score of every candidate pair NOT in
   /// `items` (SearchStats::unreturned_bound, replayed verbatim on
-  /// cache hits). -inf when nothing was left out; +inf means
-  /// "unknown" (legacy peer, rejected request) and forbids any
+  /// cache hits). -inf when nothing was left out; +inf only on a
+  /// partial answer or a refused request, and forbids any
   /// completeness claim downstream.
   float ta_bound = std::numeric_limits<float>::infinity();
   /// Search instrumentation; zeroed for cache hits.

@@ -158,10 +158,10 @@ void RecommendationService::Enqueue(PendingRequest pending) {
   // Racing Shutdown (a SubmitAsync from a net worker while the server
   // tears down, say) must fail the one request, not abort the process:
   // complete it — outside queue_mu_, the callback may take other locks
-  // — with an empty response marked rejected.
+  // — with an empty kShuttingDown response.
   rejected_->Increment();
   QueryResponse response;
-  response.rejected = true;
+  response.code = ResponseCode::kShuttingDown;
   pending.Complete(std::move(response));
 }
 
@@ -171,19 +171,6 @@ QueryResponse RecommendationService::Query(const QueryRequest& request) {
 
 void RecommendationService::RecordReloadFailure() {
   reload_failures_->Increment();
-}
-
-ServiceStats RecommendationService::stats() const {
-  ServiceStats s;
-  s.queries = queries_->Value();
-  s.cache_hits = cache_hits_->Value();
-  s.batches = batches_->Value();
-  s.publishes = publishes_->Value();
-  s.reload_failures = reload_failures_->Value();
-  s.rejected = rejected_->Value();
-  s.queue_depth = QueueDepth();
-  s.in_flight = InFlight();
-  return s;
 }
 
 void RecommendationService::WorkerLoop() {
@@ -234,12 +221,12 @@ void RecommendationService::WorkerLoop() {
     }
     if (snapshot == nullptr) {
       // Shutting down before any model was published: answer with
-      // empty epoch-0 rejected responses rather than leaving broken
-      // promises (the net layer turns these into SHUTTING_DOWN).
+      // empty epoch-0 kShuttingDown responses rather than leaving
+      // broken promises.
       for (PendingRequest& pending : batch) {
         rejected_->Increment();
         QueryResponse response;
-        response.rejected = true;
+        response.code = ResponseCode::kShuttingDown;
         pending.Complete(std::move(response));
       }
       in_flight_->Sub(static_cast<int64_t>(batch.size()));
@@ -299,7 +286,7 @@ void RecommendationService::ServeSpecialKind(PendingRequest* pending,
   }
 
   // Semantic validation the wire decoder cannot do: ids must resolve
-  // in the live snapshot's store. Typed bad_request, never a crash or
+  // in the live snapshot's store. Typed kBadRequest, never a crash or
   // a silently-empty answer.
   const uint32_t user_rows =
       snapshot.store().CountOf(graph::NodeType::kUser);
@@ -312,7 +299,7 @@ void RecommendationService::ServeSpecialKind(PendingRequest* pending,
   }
   if (invalid) {
     bad_requests_->Increment();
-    response.bad_request = true;
+    response.code = ResponseCode::kBadRequest;
     pending->Complete(std::move(response));
     return;
   }
@@ -365,11 +352,11 @@ void RecommendationService::ServeBatch(std::vector<PendingRequest>* batch,
     QueryResponse response;
     response.epoch = epoch;
     // An out-of-range user would index past the user matrix when the
-    // query vector is built. Same typed bad_request contract as the
+    // query vector is built. Same typed kBadRequest contract as the
     // special kinds.
     if (request.user >= user_rows) {
       bad_requests_->Increment();
-      response.bad_request = true;
+      response.code = ResponseCode::kBadRequest;
       pending.Complete(std::move(response));
       continue;
     }
@@ -422,7 +409,7 @@ void RecommendationService::ServeBatchQuantized(
     response.epoch = epoch;
     if (request.user >= user_rows) {
       bad_requests_->Increment();
-      response.bad_request = true;
+      response.code = ResponseCode::kBadRequest;
       pending.Complete(std::move(response));
       continue;
     }

@@ -47,31 +47,6 @@ struct ServiceOptions {
 // QueryRequest / QueryResponse moved to serving/query_backend.h (the
 // interface the net layer depends on); re-exported here transitively.
 
-/// Thin plain-value view over the service's registry metrics: the
-/// monotonic counters (never decrease) plus two instantaneous gauges
-/// of saturation. Snapshot via RecommendationService::stats(); the
-/// registry (RecommendationService::metrics()) carries the same
-/// values under their exposition names plus the latency histograms.
-struct ServiceStats {
-  uint64_t queries = 0;
-  uint64_t cache_hits = 0;
-  uint64_t batches = 0;
-  uint64_t publishes = 0;
-  /// Model reloads that failed (corrupt artifact, shape mismatch, ...)
-  /// while the service kept serving its previous snapshot. Recorded by
-  /// ModelReloader; a monitoring loop that sees this grow while
-  /// `publishes` stalls knows the artifact pipeline is wedged.
-  uint64_t reload_failures = 0;
-  /// Requests refused with QueryResponse::rejected because they
-  /// arrived during/after Shutdown.
-  uint64_t rejected = 0;
-  /// Gauge: requests enqueued but not yet claimed by a worker.
-  uint64_t queue_depth = 0;
-  /// Gauge: requests claimed by workers and currently being served
-  /// (includes requests parked waiting for the first Publish).
-  uint64_t in_flight = 0;
-};
-
 /// Concurrent query front-end over an atomically swappable
 /// ModelSnapshot (the serving half of the paper's §IV online stage).
 ///
@@ -109,7 +84,8 @@ class RecommendationService : public QueryBackend {
   /// fulfilled) and joins the workers. Idempotent and thread-safe with
   /// respect to concurrent Submit/SubmitAsync: a request that races
   /// Shutdown either gets served by the drain or is completed with an
-  /// empty QueryResponse carrying `rejected = true` — never an abort.
+  /// empty QueryResponse carrying ResponseCode::kShuttingDown — never
+  /// an abort.
   void Shutdown();
 
   RecommendationService(const RecommendationService&) = delete;
@@ -151,7 +127,6 @@ class RecommendationService : public QueryBackend {
   /// effect on the service: the current snapshot keeps serving.
   void RecordReloadFailure();
 
-  ServiceStats stats() const;
   const ServiceOptions& options() const { return options_; }
 
   /// The service's metrics registry. Owned by the service and shared

@@ -18,7 +18,7 @@ struct CoordinatorOptions {
 /// The scatter-gather serving tier's QueryBackend: plugs a ShardRouter
 /// into the unmodified NetServer front-end, so `gemrec coordinate`
 /// speaks the exact same wire protocol as `gemrec serve` — clients
-/// cannot tell the difference except for the v2 partial flag when a
+/// cannot tell the difference except for the partial flag when a
 /// shard is degraded.
 ///
 /// Queries fan out over the shards and come back merged (merger.h);
@@ -38,7 +38,8 @@ class CoordinatorBackend : public serving::QueryBackend {
   /// ones; error only when none answers) and starts its thread.
   Status Start();
 
-  /// Stops the router: pending queries complete rejected. Idempotent.
+  /// Stops the router: pending queries complete with kShuttingDown.
+  /// Idempotent.
   void Stop();
 
   void SubmitAsync(const serving::QueryRequest& request,

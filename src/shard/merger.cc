@@ -11,21 +11,30 @@ MergeResult MergeTopK(const std::vector<ShardAnswer>& answers, size_t n) {
   MergeResult result;
   constexpr float kInf = std::numeric_limits<float>::infinity();
 
+  // A typed refusal answers the whole query. A bad request is bad for
+  // every slice, so it outranks a shard that merely shed load.
+  for (const ShardAnswer& answer : answers) {
+    if (answer.code == serving::ResponseCode::kBadRequest) {
+      result.code = answer.code;
+      return result;
+    }
+    if (answer.code == serving::ResponseCode::kOverloaded) {
+      result.code = answer.code;
+    }
+  }
+  if (result.code != serving::ResponseCode::kOk) return result;
+
   // max over replying shards' unreturned bounds; -inf when every
-  // replying shard exhausted its slice. `bound_known` drops to false
-  // on a +inf bound (a legacy peer that sent no threshold).
+  // replying shard exhausted its slice.
   float max_shard_bound = -kInf;
-  bool bound_known = true;
   size_t collected = 0;
   for (const ShardAnswer& answer : answers) {
-    result.overloaded = result.overloaded || answer.overloaded;
     if (!answer.ok) {
       result.partial = true;
       continue;
     }
     result.epoch = std::max(result.epoch, answer.epoch);
     collected += answer.items.size();
-    if (answer.ta_bound == kInf) bound_known = false;
     max_shard_bound = std::max(max_shard_bound, answer.ta_bound);
     result.items.insert(result.items.end(), answer.items.begin(),
                         answer.items.end());
@@ -51,27 +60,25 @@ MergeResult MergeTopK(const std::vector<ShardAnswer>& answers, size_t n) {
   const bool dropped = collected > result.items.size();
   const float kth =
       result.items.size() == n && n > 0 ? result.items.back().score : -kInf;
-  if (result.partial || !bound_known) {
+  if (result.partial) {
     result.ta_bound = kInf;
-  } else {
-    result.ta_bound = std::max(max_shard_bound, dropped ? kth : -kInf);
+    return result;
   }
+  result.ta_bound = std::max(max_shard_bound, dropped ? kth : -kInf);
 
-  // Completeness certificate: full replies + known bounds. The
-  // threshold-merge inequality kth >= max_shard_bound holds by
-  // construction for full replies (each shard's bound is at most its
-  // own n-th returned score); assert it rather than silently trusting
-  // the algebra. Short merges (fewer than n items total) are complete
-  // trivially — nothing was left anywhere.
-  if (!result.partial && bound_known) {
-    if (result.items.size() < n) {
-      result.certified = true;
-    } else {
-      GEMREC_DCHECK(!(kth < max_shard_bound))
-          << "threshold-merge soundness violated: merged k-th " << kth
-          << " < shard bound " << max_shard_bound;
-      result.certified = !(kth < max_shard_bound);
-    }
+  // Completeness certificate for full replies. The threshold-merge
+  // inequality kth >= max_shard_bound holds by construction (each
+  // shard's bound is at most its own n-th returned score); assert it
+  // rather than silently trusting the algebra. Short merges (fewer
+  // than n items total) are complete trivially — nothing was left
+  // anywhere.
+  if (result.items.size() < n) {
+    result.certified = true;
+  } else {
+    GEMREC_DCHECK(!(kth < max_shard_bound))
+        << "threshold-merge soundness violated: merged k-th " << kth
+        << " < shard bound " << max_shard_bound;
+    result.certified = !(kth < max_shard_bound);
   }
   return result;
 }

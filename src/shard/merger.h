@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "recommend/recommender.h"
+#include "serving/query_backend.h"
 
 namespace gemrec::shard {
 
@@ -13,16 +14,16 @@ namespace gemrec::shard {
 struct ShardAnswer {
   uint32_t shard = 0;
   /// A decoded kQueryResponse arrived before the deadline. False for
-  /// evicted, dead, deadline-missed and typed-error shards — their
-  /// slice of the space is simply missing from the merge.
+  /// evicted, dead, deadline-missed and typed-error shards.
   bool ok = false;
-  /// The shard answered with a typed kOverloaded error.
-  bool overloaded = false;
+  /// kBadRequest or kOverloaded when the shard answered that typed
+  /// error; kOk otherwise.
+  serving::ResponseCode code = serving::ResponseCode::kOk;
   /// Top-n of the shard's slice, descending score.
   std::vector<recommend::Recommendation> items;
   /// The shard's TA unreturned-score bound (QueryResponse::ta_bound):
-  /// every pair of its slice NOT in `items` scores at most this.
-  /// +inf = unknown (legacy peer), -inf = nothing was left out.
+  /// every pair of its slice NOT in `items` scores at most this;
+  /// -inf = nothing was left out.
   float ta_bound = std::numeric_limits<float>::infinity();
   uint64_t epoch = 0;
 };
@@ -32,19 +33,21 @@ struct MergeResult {
   /// Global top-n over the replying shards, descending score; ties
   /// broken deterministically by (event, partner) ascending.
   std::vector<recommend::Recommendation> items;
-  /// At least one shard's slice is missing (its ShardAnswer has
-  /// ok == false).
+  /// kBadRequest when any shard answered kBadRequest (the request
+  /// itself is invalid), else kOverloaded when any shard answered
+  /// kOverloaded, else kOk. Every code but kOk carries no items.
+  serving::ResponseCode code = serving::ResponseCode::kOk;
+  /// kOk merges only: at least one shard's slice is missing (its
+  /// ShardAnswer has ok == false).
   bool partial = false;
-  /// Some shard answered a typed OVERLOADED error.
-  bool overloaded = false;
-  /// The threshold-merge completeness proof held: every shard
-  /// replied, every reply carried a finite-or--inf bound, and the
-  /// merged k-th score dominates every shard's unreturned bound — so
-  /// `items` provably equals the unsharded top-n (modulo score ties).
+  /// The threshold-merge completeness proof held: every shard replied
+  /// and the merged k-th score dominates every shard's unreturned
+  /// bound — so `items` provably equals the unsharded top-n (modulo
+  /// score ties).
   bool certified = false;
   /// Coordinator-level unreturned bound: a sound upper bound on every
   /// candidate pair (across all slices) not in `items`. +inf when any
-  /// slice is missing or carried no bound.
+  /// slice is missing or the merge is a typed refusal.
   float ta_bound = std::numeric_limits<float>::infinity();
   /// max over replying shards (all shards serve the same artifact
   /// generation, so this is the freshest epoch observed).

@@ -79,11 +79,6 @@ ShardRouter::ShardRouter(std::vector<ShardEndpoint> shards,
       "gemrec_shard_partial_results_total",
       "Merged responses missing at least one shard's slice (deadline "
       "miss, breaker-open or dead shard).");
-  shard_bad_requests_total_ = registry_->GetCounter(
-      "gemrec_shard_bad_requests_total",
-      "Shard replies that were typed kBadRequest — usually a legacy "
-      "shard rejecting a query kind it predates; the merge degrades "
-      "to a typed partial.");
   deadline_misses_total_ = registry_->GetCounter(
       "gemrec_shard_deadline_misses_total",
       "Per-shard answers that missed the coordinator's shard_deadline.");
@@ -154,7 +149,7 @@ void ShardRouter::SubmitQuery(const serving::QueryRequest& request,
     }
   }
   serving::QueryResponse response;
-  response.rejected = true;
+  response.code = serving::ResponseCode::kShuttingDown;
   callback(std::move(response));
 }
 
@@ -220,13 +215,12 @@ void ShardRouter::Loop() {
     }
     if (stopping) break;
   }
-  // Shutdown: every pending query gets a typed rejection (the reactor
-  // maps rejected -> SHUTTING_DOWN), every stats fan-out completes
-  // with what it has.
+  // Shutdown: every pending query gets a typed kShuttingDown, every
+  // stats fan-out completes with what it has.
   finished_.clear();
   for (auto& [id, query] : pending_) {
     serving::QueryResponse response;
-    response.rejected = true;
+    response.code = serving::ResponseCode::kShuttingDown;
     in_flight_.fetch_sub(1, std::memory_order_relaxed);
     query.callback(std::move(response));
   }
@@ -373,14 +367,14 @@ void ShardRouter::HandleReply(uint32_t index, net::TaggedReply reply,
       answer.ta_bound = reply.outcome.response.ta_bound;
       answer.epoch = reply.outcome.response.epoch;
     } else {
+      // A typed refusal: kBadRequest and kOverloaded answer the whole
+      // merge; any other error (a draining shard, say) only leaves the
+      // slice missing.
       answer.ok = false;
-      answer.overloaded =
-          reply.outcome.error == net::ErrorCode::kOverloaded;
       if (reply.outcome.error == net::ErrorCode::kBadRequest) {
-        // A legacy shard that predates the query-kind extension
-        // rejects the longer payload; its slice is simply missing and
-        // the merge becomes a typed partial.
-        shard_bad_requests_total_->Increment();
+        answer.code = serving::ResponseCode::kBadRequest;
+      } else if (reply.outcome.error == net::ErrorCode::kOverloaded) {
+        answer.code = serving::ResponseCode::kOverloaded;
       }
     }
     if (query.outstanding == 0) finished_.push_back(query_it->first);
@@ -530,8 +524,8 @@ void ShardRouter::CompleteQuery(uint64_t id, PendingQuery query) {
   serving::QueryResponse response;
   response.items = std::move(merged.items);
   response.epoch = merged.epoch;
+  response.code = merged.code;
   response.partial = merged.partial;
-  response.overloaded = merged.overloaded;
   response.ta_bound = merged.ta_bound;
   in_flight_.fetch_sub(1, std::memory_order_relaxed);
   query.callback(std::move(response));

@@ -56,7 +56,7 @@ struct RouterOptions {
 };
 
 /// Scatter-gather fan-out engine of the coordinator tier: one
-/// persistent tagged GMNP v2 connection per shard, all multiplexed on
+/// persistent pipelined GMNP connection per shard, all multiplexed on
 /// a single epoll thread. Queries fan out with a shared frame id,
 /// per-shard replies are collected in completion order via
 /// nonblocking drains (Client::ReceiveAny(0ms)), and the merged top-k
@@ -98,13 +98,13 @@ class ShardRouter {
   /// backoff schedule); only ALL shards unreachable is an error.
   Status Start();
 
-  /// Completes every pending query with rejected=true, closes the
+  /// Completes every pending query with kShuttingDown, closes the
   /// shard connections and joins the router thread. Idempotent.
   void Stop();
 
   /// Fans the query out over the live shards and calls `callback`
   /// exactly once with the merged response (possibly partial). After
-  /// Stop, completes immediately with rejected=true.
+  /// Stop, completes immediately with kShuttingDown.
   void SubmitQuery(const serving::QueryRequest& request,
                    QueryCallback callback);
 
@@ -192,7 +192,6 @@ class ShardRouter {
 
   obs::Counter* queries_total_ = nullptr;
   obs::Counter* partial_results_total_ = nullptr;
-  obs::Counter* shard_bad_requests_total_ = nullptr;
   obs::Counter* deadline_misses_total_ = nullptr;
   obs::Counter* evictions_total_ = nullptr;
   obs::Counter* reconnects_total_ = nullptr;

@@ -172,14 +172,14 @@ TEST_F(SerializationTest, GoldenV2FixtureLoads) {
   ExpectBitExact(*loaded, GoldenStore());
 }
 
-TEST_F(SerializationTest, GoldenV1FixtureStillLoads) {
-  // Compatibility pin: artifacts written before the v2 format (no
-  // checksums) must keep loading through the deprecation path.
+TEST_F(SerializationTest, GoldenV1FixtureIsRejected) {
+  // GEMREC02 strictness pin: the retired checksum-free GEMREC01 format
+  // is refused by its magic, never loaded.
   const std::string golden =
       std::string(GEMREC_TEST_DATA_DIR) + "/store_v1_golden.bin";
   auto loaded = LoadEmbeddingStore(golden);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ExpectBitExact(*loaded, GoldenStore());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(SerializationTest, WriterMatchesGoldenV2ByteForByte) {
@@ -201,14 +201,6 @@ TEST_F(SerializationTest, WriterMatchesGoldenV2ByteForByte) {
       std::istreambuf_iterator<char>());
   ASSERT_EQ(fresh_bytes.size(), golden_bytes.size());
   EXPECT_EQ(fresh_bytes, golden_bytes);
-}
-
-TEST_F(SerializationTest, V1RoundTripThroughTestingWriter) {
-  EmbeddingStore store = MakeStore();
-  ASSERT_TRUE(SaveEmbeddingStoreV1ForTesting(store, path_).ok());
-  auto loaded = LoadEmbeddingStore(path_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ExpectBitExact(*loaded, store);
 }
 
 }  // namespace

@@ -263,18 +263,13 @@ TEST_F(FaultInjectionTest, KillMidSaveKeepsPreviousArtifact) {
   ExpectStoresBitExact(*replaced, new_store);
 }
 
-TEST_F(FaultInjectionTest, LegacyV1StillLoadsAndRoundTrips) {
-  const EmbeddingStore store = MakeStore(9.0f);
-  ASSERT_TRUE(SaveEmbeddingStoreV1ForTesting(store, path_).ok());
-  auto loaded = LoadEmbeddingStore(path_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  ExpectStoresBitExact(*loaded, store);
-}
-
 TEST_F(FaultInjectionTest, LegacyV1TruncationAndGarbageAreRejected) {
-  const EmbeddingStore store = MakeStore(10.0f);
-  ASSERT_TRUE(SaveEmbeddingStoreV1ForTesting(store, path_).ok());
-  std::vector<uint8_t> bytes = ReadFileBytes(path_);
+  // GEMREC02 is the only model format: the retired checksum-free
+  // GEMREC01 layout is refused whole, truncated or garbage-extended —
+  // never half-loaded.
+  std::vector<uint8_t> bytes = ReadFileBytes(
+      std::string(GEMREC_TEST_DATA_DIR) + "/store_v1_golden.bin");
+  ASSERT_GT(bytes.size(), 32u);
 
   const std::string corrupt = (dir_ / "v1corrupt.bin").string();
   for (const size_t len : {size_t{4}, size_t{10}, size_t{31},
@@ -283,8 +278,6 @@ TEST_F(FaultInjectionTest, LegacyV1TruncationAndGarbageAreRejected) {
                    std::vector<uint8_t>(bytes.begin(), bytes.begin() + len));
     EXPECT_FALSE(LoadEmbeddingStore(corrupt).ok()) << "length " << len;
   }
-  // The v1 hardening added with v2: trailing bytes are now an error
-  // instead of silently ignored.
   bytes.push_back(0xAB);
   WriteFileBytes(corrupt, bytes);
   const auto result = LoadEmbeddingStore(corrupt);

@@ -19,9 +19,12 @@
 #include "serving/model_reloader.h"
 #include "serving/recommendation_service.h"
 #include "serving/snapshot_builder.h"
+#include "../testing/metrics.h"
 
 namespace gemrec::serving {
 namespace {
+
+using testing::CounterValue;
 
 namespace fs = std::filesystem;
 using std::chrono::milliseconds;
@@ -120,13 +123,17 @@ TEST_F(ReloadDegradationTest, CorruptArtifactNeverDropsLiveSnapshot) {
   FlipByteAt(50);
   const Status degraded = reloader.ReloadWithRetry(path_);
   ASSERT_FALSE(degraded.ok());
-  EXPECT_EQ(service.stats().reload_failures, 3u);
+  EXPECT_EQ(CounterValue(*service.metrics(),
+                         "gemrec_service_reload_failures_total"),
+            3u);
   EXPECT_EQ(reloader.consecutive_failures(), 3u);
   ASSERT_EQ(sleeps.size(), 2u);
   EXPECT_EQ(sleeps[0], milliseconds(10));
   EXPECT_EQ(sleeps[1], milliseconds(20));
   EXPECT_EQ(service.CurrentSnapshot()->epoch(), 1u);
-  EXPECT_EQ(service.stats().publishes, 1u);
+  EXPECT_EQ(CounterValue(*service.metrics(),
+                         "gemrec_service_publishes_total"),
+            1u);
 
   // The service still answers, identically to before the corruption.
   const QueryResponse during_outage = service.Query(request);
@@ -142,7 +149,9 @@ TEST_F(ReloadDegradationTest, CorruptArtifactNeverDropsLiveSnapshot) {
   EXPECT_EQ(reloader.current_backoff(), milliseconds::zero());
   EXPECT_EQ(service.CurrentSnapshot()->epoch(), 2u);
   // Failure counter is cumulative (monitoring counts total incidents).
-  EXPECT_EQ(service.stats().reload_failures, 3u);
+  EXPECT_EQ(CounterValue(*service.metrics(),
+                         "gemrec_service_reload_failures_total"),
+            3u);
   const QueryResponse after_recovery = service.Query(request);
   EXPECT_EQ(after_recovery.epoch, 2u);
 }
@@ -173,7 +182,9 @@ TEST_F(ReloadDegradationTest, MissingArtifactBackoffIsCappedExponential) {
     EXPECT_FALSE(reloader.ReloadFromFile(missing).ok());
   }
   EXPECT_EQ(reloader.current_backoff(), milliseconds(40));
-  EXPECT_EQ(service.stats().reload_failures, 106u);
+  EXPECT_EQ(CounterValue(*service.metrics(),
+                         "gemrec_service_reload_failures_total"),
+            106u);
   // No snapshot was ever published — and none was dropped either.
   EXPECT_EQ(service.CurrentSnapshot(), nullptr);
 }
@@ -209,7 +220,9 @@ TEST_F(ReloadDegradationTest, ShapeIncompatibleArtifactIsRejected) {
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(service.CurrentSnapshot()->epoch(), epoch);
-  EXPECT_EQ(service.stats().reload_failures, 2u);
+  EXPECT_EQ(CounterValue(*service.metrics(),
+                         "gemrec_service_reload_failures_total"),
+            2u);
 
   // A compatible (larger) artifact is fine.
   const embedding::EmbeddingStore grown =

@@ -32,6 +32,7 @@
 #include "serving/ingestion_queue.h"
 #include "serving/model_reloader.h"
 #include "serving/snapshot_builder.h"
+#include "../testing/metrics.h"
 
 namespace gemrec::net {
 namespace {
@@ -39,6 +40,8 @@ namespace {
 using serving::QueryRequest;
 using serving::RecommendationService;
 using serving::ServiceOptions;
+using testing::CounterValue;
+using testing::NetCounter;
 
 std::unique_ptr<embedding::EmbeddingStore> RandomStore(
     uint32_t num_users, uint32_t num_events, uint32_t dim,
@@ -74,6 +77,14 @@ std::unique_ptr<Client> MustConnect(const NetServer& server,
   return std::move(client).value();
 }
 
+obs::MetricsSnapshot Stats(const NetServer& server) {
+  return server.metrics_registry()->Snapshot();
+}
+
+int64_t ActiveConnections(const obs::MetricsSnapshot& snapshot) {
+  return testing::GaugeValue(snapshot, "gemrec_net_active_connections");
+}
+
 /// Polls `predicate` against the server's stats until it holds or the
 /// deadline passes (socket effects are asynchronous to the test body).
 template <typename Pred>
@@ -85,10 +96,10 @@ bool WaitForStats(const NetServer& server, Pred predicate,
   // genuine failure still fails, just slower.
   const auto until = std::chrono::steady_clock::now() + deadline;
   while (std::chrono::steady_clock::now() < until) {
-    if (predicate(server.stats())) return true;
+    if (predicate(Stats(server))) return true;
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  return predicate(server.stats());
+  return predicate(Stats(server));
 }
 
 TEST(NetServerTest, QueryRoundTripMatchesInProcessService) {
@@ -119,10 +130,10 @@ TEST(NetServerTest, QueryRoundTripMatchesInProcessService) {
     }
     EXPECT_EQ(outcome->response.epoch, 1u);
   }
-  const NetStats stats = server.stats();
-  EXPECT_EQ(stats.requests, 20u);
-  EXPECT_EQ(stats.responses, 20u);
-  EXPECT_EQ(stats.overload_sheds, 0u);
+  const obs::MetricsSnapshot stats = Stats(server);
+  EXPECT_EQ(NetCounter(stats, "requests"), 20u);
+  EXPECT_EQ(NetCounter(stats, "responses"), 20u);
+  EXPECT_EQ(NetCounter(stats, "overload_sheds"), 0u);
 }
 
 TEST(NetServerTest, PingPongAndAcceptStats) {
@@ -136,11 +147,11 @@ TEST(NetServerTest, PingPongAndAcceptStats) {
   auto b = MustConnect(server);
   EXPECT_TRUE(a->Ping().ok());
   EXPECT_TRUE(b->Ping().ok());
-  const NetStats stats = server.stats();
-  EXPECT_EQ(stats.accepted, 2u);
-  EXPECT_EQ(stats.active_connections, 2u);
+  const obs::MetricsSnapshot stats = Stats(server);
+  EXPECT_EQ(NetCounter(stats, "accepted"), 2u);
+  EXPECT_EQ(ActiveConnections(stats), 2);
   // Health checks used to be invisible in the stats.
-  EXPECT_EQ(stats.pings, 2u);
+  EXPECT_EQ(NetCounter(stats, "pings"), 2u);
 }
 
 TEST(NetServerTest, StatsRoundTripOverLiveServer) {
@@ -167,11 +178,11 @@ TEST(NetServerTest, StatsRoundTripOverLiveServer) {
 
   // The wire snapshot must agree with the in-process view (no other
   // traffic is running against this server).
-  const NetStats stats = server.stats();
+  const obs::MetricsSnapshot stats = Stats(server);
   const obs::MetricValue* requests =
       snapshot->Find("gemrec_net_requests_total");
   ASSERT_NE(requests, nullptr);
-  EXPECT_EQ(requests->counter, stats.requests);
+  EXPECT_EQ(requests->counter, NetCounter(stats, "requests"));
   EXPECT_EQ(requests->counter, 5u);
   const obs::MetricValue* pings =
       snapshot->Find("gemrec_net_pings_total");
@@ -192,7 +203,7 @@ TEST(NetServerTest, StatsRoundTripOverLiveServer) {
       snapshot->Find("gemrec_net_round_trip_us");
   ASSERT_NE(round_trip, nullptr);
   ASSERT_EQ(round_trip->type, obs::MetricType::kHistogram);
-  EXPECT_EQ(round_trip->histogram.count, stats.responses);
+  EXPECT_EQ(round_trip->histogram.count, NetCounter(stats, "responses"));
   EXPECT_GT(round_trip->histogram.Percentile(0.99), 0.0);
 }
 
@@ -215,8 +226,8 @@ TEST(NetServerTest, ServiceShutdownMapsToShuttingDownError) {
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_FALSE(outcome->ok);
   EXPECT_EQ(outcome->error, ErrorCode::kShuttingDown);
-  EXPECT_TRUE(WaitForStats(server, [](const NetStats& s) {
-    return s.drain_rejects >= 1;
+  EXPECT_TRUE(WaitForStats(server, [](const obs::MetricsSnapshot& s) {
+    return NetCounter(s, "drain_rejects") >= 1;
   }));
   // The stats endpoint still answers on the drained service.
   auto snapshot = client->Stats();
@@ -236,9 +247,10 @@ TEST(NetServerTest, MalformedPayloadGetsTypedBadRequest) {
   auto client = MustConnect(server);
 
   // CRC-clean frame whose query payload is one byte short.
-  const std::vector<uint8_t> bogus(16, 0);
-  const std::vector<uint8_t> bytes =
-      EncodeFrame(MessageType::kQueryRequest, bogus);
+  const std::vector<uint8_t> bogus(20, 0);
+  std::vector<uint8_t> bytes;
+  AppendFrame(MessageType::kQueryRequest, bogus.data(), bogus.size(),
+              FrameTag{true, 1}, &bytes);
   ASSERT_EQ(::send(client->fd(), bytes.data(), bytes.size(),
                    MSG_NOSIGNAL),
             static_cast<ssize_t>(bytes.size()));
@@ -254,7 +266,7 @@ TEST(NetServerTest, MalformedPayloadGetsTypedBadRequest) {
   auto good = client->Query(request);
   ASSERT_TRUE(good.ok()) << good.status().ToString();
   EXPECT_TRUE(good->ok);
-  EXPECT_EQ(server.stats().bad_requests, 1u);
+  EXPECT_EQ(NetCounter(Stats(server), "bad_requests"), 1u);
 }
 
 TEST(NetServerTest, GarbageBytesCloseTheConnection) {
@@ -269,11 +281,17 @@ TEST(NetServerTest, GarbageBytesCloseTheConnection) {
   ASSERT_GT(::send(client->fd(), garbage, sizeof(garbage) - 1,
                    MSG_NOSIGNAL),
             0);
-  // Server must hang up; the blocking read sees EOF.
+  // One typed answer naming the problem, then the server hangs up and
+  // the blocking read sees EOF.
   auto outcome = client->Receive();
-  EXPECT_FALSE(outcome.ok());
-  EXPECT_TRUE(WaitForStats(server, [](const NetStats& s) {
-    return s.protocol_errors == 1 && s.active_connections == 0;
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  ASSERT_FALSE(outcome->ok);
+  EXPECT_EQ(outcome->error, ErrorCode::kBadRequest);
+  EXPECT_EQ(outcome->error_message, "bad frame magic");
+  EXPECT_FALSE(client->Receive().ok());
+  EXPECT_TRUE(WaitForStats(server, [](const obs::MetricsSnapshot& s) {
+    return NetCounter(s, "protocol_errors") == 1 &&
+           ActiveConnections(s) == 0;
   }));
 }
 
@@ -302,7 +320,7 @@ TEST(NetServerTest, OverloadedUnderSaturatedInFlightBudget) {
   ASSERT_TRUE(shed.ok()) << shed.status().ToString();
   ASSERT_FALSE(shed->ok);
   EXPECT_EQ(shed->error, ErrorCode::kOverloaded);
-  EXPECT_EQ(server.stats().overload_sheds, 1u);
+  EXPECT_EQ(NetCounter(Stats(server), "overload_sheds"), 1u);
 
   // Unblock the parked requests; all four must now complete.
   service.Publish(MakeSnapshot(*store, 10, 10));
@@ -311,7 +329,7 @@ TEST(NetServerTest, OverloadedUnderSaturatedInFlightBudget) {
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
     EXPECT_TRUE(outcome->ok) << "request " << i;
   }
-  EXPECT_EQ(server.stats().responses, 4u);
+  EXPECT_EQ(NetCounter(Stats(server), "responses"), 4u);
 }
 
 TEST(NetServerTest, SlowReaderHitsWriteBufferCapAndIsDisconnected) {
@@ -341,8 +359,9 @@ TEST(NetServerTest, SlowReaderHitsWriteBufferCapAndIsDisconnected) {
     request.user = i % 30;
     ASSERT_TRUE(client->Send(request).ok());
   }
-  EXPECT_TRUE(WaitForStats(server, [](const NetStats& s) {
-    return s.slow_reader_disconnects == 1 && s.active_connections == 0;
+  EXPECT_TRUE(WaitForStats(server, [](const obs::MetricsSnapshot& s) {
+    return NetCounter(s, "slow_reader_disconnects") == 1 &&
+           ActiveConnections(s) == 0;
   }));
 }
 
@@ -359,8 +378,9 @@ TEST(NetServerTest, IdleConnectionIsTimedOut) {
   // Silent connection: the server must hang up, seen as EOF here.
   auto outcome = client->Receive();
   EXPECT_FALSE(outcome.ok());
-  EXPECT_TRUE(WaitForStats(server, [](const NetStats& s) {
-    return s.idle_timeouts == 1 && s.active_connections == 0;
+  EXPECT_TRUE(WaitForStats(server, [](const obs::MetricsSnapshot& s) {
+    return NetCounter(s, "idle_timeouts") == 1 &&
+           ActiveConnections(s) == 0;
   }));
 }
 
@@ -380,13 +400,14 @@ TEST(NetServerTest, PartialFrameIsTimedOut) {
   request.user = 1;
   request.n = 3;
   std::vector<uint8_t> bytes;
-  AppendQueryRequestFrame(request, &bytes);
+  AppendQueryRequestFrame(request, FrameTag{true, 1}, &bytes);
   ASSERT_EQ(::send(client->fd(), bytes.data(), 6, MSG_NOSIGNAL), 6);
 
   auto outcome = client->Receive();
   EXPECT_FALSE(outcome.ok());
-  EXPECT_TRUE(WaitForStats(server, [](const NetStats& s) {
-    return s.read_timeouts == 1 && s.active_connections == 0;
+  EXPECT_TRUE(WaitForStats(server, [](const obs::MetricsSnapshot& s) {
+    return NetCounter(s, "read_timeouts") == 1 &&
+           ActiveConnections(s) == 0;
   }));
 }
 
@@ -452,11 +473,13 @@ TEST(NetServerTest, ReloadUnderLoadKeepsEveryQueryAnswered) {
   updater.join();
 
   EXPECT_EQ(answered.load(), kClients * kQueriesEach);
-  const NetStats stats = server.stats();
-  EXPECT_EQ(stats.responses,
+  const obs::MetricsSnapshot stats = Stats(server);
+  EXPECT_EQ(NetCounter(stats, "responses"),
             static_cast<uint64_t>(kClients * kQueriesEach));
-  EXPECT_EQ(stats.protocol_errors, 0u);
-  EXPECT_GT(service.stats().publishes, 2u);
+  EXPECT_EQ(NetCounter(stats, "protocol_errors"), 0u);
+  EXPECT_GT(CounterValue(*service.metrics(),
+                         "gemrec_service_publishes_total"),
+            2u);
 }
 
 TEST(NetServerTest, GracefulDrainStopsAcceptingAndExits) {
@@ -487,7 +510,7 @@ TEST(NetServerTest, GracefulDrainStopsAcceptingAndExits) {
   EXPECT_FALSE(refused.ok());
 
   server.Stop();  // idempotent join
-  EXPECT_EQ(server.stats().responses, 1u);
+  EXPECT_EQ(NetCounter(Stats(server), "responses"), 1u);
 }
 
 TEST(NetServerTest, StopWithoutStartIsSafe) {
@@ -545,7 +568,9 @@ TEST(NetServerTest, StatsAndPingStayReachableDuringDrain) {
   parked.n = 4;
   ASSERT_TRUE(client->SendTagged(parked, 11).ok());
   ASSERT_TRUE(WaitForStats(
-      server, [](const NetStats& s) { return s.requests >= 1; }));
+      server, [](const obs::MetricsSnapshot& s) {
+        return NetCounter(s, "requests") >= 1;
+      }));
 
   server.RequestDrain();
   // Drain is entered when the listener is gone: poll until a fresh
@@ -573,18 +598,16 @@ TEST(NetServerTest, StatsAndPingStayReachableDuringDrain) {
   ASSERT_TRUE(client->SendTagged(refused, 22).ok());
   auto reply = client->ReceiveAny();
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-  EXPECT_TRUE(reply->tagged);
   EXPECT_EQ(reply->frame_id, 22u);
   ASSERT_FALSE(reply->outcome.ok);
   EXPECT_EQ(reply->outcome.error, ErrorCode::kShuttingDown);
-  EXPECT_GE(server.stats().drain_rejects, 1u);
+  EXPECT_GE(NetCounter(Stats(server), "drain_rejects"), 1u);
 
   // Unpark the in-flight query: it completes (id echoed), after which
   // the connection has no work left and the drain finishes.
   service.Publish(MakeSnapshot(*store, 10, 10));
   auto answer = client->ReceiveAny();
   ASSERT_TRUE(answer.ok()) << answer.status().ToString();
-  EXPECT_TRUE(answer->tagged);
   EXPECT_EQ(answer->frame_id, 11u);
   EXPECT_TRUE(answer->outcome.ok) << answer->outcome.error_message;
 
@@ -614,8 +637,8 @@ TEST(NetServerTest, ConnectionLimitRefusalsAreCounted) {
   auto c = MustConnect(server);
   auto outcome = c->Receive();
   EXPECT_FALSE(outcome.ok());
-  EXPECT_TRUE(WaitForStats(server, [](const NetStats& s) {
-    return s.conn_limit_rejects == 1;
+  EXPECT_TRUE(WaitForStats(server, [](const obs::MetricsSnapshot& s) {
+    return NetCounter(s, "conn_limit_rejects") == 1;
   }));
 
   // The refusal travels over the stats verb like every other counter.
@@ -628,8 +651,8 @@ TEST(NetServerTest, ConnectionLimitRefusalsAreCounted) {
 
   // Freeing a slot lifts the limit for the next connection.
   a.reset();
-  EXPECT_TRUE(WaitForStats(server, [](const NetStats& s) {
-    return s.active_connections == 1;
+  EXPECT_TRUE(WaitForStats(server, [](const obs::MetricsSnapshot& s) {
+    return ActiveConnections(s) == 1;
   }));
   auto d = MustConnect(server);
   EXPECT_TRUE(d->Ping().ok());
@@ -683,8 +706,8 @@ TEST(NetServerTest, EmfileAcceptStormIsSurvivedAndCounted) {
   ASSERT_EQ(::connect(doomed, reinterpret_cast<const sockaddr*>(&addr),
                       sizeof(addr)),
             0);
-  EXPECT_TRUE(WaitForStats(server, [](const NetStats& s) {
-    return s.accept_errors >= 1;
+  EXPECT_TRUE(WaitForStats(server, [](const obs::MetricsSnapshot& s) {
+    return NetCounter(s, "accept_errors") >= 1;
   }));
   uint8_t byte = 0;
   EXPECT_EQ(::recv(doomed, &byte, 1, 0), 0);  // orderly refusal, not a hang
@@ -698,9 +721,9 @@ TEST(NetServerTest, EmfileAcceptStormIsSurvivedAndCounted) {
   ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &old_limit), 0);
   auto recovered = MustConnect(server);
   EXPECT_TRUE(recovered->Ping().ok());
-  const NetStats stats = server.stats();
-  EXPECT_GE(stats.accept_errors, 1u);
-  EXPECT_EQ(stats.protocol_errors, 0u);
+  const obs::MetricsSnapshot stats = Stats(server);
+  EXPECT_GE(NetCounter(stats, "accept_errors"), 1u);
+  EXPECT_EQ(NetCounter(stats, "protocol_errors"), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -770,8 +793,8 @@ TEST(NetServerTest, IngestFramesWithoutQueueGetBadRequest) {
   auto good = client->Query(request);
   ASSERT_TRUE(good.ok()) << good.status().ToString();
   EXPECT_TRUE(good->ok);
-  EXPECT_EQ(server.stats().ingest_requests, 2u);
-  EXPECT_EQ(server.stats().ingest_acks, 0u);
+  EXPECT_EQ(NetCounter(Stats(server), "ingest_requests"), 2u);
+  EXPECT_EQ(NetCounter(Stats(server), "ingest_acks"), 0u);
 }
 
 TEST(NetServerTest, IngestRoundTripAcksAndPublishes) {
@@ -820,9 +843,9 @@ TEST(NetServerTest, IngestRoundTripAcksAndPublishes) {
   ASSERT_TRUE(outcome->ok) << outcome->error_message;
   EXPECT_GE(outcome->response.epoch, 2u);
 
-  const NetStats stats = server.stats();
-  EXPECT_EQ(stats.ingest_requests, 2u);
-  EXPECT_EQ(stats.ingest_acks, 2u);
+  const obs::MetricsSnapshot stats = Stats(server);
+  EXPECT_EQ(NetCounter(stats, "ingest_requests"), 2u);
+  EXPECT_EQ(NetCounter(stats, "ingest_acks"), 2u);
 
   // The ingest metrics travel over the stats verb like everything else.
   auto snapshot = client->Stats();
@@ -958,7 +981,7 @@ TEST(NetServerTest, IngestQueueFullShedsOverWireWithTypedOverloaded) {
   ASSERT_TRUE(shed.ok()) << shed.status().ToString();
   ASSERT_FALSE(shed->ok);
   EXPECT_EQ(shed->error, ErrorCode::kOverloaded);
-  EXPECT_EQ(server.stats().overload_sheds, 1u);
+  EXPECT_EQ(NetCounter(Stats(server), "overload_sheds"), 1u);
 
   // Release the thread: every admitted write acks OK — admission
   // control shed load, it never lost accepted work.
@@ -985,8 +1008,9 @@ TEST(NetServerTest, UnknownFrameTypeGetsBadRequestAndConnectionSurvives) {
   ASSERT_TRUE(server.Start().ok());
   auto client = MustConnect(server);
 
-  const std::vector<uint8_t> bytes =
-      EncodeFrame(static_cast<MessageType>(200), {});
+  std::vector<uint8_t> bytes;
+  AppendFrame(static_cast<MessageType>(200), nullptr, 0, FrameTag{true, 1},
+              &bytes);
   ASSERT_EQ(::send(client->fd(), bytes.data(), bytes.size(),
                    MSG_NOSIGNAL),
             static_cast<ssize_t>(bytes.size()));
@@ -1001,7 +1025,7 @@ TEST(NetServerTest, UnknownFrameTypeGetsBadRequestAndConnectionSurvives) {
   auto good = client->Query(request);
   ASSERT_TRUE(good.ok()) << good.status().ToString();
   EXPECT_TRUE(good->ok);
-  EXPECT_EQ(server.stats().bad_requests, 1u);
+  EXPECT_EQ(NetCounter(Stats(server), "bad_requests"), 1u);
 }
 
 TEST(NetClientTest, ReceiveAnyTimeoutAgainstParkedServer) {

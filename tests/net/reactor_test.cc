@@ -1,9 +1,9 @@
-// Multi-reactor front-end coverage: SO_REUSEPORT reactor groups, the
-// single-acceptor fd-handoff fallback, request pipelining with frame
-// ids over one connection (out-of-order completion matched by id), v1
-// lockstep client compatibility, and a reload+drain stress that the
-// tier-1 TSan stage runs to prove the per-reactor ownership model has
-// no cross-thread races. Every server binds 127.0.0.1 port 0.
+// Multi-reactor front-end coverage: SO_REUSEPORT reactor groups,
+// request pipelining with frame ids over one connection (out-of-order
+// completion matched by id), the typed refusal of every other wire
+// version, and a reload+drain stress that the tier-1 TSan stage runs
+// to prove the per-reactor ownership model has no cross-thread races.
+// Every server binds 127.0.0.1 port 0.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -25,6 +25,7 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "serving/snapshot_builder.h"
+#include "../testing/metrics.h"
 
 namespace gemrec::net {
 namespace {
@@ -32,6 +33,11 @@ namespace {
 using serving::QueryRequest;
 using serving::RecommendationService;
 using serving::ServiceOptions;
+using testing::NetCounter;
+
+obs::MetricsSnapshot Stats(const NetServer& server) {
+  return server.metrics_registry()->Snapshot();
+}
 
 std::unique_ptr<embedding::EmbeddingStore> RandomStore(
     uint32_t num_users, uint32_t num_events, uint32_t dim,
@@ -123,58 +129,14 @@ TEST(ReactorTest, MultiReactorGroupServesEveryConnection) {
       snapshot.Find("gemrec_net_reactors");
   ASSERT_NE(reactors, nullptr);
   EXPECT_EQ(reactors->gauge, static_cast<int64_t>(kReactors));
-  const NetStats stats = server.stats();
-  EXPECT_EQ(stats.accepted, kClients);
-  EXPECT_EQ(stats.responses, kClients);
-  EXPECT_EQ(stats.protocol_errors, 0u);
+  const obs::MetricsSnapshot stats = Stats(server);
+  EXPECT_EQ(NetCounter(stats, "accepted"), kClients);
+  EXPECT_EQ(NetCounter(stats, "responses"), kClients);
+  EXPECT_EQ(NetCounter(stats, "protocol_errors"), 0u);
 
   clients.clear();
   server.Stop();
   EXPECT_FALSE(server.running());
-}
-
-TEST(ReactorTest, AcceptorHandoffRoundRobinsOwnership) {
-  // The SO_REUSEPORT-less fallback: reactor 0 is the only acceptor and
-  // hands accepted fds to its peers over their inboxes, round-robin —
-  // exactly 2 connections per reactor for 6 sequential connects.
-  constexpr uint32_t kReactors = 3;
-  auto store = RandomStore(10, 10, 6, 41);
-  RecommendationService service(ServiceOptions{});
-  service.Publish(MakeSnapshot(*store, 10, 10));
-  ServerOptions options;
-  options.num_reactors = kReactors;
-  options.force_acceptor_handoff = true;
-  NetServer server(&service, options);
-  ASSERT_TRUE(server.Start().ok());
-
-  std::vector<std::unique_ptr<Client>> clients;
-  for (uint32_t c = 0; c < 2 * kReactors; ++c) {
-    clients.push_back(MustConnect(server));
-    // The ping reply comes from the owning reactor, so adoption has
-    // completed before the next connect — the round-robin is exact.
-    ASSERT_TRUE(clients.back()->Ping().ok()) << "client " << c;
-  }
-
-  const obs::MetricsSnapshot snapshot =
-      server.metrics_registry()->Snapshot();
-  for (uint32_t r = 0; r < kReactors; ++r) {
-    const obs::MetricValue* owned = snapshot.Find(
-        "gemrec_net_reactor" + std::to_string(r) + "_owned_total");
-    ASSERT_NE(owned, nullptr);
-    EXPECT_EQ(owned->counter, 2u) << "reactor " << r;
-  }
-
-  // Queries round-trip on handed-off connections like any other.
-  QueryRequest request;
-  request.user = 4;
-  request.n = 3;
-  for (auto& client : clients) {
-    auto outcome = client->Query(request);
-    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-    EXPECT_TRUE(outcome->ok);
-  }
-  clients.clear();
-  server.Stop();
 }
 
 TEST(ReactorTest, PipelinedQueriesMatchSequentialByFrameId) {
@@ -210,7 +172,6 @@ TEST(ReactorTest, PipelinedQueriesMatchSequentialByFrameId) {
   for (uint64_t i = 0; i < kInFlight; ++i) {
     auto reply = client->ReceiveAny();
     ASSERT_TRUE(reply.ok()) << reply.status().ToString();
-    ASSERT_TRUE(reply->tagged);
     ASSERT_TRUE(reply->outcome.ok) << reply->outcome.error_message;
     ASSERT_EQ(sent.count(reply->frame_id), 1u)
         << "unknown id " << reply->frame_id;
@@ -231,75 +192,62 @@ TEST(ReactorTest, PipelinedQueriesMatchSequentialByFrameId) {
       EXPECT_EQ(wire.items[i].score, direct.items[i].score);
     }
   }
-  const NetStats stats = server.stats();
-  EXPECT_EQ(stats.responses, kInFlight);
-  EXPECT_EQ(stats.overload_sheds, 0u);
+  const obs::MetricsSnapshot stats = Stats(server);
+  EXPECT_EQ(NetCounter(stats, "responses"), kInFlight);
+  EXPECT_EQ(NetCounter(stats, "overload_sheds"), 0u);
 }
 
-TEST(ReactorTest, V1LockstepClientStillWorks) {
-  // Wire compatibility: a peer that never heard of frame ids speaks v1
-  // frames in lockstep; every reply must come back as an UNtagged v1
-  // frame, byte-identical semantics to the pre-pipelining server.
+TEST(ReactorTest, OtherWireVersionsGetTypedErrorThenEof) {
+  // One wire version: a frame carrying any other version byte is
+  // answered with exactly one kError(kBadRequest) frame, id 0, naming
+  // the decoder's complaint — then the server closes the connection.
   auto store = RandomStore(10, 10, 6, 43);
   RecommendationService service(ServiceOptions{});
   service.Publish(MakeSnapshot(*store, 10, 10));
   NetServer server(&service, ServerOptions{});
   ASSERT_TRUE(server.Start().ok());
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  ASSERT_GE(fd, 0);
-  const timeval tv{5, 0};
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server.port());
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
-
-  FrameDecoder decoder;
-  const auto round_trip = [&](const std::vector<uint8_t>& bytes) {
-    EXPECT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
-              static_cast<ssize_t>(bytes.size()));
-    Frame frame;
-    uint8_t buf[16 * 1024];
-    while (!decoder.Next(&frame)) {
-      const ssize_t r = ::recv(fd, buf, sizeof(buf), 0);
-      EXPECT_GT(r, 0) << "server hung up on a v1 client";
-      if (r <= 0) return Frame{};
-      EXPECT_TRUE(decoder.Feed(buf, static_cast<size_t>(r)).ok());
+  std::vector<uint8_t> ping;
+  AppendFrame(MessageType::kPing, nullptr, 0, FrameTag{true, 9}, &ping);
+  const std::array<uint8_t, 4> versions = {0, 1, 3, 255};
+  for (const uint8_t version : versions) {
+    std::vector<uint8_t> bytes = ping;
+    bytes[4] = version;
+    if (version == 1) {
+      // A genuine v1 ping: 12-byte header (no frame id) + CRC slot.
+      bytes.erase(bytes.begin() + 12, bytes.begin() + 20);
     }
-    return frame;
-  };
+    const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+    ASSERT_GE(fd, 0);
+    const timeval tv{5, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(server.port());
+    ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                        sizeof(addr)),
+              0);
+    ASSERT_EQ(::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(bytes.size()));
 
-  // v1 ping → v1 pong.
-  Frame pong = round_trip(EncodeFrame(MessageType::kPing, {}));
-  EXPECT_EQ(pong.type, MessageType::kPong);
-  EXPECT_FALSE(pong.tagged);
+    std::vector<uint8_t> received;
+    uint8_t buf[4096];
+    ssize_t r;
+    while ((r = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+      received.insert(received.end(), buf, buf + r);
+    }
+    EXPECT_EQ(r, 0) << "version " << int{version}
+                    << ": expected EOF, errno " << errno;
+    ::close(fd);
 
-  // v1 query → v1 response matching the in-process answer.
-  QueryRequest request;
-  request.user = 7;
-  request.n = 5;
-  request.bypass_cache = true;
-  std::vector<uint8_t> query_bytes;
-  AppendQueryRequestFrame(request, &query_bytes);  // legacy = v1
-  ASSERT_EQ(query_bytes[4], kWireVersionV1);
-  Frame response = round_trip(query_bytes);
-  EXPECT_EQ(response.type, MessageType::kQueryResponse);
-  EXPECT_FALSE(response.tagged);
-  serving::QueryResponse decoded;
-  ASSERT_TRUE(DecodeQueryResponse(response.payload.data(),
-                                  response.payload.size(), &decoded)
-                  .ok());
-  const serving::QueryResponse direct = service.Query(request);
-  ASSERT_EQ(decoded.items.size(), direct.items.size());
-  for (size_t i = 0; i < direct.items.size(); ++i) {
-    EXPECT_EQ(decoded.items[i].event, direct.items[i].event);
-    EXPECT_EQ(decoded.items[i].score, direct.items[i].score);
+    std::vector<uint8_t> want;
+    AppendErrorFrame(ErrorCode::kBadRequest,
+                     "unsupported wire version " + std::to_string(version),
+                     FrameTag{true, 0}, &want);
+    EXPECT_EQ(received, want) << "version " << int{version};
   }
-  ::close(fd);
+  EXPECT_EQ(NetCounter(Stats(server), "protocol_errors"), versions.size());
 }
 
 TEST(ReactorTest, MultiReactorReloadAndDrainUnderLoad) {
@@ -362,8 +310,7 @@ TEST(ReactorTest, MultiReactorReloadAndDrainUnderLoad) {
         for (uint64_t i = 0; i < 8; ++i) {
           auto reply = client->ReceiveAny();
           if (!reply.ok()) return;  // EOF after drain completes
-          ASSERT_TRUE(reply->tagged);
-          ASSERT_GE(reply->frame_id, first_id);
+                ASSERT_GE(reply->frame_id, first_id);
           ASSERT_LT(reply->frame_id, first_id + 8);
           if (reply->outcome.ok) {
             ASSERT_GE(reply->outcome.response.epoch, 1u);
@@ -389,10 +336,11 @@ TEST(ReactorTest, MultiReactorReloadAndDrainUnderLoad) {
   server.Stop();
 
   EXPECT_GT(answered.load(), 0);
-  const NetStats stats = server.stats();
-  EXPECT_EQ(stats.protocol_errors, 0u);
-  EXPECT_EQ(stats.responses, static_cast<uint64_t>(answered.load()));
-  EXPECT_EQ(stats.drain_rejects,
+  const obs::MetricsSnapshot stats = Stats(server);
+  EXPECT_EQ(NetCounter(stats, "protocol_errors"), 0u);
+  EXPECT_EQ(NetCounter(stats, "responses"),
+            static_cast<uint64_t>(answered.load()));
+  EXPECT_EQ(NetCounter(stats, "drain_rejects"),
             static_cast<uint64_t>(shutdown_errors.load()));
 }
 

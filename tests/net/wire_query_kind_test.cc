@@ -1,10 +1,10 @@
-// Wire coverage for the extended (query-kind) request layout: legacy
-// byte-compatibility for kPartner, round-trips for group/reciprocal
-// requests, typed rejection of unknown kinds / aggregators / malformed
-// member lists, and every-byte corruption of extended frames — the new
-// fields live inside the CRC envelope like everything else, and the
-// payload decoder itself must map every mutation to a typed error,
-// never a silently-wrong partner answer.
+// Wire coverage for the query request layout: the kind byte on every
+// request, round-trips for partner/group/reciprocal requests, typed
+// rejection of unknown kinds / aggregators / malformed member lists,
+// and every-byte corruption of request frames — the kind fields live
+// inside the CRC envelope like everything else, and the payload decoder
+// itself must map every mutation to a typed error, never a
+// silently-wrong partner answer.
 
 #include "net/wire.h"
 
@@ -15,8 +15,8 @@
 namespace gemrec::net {
 namespace {
 
-constexpr size_t kLegacyQueryPayload = 17;
-constexpr size_t kExtendedQueryPayload = 21;
+constexpr size_t kQueryPayload = 21;
+constexpr FrameTag kTag{true, 1};
 
 Frame MustDecodeFrame(const std::vector<uint8_t>& bytes) {
   FrameDecoder decoder;
@@ -26,24 +26,37 @@ Frame MustDecodeFrame(const std::vector<uint8_t>& bytes) {
   return frame;
 }
 
-TEST(WireQueryKindTest, PartnerRequestsKeepTheLegacyPayload) {
-  // Deployed peers parse partner queries with a strict 17-byte check,
-  // so the encoder must never emit the extended layout for them.
+TEST(WireQueryKindTest, PartnerRequestsCarryTheKindByte) {
+  // One request layout: partner queries carry the kind byte (0) like
+  // every other kind, and round-trip through the same decoder.
   serving::QueryRequest request;
   request.user = 7;
   request.n = 10;
   request.filter_hash = 0xABCDULL;
   std::vector<uint8_t> bytes;
-  AppendQueryRequestFrame(request, &bytes);
+  AppendQueryRequestFrame(request, kTag, &bytes);
   const Frame frame = MustDecodeFrame(bytes);
-  EXPECT_EQ(frame.payload.size(), kLegacyQueryPayload);
+  ASSERT_EQ(frame.payload.size(), kQueryPayload);
+  EXPECT_EQ(frame.payload[17],
+            static_cast<uint8_t>(recommend::QueryKind::kPartner));
+  serving::QueryRequest decoded;
+  decoded.kind = recommend::QueryKind::kGroup;
+  ASSERT_TRUE(DecodeQueryRequest(frame.payload.data(),
+                                 frame.payload.size(), &decoded)
+                  .ok());
+  EXPECT_EQ(decoded.kind, recommend::QueryKind::kPartner);
+  EXPECT_EQ(decoded.user, request.user);
+  EXPECT_EQ(decoded.filter_hash, request.filter_hash);
 
-  // Even when a stray group rides on a partner request (caller bug),
-  // the wire form stays legacy.
+  // A stray group on a partner request (caller bug) travels as sent
+  // and is refused by the decoder, like on a reciprocal request.
   request.group = {1, 2, 3};
   bytes.clear();
-  AppendQueryRequestFrame(request, &bytes);
-  EXPECT_EQ(MustDecodeFrame(bytes).payload.size(), kLegacyQueryPayload);
+  AppendQueryRequestFrame(request, kTag, &bytes);
+  const Frame stray = MustDecodeFrame(bytes);
+  EXPECT_FALSE(DecodeQueryRequest(stray.payload.data(),
+                                  stray.payload.size(), &decoded)
+                   .ok());
 }
 
 TEST(WireQueryKindTest, GroupRequestRoundTrip) {
@@ -57,11 +70,11 @@ TEST(WireQueryKindTest, GroupRequestRoundTrip) {
   request.group = {9, 4, 9, 200000};
 
   std::vector<uint8_t> bytes;
-  AppendQueryRequestFrame(request, &bytes);
+  AppendQueryRequestFrame(request, kTag, &bytes);
   const Frame frame = MustDecodeFrame(bytes);
   ASSERT_EQ(frame.type, MessageType::kQueryRequest);
   EXPECT_EQ(frame.payload.size(),
-            kExtendedQueryPayload + 4 * request.group.size());
+            kQueryPayload + 4 * request.group.size());
 
   serving::QueryRequest decoded;
   ASSERT_TRUE(DecodeQueryRequest(frame.payload.data(),
@@ -83,9 +96,9 @@ TEST(WireQueryKindTest, ReciprocalRequestRoundTrip) {
   request.kind = recommend::QueryKind::kReciprocal;
 
   std::vector<uint8_t> bytes;
-  AppendQueryRequestFrame(request, &bytes);
+  AppendQueryRequestFrame(request, kTag, &bytes);
   const Frame frame = MustDecodeFrame(bytes);
-  EXPECT_EQ(frame.payload.size(), kExtendedQueryPayload);
+  EXPECT_EQ(frame.payload.size(), kQueryPayload);
 
   serving::QueryRequest decoded;
   ASSERT_TRUE(DecodeQueryRequest(frame.payload.data(),
@@ -102,7 +115,7 @@ TEST(WireQueryKindTest, MaxGroupSizeRoundTripsAndOverflowRejected) {
   request.kind = recommend::QueryKind::kGroup;
   for (uint32_t i = 0; i < kMaxGroupMembers; ++i) request.group.push_back(i);
   std::vector<uint8_t> bytes;
-  AppendQueryRequestFrame(request, &bytes);
+  AppendQueryRequestFrame(request, kTag, &bytes);
   const Frame frame = MustDecodeFrame(bytes);
   serving::QueryRequest decoded;
   ASSERT_TRUE(DecodeQueryRequest(frame.payload.data(),
@@ -127,7 +140,7 @@ TEST(WireQueryKindTest, UnknownKindAndAggregatorRejected) {
   request.n = 4;
   request.kind = recommend::QueryKind::kReciprocal;
   std::vector<uint8_t> bytes;
-  AppendQueryRequestFrame(request, &bytes);
+  AppendQueryRequestFrame(request, kTag, &bytes);
   Frame frame = MustDecodeFrame(bytes);
 
   serving::QueryRequest decoded;
@@ -139,14 +152,6 @@ TEST(WireQueryKindTest, UnknownKindAndAggregatorRejected) {
   future[17] = 255;
   EXPECT_FALSE(
       DecodeQueryRequest(future.data(), future.size(), &decoded).ok());
-
-  // kPartner has exactly one canonical (legacy) encoding; the extended
-  // layout naming it is malformed.
-  std::vector<uint8_t> partner_ext = frame.payload;
-  partner_ext[17] = static_cast<uint8_t>(recommend::QueryKind::kPartner);
-  EXPECT_FALSE(
-      DecodeQueryRequest(partner_ext.data(), partner_ext.size(), &decoded)
-          .ok());
 
   // Unknown aggregator byte.
   std::vector<uint8_t> bad_agg = frame.payload;
@@ -162,7 +167,7 @@ TEST(WireQueryKindTest, MemberCountMismatchesRejected) {
   request.kind = recommend::QueryKind::kGroup;
   request.group = {10, 11};
   std::vector<uint8_t> bytes;
-  AppendQueryRequestFrame(request, &bytes);
+  AppendQueryRequestFrame(request, kTag, &bytes);
   const Frame frame = MustDecodeFrame(bytes);
   serving::QueryRequest decoded;
 
@@ -180,7 +185,7 @@ TEST(WireQueryKindTest, MemberCountMismatchesRejected) {
 
   // A group query claiming zero members is malformed.
   std::vector<uint8_t> empty(frame.payload.begin(),
-                             frame.payload.begin() + kExtendedQueryPayload);
+                             frame.payload.begin() + kQueryPayload);
   empty[19] = 0;
   empty[20] = 0;
   EXPECT_FALSE(
@@ -192,15 +197,15 @@ TEST(WireQueryKindTest, MemberCountMismatchesRejected) {
   EXPECT_FALSE(
       DecodeQueryRequest(recip.data(), recip.size(), &decoded).ok());
 
-  // Lengths strictly between legacy and extended are malformed.
-  for (size_t n = kLegacyQueryPayload + 1; n < kExtendedQueryPayload; ++n) {
+  // Every length short of the fixed fields is malformed.
+  for (size_t n = 0; n < kQueryPayload; ++n) {
     EXPECT_FALSE(DecodeQueryRequest(frame.payload.data(), n, &decoded).ok())
         << "length " << n;
   }
 }
 
 TEST(WireQueryKindTest, ExtendedFrameEveryByteCorruptionRejected) {
-  // Frame level: the new fields sit inside the CRC envelope, so no
+  // Frame level: the kind fields sit inside the CRC envelope, so no
   // single flipped byte anywhere in an extended request frame may ever
   // decode back into a frame.
   serving::QueryRequest request;
@@ -211,7 +216,7 @@ TEST(WireQueryKindTest, ExtendedFrameEveryByteCorruptionRejected) {
   request.aggregator = recommend::GroupAggregator::kSum;
   request.group = {3, 1, 4, 1, 5};
   std::vector<uint8_t> bytes;
-  AppendQueryRequestFrame(request, &bytes);
+  AppendQueryRequestFrame(request, kTag, &bytes);
 
   for (size_t i = 0; i < bytes.size(); ++i) {
     std::vector<uint8_t> corrupt = bytes;
@@ -240,7 +245,7 @@ TEST(WireQueryKindTest, PayloadDecoderSurvivesEveryByteMutation) {
   request.aggregator = recommend::GroupAggregator::kMin;
   request.group = {100, 200, 300};
   std::vector<uint8_t> bytes;
-  AppendQueryRequestFrame(request, &bytes);
+  AppendQueryRequestFrame(request, kTag, &bytes);
   const Frame frame = MustDecodeFrame(bytes);
   const std::vector<uint8_t>& payload = frame.payload;
 

@@ -9,12 +9,24 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 namespace gemrec::net {
 namespace {
+
+constexpr FrameTag kTag{true, 1};
+
+std::vector<uint8_t> Encode(MessageType type,
+                            const std::vector<uint8_t>& payload,
+                            uint64_t frame_id = 1) {
+  std::vector<uint8_t> out;
+  AppendFrame(type, payload.data(), payload.size(),
+              FrameTag{true, frame_id}, &out);
+  return out;
+}
 
 std::vector<uint8_t> RandomPayload(size_t n, uint32_t seed) {
   std::mt19937 rng(seed);
@@ -30,7 +42,7 @@ TEST(WireTest, RoundTripAcrossPayloadSizes) {
   for (const size_t n : sizes) {
     const std::vector<uint8_t> payload = RandomPayload(n, seed++);
     const std::vector<uint8_t> bytes =
-        EncodeFrame(MessageType::kQueryRequest, payload);
+        Encode(MessageType::kQueryRequest, payload);
     ASSERT_EQ(bytes.size(), kHeaderSize + n + kTrailerSize);
 
     FrameDecoder decoder;
@@ -48,8 +60,8 @@ TEST(WireTest, RoundTripAcrossPayloadSizes) {
 TEST(WireTest, OversizedLengthRejectedFromHeaderAlone) {
   // Craft a header announcing kMaxPayload+1: the decoder must fail the
   // moment the header is complete, without waiting for a payload that
-  // will never come (and EncodeFrame must refuse to build one).
-  std::vector<uint8_t> valid = EncodeFrame(MessageType::kPing, {});
+  // will never come (and AppendFrame must refuse to build one).
+  std::vector<uint8_t> valid = Encode(MessageType::kPing, {});
   std::vector<uint8_t> header(valid.begin(), valid.begin() + kHeaderSize);
   const uint32_t oversized = static_cast<uint32_t>(kMaxPayload) + 1;
   std::memcpy(header.data() + 8, &oversized, sizeof(oversized));
@@ -61,7 +73,7 @@ TEST(WireTest, OversizedLengthRejectedFromHeaderAlone) {
   // Sticky: further feeds keep failing.
   EXPECT_FALSE(decoder.Feed(header.data(), 1).ok());
 
-  EXPECT_DEATH(EncodeFrame(MessageType::kPing,
+  EXPECT_DEATH(Encode(MessageType::kPing,
                            std::vector<uint8_t>(kMaxPayload + 1)),
                "kMaxPayload");
 }
@@ -69,7 +81,7 @@ TEST(WireTest, OversizedLengthRejectedFromHeaderAlone) {
 TEST(WireTest, EveryByteCorruptionRejected) {
   const std::vector<uint8_t> payload = RandomPayload(64, 99);
   const std::vector<uint8_t> bytes =
-      EncodeFrame(MessageType::kQueryResponse, payload);
+      Encode(MessageType::kQueryResponse, payload);
 
   for (size_t i = 0; i < bytes.size(); ++i) {
     std::vector<uint8_t> corrupt = bytes;
@@ -91,7 +103,7 @@ TEST(WireTest, EveryByteCorruptionRejected) {
 TEST(WireTest, SplitDeliveryOneByteAtATime) {
   const std::vector<uint8_t> payload = RandomPayload(37, 7);
   const std::vector<uint8_t> bytes =
-      EncodeFrame(MessageType::kError, payload);
+      Encode(MessageType::kError, payload);
 
   FrameDecoder decoder;
   Frame frame;
@@ -114,7 +126,7 @@ TEST(WireTest, BackToBackFramesAcrossRandomChunks) {
   for (uint32_t i = 0; i < 8; ++i) {
     payloads.push_back(RandomPayload(1 + i * 53, 1000 + i));
     AppendFrame(MessageType::kQueryRequest, payloads.back().data(),
-                payloads.back().size(), &stream);
+                payloads.back().size(), kTag, &stream);
   }
 
   std::mt19937 rng(5);
@@ -135,6 +147,25 @@ TEST(WireTest, BackToBackFramesAcrossRandomChunks) {
   }
 }
 
+TEST(WireTest, AppendingManyFramesGrowsGeometrically) {
+  // The reactor's write buffer and the router's send buffers append
+  // frame after frame to one vector; an exact per-frame reserve would
+  // reallocate on every append (quadratic copying under pipelining).
+  serving::QueryResponse response;
+  response.items.push_back(recommend::Recommendation{1, 2, 0.5f});
+  std::vector<uint8_t> stream;
+  size_t capacity_changes = 0;
+  size_t capacity = stream.capacity();
+  for (uint64_t i = 0; i < 10000; ++i) {
+    AppendQueryResponseFrame(response, FrameTag{true, i}, &stream);
+    if (stream.capacity() != capacity) {
+      ++capacity_changes;
+      capacity = stream.capacity();
+    }
+  }
+  EXPECT_LE(capacity_changes, 64u);
+}
+
 TEST(WireTest, QueryRequestPayloadRoundTrip) {
   serving::QueryRequest request;
   request.user = 123456;
@@ -143,7 +174,7 @@ TEST(WireTest, QueryRequestPayloadRoundTrip) {
   request.bypass_cache = true;
 
   std::vector<uint8_t> bytes;
-  AppendQueryRequestFrame(request, &bytes);
+  AppendQueryRequestFrame(request, kTag, &bytes);
   FrameDecoder decoder;
   ASSERT_TRUE(decoder.Feed(bytes.data(), bytes.size()).ok());
   Frame frame;
@@ -171,7 +202,7 @@ TEST(WireTest, QueryRequestValidation) {
   request.user = 1;
   request.n = kMaxTopN + 1;  // over the top-n cap
   std::vector<uint8_t> bytes;
-  AppendQueryRequestFrame(request, &bytes);
+  AppendQueryRequestFrame(request, kTag, &bytes);
   FrameDecoder decoder;
   ASSERT_TRUE(decoder.Feed(bytes.data(), bytes.size()).ok());
   Frame frame;
@@ -191,7 +222,7 @@ TEST(WireTest, QueryResponsePayloadRoundTrip) {
   }
 
   std::vector<uint8_t> bytes;
-  AppendQueryResponseFrame(response, &bytes);
+  AppendQueryResponseFrame(response, kTag, &bytes);
   FrameDecoder decoder;
   ASSERT_TRUE(decoder.Feed(bytes.data(), bytes.size()).ok());
   Frame frame;
@@ -217,18 +248,27 @@ TEST(WireTest, QueryResponseLengthMismatchRejected) {
   response.epoch = 1;
   response.items.push_back(recommend::Recommendation{1, 2, 0.5f});
   std::vector<uint8_t> bytes;
-  AppendQueryResponseFrame(response, &bytes);
-  // Payload claims 1 item; hand the decoder a truncated item list.
+  AppendQueryResponseFrame(response, kTag, &bytes);
+  // Payload claims 1 item: the length is checked exactly, so a payload
+  // without its ta_bound trailer, one byte short or one byte long is
+  // rejected.
   const uint8_t* payload = bytes.data() + kHeaderSize;
   const size_t payload_size = bytes.size() - kHeaderSize - kTrailerSize;
   serving::QueryResponse decoded;
+  ASSERT_TRUE(DecodeQueryResponse(payload, payload_size, &decoded).ok());
   EXPECT_FALSE(
       DecodeQueryResponse(payload, payload_size - 4, &decoded).ok());
+  EXPECT_FALSE(
+      DecodeQueryResponse(payload, payload_size - 1, &decoded).ok());
+  std::vector<uint8_t> longer(payload, payload + payload_size);
+  longer.push_back(0);
+  EXPECT_FALSE(
+      DecodeQueryResponse(longer.data(), longer.size(), &decoded).ok());
 }
 
 TEST(WireTest, ErrorPayloadRoundTrip) {
   std::vector<uint8_t> bytes;
-  AppendErrorFrame(ErrorCode::kOverloaded, "busy", &bytes);
+  AppendErrorFrame(ErrorCode::kOverloaded, "busy", kTag, &bytes);
   FrameDecoder decoder;
   ASSERT_TRUE(decoder.Feed(bytes.data(), bytes.size()).ok());
   Frame frame;
@@ -255,7 +295,7 @@ TEST(WireTest, StatsPayloadRoundTrip) {
   h->Record(70000);
 
   std::vector<uint8_t> bytes;
-  AppendStatsResponseFrame(registry.Snapshot(), &bytes);
+  AppendStatsResponseFrame(registry.Snapshot(), kTag, &bytes);
   FrameDecoder decoder;
   ASSERT_TRUE(decoder.Feed(bytes.data(), bytes.size()).ok());
   Frame frame;
@@ -288,7 +328,7 @@ TEST(WireTest, StatsPayloadRoundTrip) {
 
 TEST(WireTest, StatsRequestMustBeEmpty) {
   std::vector<uint8_t> bytes;
-  AppendStatsRequestFrame(&bytes);
+  AppendStatsRequestFrame(kTag, &bytes);
   FrameDecoder decoder;
   ASSERT_TRUE(decoder.Feed(bytes.data(), bytes.size()).ok());
   Frame frame;
@@ -306,7 +346,7 @@ TEST(WireTest, StatsResponseTruncationAndCorruptionRejected) {
   registry.GetCounter("c_total")->Increment(7);
   registry.GetHistogram("h_us")->Record(123);
   std::vector<uint8_t> bytes;
-  AppendStatsResponseFrame(registry.Snapshot(), &bytes);
+  AppendStatsResponseFrame(registry.Snapshot(), kTag, &bytes);
   const uint8_t* payload = bytes.data() + kHeaderSize;
   const size_t payload_size = bytes.size() - kHeaderSize - kTrailerSize;
 
@@ -335,18 +375,23 @@ TEST(WireTest, StatsResponseTruncationAndCorruptionRejected) {
 }
 
 TEST(WireTest, BadMagicAndVersionRejected) {
-  std::vector<uint8_t> bytes = EncodeFrame(MessageType::kPing, {});
+  std::vector<uint8_t> bytes = Encode(MessageType::kPing, {});
   {
     std::vector<uint8_t> bad = bytes;
     bad[0] = 'X';
     FrameDecoder decoder;
     EXPECT_FALSE(decoder.Feed(bad.data(), bad.size()).ok());
   }
-  {
-    std::vector<uint8_t> bad = bytes;
-    bad[4] = kWireVersion + 1;
+  // One wire version: every other version byte is refused from the
+  // first 12 bytes alone (a v1 header is no longer than that).
+  for (const uint8_t version : {0, 1, 3, 255}) {
+    std::vector<uint8_t> bad(bytes.begin(), bytes.begin() + 12);
+    bad[4] = version;
     FrameDecoder decoder;
-    EXPECT_FALSE(decoder.Feed(bad.data(), bad.size()).ok());
+    const Status s = decoder.Feed(bad.data(), bad.size());
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(s.message(),
+              "unsupported wire version " + std::to_string(version));
   }
   {
     std::vector<uint8_t> bad = bytes;
@@ -359,7 +404,7 @@ TEST(WireTest, BadMagicAndVersionRejected) {
 TEST(WireTest, AttendancePayloadRoundTripBothFlagStates) {
   for (const bool new_user : {false, true}) {
     std::vector<uint8_t> bytes;
-    AppendAttendanceFrame(314159, 271828, new_user, &bytes);
+    AppendAttendanceFrame(314159, 271828, new_user, kTag, &bytes);
     FrameDecoder decoder;
     ASSERT_TRUE(decoder.Feed(bytes.data(), bytes.size()).ok());
     Frame frame;
@@ -380,7 +425,7 @@ TEST(WireTest, AttendancePayloadRoundTripBothFlagStates) {
 
 TEST(WireTest, AttendanceValidation) {
   std::vector<uint8_t> bytes;
-  AppendAttendanceFrame(1, 2, false, &bytes);
+  AppendAttendanceFrame(1, 2, false, kTag, &bytes);
   const uint8_t* payload = bytes.data() + kHeaderSize;
   const size_t payload_size = bytes.size() - kHeaderSize - kTrailerSize;
   ASSERT_EQ(payload_size, 9u);
@@ -407,7 +452,7 @@ TEST(WireTest, NewEventPayloadRoundTrip) {
   signals.words = {{12, 0.5f}, {990, 1.75f}, {3, 0.0625f}};
 
   std::vector<uint8_t> bytes;
-  AppendNewEventFrame(424242, signals, &bytes);
+  AppendNewEventFrame(424242, signals, kTag, &bytes);
   FrameDecoder decoder;
   ASSERT_TRUE(decoder.Feed(bytes.data(), bytes.size()).ok());
   Frame frame;
@@ -438,7 +483,7 @@ TEST(WireTest, NewEventEdgeCasesRoundTrip) {
   signals.region = ebsn::kInvalidId;
   signals.start_time = -86400;
   std::vector<uint8_t> bytes;
-  AppendNewEventFrame(7, signals, &bytes);
+  AppendNewEventFrame(7, signals, kTag, &bytes);
   FrameDecoder decoder;
   ASSERT_TRUE(decoder.Feed(bytes.data(), bytes.size()).ok());
   Frame frame;
@@ -456,7 +501,7 @@ TEST(WireTest, NewEventValidation) {
   embedding::NewEventSignals signals;
   signals.words = {{1, 1.0f}, {2, 2.0f}};
   std::vector<uint8_t> bytes;
-  AppendNewEventFrame(5, signals, &bytes);
+  AppendNewEventFrame(5, signals, kTag, &bytes);
   const uint8_t* payload = bytes.data() + kHeaderSize;
   const size_t payload_size = bytes.size() - kHeaderSize - kTrailerSize;
   ASSERT_EQ(payload_size, 20u + 8u * signals.words.size());
@@ -482,7 +527,7 @@ TEST(WireTest, NewEventValidation) {
 
 TEST(WireTest, IngestAckRoundTripAndValidation) {
   std::vector<uint8_t> bytes;
-  AppendIngestAckFrame(0xFEEDFACE12345678ull, &bytes);
+  AppendIngestAckFrame(0xFEEDFACE12345678ull, kTag, &bytes);
   FrameDecoder decoder;
   ASSERT_TRUE(decoder.Feed(bytes.data(), bytes.size()).ok());
   Frame frame;
@@ -510,8 +555,8 @@ TEST(WireTest, IngestFramesEveryByteCorruptionRejected) {
   signals.start_time = 1234567;
   signals.words = {{5, 0.25f}};
   std::vector<std::vector<uint8_t>> frames(2);
-  AppendAttendanceFrame(10, 20, true, &frames[0]);
-  AppendNewEventFrame(30, signals, &frames[1]);
+  AppendAttendanceFrame(10, 20, true, kTag, &frames[0]);
+  AppendNewEventFrame(30, signals, kTag, &frames[1]);
 
   for (const std::vector<uint8_t>& bytes : frames) {
     for (size_t i = 0; i < bytes.size(); ++i) {
@@ -529,8 +574,8 @@ TEST(WireTest, IngestFramesEveryByteCorruptionRejected) {
 }
 
 // ---------------------------------------------------------------------
-// Wire v2: tagged frames carrying a client-chosen u64 frame id, mixed
-// freely with v1 frames on one stream (pipelining support).
+// Frame ids: every frame carries a client-chosen u64 id (pipelining
+// support).
 
 TEST(WireTest, TaggedFrameRoundTripAcrossIds) {
   const uint64_t ids[] = {0, 1, 42, 0x8000000000000000ull,
@@ -539,8 +584,8 @@ TEST(WireTest, TaggedFrameRoundTripAcrossIds) {
   for (const uint64_t id : ids) {
     const std::vector<uint8_t> payload = RandomPayload(48, seed++);
     const std::vector<uint8_t> bytes =
-        EncodeTaggedFrame(MessageType::kQueryRequest, payload, id);
-    ASSERT_EQ(bytes.size(), kTaggedHeaderSize + payload.size() +
+        Encode(MessageType::kQueryRequest, payload, id);
+    ASSERT_EQ(bytes.size(), kHeaderSize + payload.size() +
                                 kTrailerSize);
     EXPECT_EQ(bytes[4], kWireVersion);
 
@@ -556,42 +601,9 @@ TEST(WireTest, TaggedFrameRoundTripAcrossIds) {
   }
 }
 
-TEST(WireTest, V1AndV2FramesInterleaveOnOneStream) {
-  // A v1 client and a v2 client are indistinguishable per-frame: one
-  // decoder must accept both versions back to back and surface
-  // `tagged` per frame, not per connection.
-  std::vector<uint8_t> stream;
-  const std::vector<uint8_t> a = RandomPayload(10, 1);
-  const std::vector<uint8_t> b = RandomPayload(20, 2);
-  AppendFrame(MessageType::kPing, a.data(), a.size(), &stream);
-  AppendFrame(MessageType::kQueryRequest, b.data(), b.size(),
-              FrameTag{true, 7}, &stream);
-  AppendFrame(MessageType::kPing, a.data(), a.size(), &stream);
-  AppendFrame(MessageType::kQueryRequest, b.data(), b.size(),
-              FrameTag{true, 0xDEADBEEFull}, &stream);
-
-  FrameDecoder decoder;
-  ASSERT_TRUE(decoder.Feed(stream.data(), stream.size()).ok());
-  Frame frame;
-  ASSERT_TRUE(decoder.Next(&frame));
-  EXPECT_FALSE(frame.tagged);
-  EXPECT_EQ(frame.frame_id, 0u);
-  ASSERT_TRUE(decoder.Next(&frame));
-  EXPECT_TRUE(frame.tagged);
-  EXPECT_EQ(frame.frame_id, 7u);
-  EXPECT_EQ(frame.payload, b);
-  ASSERT_TRUE(decoder.Next(&frame));
-  EXPECT_FALSE(frame.tagged);
-  ASSERT_TRUE(decoder.Next(&frame));
-  EXPECT_TRUE(frame.tagged);
-  EXPECT_EQ(frame.frame_id, 0xDEADBEEFull);
-  EXPECT_FALSE(decoder.Next(&frame));
-  EXPECT_FALSE(decoder.mid_frame());
-}
-
 TEST(WireTest, TaggedSplitDeliveryOneByteAtATime) {
   const std::vector<uint8_t> payload = RandomPayload(29, 9);
-  const std::vector<uint8_t> bytes = EncodeTaggedFrame(
+  const std::vector<uint8_t> bytes = Encode(
       MessageType::kQueryResponse, payload, 0x1122334455667788ull);
 
   FrameDecoder decoder;
@@ -614,7 +626,7 @@ TEST(WireTest, TaggedFrameEveryByteCorruptionRejected) {
   // never yield a frame — a response must not be re-routed to the
   // wrong in-flight request by a flipped id bit.
   const std::vector<uint8_t> payload = RandomPayload(32, 77);
-  const std::vector<uint8_t> bytes = EncodeTaggedFrame(
+  const std::vector<uint8_t> bytes = Encode(
       MessageType::kQueryResponse, payload, 0xA5A5A5A5A5A5A5A5ull);
 
   for (size_t i = 0; i < bytes.size(); ++i) {
@@ -631,8 +643,7 @@ TEST(WireTest, TaggedFrameEveryByteCorruptionRejected) {
 }
 
 TEST(WireTest, TaggedCodecsEchoTheTag) {
-  // Every request/response codec that takes a FrameTag emits a v2
-  // frame carrying it; the legacy signatures stay v1 (untagged).
+  // Every request/response codec emits a frame carrying its tag.
   const FrameTag tag{true, 424242};
   std::vector<uint8_t> stream;
   serving::QueryRequest request;
@@ -646,7 +657,6 @@ TEST(WireTest, TaggedCodecsEchoTheTag) {
   AppendStatsRequestFrame(tag, &stream);
   AppendAttendanceFrame(1, 2, false, tag, &stream);
   AppendIngestAckFrame(17, tag, &stream);
-  AppendQueryRequestFrame(request, &stream);  // legacy → v1
 
   FrameDecoder decoder;
   ASSERT_TRUE(decoder.Feed(stream.data(), stream.size()).ok());
@@ -656,13 +666,11 @@ TEST(WireTest, TaggedCodecsEchoTheTag) {
     EXPECT_TRUE(frame.tagged) << "frame " << i;
     EXPECT_EQ(frame.frame_id, 424242u) << "frame " << i;
   }
-  ASSERT_TRUE(decoder.Next(&frame));
-  EXPECT_FALSE(frame.tagged);
   EXPECT_FALSE(decoder.Next(&frame));
 }
 
 TEST(WireTest, QueryResponseTaBoundAndPartialRoundTrip) {
-  // v2 responses carry the shard's TA stopping threshold (4-byte fp32
+  // Responses carry the shard's TA stopping threshold (4-byte fp32
   // trailer after the item list) and the partial flag — the
   // coordinator's merge-completeness inputs. Bit-exact round-trip,
   // including -inf (slice exhausted) and negative bounds.
@@ -696,34 +704,6 @@ TEST(WireTest, QueryResponseTaBoundAndPartialRoundTrip) {
       EXPECT_EQ(decoded.items[0].score, 0.75f);
     }
   }
-}
-
-TEST(WireTest, QueryResponseV1SuppressesBoundAndPartial) {
-  // The legacy (untagged) encoder must emit the exact pre-v2 payload:
-  // no bound trailer, no partial bit — v1 peers reject unknown flags
-  // and fixed payload growth alike.
-  serving::QueryResponse response;
-  response.epoch = 3;
-  response.partial = true;  // must NOT survive a v1 encode
-  response.ta_bound = 0.5f;
-  response.items.push_back(recommend::Recommendation{1, 2, 0.9f});
-  std::vector<uint8_t> bytes;
-  AppendQueryResponseFrame(response, &bytes);  // legacy v1 signature
-
-  FrameDecoder decoder;
-  ASSERT_TRUE(decoder.Feed(bytes.data(), bytes.size()).ok());
-  Frame frame;
-  ASSERT_TRUE(decoder.Next(&frame));
-  EXPECT_FALSE(frame.tagged);
-  serving::QueryResponse decoded;
-  ASSERT_TRUE(DecodeQueryResponse(frame.payload.data(),
-                                  frame.payload.size(), &decoded)
-                  .ok());
-  // Legacy-length payload decodes to the "unknown bound" defaults.
-  EXPECT_FALSE(decoded.partial);
-  EXPECT_EQ(decoded.ta_bound, std::numeric_limits<float>::infinity());
-  ASSERT_EQ(decoded.items.size(), 1u);
-  EXPECT_EQ(decoded.items[0].partner, 2u);
 }
 
 TEST(WireTest, ExtendedQueryResponseEveryByteCorruptionRejected) {

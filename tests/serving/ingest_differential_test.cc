@@ -224,7 +224,7 @@ void RunDifferential(const fs::path& dir, bool exact_mode) {
     request.bypass_cache = true;
     const QueryResponse online = online_service.Query(request);
     const QueryResponse offline = offline_service.Query(request);
-    ASSERT_FALSE(online.rejected);
+    ASSERT_EQ(online.code, serving::ResponseCode::kOk);
     ASSERT_EQ(online.items.size(), offline.items.size()) << "u=" << u;
     ASSERT_GT(online.items.size(), 0u) << "u=" << u;
     for (size_t i = 0; i < online.items.size(); ++i) {
@@ -280,7 +280,7 @@ TEST_F(IngestDifferentialTest, DeltaPublishRequantizesFoldedInEvents) {
   request.n = (kInitialEvents + 1) * (kUsers - 1);
   request.bypass_cache = true;
   const QueryResponse response = service.Query(request);
-  ASSERT_FALSE(response.rejected);
+  ASSERT_EQ(response.code, serving::ResponseCode::kOk);
   bool found = false;
   for (const auto& item : response.items) {
     if (item.event == record.event) found = true;
@@ -318,7 +318,7 @@ TEST_F(IngestDifferentialTest, ExactTaBuilderServesUnderBatchService) {
   request.n = 5;
   request.bypass_cache = true;
   const QueryResponse response = service.Query(request);
-  ASSERT_FALSE(response.rejected);
+  ASSERT_EQ(response.code, serving::ResponseCode::kOk);
   EXPECT_EQ(response.items.size(), 5u);
   queue.Shutdown();
 }

@@ -105,8 +105,7 @@ TEST_P(QueryKindDifferentialTest, ServeMatchesOracleInBothModes) {
       request.group = group;
       request.bypass_cache = true;
       const QueryResponse response = service.Query(request);
-      EXPECT_FALSE(response.bad_request);
-      EXPECT_FALSE(response.rejected);
+      EXPECT_EQ(response.code, ResponseCode::kOk);
 
       float bound = 0.0f;
       const auto oracle = recommend::GroupTopEvents(
@@ -126,8 +125,7 @@ TEST_P(QueryKindDifferentialTest, ServeMatchesOracleInBothModes) {
       request.kind = recommend::QueryKind::kReciprocal;
       request.bypass_cache = true;
       const QueryResponse response = service.Query(request);
-      EXPECT_FALSE(response.bad_request);
-      EXPECT_FALSE(response.rejected);
+      EXPECT_EQ(response.code, ResponseCode::kOk);
 
       // ReciprocalSearch is certified equal to the exhaustive oracle
       // (pinned by the recommend-layer differential), so the served
@@ -280,9 +278,8 @@ TEST(QueryKindBadRequestTest, MalformedRequestsAreTyped) {
   empty_group.n = 5;
   empty_group.kind = recommend::QueryKind::kGroup;
   QueryResponse response = service.Query(empty_group);
-  EXPECT_TRUE(response.bad_request);
+  EXPECT_EQ(response.code, ResponseCode::kBadRequest);
   EXPECT_TRUE(response.items.empty());
-  EXPECT_FALSE(response.rejected);
 
   // Group member beyond the user universe.
   QueryRequest bad_member;
@@ -291,7 +288,7 @@ TEST(QueryKindBadRequestTest, MalformedRequestsAreTyped) {
   bad_member.kind = recommend::QueryKind::kGroup;
   bad_member.group = {2, 10};
   response = service.Query(bad_member);
-  EXPECT_TRUE(response.bad_request);
+  EXPECT_EQ(response.code, ResponseCode::kBadRequest);
   EXPECT_TRUE(response.items.empty());
 
   // Querying user beyond the universe, every kind.
@@ -304,7 +301,7 @@ TEST(QueryKindBadRequestTest, MalformedRequestsAreTyped) {
     oob.kind = kind;
     if (kind == recommend::QueryKind::kGroup) oob.group = {1};
     response = service.Query(oob);
-    EXPECT_TRUE(response.bad_request)
+    EXPECT_EQ(response.code, ResponseCode::kBadRequest)
         << "kind " << recommend::QueryKindName(kind);
     EXPECT_TRUE(response.items.empty());
   }
@@ -325,7 +322,7 @@ TEST(QueryKindBadRequestTest, MalformedRequestsAreTyped) {
   ok.kind = recommend::QueryKind::kGroup;
   ok.group = {2};
   response = service.Query(ok);
-  EXPECT_FALSE(response.bad_request);
+  EXPECT_EQ(response.code, ResponseCode::kOk);
   EXPECT_FALSE(response.items.empty());
 }
 
@@ -340,12 +337,12 @@ TEST(QueryKindBadRequestTest, BadRequestNeverCached) {
   bad.user = 2;
   bad.n = 4;
   bad.kind = recommend::QueryKind::kGroup;  // empty group
-  EXPECT_TRUE(service.Query(bad).bad_request);
+  EXPECT_EQ(service.Query(bad).code, ResponseCode::kBadRequest);
 
   QueryRequest good = bad;
   good.group = {1};
   const QueryResponse response = service.Query(good);
-  EXPECT_FALSE(response.bad_request);
+  EXPECT_EQ(response.code, ResponseCode::kOk);
   EXPECT_FALSE(response.cache_hit);
   EXPECT_FALSE(response.items.empty());
 }

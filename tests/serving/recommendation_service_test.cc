@@ -15,9 +15,12 @@
 
 #include "recommend/brute_force.h"
 #include "serving/snapshot_builder.h"
+#include "../testing/metrics.h"
 
 namespace gemrec::serving {
 namespace {
+
+using testing::CounterValue;
 
 std::unique_ptr<embedding::EmbeddingStore> RandomStore(
     uint32_t num_users, uint32_t num_events, uint32_t dim,
@@ -154,7 +157,9 @@ TEST(RecommendationServiceTest, RepeatQueryHitsTheCache) {
     EXPECT_EQ(second.items[i].partner, first.items[i].partner);
     EXPECT_EQ(second.items[i].score, first.items[i].score);
   }
-  EXPECT_EQ(service.stats().cache_hits, 1u);
+  EXPECT_EQ(CounterValue(*service.metrics(),
+                         "gemrec_service_cache_hits_total"),
+            1u);
 }
 
 TEST(RecommendationServiceTest, BypassCacheAlwaysRecomputes) {
@@ -215,7 +220,9 @@ TEST(RecommendationServiceTest, SnapshotRetiresOnlyAfterSwap) {
   // No queries in flight: the retired snapshot must be destroyed as
   // soon as the swap drops the publish slot's reference.
   EXPECT_TRUE(watch.expired());
-  EXPECT_EQ(service.stats().publishes, 2u);
+  EXPECT_EQ(CounterValue(*service.metrics(),
+                         "gemrec_service_publishes_total"),
+            2u);
 }
 
 TEST(RecommendationServiceTest, SubmittedBeforePublishServedAfter) {
@@ -275,10 +282,12 @@ TEST(RecommendationServiceTest, BatchesAreCountedAndBounded) {
     futures.push_back(service.Submit(request));
   }
   for (auto& f : futures) f.get();
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.queries, 64u);
-  EXPECT_GE(stats.batches, 64u / options.max_batch);
-  EXPECT_LE(stats.batches, 64u);
+  const obs::MetricsSnapshot stats = service.metrics()->Snapshot();
+  EXPECT_EQ(CounterValue(stats, "gemrec_service_queries_total"), 64u);
+  const uint64_t batches =
+      CounterValue(stats, "gemrec_service_batches_total");
+  EXPECT_GE(batches, 64u / options.max_batch);
+  EXPECT_LE(batches, 64u);
 }
 
 TEST(RecommendationServiceTest, SaturationGaugesTrackQueueAndInFlight) {
@@ -309,10 +318,10 @@ TEST(RecommendationServiceTest, SaturationGaugesTrackQueueAndInFlight) {
   while (!settled() && std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ServiceStats stats = service.stats();
-  EXPECT_GE(stats.in_flight, 1u);
-  EXPECT_LE(stats.in_flight, options.max_batch);
-  EXPECT_EQ(stats.queue_depth, 10 - stats.in_flight);
+  const size_t in_flight = service.InFlight();
+  EXPECT_GE(in_flight, 1u);
+  EXPECT_LE(in_flight, options.max_batch);
+  EXPECT_EQ(service.QueueDepth(), 10 - in_flight);
 
   service.Publish(MakeSnapshot(*store, 10, 10));
   for (auto& f : futures) f.get();
@@ -321,10 +330,10 @@ TEST(RecommendationServiceTest, SaturationGaugesTrackQueueAndInFlight) {
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  stats = service.stats();
-  EXPECT_EQ(stats.in_flight, 0u);
-  EXPECT_EQ(stats.queue_depth, 0u);
-  EXPECT_EQ(stats.queries, 10u);
+  EXPECT_EQ(service.InFlight(), 0u);
+  EXPECT_EQ(service.QueueDepth(), 0u);
+  EXPECT_EQ(CounterValue(*service.metrics(), "gemrec_service_queries_total"),
+            10u);
 }
 
 TEST(RecommendationServiceTest, SubmitAsyncDeliversCallback) {
@@ -368,13 +377,14 @@ TEST(RecommendationServiceTest, SubmitAsyncCallbackFiresOnShutdown) {
   const QueryResponse response = delivered.get_future().get();
   EXPECT_EQ(response.epoch, 0u);  // served with no snapshot
   EXPECT_TRUE(response.items.empty());
-  EXPECT_TRUE(response.rejected);  // shutdown, not a real empty result
+  // Shutdown, not a real empty result.
+  EXPECT_EQ(response.code, ResponseCode::kShuttingDown);
 }
 
 TEST(RecommendationServiceTest, SubmitRacingShutdownIsRejectedNotFatal) {
   // Regression: Enqueue used to GEMREC_CHECK(!shutdown_), so a Submit
   // racing shutdown aborted the whole server. Now the late request is
-  // completed with rejected=true. The submitter thread hammers Query
+  // completed with kShuttingDown. The submitter thread hammers Query
   // while the main thread shuts the service down mid-stream — under
   // TSan this also proves the handoff is race-free.
   auto store = RandomStore(10, 10, 6, 21);
@@ -393,7 +403,7 @@ TEST(RecommendationServiceTest, SubmitRacingShutdownIsRejectedNotFatal) {
       request.user = static_cast<ebsn::UserId>(
           submitted.fetch_add(1, std::memory_order_relaxed) % 10);
       const QueryResponse response = service.Query(request);
-      if (response.rejected) {
+      if (response.code == ResponseCode::kShuttingDown) {
         EXPECT_TRUE(response.items.empty());
         saw_rejected.store(true, std::memory_order_relaxed);
       }
@@ -408,7 +418,9 @@ TEST(RecommendationServiceTest, SubmitRacingShutdownIsRejectedNotFatal) {
   submitter.join();
 
   EXPECT_TRUE(saw_rejected.load());
-  EXPECT_GE(service.stats().rejected, 1u);
+  EXPECT_GE(CounterValue(*service.metrics(),
+                         "gemrec_service_rejected_total"),
+            1u);
   // Shutdown is idempotent: a second call (and the destructor's) must
   // be harmless.
   service.Shutdown();

@@ -26,9 +26,12 @@
 #include "recommend/brute_force.h"
 #include "serving/recommendation_service.h"
 #include "serving/snapshot_builder.h"
+#include "../testing/metrics.h"
 
 namespace gemrec::serving {
 namespace {
+
+using testing::CounterValue;
 
 constexpr uint32_t kNumUsers = 24;
 constexpr uint32_t kNumEvents = 16;
@@ -194,12 +197,17 @@ void RunChurn(bool use_batch_ta) {
   for (std::thread& thread : query_threads) thread.join();
 
   EXPECT_EQ(failures.load(), 0u);
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.queries, kQueryThreads * kQueriesPerThread);
-  EXPECT_EQ(stats.publishes, kSwaps + 1);
-  EXPECT_GT(stats.cache_hits, 0u)
+  const obs::MetricsSnapshot stats = service.metrics()->Snapshot();
+  const uint64_t queries =
+      CounterValue(stats, "gemrec_service_queries_total");
+  const uint64_t cache_hits =
+      CounterValue(stats, "gemrec_service_cache_hits_total");
+  EXPECT_EQ(queries, kQueryThreads * kQueriesPerThread);
+  EXPECT_EQ(CounterValue(stats, "gemrec_service_publishes_total"),
+            kSwaps + 1);
+  EXPECT_GT(cache_hits, 0u)
       << "cache never hit: the churn scenario did not exercise it";
-  EXPECT_LT(stats.cache_hits, stats.queries);
+  EXPECT_LT(cache_hits, queries);
 
   // After the dust settles the service serves the final epoch.
   EXPECT_TRUE(swapping_done.load(std::memory_order_acquire));

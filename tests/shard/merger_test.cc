@@ -1,8 +1,9 @@
 // Threshold-merge semantics: global descending order with the
 // documented deterministic tie-break, the completeness certificate
-// (merged k-th score vs the shards' returned TA bounds), partial /
-// overloaded degradation when a shard slot failed, and the
-// coordinator-level unreturned bound.
+// (merged k-th score vs the shards' returned TA bounds), partial
+// degradation when a shard slot failed, typed refusals (bad request,
+// overloaded) answering the whole merge, and the coordinator-level
+// unreturned bound.
 
 #include "shard/merger.h"
 
@@ -14,6 +15,7 @@ namespace gemrec::shard {
 namespace {
 
 constexpr float kInf = std::numeric_limits<float>::infinity();
+using serving::ResponseCode;
 
 ShardAnswer Ok(uint32_t shard,
                std::vector<recommend::Recommendation> items,
@@ -27,11 +29,11 @@ ShardAnswer Ok(uint32_t shard,
   return answer;
 }
 
-ShardAnswer Failed(uint32_t shard, bool overloaded = false) {
+ShardAnswer Failed(uint32_t shard, ResponseCode code = ResponseCode::kOk) {
   ShardAnswer answer;
   answer.shard = shard;
   answer.ok = false;
-  answer.overloaded = overloaded;
+  answer.code = code;
   return answer;
 }
 
@@ -82,14 +84,32 @@ TEST(MergerTest, FailedShardDegradesToPartial) {
   // The replying shard's answers survive intact.
   ASSERT_EQ(merged.items.size(), 2u);
   EXPECT_EQ(merged.items[0].event, 1u);
-  EXPECT_FALSE(merged.overloaded);
+  EXPECT_EQ(merged.code, ResponseCode::kOk);
 }
 
 TEST(MergerTest, OverloadedShardPropagates) {
   const auto merged = MergeTopK(
-      {Ok(0, {{1, 1, 0.9f}}, -kInf), Failed(1, /*overloaded=*/true)}, 5);
-  EXPECT_TRUE(merged.partial);
-  EXPECT_TRUE(merged.overloaded);
+      {Ok(0, {{1, 1, 0.9f}}, -kInf), Failed(1, ResponseCode::kOverloaded)},
+      5);
+  EXPECT_EQ(merged.code, ResponseCode::kOverloaded);
+  EXPECT_TRUE(merged.items.empty());
+  EXPECT_FALSE(merged.partial);
+  EXPECT_FALSE(merged.certified);
+  EXPECT_EQ(merged.ta_bound, kInf);
+}
+
+TEST(MergerTest, BadRequestFromAnyShardAnswersTheMerge) {
+  // A request invalid for one slice is invalid for the whole space:
+  // the merge is a typed kBadRequest — never an empty partial — and it
+  // outranks a shard that merely shed load.
+  const auto merged = MergeTopK(
+      {Failed(0, ResponseCode::kOverloaded), Ok(1, {{1, 1, 0.9f}}, -kInf),
+       Failed(2, ResponseCode::kBadRequest)},
+      5);
+  EXPECT_EQ(merged.code, ResponseCode::kBadRequest);
+  EXPECT_TRUE(merged.items.empty());
+  EXPECT_FALSE(merged.partial);
+  EXPECT_EQ(merged.ta_bound, kInf);
 }
 
 TEST(MergerTest, AllShardsFailedYieldsEmptyPartial) {
@@ -99,18 +119,6 @@ TEST(MergerTest, AllShardsFailedYieldsEmptyPartial) {
   EXPECT_FALSE(merged.certified);
   EXPECT_EQ(merged.ta_bound, kInf);
   EXPECT_EQ(merged.epoch, 0u);
-}
-
-TEST(MergerTest, UnknownBoundBlocksCertificateButNotMerge) {
-  // A legacy peer that sent no threshold (+inf): the merge is still
-  // produced and still complete in fact, but cannot be PROVEN
-  // complete, so no certificate and an unknown coordinator bound.
-  const auto merged = MergeTopK(
-      {Ok(0, {{1, 1, 0.9f}}, kInf), Ok(1, {{2, 2, 0.8f}}, -kInf)}, 1);
-  ASSERT_EQ(merged.items.size(), 1u);
-  EXPECT_FALSE(merged.partial);
-  EXPECT_FALSE(merged.certified);
-  EXPECT_EQ(merged.ta_bound, kInf);
 }
 
 TEST(MergerTest, EpochIsMaxOverRepliers) {

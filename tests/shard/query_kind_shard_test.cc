@@ -2,41 +2,36 @@
 // aggregators — min exercises the non-additive merge-certificate case)
 // and reciprocal answers from an N-shard tier must be bitwise-identical
 // to one unsharded instance for N in {1, 2, 4} over seeded spaces, and
-// a coordinator fanning the new kinds out to a LEGACY shard (one whose
-// decoder predates the extended request layout) must degrade to a
-// typed partial answer — counted in gemrec_shard_bad_requests_total —
-// never hang and never return a silently-wrong merge.
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
+// a request every shard refuses as invalid must come back from the
+// coordinator as the same typed kBadRequest a single instance answers —
+// never an empty partial answer.
 
 #include <array>
-#include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <future>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/logging.h"
 #include "common/rng.h"
 #include "embedding/embedding_store.h"
-#include "net/wire.h"
+#include "net/client.h"
+#include "net/server.h"
 #include "obs/metrics.h"
 #include "serving/model_snapshot.h"
 #include "serving/recommendation_service.h"
 #include "shard/coordinator.h"
 #include "shard/shard_group.h"
+#include "../testing/metrics.h"
 
 namespace gemrec::shard {
 namespace {
+
+using testing::CounterValue;
+using testing::NetCounter;
 
 constexpr uint32_t kUsers = 30;
 constexpr uint32_t kEvents = 22;
@@ -146,7 +141,7 @@ void RunSeed(uint64_t seed) {
       const serving::QueryResponse want = reference.Query(request);
       const serving::QueryResponse got = Ask(&coordinator, request);
       ASSERT_FALSE(got.partial) << trace;
-      ASSERT_FALSE(got.bad_request) << trace;
+      ASSERT_EQ(got.code, serving::ResponseCode::kOk) << trace;
       ExpectBitwiseEqual(got, want, trace);
       // Merge-certificate soundness: a full merge's unreturned bound
       // never exceeds its k-th kept score. For the min aggregator the
@@ -168,190 +163,69 @@ TEST(QueryKindShardDifferentialTest, MatchesSingleInstanceAcrossSeeds) {
   }
 }
 
-/// A pre-extension shard server: speaks the framing (v1 and v2) and
-/// answers partner queries, but its request decoder enforces the
-/// strict legacy 17-byte payload — any extended query-kind request
-/// comes back as a typed kBadRequest, exactly what a deployed binary
-/// built before this change does.
-class FakeLegacyShard {
- public:
-  FakeLegacyShard() {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    GEMREC_CHECK(listen_fd_ >= 0);
-    const int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = 0;  // ephemeral
-    GEMREC_CHECK(::bind(listen_fd_,
-                        reinterpret_cast<const sockaddr*>(&addr),
-                        sizeof(addr)) == 0);
-    GEMREC_CHECK(::listen(listen_fd_, 4) == 0);
-    socklen_t len = sizeof(addr);
-    GEMREC_CHECK(::getsockname(listen_fd_,
-                               reinterpret_cast<sockaddr*>(&addr),
-                               &len) == 0);
-    port_ = ntohs(addr.sin_port);
-    thread_ = std::thread([this] { Serve(); });
-  }
-
-  ~FakeLegacyShard() {
-    running_.store(false);
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    thread_.join();
-  }
-
-  uint16_t port() const { return port_; }
-
- private:
-  void Serve() {
-    while (running_.load()) {
-      const int fd = ::accept(listen_fd_, nullptr, nullptr);
-      if (fd < 0) return;
-      const timeval tv{0, 100000};  // 100ms poll so Stop is prompt
-      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-      HandleConnection(fd);
-      ::close(fd);
-    }
-  }
-
-  void HandleConnection(int fd) {
-    net::FrameDecoder decoder;
-    uint8_t buf[16 * 1024];
-    while (running_.load()) {
-      const ssize_t r = ::recv(fd, buf, sizeof(buf), 0);
-      if (r == 0) return;  // peer closed
-      if (r < 0) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK) continue;
-        return;
-      }
-      if (!decoder.Feed(buf, static_cast<size_t>(r)).ok()) return;
-      net::Frame frame;
-      std::vector<uint8_t> out;
-      while (decoder.Next(&frame)) {
-        Answer(frame, &out);
-      }
-      size_t sent = 0;
-      while (sent < out.size()) {
-        const ssize_t w =
-            ::send(fd, out.data() + sent, out.size() - sent, MSG_NOSIGNAL);
-        if (w <= 0) return;
-        sent += static_cast<size_t>(w);
-      }
-    }
-  }
-
-  void Answer(const net::Frame& frame, std::vector<uint8_t>* out) {
-    switch (frame.type) {
-      case net::MessageType::kPing:
-        net::AppendFrame(net::MessageType::kPong, nullptr, 0, frame.tag(),
-                         out);
-        return;
-      case net::MessageType::kStatsRequest:
-        net::AppendStatsResponseFrame(obs::MetricsSnapshot{}, frame.tag(),
-                                      out);
-        return;
-      case net::MessageType::kQueryRequest: {
-        // The legacy decoder: exactly 17 payload bytes or bust.
-        if (frame.payload.size() != 17) {
-          net::AppendErrorFrame(net::ErrorCode::kBadRequest,
-                                "query request payload must be 17 bytes",
-                                frame.tag(), out);
-          return;
-        }
-        serving::QueryResponse response;  // empty but well-formed
-        response.epoch = 1;
-        net::AppendQueryResponseFrame(response, frame.tag(), out);
-        return;
-      }
-      default:
-        net::AppendErrorFrame(net::ErrorCode::kBadRequest,
-                              "unexpected message type", frame.tag(), out);
-        return;
-    }
-  }
-
-  int listen_fd_ = -1;
-  uint16_t port_ = 0;
-  std::atomic<bool> running_{true};
-  std::thread thread_;
-};
-
-uint64_t CounterValue(const obs::MetricsSnapshot& snapshot,
-                      const std::string& name) {
-  const obs::MetricValue* metric = snapshot.Find(name);
-  return metric == nullptr ? 0 : metric->counter;
-}
-
-TEST(QueryKindLegacyShardTest, ExtendedKindsDegradeToTypedPartial) {
-  const auto store = RandomStore(99);
+TEST(QueryKindShardBadRequestTest, InvalidUserIsBadRequestNotPartial) {
+  // User 35 of 30: a single instance answers kBadRequest, and so must a
+  // coordinator over 2 shards — in process and over the wire, where the
+  // coordinator's own front-end counts it as a bad request, not as a
+  // partial result.
+  const auto store = RandomStore(35);
   serving::SnapshotOptions snapshot_options;
   snapshot_options.top_k_events_per_partner = 0;
-
-  // One REAL full-space shard (1-of-1 slice) plus one legacy fake: the
-  // merge should carry the real shard's complete answer, flagged
-  // partial because the legacy slice is missing.
   ShardGroupOptions group_options;
-  group_options.num_shards = 1;
+  group_options.num_shards = 2;
   group_options.snapshot = snapshot_options;
   group_options.service.num_workers = 1;
   ShardGroup group(*store, AllEvents(), kUsers, group_options);
   ASSERT_TRUE(group.Start().ok());
-  FakeLegacyShard legacy;
-
-  std::vector<ShardEndpoint> endpoints = group.endpoints();
-  endpoints.push_back(ShardEndpoint{"127.0.0.1", legacy.port()});
-
   CoordinatorOptions coordinator_options;
   coordinator_options.router.shard_deadline =
-      std::chrono::milliseconds(5000);
-  CoordinatorBackend coordinator(endpoints, coordinator_options);
+      std::chrono::milliseconds(10000);
+  CoordinatorBackend coordinator(group.endpoints(), coordinator_options);
   ASSERT_TRUE(coordinator.Start().ok());
+  net::NetServer front(&coordinator, net::ServerOptions{});
+  ASSERT_TRUE(front.Start().ok());
+  auto client = net::Client::Connect("127.0.0.1", front.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
 
-  // Reference: unsharded service over the same store.
   serving::ServiceOptions service_options;
   service_options.num_workers = 1;
   serving::RecommendationService reference(service_options);
   reference.Publish(std::make_shared<serving::ModelSnapshot>(
       *store, AllEvents(), kUsers, snapshot_options));
 
-  serving::QueryRequest group_request;
-  group_request.user = 2;
-  group_request.n = kTopN;
-  group_request.kind = recommend::QueryKind::kGroup;
-  group_request.group = {4, 7};
-  serving::QueryRequest recip_request;
-  recip_request.user = 2;
-  recip_request.n = kTopN;
-  recip_request.kind = recommend::QueryKind::kReciprocal;
-
-  for (const serving::QueryRequest& request :
-       {group_request, recip_request}) {
+  uint64_t asked = 0;
+  for (const recommend::QueryKind kind :
+       {recommend::QueryKind::kPartner, recommend::QueryKind::kGroup,
+        recommend::QueryKind::kReciprocal}) {
     const std::string trace =
-        std::string("kind ") + recommend::QueryKindName(request.kind);
+        std::string("kind ") + recommend::QueryKindName(kind);
+    serving::QueryRequest request;
+    request.user = kUsers + 5;
+    request.n = kTopN;
+    request.kind = kind;
+    if (kind == recommend::QueryKind::kGroup) request.group = {4, 7};
+    ASSERT_EQ(reference.Query(request).code,
+              serving::ResponseCode::kBadRequest)
+        << trace;
+
     const serving::QueryResponse got = Ask(&coordinator, request);
-    // Typed partial, never a hang, never bad_request at the client:
-    // the REAL shard covered its (full) slice.
-    EXPECT_TRUE(got.partial) << trace;
-    EXPECT_FALSE(got.bad_request) << trace;
-    const serving::QueryResponse want = reference.Query(request);
-    ExpectBitwiseEqual(got, want, trace);
+    EXPECT_EQ(got.code, serving::ResponseCode::kBadRequest) << trace;
+    EXPECT_FALSE(got.partial) << trace;
+    EXPECT_TRUE(got.items.empty()) << trace;
+
+    auto outcome = (*client)->Query(request);
+    ASSERT_TRUE(outcome.ok()) << trace << ": " << outcome.status().ToString();
+    EXPECT_FALSE(outcome->ok) << trace;
+    EXPECT_EQ(outcome->error, net::ErrorCode::kBadRequest) << trace;
+    asked += 2;
   }
 
-  EXPECT_GE(CounterValue(coordinator.metrics()->Snapshot(),
-                         "gemrec_shard_bad_requests_total"),
-            2u);
+  const obs::MetricsSnapshot stats = coordinator.metrics()->Snapshot();
+  EXPECT_EQ(CounterValue(stats, "gemrec_shard_queries_total"), asked);
+  EXPECT_EQ(CounterValue(stats, "gemrec_shard_partial_results_total"), 0u);
+  EXPECT_EQ(NetCounter(stats, "bad_requests"), asked / 2);
 
-  // Partner queries still round-trip through the legacy peer.
-  serving::QueryRequest partner_request;
-  partner_request.user = 2;
-  partner_request.n = kTopN;
-  const serving::QueryResponse partner = Ask(&coordinator, partner_request);
-  EXPECT_FALSE(partner.bad_request);
-  EXPECT_FALSE(partner.items.empty());
-
+  front.Stop();
   coordinator.Stop();
   group.Stop();
 }

@@ -25,9 +25,12 @@
 #include "serving/recommendation_service.h"
 #include "shard/coordinator.h"
 #include "shard/shard_group.h"
+#include "../testing/metrics.h"
 
 namespace gemrec::shard {
 namespace {
+
+using testing::CounterValue;
 
 constexpr uint32_t kUsers = 20;
 constexpr uint32_t kEvents = 12;
@@ -64,12 +67,6 @@ CoordinatorOptions FastBreaker() {
   options.router.breaker_backoff = std::chrono::milliseconds(50);
   options.router.breaker_backoff_max = std::chrono::milliseconds(400);
   return options;
-}
-
-uint64_t CounterValue(const obs::MetricsSnapshot& snapshot,
-                      const std::string& name) {
-  const obs::MetricValue* metric = snapshot.Find(name);
-  return metric == nullptr ? 0 : metric->counter;
 }
 
 TEST(ShardFailureTest, KillOneShardMidLoadDegradesToTypedPartial) {
@@ -212,9 +209,12 @@ TEST(ShardFailureTest, CoordinatorStatsStayReachableDuringDrain) {
   ASSERT_TRUE(client.value()->SendTagged(request, 11).ok());
   const auto seen =
       std::chrono::steady_clock::now() + std::chrono::seconds(15);
-  while (server.stats().requests < 1) {
+  // Wait for the router's fan-out, not just the front-end's decode:
+  // the drained stats scrape below must already count the query.
+  while (CounterValue(*coordinator.metrics(), "gemrec_shard_queries_total") <
+         1) {
     ASSERT_LT(std::chrono::steady_clock::now(), seen)
-        << "coordinator never decoded the parked query";
+        << "coordinator never fanned out the parked query";
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
 
