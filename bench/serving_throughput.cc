@@ -7,7 +7,9 @@
 // Per worker count: fixed client threads issue synchronous top-10
 // queries over a rotating user set while an updater thread performs
 // fold-in -> rebuild -> publish reload cycles; we record end-to-end
-// QPS, p50/p90/p99 query latency and the cache hit rate.
+// QPS, p50/p90/p99 query latency and the cache hit rate. Misses are
+// served by the one retrieval engine, the quantized batch walk
+// (reciprocal misses ride it too; only group queries scan).
 //
 // Run from the repo root so BENCH_serving.json lands there:
 //   ./build/bench/serving_throughput
@@ -52,8 +54,8 @@ RunResult RunLoad(const embedding::EmbeddingStore& store,
                                    snapshot_options);
   serving::ServiceOptions service_options;
   service_options.num_workers = workers;
-  // Default retrieval mode: quantized multi-query batched TA with
-  // exact fp32 re-rank (what `gemrec serve` runs without --exact-ta).
+  // Quantized multi-query batched TA with exact fp32 re-rank, the
+  // service's only retrieval engine.
   serving::RecommendationService service(service_options);
   service.Publish(builder.Build());
 

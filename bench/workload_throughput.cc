@@ -8,10 +8,13 @@
 // Per kind: fixed client threads issue synchronous top-10 queries over
 // a rotating user set (group queries rotate the partner set too, so
 // the result cache cannot flatten the workload); we record end-to-end
-// QPS and p50/p90/p99 query latency. The query count is scaled per
-// kind — group scans its event slice exhaustively and reciprocal runs
-// iterative deepening, so both do strictly more work per query than
-// partner retrieval.
+// QPS and p50/p90/p99 query latency. Partner and reciprocal misses
+// share the quantized batch walk; a reciprocal miss walks its forward
+// query (u, u, 0) to depth max(2n, 16) and is rescored with the exact
+// min of both directions, deepening only when its certificate fails.
+// The query count is scaled per kind — group scans its event slice
+// exhaustively and reciprocal walks deeper, so both do more work per
+// query than partner retrieval.
 //
 // Run from the repo root so BENCH_workloads.json lands there:
 //   ./build/bench/workload_throughput

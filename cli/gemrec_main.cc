@@ -171,12 +171,10 @@ int Usage() {
       "  gemrec serve     --data DIR --model FILE [--queries Q]\n"
       "                   [--workers W] [--clients C] [--swaps S]\n"
       "                   [--n N] [--top-k K] [--reload FILE]\n"
-      "                   [--exact-ta]\n"
       "                   (batch-query serving; --reload republishes\n"
       "                   from FILE each swap, surviving corrupt files;\n"
-      "                   retrieval is quantized multi-query TA with\n"
-      "                   exact fp32 re-rank unless --exact-ta or\n"
-      "                   GEMREC_EXACT_TA=1 restores per-query TA)\n"
+      "                   every kind but group is retrieved by quantized\n"
+      "                   multi-query TA with exact fp32 re-rank)\n"
       "  gemrec serve     --data DIR --model FILE --listen HOST:PORT\n"
       "                   [--reactors R] [--workers W] [--max-in-flight M]\n"
       "                   [--idle-timeout-ms MS] [--reload FILE]\n"
@@ -697,15 +695,9 @@ int CmdServe(const Args& args) {
   const uint32_t clients =
       static_cast<uint32_t>(std::max<int64_t>(1, args.GetInt("clients", 2)));
 
-  // Escape hatch: --exact-ta (or GEMREC_EXACT_TA=1) restores per-query
-  // exact TA retrieval instead of the default quantized batched path.
-  const bool exact_ta =
-      args.Has("exact-ta") || std::getenv("GEMREC_EXACT_TA") != nullptr;
-
   serving::SnapshotOptions snapshot_options;
   snapshot_options.top_k_events_per_partner =
       static_cast<uint32_t>(args.GetInt("top-k", 20));
-  snapshot_options.build_quantized = !exact_ta;
   // --shard i/N keeps only this instance's deterministic hash-slice of
   // the candidate-pair space; a coordinator (gemrec coordinate) fans
   // queries out over all N and merges.
@@ -722,7 +714,6 @@ int CmdServe(const Args& args) {
   serving::ServiceOptions service_options;
   service_options.num_workers =
       static_cast<uint32_t>(args.GetInt("workers", 4));
-  service_options.use_batch_ta = !exact_ta;
   serving::RecommendationService service(service_options);
   service.Publish(builder.Build());
 

@@ -34,7 +34,14 @@
 # net, serving, shard, embedding and obs — so an out-of-bounds read in
 # a decoder or a use-after-free in the reactor fails the stage.
 #
+# A benchmark-harness stage configures perfbench/ (its own CMake
+# project, compiling ../src) into build-perfbench/, builds servebench
+# and distributions_test, and runs distributions_test. A src/ API
+# change that breaks the benchmark harness fails here rather than in
+# the benchmark pipeline.
+#
 # Usage: scripts/tier1.sh [--no-tsan] [--no-ubsan] [--no-asan]
+#                         [--no-perfbench]
 #
 # The net stage talks loopback TCP only and every test server binds
 # port 0 (kernel-assigned ephemeral ports), so parallel CI jobs on one
@@ -53,11 +60,13 @@ cd "$(dirname "$0")/.."
 RUN_TSAN=1
 RUN_UBSAN=1
 RUN_ASAN=1
+RUN_PERFBENCH=1
 for arg in "$@"; do
   case "$arg" in
     --no-tsan) RUN_TSAN=0 ;;
     --no-ubsan) RUN_UBSAN=0 ;;
     --no-asan) RUN_ASAN=0 ;;
+    --no-perfbench) RUN_PERFBENCH=0 ;;
   esac
 done
 
@@ -135,6 +144,14 @@ if [[ "$RUN_ASAN" == "1" ]]; then
   ./build-asan/tests/shard_test
   ./build-asan/tests/embedding_test
   ./build-asan/tests/obs_test
+fi
+
+if [[ "$RUN_PERFBENCH" == "1" ]]; then
+  echo "== tier-1: benchmark harness build (perfbench/) =="
+  cmake -S perfbench -B build-perfbench >/dev/null
+  cmake --build build-perfbench -j "$(nproc)" --target \
+    servebench distributions_test
+  ./build-perfbench/distributions_test
 fi
 
 echo "== tier-1: OK =="

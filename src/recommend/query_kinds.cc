@@ -1,6 +1,7 @@
 #include "recommend/query_kinds.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "common/logging.h"
@@ -152,61 +153,66 @@ std::vector<Recommendation> ReciprocalTopPairs(
   return FinishExhaustive(std::move(all), n, bound_out);
 }
 
+size_t ReciprocalDepth(size_t n) { return std::max<size_t>(2 * n, 16); }
+
+bool CertifyReciprocal(const GemModel& model, ebsn::UserId user, size_t n,
+                       size_t depth, const std::vector<SearchHit>& forward,
+                       float forward_bound, std::vector<Recommendation>* top,
+                       float* bound_out) {
+  top->clear();
+  if (n == 0) {
+    *bound_out = kNegInf;
+    return true;
+  }
+  for (const SearchHit& hit : forward) {
+    top->push_back(Recommendation{
+        hit.pair.event, hit.pair.partner,
+        ReciprocalScore(model, user, hit.pair.partner, hit.pair.event)});
+  }
+  std::sort(top->begin(), top->end(), RecommendationOrder);
+
+  // Fewer hits than requested means the forward search enumerated
+  // every non-excluded pair; nothing is unexamined.
+  float bound = kNegInf;
+  if (forward.size() >= depth) {
+    bound = forward_bound + std::abs(forward_bound) *
+                                static_cast<float>(2 * model.dim() + 2) *
+                                0x1p-23f;
+    // Unexamined pairs satisfy r <= d_forward <= bound, so a strictly
+    // larger n-th reciprocal score certifies the top n.
+    if (top->size() < n || !((*top)[n - 1].score > bound)) return false;
+  }
+  if (top->size() > n) bound = std::max(bound, (*top)[n].score);
+  top->resize(std::min(top->size(), n));
+  *bound_out = bound;
+  return true;
+}
+
 std::vector<Recommendation> ReciprocalSearch(
     const GemModel& model, const TaSearch& searcher,
     const TransformedSpace& space, ebsn::UserId user, size_t n,
     ReciprocalScratch* scratch, float* bound_out, SearchStats* stats_out) {
   GEMREC_CHECK(scratch != nullptr);
-  std::vector<Recommendation> result;
-  if (n == 0 || space.num_points() == 0) {
-    if (bound_out != nullptr) *bound_out = kNegInf;
-    if (stats_out != nullptr) *stats_out = SearchStats{};
-    return result;
-  }
   ReciprocalQueryVector(model, user, space.point_dim(), &scratch->query);
-
   SearchStats cumulative;
-  size_t m = std::max<size_t>(4 * n, 64);
-  while (true) {
+  float bound = kNegInf;
+  for (size_t m = ReciprocalDepth(n);; m *= 2) {
     SearchStats fwd_stats;
     searcher.SearchInto(scratch->query, m, /*exclude_partner=*/user,
                         &scratch->hits, &fwd_stats, &scratch->ta);
     cumulative.points_examined += fwd_stats.points_examined;
     cumulative.sorted_accesses += fwd_stats.sorted_accesses;
     cumulative.examined_fraction = fwd_stats.examined_fraction;
-
-    std::vector<Recommendation>& rescored = scratch->rescored;
-    rescored.clear();
-    rescored.reserve(scratch->hits.size());
-    for (const SearchHit& hit : scratch->hits) {
-      rescored.push_back(Recommendation{
-          hit.pair.event, hit.pair.partner,
-          ReciprocalScore(model, user, hit.pair.partner, hit.pair.event)});
+    if (CertifyReciprocal(model, user, n, m, scratch->hits,
+                          fwd_stats.unreturned_bound, &scratch->rescored,
+                          &bound)) {
+      break;
     }
-    std::sort(rescored.begin(), rescored.end(), RecommendationOrder);
-
-    // Fewer hits than requested means the forward search enumerated
-    // every non-excluded pair; nothing is unexamined.
-    const bool exhausted = scratch->hits.size() < m;
-    const float fwd_bound = fwd_stats.unreturned_bound;
-    const float nth =
-        rescored.size() >= n ? rescored[n - 1].score : kNegInf;
-    // Unexamined pairs satisfy r <= d_forward <= fwd_bound, so a
-    // strictly larger n-th reciprocal score certifies the top n.
-    if (exhausted || (rescored.size() >= n && nth > fwd_bound)) {
-      const float dropped =
-          rescored.size() > n ? rescored[n].score : kNegInf;
-      const float bound =
-          exhausted ? dropped : std::max(dropped, fwd_bound);
-      rescored.resize(std::min(rescored.size(), n));
-      result = rescored;
-      cumulative.unreturned_bound = bound;
-      if (bound_out != nullptr) *bound_out = bound;
-      if (stats_out != nullptr) *stats_out = cumulative;
-      return result;
-    }
-    m *= 2;
   }
+  cumulative.unreturned_bound = bound;
+  if (bound_out != nullptr) *bound_out = bound;
+  if (stats_out != nullptr) *stats_out = cumulative;
+  return scratch->rescored;
 }
 
 }  // namespace gemrec::recommend

@@ -102,6 +102,44 @@ std::vector<Recommendation> ReciprocalTopPairs(
     const GemModel& model, const TransformedSpace& space, ebsn::UserId user,
     size_t n, float* bound_out = nullptr);
 
+/// First forward depth m of the reciprocal deepening loop, max(2n, 16);
+/// every uncertified round doubles it. Because r <= d_forward, the
+/// reciprocal top n sits near the forward top: at 2n almost every
+/// query certifies on its first walk, and a deeper first walk only
+/// costs examined pairs.
+size_t ReciprocalDepth(size_t n);
+
+/// The certificate step of the reciprocal deepening loop — the one
+/// implementation shared by ReciprocalSearch (exact TA) and the
+/// serving batch walk (BatchTaSearch with query (u, u, 0)).
+///
+/// `forward` holds the forward top-`depth` hits for `user` (descending
+/// directed score, partner == user excluded) and `forward_bound` the
+/// search's bound on every pair it did not return. Every hit is
+/// rescored with the exact ReciprocalScore into `top`, sorted under
+/// RecommendationOrder. The answer is certified when the forward
+/// search was exhausted (fewer than `depth` hits), or when the n-th
+/// reciprocal score strictly exceeds the widened forward bound
+///
+///   forward_bound + (2K + 2) * 2^-23 * |forward_bound|.
+///
+/// The slack absorbs fp32 rounding between the engine's score domain
+/// (the batch walk re-ranks with one flat (2K+1)-term Dot) and
+/// DirectedScore (two K-term dots): every term is nonnegative, so each
+/// computation lies within (2K+1) * 2^-24 relative of the real sum.
+/// Unreturned pairs then satisfy r <= d_forward <= widened bound < the
+/// n-th returned score.
+///
+/// Returns false (leaving `top` unspecified) when the caller must
+/// search again at a greater depth. On success `top` holds the top n
+/// and `bound_out` max(best dropped reciprocal score, widened bound)
+/// — -inf when nothing was left out (or n == 0): sound for every
+/// unreturned pair and never above the n-th returned score.
+bool CertifyReciprocal(const GemModel& model, ebsn::UserId user, size_t n,
+                       size_t depth, const std::vector<SearchHit>& forward,
+                       float forward_bound, std::vector<Recommendation>* top,
+                       float* bound_out);
+
 /// Reusable buffers for ReciprocalSearch (allocation-free steady
 /// state, like TaSearch::Scratch).
 struct ReciprocalScratch {
@@ -112,23 +150,19 @@ struct ReciprocalScratch {
 };
 
 /// Certified reciprocal top-n via iterative deepening over the exact
-/// TA engine:
+/// TA engine — the offline engine and a test oracle; serving runs the
+/// same CertifyReciprocal step on the quantized batch walk:
 ///
-///   m = max(4n, 64); forward-search top-m with query (u, u, 0);
-///   rescore every hit with the exact reciprocal min; keep the top n
-///   under RecommendationOrder; stop when the n-th reciprocal score
-///   strictly exceeds the forward search's unreturned bound (no
-///   unexamined pair can reach the top n, since r <= d_forward), or
-///   the space is exhausted; else double m.
+///   m = ReciprocalDepth(n); forward-search top-m with query (u, u, 0);
+///   CertifyReciprocal; else double m.
 ///
 /// Termination: m doubles past the space size, at which point the
 /// forward search exhausts and the ranking is exact by enumeration.
 ///
-/// `bound_out` receives max(best dropped reciprocal score, forward
-/// unreturned bound at the stopping m) — a sound upper bound on every
-/// unreturned pair's reciprocal score, and never above the n-th
-/// returned score (so the shard merger's completeness certificate
-/// kth >= max shard bound holds). -inf when nothing was left out.
+/// `bound_out` receives the certificate's bound (see
+/// CertifyReciprocal); the shard merger's completeness certificate
+/// kth >= max shard bound holds because it never exceeds the n-th
+/// returned score.
 ///
 /// `stats_out`, when non-null, receives the final forward search's
 /// stats (cumulative examined/sorted counters across deepening

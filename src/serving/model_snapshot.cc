@@ -53,10 +53,8 @@ ModelSnapshot::ModelSnapshot(const embedding::EmbeddingStore& store,
   // One grouping/sort pass shared by the exact and quantized searchers.
   index_ = std::make_unique<recommend::SpaceIndex>(space_.get());
   ta_ = std::make_unique<recommend::TaSearch>(index_.get());
-  if (options.build_quantized) {
-    quant_ = std::make_unique<recommend::QuantizedSpace>(index_.get());
-    batch_ = std::make_unique<recommend::BatchTaSearch>(quant_.get());
-  }
+  quant_ = std::make_unique<recommend::QuantizedSpace>(index_.get());
+  batch_ = std::make_unique<recommend::BatchTaSearch>(quant_.get());
 }
 
 }  // namespace gemrec::serving

@@ -24,15 +24,10 @@ struct SnapshotOptions {
   uint32_t top_k_events_per_partner = 20;
   /// Optional pool for the candidate-pair build (caller participates).
   ThreadPool* build_pool = nullptr;
-  /// Also build the QuantizedSpace + BatchTaSearch companion at publish
-  /// time (the default serving retrieval). Disable to serve exact
-  /// per-query TA only (`gemrec serve --exact-ta`).
-  bool build_quantized = true;
   /// Keep only this shard's deterministic pair-id-hash slice of the
   /// candidate-pair space (`gemrec serve --shard i/N`). The default
-  /// spec keeps everything; the filter applies identically to the
-  /// exact and quantized searchers (both are built over the filtered
-  /// space).
+  /// spec keeps everything; the exact and quantized searchers are both
+  /// built over the filtered space.
   shard::ShardSpec shard;
 };
 
@@ -72,12 +67,10 @@ class ModelSnapshot {
 
   const recommend::GemModel& model() const { return model_; }
   const recommend::TransformedSpace& space() const { return *space_; }
+  /// Exact per-query TA over the same index (offline replays and
+  /// oracles; serving answers through batch_searcher()).
   const recommend::TaSearch& searcher() const { return *ta_; }
-  /// Quantized batched retrieval companions; null when the snapshot was
-  /// built with build_quantized = false.
-  const recommend::QuantizedSpace* quantized() const {
-    return quant_.get();
-  }
+  /// Quantized batched retrieval, the serving engine; never null.
   const recommend::BatchTaSearch* batch_searcher() const {
     return batch_.get();
   }

@@ -57,18 +57,18 @@ RecommendationService::RecommendationService(const ServiceOptions& options)
       "claimed it.");
   ta_search_us_ = registry_->GetHistogram(
       "gemrec_service_ta_search_us",
-      "Microseconds one TA top-n search took on a worker (cache "
-      "misses only; batched-mode entries are the per-miss share of "
-      "their batch).");
+      "Microseconds of retrieval per cache miss: a group query's "
+      "event scan, or a partner/reciprocal query's share of the "
+      "batch-walk call that carried it (one entry per call, so a "
+      "reciprocal miss that deepens records one per round).");
   quantize_scan_us_ = registry_->GetHistogram(
       "gemrec_service_quantize_scan_us",
       "Microseconds one batch spent in the quantized stage (query "
-      "quantization, batched components, sorts, TA walk). Batched "
-      "retrieval only.");
+      "quantization, batched components, sorts, TA walk).");
   rerank_us_ = registry_->GetHistogram(
       "gemrec_service_rerank_us",
       "Microseconds one batch spent re-scoring survivors in exact "
-      "fp32. Batched retrieval only.");
+      "fp32.");
 
   options_.num_workers = std::max(1u, options_.num_workers);
   options_.max_batch = std::max<size_t>(1, options_.max_batch);
@@ -174,8 +174,8 @@ void RecommendationService::RecordReloadFailure() {
 }
 
 void RecommendationService::WorkerLoop() {
-  // Per-worker reusable state: after warm-up the TA query path makes
-  // no heap allocation (scratch + hits keep their capacity).
+  // Per-worker reusable state: after warm-up the batch walk makes no
+  // heap allocation (workspace + staging keep their capacity).
   WorkerState state;
   std::vector<PendingRequest> batch;
 
@@ -234,159 +234,52 @@ void RecommendationService::WorkerLoop() {
     }
 
     batches_->Increment();
-    ServeBatch(&batch, *snapshot, &state);
+    ServeBatchQuantized(&batch, *snapshot, &state);
     in_flight_->Sub(static_cast<int64_t>(batch.size()));
     // `snapshot` drops its reference here; if a Publish retired it
     // mid-batch and this was the last reader, it is destroyed now.
   }
 }
 
-void RecommendationService::CompleteMiss(
-    PendingRequest* pending, QueryResponse response,
-    const std::vector<recommend::SearchHit>& hits, uint64_t epoch) {
-  const QueryRequest& request = pending->request;
-  response.items.reserve(hits.size());
-  for (const recommend::SearchHit& hit : hits) {
-    response.items.push_back(recommend::Recommendation{
-        hit.pair.event, hit.pair.partner, hit.score});
-  }
+void RecommendationService::CompleteMiss(PendingRequest* pending,
+                                         QueryResponse response) {
   // The search's unreturned-score bound travels with the response (a
   // sharded coordinator needs it to certify merge completeness) and
   // into the cache, so a future hit replays the same certificate.
   response.ta_bound = response.stats.unreturned_bound;
-  if (!request.bypass_cache) {
-    cache_.Insert(CacheKey::For(request), epoch, response.items,
-                  response.ta_bound);
+  if (!pending->request.bypass_cache) {
+    cache_.Insert(CacheKey::For(pending->request), response.epoch,
+                  response.items, response.ta_bound);
   }
   pending->Complete(std::move(response));
 }
 
-/// Group and reciprocal queries, identical in both retrieval modes:
-/// group scoring has no sorted-list structure to prune with (the
-/// aggregate depends on the whole member set), so it scans the shard's
-/// event slice exhaustively; reciprocal refinement runs on the exact
-/// TA engine because its certificate compares reciprocal scores
-/// against the forward bound in the engine's own A+B score domain —
-/// the quantized path's flat re-rank domain differs by float rounding,
-/// which would make the strict-inequality stopping rule unsound.
-void RecommendationService::ServeSpecialKind(PendingRequest* pending,
-                                             const ModelSnapshot& snapshot,
-                                             WorkerState* state) {
-  const uint64_t epoch = snapshot.epoch();
+void RecommendationService::ServeGroup(PendingRequest* pending,
+                                       const ModelSnapshot& snapshot,
+                                       QueryResponse response) {
   const QueryRequest& request = pending->request;
-  QueryResponse response;
-  response.epoch = epoch;
-  const CacheKey key = CacheKey::For(request);
-  if (!request.bypass_cache &&
-      cache_.Lookup(key, epoch, &response.items, &response.ta_bound)) {
-    response.cache_hit = true;
-    cache_hits_->Increment();
-    pending->Complete(std::move(response));
-    return;
-  }
-
-  // Semantic validation the wire decoder cannot do: ids must resolve
-  // in the live snapshot's store. Typed kBadRequest, never a crash or
-  // a silently-empty answer.
-  const uint32_t user_rows =
-      snapshot.store().CountOf(graph::NodeType::kUser);
-  bool invalid = request.user >= user_rows;
-  if (request.kind == recommend::QueryKind::kGroup) {
-    invalid = invalid || request.group.empty();
-    for (const ebsn::UserId m : request.group) {
-      invalid = invalid || m >= user_rows;
-    }
-  }
-  if (invalid) {
-    bad_requests_->Increment();
-    response.code = ResponseCode::kBadRequest;
-    pending->Complete(std::move(response));
-    return;
-  }
-
   const auto search_start = std::chrono::steady_clock::now();
-  if (request.kind == recommend::QueryKind::kGroup) {
-    float bound = 0.0f;
-    response.items = recommend::GroupTopEvents(
-        snapshot.model(), snapshot.shard_events(), request.user,
-        request.group, request.aggregator, request.n, &bound);
-    response.stats.points_examined = snapshot.shard_events().size();
-    response.stats.examined_fraction =
-        snapshot.shard_events().empty() ? 0.0 : 1.0;
-    response.stats.unreturned_bound = bound;
-  } else {
-    float bound = 0.0f;
-    response.items = recommend::ReciprocalSearch(
-        snapshot.model(), snapshot.searcher(), snapshot.space(),
-        request.user, request.n, &state->recip, &bound, &response.stats);
-  }
+  response.items = recommend::GroupTopEvents(
+      snapshot.model(), snapshot.shard_events(), request.user, request.group,
+      request.aggregator, request.n, &response.stats.unreturned_bound);
+  response.stats.points_examined = snapshot.shard_events().size();
+  response.stats.examined_fraction =
+      snapshot.shard_events().empty() ? 0.0 : 1.0;
   ta_search_us_->Record(static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - search_start)
           .count()));
-  response.ta_bound = response.stats.unreturned_bound;
-  if (!request.bypass_cache) {
-    cache_.Insert(key, epoch, response.items, response.ta_bound);
-  }
-  pending->Complete(std::move(response));
+  CompleteMiss(pending, std::move(response));
 }
 
-void RecommendationService::ServeBatch(std::vector<PendingRequest>* batch,
-                                       const ModelSnapshot& snapshot,
-                                       WorkerState* state) {
-  if (options_.use_batch_ta && snapshot.batch_searcher() != nullptr) {
-    ServeBatchQuantized(batch, snapshot, state);
-    return;
-  }
-  const uint64_t epoch = snapshot.epoch();
-  const uint32_t user_rows = snapshot.store().CountOf(graph::NodeType::kUser);
-  for (PendingRequest& pending : *batch) {
-    const QueryRequest& request = pending.request;
-    queries_->Increment();
-    KindCounter(request.kind)->Increment();
-    if (request.kind != recommend::QueryKind::kPartner) {
-      ServeSpecialKind(&pending, snapshot, state);
-      continue;
-    }
-
-    QueryResponse response;
-    response.epoch = epoch;
-    // An out-of-range user would index past the user matrix when the
-    // query vector is built. Same typed kBadRequest contract as the
-    // special kinds.
-    if (request.user >= user_rows) {
-      bad_requests_->Increment();
-      response.code = ResponseCode::kBadRequest;
-      pending.Complete(std::move(response));
-      continue;
-    }
-    const CacheKey key = CacheKey::For(request);
-    if (!request.bypass_cache &&
-        cache_.Lookup(key, epoch, &response.items, &response.ta_bound)) {
-      response.cache_hit = true;
-      cache_hits_->Increment();
-      pending.Complete(std::move(response));
-      continue;
-    }
-
-    const auto search_start = std::chrono::steady_clock::now();
-    snapshot.QueryVector(request.user, &state->query_vec);
-    snapshot.searcher().SearchInto(state->query_vec, request.n,
-                                   /*exclude_partner=*/request.user,
-                                   &state->hits, &response.stats,
-                                   &state->scratch);
-    ta_search_us_->Record(static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - search_start)
-            .count()));
-    CompleteMiss(&pending, std::move(response), state->hits, epoch);
-  }
-}
-
-/// Batched path: answer cache hits first, then run every miss through
-/// ONE BatchTaSearch traversal (shared component stage and sorted-list
-/// walk, exact fp32 re-rank). Completions happen only after the whole
-/// search so the per-worker staging buffers stay stable.
+/// Answers cache hits, bad requests and group scans first, then runs
+/// every partner and reciprocal miss through ONE BatchTaSearch
+/// traversal (shared component stage and sorted-list walk, exact fp32
+/// re-rank). A reciprocal miss walks its forward query (u, u, 0) to
+/// depth ReciprocalDepth(n) and is rescored by CertifyReciprocal; the
+/// rare miss whose certificate fails rides a follow-up call at twice
+/// its depth. Completions happen only after the search that answers
+/// them, so the per-worker staging buffers stay stable.
 void RecommendationService::ServeBatchQuantized(
     std::vector<PendingRequest>* batch, const ModelSnapshot& snapshot,
     WorkerState* state) {
@@ -398,32 +291,41 @@ void RecommendationService::ServeBatchQuantized(
     const QueryRequest& request = pending.request;
     queries_->Increment();
     KindCounter(request.kind)->Increment();
-    if (request.kind != recommend::QueryKind::kPartner) {
-      // Mode-independent kinds: served the same way as the exact path
-      // (never through the batch engine), cache handling included.
-      ServeSpecialKind(&pending, snapshot, state);
-      continue;
-    }
 
     QueryResponse response;
     response.epoch = epoch;
-    if (request.user >= user_rows) {
+    // Semantic validation the wire decoder cannot do: ids must resolve
+    // in the live snapshot's store (an out-of-range user would index
+    // past the user matrix). Typed kBadRequest, never a crash or a
+    // silently-empty answer.
+    bool invalid = request.user >= user_rows;
+    if (request.kind == recommend::QueryKind::kGroup) {
+      invalid = invalid || request.group.empty();
+      for (const ebsn::UserId m : request.group) {
+        invalid = invalid || m >= user_rows;
+      }
+    }
+    if (invalid) {
       bad_requests_->Increment();
       response.code = ResponseCode::kBadRequest;
       pending.Complete(std::move(response));
       continue;
     }
-    const CacheKey key = CacheKey::For(request);
     if (!request.bypass_cache &&
-        cache_.Lookup(key, epoch, &response.items, &response.ta_bound)) {
+        cache_.Lookup(CacheKey::For(request), epoch, &response.items,
+                      &response.ta_bound)) {
       response.cache_hit = true;
       cache_hits_->Increment();
       pending.Complete(std::move(response));
       continue;
     }
+    if (request.kind == recommend::QueryKind::kGroup) {
+      ServeGroup(&pending, snapshot, std::move(response));
+      continue;
+    }
     state->miss_index.push_back(i);
   }
-  const size_t misses = state->miss_index.size();
+  size_t misses = state->miss_index.size();
   if (misses == 0) return;
 
   if (state->miss_queries.size() < misses) {
@@ -434,29 +336,63 @@ void RecommendationService::ServeBatchQuantized(
   state->miss_stats.resize(misses);
   for (size_t m = 0; m < misses; ++m) {
     const QueryRequest& request = (*batch)[state->miss_index[m]].request;
-    snapshot.QueryVector(request.user, &state->miss_queries[m]);
-    state->miss_batch[m] =
-        recommend::BatchQuery{state->miss_queries[m].data(), request.n,
-                              /*exclude_partner=*/request.user};
+    size_t depth = request.n;
+    if (request.kind == recommend::QueryKind::kReciprocal) {
+      recommend::ReciprocalQueryVector(snapshot.model(), request.user,
+                                       snapshot.space().point_dim(),
+                                       &state->miss_queries[m]);
+      depth = recommend::ReciprocalDepth(request.n);
+    } else {
+      snapshot.QueryVector(request.user, &state->miss_queries[m]);
+    }
+    state->miss_batch[m] = recommend::BatchQuery{
+        state->miss_queries[m].data(), depth,
+        /*exclude_partner=*/request.user};
   }
 
-  recommend::BatchSearchStats batch_stats;
-  snapshot.batch_searcher()->SearchBatch(
-      state->miss_batch.data(), misses, state->miss_hits.data(),
-      &batch_stats, &state->batch_ws, state->miss_stats.data());
-  quantize_scan_us_->Record(batch_stats.quantize_scan_us);
-  rerank_us_->Record(batch_stats.rerank_us);
-  // Keep the per-query latency histogram meaningful in batched mode:
-  // each miss is charged its share of the batch's search time.
-  const uint64_t per_miss_us =
-      (batch_stats.quantize_scan_us + batch_stats.rerank_us) / misses;
-  for (size_t m = 0; m < misses; ++m) {
-    PendingRequest& pending = (*batch)[state->miss_index[m]];
-    ta_search_us_->Record(per_miss_us);
-    QueryResponse response;
-    response.epoch = epoch;
-    response.stats = state->miss_stats[m];
-    CompleteMiss(&pending, std::move(response), state->miss_hits[m], epoch);
+  while (misses > 0) {
+    recommend::BatchSearchStats batch_stats;
+    snapshot.batch_searcher()->SearchBatch(
+        state->miss_batch.data(), misses, state->miss_hits.data(),
+        &batch_stats, &state->batch_ws, state->miss_stats.data());
+    quantize_scan_us_->Record(batch_stats.quantize_scan_us);
+    rerank_us_->Record(batch_stats.rerank_us);
+    // Each query the call carried is charged its share of the call.
+    const uint64_t per_miss_us =
+        (batch_stats.quantize_scan_us + batch_stats.rerank_us) / misses;
+    size_t retry = 0;  // uncertified reciprocal misses, packed in front
+    for (size_t m = 0; m < misses; ++m) {
+      ta_search_us_->Record(per_miss_us);
+      PendingRequest& pending = (*batch)[state->miss_index[m]];
+      const QueryRequest& request = pending.request;
+      QueryResponse response;
+      response.epoch = epoch;
+      response.stats = state->miss_stats[m];
+      const std::vector<recommend::SearchHit>& hits = state->miss_hits[m];
+      if (request.kind == recommend::QueryKind::kPartner) {
+        response.items.reserve(hits.size());
+        for (const recommend::SearchHit& hit : hits) {
+          response.items.push_back(recommend::Recommendation{
+              hit.pair.event, hit.pair.partner, hit.score});
+        }
+      } else if (recommend::CertifyReciprocal(
+                     snapshot.model(), request.user, request.n,
+                     state->miss_batch[m].n, hits,
+                     response.stats.unreturned_bound, &state->rescored,
+                     &response.stats.unreturned_bound)) {
+        response.items = state->rescored;
+      } else {
+        const size_t depth = 2 * state->miss_batch[m].n;
+        state->miss_index[retry] = state->miss_index[m];
+        std::swap(state->miss_queries[retry], state->miss_queries[m]);
+        state->miss_batch[retry] = recommend::BatchQuery{
+            state->miss_queries[retry].data(), depth, request.user};
+        ++retry;
+        continue;
+      }
+      CompleteMiss(&pending, std::move(response));
+    }
+    misses = retry;
   }
 }
 

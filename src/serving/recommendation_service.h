@@ -26,8 +26,9 @@ namespace gemrec::serving {
 
 struct ServiceOptions {
   /// Fixed-size pool of serving threads, each owning one
-  /// TaSearch::Scratch. Not clamped to hardware concurrency: serving
-  /// workers block on the queue, so oversubscription is deliberate.
+  /// BatchTaSearch::Workspace. Not clamped to hardware concurrency:
+  /// serving workers block on the queue, so oversubscription is
+  /// deliberate.
   uint32_t num_workers = 4;
   /// Max requests one worker drains per queue visit; the whole batch
   /// is served under a single snapshot acquisition (one epoch).
@@ -35,13 +36,6 @@ struct ServiceOptions {
   /// Result-cache entries across all shards (0 disables caching).
   size_t cache_capacity = 4096;
   size_t cache_shards = 8;
-  /// Serve cache misses through the quantized multi-query BatchTaSearch
-  /// (one shared list traversal per drained batch, exact fp32 re-rank)
-  /// instead of one exact TaSearch per request. Results are exact
-  /// either way; this only changes speed. Falls back to per-query TA
-  /// automatically when a snapshot was built without its quantized
-  /// companion. `gemrec serve --exact-ta` sets this to false.
-  bool use_batch_ta = true;
 };
 
 // QueryRequest / QueryResponse moved to serving/query_backend.h (the
@@ -55,9 +49,11 @@ struct ServiceOptions {
 ///    the synchronous Query wrapper.
 ///  * A fixed pool of workers drains up to max_batch requests per
 ///    visit, acquires the current snapshot ONCE for the whole batch
-///    (so a batch is served under a single epoch) and answers each
-///    request with its thread-private TaSearch::Scratch — the
-///    steady-state query path performs no allocation inside TA.
+///    (so a batch is served under a single epoch) and answers its
+///    partner and reciprocal cache misses with one quantized
+///    BatchTaSearch walk (exact fp32 re-rank) through its
+///    thread-private workspace — the steady-state query path performs
+///    no allocation inside the walk.
 ///  * Results are fronted by a sharded LRU keyed on
 ///    (user, n, filter_hash); entries are epoch-stamped, and a lookup
 ///    only hits when the entry's epoch matches the batch's snapshot,
@@ -154,38 +150,34 @@ class RecommendationService : public QueryBackend {
     }
   };
 
-  /// Per-worker reusable buffers for both retrieval paths; everything
-  /// keeps its capacity so steady-state serving stays allocation-free.
+  /// Per-worker reusable buffers; everything keeps its capacity so
+  /// steady-state serving stays allocation-free.
   struct WorkerState {
-    recommend::TaSearch::Scratch scratch;
     recommend::BatchTaSearch::Workspace batch_ws;
-    recommend::ReciprocalScratch recip;
-    std::vector<float> query_vec;
-    std::vector<recommend::SearchHit> hits;
-    // Batched-path staging, indexed by cache-miss position.
+    // Batch-walk staging, indexed by cache-miss position.
     std::vector<size_t> miss_index;
     std::vector<std::vector<float>> miss_queries;
     std::vector<recommend::BatchQuery> miss_batch;
     std::vector<std::vector<recommend::SearchHit>> miss_hits;
     std::vector<recommend::SearchStats> miss_stats;
+    std::vector<recommend::Recommendation> rescored;
   };
 
   void Enqueue(PendingRequest pending);
   void WorkerLoop();
-  void ServeBatch(std::vector<PendingRequest>* batch,
-                  const ModelSnapshot& snapshot, WorkerState* state);
+  /// Answers one drained batch: validation and cache first, group
+  /// queries by their exhaustive scan, then every partner and
+  /// reciprocal miss through one BatchTaSearch call.
   void ServeBatchQuantized(std::vector<PendingRequest>* batch,
                            const ModelSnapshot& snapshot,
                            WorkerState* state);
-  void CompleteMiss(PendingRequest* pending, QueryResponse response,
-                    const std::vector<recommend::SearchHit>& hits,
-                    uint64_t epoch);
-  /// Group/reciprocal path, shared by the exact and quantized batch
-  /// modes (both serve these kinds identically — group scoring is an
-  /// exhaustive slice scan, reciprocal refinement pins to the exact TA
-  /// engine — so answers are mode-independent bit-for-bit).
-  void ServeSpecialKind(PendingRequest* pending,
-                        const ModelSnapshot& snapshot, WorkerState* state);
+  /// Caches a miss's answer under its certified bound and completes it.
+  void CompleteMiss(PendingRequest* pending, QueryResponse response);
+  /// Group path: group scoring has no sorted-list structure to prune
+  /// with (the aggregate depends on the whole member set), so it scans
+  /// the shard's event slice exhaustively.
+  void ServeGroup(PendingRequest* pending, const ModelSnapshot& snapshot,
+                  QueryResponse response);
   obs::Counter* KindCounter(recommend::QueryKind kind) {
     switch (kind) {
       case recommend::QueryKind::kGroup: return kind_group_;

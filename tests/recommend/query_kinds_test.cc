@@ -2,19 +2,23 @@
 // the bitwise-equality contracts between the model-level score
 // functions and the TA engine's score assembly, the exhaustive group /
 // reciprocal oracles' ordering and bound semantics, and the certified
-// ReciprocalSearch against its brute-force oracle over many seeded
-// spaces.
+// reciprocal top-n — on exact TA (ReciprocalSearch) and on the
+// quantized batch walk the service runs, in both precisions — against
+// its brute-force oracle over many seeded spaces.
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "recommend/batch_ta_search.h"
 #include "recommend/candidate_index.h"
+#include "recommend/quantized_space.h"
 #include "recommend/query_kinds.h"
 #include "recommend/space_transform.h"
 #include "recommend/ta_search.h"
@@ -248,14 +252,8 @@ struct RecipTrial {
   size_t n = 0;
 };
 
-// Certified iterative-deepening search vs. the exhaustive oracle over
-// many seeded spaces, including n larger than the space and spaces
-// small enough that the first round already exhausts.
-class ReciprocalDifferentialTest
-    : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(ReciprocalDifferentialTest, MatchesBruteForceOracle) {
-  SplitMix64 mix(0xacebeef + GetParam());
+RecipTrial MakeRecipTrial(uint64_t index) {
+  SplitMix64 mix(0xacebeef + index);
   RecipTrial trial;
   trial.seed = mix.Next();
   trial.num_users = 3 + mix.Next() % 40;
@@ -264,6 +262,41 @@ TEST_P(ReciprocalDifferentialTest, MatchesBruteForceOracle) {
   trial.dim = dims[mix.Next() % 3];
   trial.top_k = (mix.Next() % 2 == 0) ? 0 : 1 + mix.Next() % trial.num_events;
   trial.n = 1 + mix.Next() % 24;
+  return trial;
+}
+
+// A certified reciprocal answer must equal the exhaustive oracle
+// bitwise rank by rank, and its bound must be sound: at least every
+// unreturned pair's reciprocal score and at most the n-th returned
+// score (the shard merger's completeness certificate needs both).
+void ExpectCertifiedReciprocal(const GemModel& model,
+                               const TransformedSpace& space,
+                               ebsn::UserId u, size_t n,
+                               const std::vector<Recommendation>& served,
+                               float bound) {
+  SCOPED_TRACE(::testing::Message() << "u=" << u << " n=" << n);
+  float best_unreturned = 0.0f;
+  const auto oracle = ReciprocalTopPairs(model, space, u, n, &best_unreturned);
+  ASSERT_EQ(served.size(), oracle.size());
+  for (size_t i = 0; i < served.size(); ++i) {
+    EXPECT_EQ(served[i].event, oracle[i].event) << "rank " << i;
+    EXPECT_EQ(served[i].partner, oracle[i].partner) << "rank " << i;
+    EXPECT_EQ(served[i].score, oracle[i].score) << "rank " << i;
+  }
+  EXPECT_GE(bound, best_unreturned) << "an unreturned pair beats the bound";
+  if (!served.empty()) {
+    EXPECT_LE(bound, served.back().score);
+  }
+}
+
+// Certified iterative-deepening search vs. the exhaustive oracle over
+// many seeded spaces, including n larger than the space and spaces
+// small enough that the first round already exhausts.
+class ReciprocalDifferentialTest
+    : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ReciprocalDifferentialTest, MatchesBruteForceOracle) {
+  const RecipTrial trial = MakeRecipTrial(GetParam());
   SCOPED_TRACE(::testing::Message()
                << "seed=" << trial.seed << " |U|=" << trial.num_users
                << " |X|=" << trial.num_events << " K=" << trial.dim
@@ -279,46 +312,145 @@ TEST_P(ReciprocalDifferentialTest, MatchesBruteForceOracle) {
   ReciprocalScratch scratch;
 
   for (ebsn::UserId u = 0; u < std::min(3u, trial.num_users); ++u) {
-    float oracle_bound = 0.0f;
-    const auto oracle =
-        ReciprocalTopPairs(model, space, u, trial.n, &oracle_bound);
     float search_bound = 0.0f;
     SearchStats stats;
     const auto served = ReciprocalSearch(model, ta, space, u, trial.n,
                                          &scratch, &search_bound, &stats);
-    ASSERT_EQ(served.size(), oracle.size()) << "u=" << u;
-    for (size_t i = 0; i < served.size(); ++i) {
-      EXPECT_EQ(served[i].event, oracle[i].event) << "rank " << i;
-      EXPECT_EQ(served[i].partner, oracle[i].partner) << "rank " << i;
-      EXPECT_EQ(served[i].score, oracle[i].score) << "rank " << i;
-    }
-    // Bound soundness: every unreturned pair scores <= the reported
-    // bound, and the bound never exceeds the n-th returned score (the
-    // shard merger's completeness certificate needs both).
-    if (!served.empty()) EXPECT_LE(search_bound, served.back().score);
-    std::vector<bool> kept(space.num_points(), false);
-    for (size_t i = 0; i < space.num_points(); ++i) {
-      const CandidatePair& pair = space.pair(i);
-      if (pair.partner == u) continue;
-      bool in_result = false;
-      for (const auto& r : served) {
-        if (r.event == pair.event && r.partner == pair.partner) {
-          in_result = true;
-          break;
-        }
-      }
-      if (in_result) continue;
-      EXPECT_LE(ReciprocalScore(model, u, pair.partner, pair.event),
-                search_bound)
-          << "unreturned pair (" << pair.event << ", " << pair.partner
-          << ") beats the certified bound";
-    }
+    ExpectCertifiedReciprocal(model, space, u, trial.n, served,
+                              search_bound);
     EXPECT_EQ(stats.unreturned_bound, search_bound);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(ThirtySeeds, ReciprocalDifferentialTest,
                          ::testing::Range<uint64_t>(0, 30));
+
+// The serving engine's reciprocal path, driven directly: every query's
+// forward vector (u, u, 0) rides one quantized SearchBatch call at
+// depth ReciprocalDepth(n), is rescored by CertifyReciprocal, and only
+// the uncertified queries walk again, at twice their depth.
+void CheckBatchWalkReciprocal(
+    const GemModel& model, const TransformedSpace& space,
+    QuantizedSpace::Options::Force force,
+    const std::vector<std::pair<ebsn::UserId, size_t>>& queries) {
+  SCOPED_TRACE(::testing::Message()
+               << "force="
+               << (force == QuantizedSpace::Options::Force::kInt8 ? "int8"
+                                                                  : "int16"));
+  SpaceIndex index(&space);
+  QuantizedSpace quant(&index, {force});
+  BatchTaSearch batch(&quant);
+  BatchTaSearch::Workspace workspace;
+
+  std::vector<std::vector<float>> vectors(queries.size());
+  std::vector<size_t> depth(queries.size());
+  std::vector<size_t> open(queries.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    ReciprocalQueryVector(model, queries[i].first, space.point_dim(),
+                          &vectors[i]);
+    depth[i] = ReciprocalDepth(queries[i].second);
+    open[i] = i;
+  }
+  std::vector<Recommendation> top;
+  for (int round = 0; !open.empty(); ++round) {
+    ASSERT_LT(round, 32) << "deepening never certified";
+    std::vector<BatchQuery> walk;
+    for (const size_t i : open) {
+      walk.push_back(BatchQuery{vectors[i].data(), depth[i],
+                                queries[i].first});
+    }
+    std::vector<std::vector<SearchHit>> hits(walk.size());
+    std::vector<SearchStats> stats(walk.size());
+    batch.SearchBatch(walk.data(), walk.size(), hits.data(), nullptr,
+                      &workspace, stats.data());
+    std::vector<size_t> still_open;
+    for (size_t j = 0; j < open.size(); ++j) {
+      const size_t i = open[j];
+      const auto [user, n] = queries[i];
+      float bound = 0.0f;
+      if (!CertifyReciprocal(model, user, n, depth[i], hits[j],
+                             stats[j].unreturned_bound, &top, &bound)) {
+        depth[i] *= 2;
+        still_open.push_back(i);
+        continue;
+      }
+      ExpectCertifiedReciprocal(model, space, user, n, top, bound);
+    }
+    open = std::move(still_open);
+  }
+}
+
+class BatchWalkReciprocalTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(BatchWalkReciprocalTest, CertifiedAnswerEqualsOracle) {
+  const RecipTrial trial = MakeRecipTrial(GetParam());
+  SCOPED_TRACE(::testing::Message()
+               << "seed=" << trial.seed << " |U|=" << trial.num_users
+               << " |X|=" << trial.num_events << " K=" << trial.dim
+               << " top_k=" << trial.top_k << " n=" << trial.n);
+  auto store =
+      RandomStore(trial.num_users, trial.num_events, trial.dim, trial.seed);
+  // Odd seeds skew the user norms: a heavy user's forward ranking
+  // d(u -> .) then says little about the reciprocal min, so first walks
+  // fail to certify and the follow-up rounds run.
+  if (GetParam() % 2 == 1) {
+    Matrix& users = store->MatrixOf(graph::NodeType::kUser);
+    for (size_t r = 0; r < users.rows(); ++r) {
+      const float scale = r % 5 == 0 ? 50.0f : 0.05f + 0.1f * (r % 7);
+      for (size_t c = 0; c < users.cols(); ++c) users.At(r, c) *= scale;
+    }
+  }
+  GemModel model(store.get(), "GEM");
+  TransformedSpace space(
+      model, BuildCandidatePairs(model, AllEvents(trial.num_events),
+                                 trial.num_users, trial.top_k));
+  // Every user in one batch, plus one query asking for more pairs than
+  // exist (the exhausted branch).
+  std::vector<std::pair<ebsn::UserId, size_t>> queries;
+  for (ebsn::UserId u = 0; u < trial.num_users; ++u) {
+    queries.push_back({u, trial.n});
+  }
+  queries.push_back({0, space.num_points() + 3});
+  for (const auto force : {QuantizedSpace::Options::Force::kInt8,
+                           QuantizedSpace::Options::Force::kInt16}) {
+    CheckBatchWalkReciprocal(model, space, force, queries);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ThirtySeeds, BatchWalkReciprocalTest,
+                         ::testing::Range<uint64_t>(0, 30));
+
+// Per-column scales spread across ~10 orders of magnitude, the worst
+// case for affine quantization (see quantized_ta_differential_test):
+// the walk's widened bound and the certificate's rounding slack must
+// still never certify a wrong reciprocal top-n.
+TEST(BatchWalkReciprocalTest, ScaleExtremesStayCertified) {
+  constexpr uint32_t kUsers = 30;
+  constexpr uint32_t kEvents = 20;
+  for (uint64_t seed = 0; seed < 8; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+    auto store = RandomStore(kUsers, kEvents, 8, 0xe47e3 + seed);
+    Rng rng(0x5ca1e + seed);
+    for (auto type : {graph::NodeType::kUser, graph::NodeType::kEvent}) {
+      Matrix& m = store->MatrixOf(type);
+      for (size_t c = 0; c < m.cols(); ++c) {
+        const float factor =
+            std::pow(10.0f, -5.0f + 10.0f * rng.UniformFloat());
+        for (size_t r = 0; r < m.rows(); ++r) m.At(r, c) *= factor;
+      }
+    }
+    GemModel model(store.get(), "GEM");
+    TransformedSpace space(
+        model, BuildCandidatePairs(model, AllEvents(kEvents), kUsers,
+                                   /*top_k=*/0));
+    std::vector<std::pair<ebsn::UserId, size_t>> queries;
+    for (ebsn::UserId u = 0; u < kUsers; ++u) queries.push_back({u, 10});
+    for (const auto force : {QuantizedSpace::Options::Force::kInt8,
+                             QuantizedSpace::Options::Force::kInt16}) {
+      CheckBatchWalkReciprocal(model, space, force, queries);
+    }
+  }
+}
 
 TEST(ReciprocalSearchTest, EmptySpaceAndZeroNAreDefined) {
   auto store = RandomStore(4, 3, 8, 1);

@@ -1,8 +1,9 @@
-// Pins the TaSearch zero-allocation contract: once a Scratch and an
-// output vector are warm, SearchInto must not touch the heap. Lives in
-// its own test binary because it replaces the global allocator — the
-// counter would otherwise pick up unrelated gtest bookkeeping from
-// neighboring suites.
+// Pins the zero-allocation contracts of TaSearch and BatchTaSearch:
+// once their scratch and output buffers are warm, SearchInto,
+// SearchBatch and the reciprocal rescore must not touch the heap.
+// Lives in its own test binary because it replaces the global
+// allocator — the counter would otherwise pick up unrelated gtest
+// bookkeeping from neighboring suites.
 
 #include <array>
 #include <atomic>
@@ -17,6 +18,7 @@
 #include "recommend/batch_ta_search.h"
 #include "recommend/gem_model.h"
 #include "recommend/quantized_space.h"
+#include "recommend/query_kinds.h"
 #include "recommend/space_transform.h"
 #include "recommend/ta_search.h"
 
@@ -163,6 +165,77 @@ TEST(TaAllocTest, SteadyStateSearchBatchAllocatesNothing) {
     EXPECT_EQ(after - before, 0u)
         << "steady-state SearchBatch performed " << (after - before)
         << " heap allocations over 50 batches of " << kBatch;
+  }
+}
+
+/// The serving batch shape: partner queries and reciprocal forward
+/// walks (query (u, u, 0) at depth ReciprocalDepth(n)) share one
+/// SearchBatch call, then every reciprocal result is rescored and
+/// certified. Once the workspace, the result vectors and the rescore
+/// buffer are warm, none of it may touch the heap, in either precision.
+TEST(TaAllocTest, SteadyStateReciprocalBatchAllocatesNothing) {
+  constexpr uint32_t kUsers = 25;
+  constexpr uint32_t kEvents = 20;
+  constexpr uint32_t kDim = 8;
+  constexpr size_t kN = 10;
+
+  auto store = std::make_unique<embedding::EmbeddingStore>(
+      kDim, std::array<uint32_t, 5>{kUsers, kEvents, 1, 1, 1});
+  Rng rng(19);
+  store->MatrixOf(graph::NodeType::kUser).FillAbsGaussian(&rng, 0.2, 0.3);
+  store->MatrixOf(graph::NodeType::kEvent)
+      .FillAbsGaussian(&rng, 0.2, 0.3);
+  GemModel model(store.get(), "GEM");
+  std::vector<CandidatePair> pairs;
+  for (uint32_t x = 0; x < kEvents; ++x) {
+    for (uint32_t u = 0; u < kUsers; ++u) pairs.push_back({x, u});
+  }
+  TransformedSpace space(model, pairs);
+  SpaceIndex index(&space);
+
+  // Even users ask partner queries, odd users reciprocal ones.
+  std::vector<std::vector<float>> queries(kUsers);
+  std::vector<BatchQuery> batch_queries(kUsers);
+  for (uint32_t u = 0; u < kUsers; ++u) {
+    size_t depth = kN;
+    if (u % 2 == 1) {
+      ReciprocalQueryVector(model, u, space.point_dim(), &queries[u]);
+      depth = ReciprocalDepth(kN);
+    } else {
+      space.QueryVector(model, u, &queries[u]);
+    }
+    batch_queries[u] = BatchQuery{queries[u].data(), depth, u};
+  }
+
+  for (auto force : {QuantizedSpace::Options::Force::kInt8,
+                     QuantizedSpace::Options::Force::kInt16}) {
+    QuantizedSpace quant(&index, {force});
+    BatchTaSearch batch(&quant);
+    BatchTaSearch::Workspace ws;
+    std::vector<std::vector<SearchHit>> results(kUsers);
+    std::vector<SearchStats> stats(kUsers);
+    std::vector<Recommendation> top;
+    size_t certified = 0;
+    const auto serve = [&] {
+      batch.SearchBatch(batch_queries.data(), kUsers, results.data(),
+                        nullptr, &ws, stats.data());
+      for (uint32_t u = 1; u < kUsers; u += 2) {
+        float bound = 0.0f;
+        certified += CertifyReciprocal(model, u, kN, batch_queries[u].n,
+                                       results[u], stats[u].unreturned_bound,
+                                       &top, &bound);
+      }
+    };
+    serve();  // warm-up: grows every buffer
+
+    certified = 0;
+    const size_t before = g_allocations.load(std::memory_order_relaxed);
+    for (int round = 0; round < 50; ++round) serve();
+    const size_t after = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 0u)
+        << "steady-state reciprocal batch performed " << (after - before)
+        << " heap allocations over 50 batches";
+    EXPECT_GT(certified, 0u) << "no reciprocal query exercised the rescore";
   }
 }
 

@@ -6,8 +6,8 @@
 // offline to a second builder with the identical option set. Fold-ins
 // are deterministic (fresh seeded Rng per call), so both timelines
 // must agree BITWISE: staging stores float-identical, and per-user
-// top-k identical in both serving modes (exact per-query TA and the
-// quantized batched path, which every delta publish must requantize).
+// partner and reciprocal top-k identical on the quantized batch walk,
+// which every delta publish must requantize.
 
 #include <unistd.h>
 
@@ -25,6 +25,7 @@
 #include "common/rng.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "recommend/query_kinds.h"
 #include "serving/ingestion_queue.h"
 #include "serving/recommendation_service.h"
 #include "serving/snapshot_builder.h"
@@ -159,19 +160,17 @@ void ApplyOffline(SnapshotBuilder* builder,
 }
 
 // The full differential: online (wire -> queue -> journal -> publish)
-// vs offline reference, compared bitwise. `exact_mode` selects the
-// per-query exact-TA configuration; otherwise the default quantized
-// batched path (which exercises requantization on every publish).
-void RunDifferential(const fs::path& dir, bool exact_mode) {
+// vs offline reference, compared bitwise over the quantized batch walk
+// (which exercises requantization on every publish), for partner and
+// reciprocal queries.
+void RunDifferential(const fs::path& dir) {
   const embedding::EmbeddingStore base = IngestStore(/*seed=*/99);
   const std::vector<Op> ops = MakeSequence();
 
   SnapshotOptions snapshot_options;
   snapshot_options.top_k_events_per_partner = 0;
-  snapshot_options.build_quantized = !exact_mode;
   ServiceOptions service_options;
   service_options.num_workers = 2;
-  service_options.use_batch_ta = !exact_mode;
   IngestionQueueOptions iq;
   iq.journal_path = (dir / "journal").string();
   iq.publish_threshold = 8;  // several delta publishes over 30 ops
@@ -216,34 +215,45 @@ void RunDifferential(const fs::path& dir, bool exact_mode) {
                        *offline_builder.staging_store());
   EXPECT_EQ(online_builder.event_pool(), offline_builder.event_pool());
 
-  // (b) So is everything either service answers.
-  for (ebsn::UserId u = 0; u < kUsers; ++u) {
-    QueryRequest request;
-    request.user = u;
-    request.n = 7;
-    request.bypass_cache = true;
-    const QueryResponse online = online_service.Query(request);
-    const QueryResponse offline = offline_service.Query(request);
-    ASSERT_EQ(online.code, serving::ResponseCode::kOk);
-    ASSERT_EQ(online.items.size(), offline.items.size()) << "u=" << u;
-    ASSERT_GT(online.items.size(), 0u) << "u=" << u;
-    for (size_t i = 0; i < online.items.size(); ++i) {
-      EXPECT_EQ(online.items[i].event, offline.items[i].event)
-          << "u=" << u << " rank " << i;
-      EXPECT_EQ(online.items[i].partner, offline.items[i].partner)
-          << "u=" << u << " rank " << i;
-      EXPECT_EQ(online.items[i].score, offline.items[i].score)
-          << "u=" << u << " rank " << i;
+  // (b) So is everything either service answers, and the reciprocal
+  // answers equal the exhaustive oracle over the published snapshot.
+  const auto expect_same = [](const std::vector<recommend::Recommendation>& a,
+                              const std::vector<recommend::Recommendation>& b,
+                              ebsn::UserId u) {
+    ASSERT_EQ(a.size(), b.size()) << "u=" << u;
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].event, b[i].event) << "u=" << u << " rank " << i;
+      EXPECT_EQ(a[i].partner, b[i].partner) << "u=" << u << " rank " << i;
+      EXPECT_EQ(a[i].score, b[i].score) << "u=" << u << " rank " << i;
+    }
+  };
+  const auto offline_snapshot = offline_service.CurrentSnapshot();
+  for (const recommend::QueryKind kind :
+       {recommend::QueryKind::kPartner, recommend::QueryKind::kReciprocal}) {
+    for (ebsn::UserId u = 0; u < kUsers; ++u) {
+      QueryRequest request;
+      request.user = u;
+      request.n = 7;
+      request.kind = kind;
+      request.bypass_cache = true;
+      const QueryResponse online = online_service.Query(request);
+      const QueryResponse offline = offline_service.Query(request);
+      ASSERT_EQ(online.code, serving::ResponseCode::kOk);
+      ASSERT_GT(online.items.size(), 0u) << "u=" << u;
+      expect_same(online.items, offline.items, u);
+      if (kind == recommend::QueryKind::kReciprocal) {
+        expect_same(online.items,
+                    recommend::ReciprocalTopPairs(offline_snapshot->model(),
+                                                  offline_snapshot->space(),
+                                                  u, request.n),
+                    u);
+      }
     }
   }
 }
 
-TEST_F(IngestDifferentialTest, OnlineMatchesOfflineExactTa) {
-  RunDifferential(dir_, /*exact_mode=*/true);
-}
-
 TEST_F(IngestDifferentialTest, OnlineMatchesOfflineQuantizedBatched) {
-  RunDifferential(dir_, /*exact_mode=*/false);
+  RunDifferential(dir_);
 }
 
 TEST_F(IngestDifferentialTest, DeltaPublishRequantizesFoldedInEvents) {
@@ -287,39 +297,6 @@ TEST_F(IngestDifferentialTest, DeltaPublishRequantizesFoldedInEvents) {
   }
   EXPECT_TRUE(found)
       << "folded-in event missing from batched retrieval after publish";
-  queue.Shutdown();
-}
-
-TEST_F(IngestDifferentialTest, ExactTaBuilderServesUnderBatchService) {
-  // A builder configured without the quantized companion publishing
-  // into a batch-enabled service: every publish must fall back to
-  // per-query TA and keep answering (no nullptr batch searcher trip).
-  const embedding::EmbeddingStore base = IngestStore(/*seed=*/21);
-  SnapshotOptions snapshot_options;
-  snapshot_options.top_k_events_per_partner = 0;
-  snapshot_options.build_quantized = false;
-  SnapshotBuilder builder(base, InitialPool(), kUsers, snapshot_options);
-  RecommendationService service(ServiceOptions{});  // use_batch_ta=true
-  IngestionQueueOptions iq;
-  iq.journal_path = (dir_ / "journal").string();
-  iq.publish_threshold = 1;
-  IngestionQueue queue(&service, &builder, iq);
-  ASSERT_TRUE(queue.Start().ok());
-
-  IngestRecord record;
-  record.kind = IngestKind::kAttendance;
-  record.user = 2;
-  record.event = 5;
-  ASSERT_TRUE(queue.Submit(record).ok());
-  queue.Flush();
-
-  QueryRequest request;
-  request.user = 2;
-  request.n = 5;
-  request.bypass_cache = true;
-  const QueryResponse response = service.Query(request);
-  ASSERT_EQ(response.code, serving::ResponseCode::kOk);
-  EXPECT_EQ(response.items.size(), 5u);
   queue.Shutdown();
 }
 

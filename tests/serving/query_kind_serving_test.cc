@@ -1,22 +1,26 @@
 // Serve-path coverage for the non-partner query kinds: group and
 // reciprocal answers must be bitwise-equal to the offline brute-force
-// oracles over many seeded spaces in BOTH retrieval modes (exact TA
-// and quantized batched — the special kinds are pinned to exact
-// scoring, so the mode must not change a single float), the result
-// cache must never cross-return between kinds / aggregators / member
-// sets, and malformed requests must come back as typed bad-requests,
-// never empty-but-ok answers.
+// oracles over many seeded spaces, both when computed (group by its
+// event scan, reciprocal on the quantized batch walk) and when
+// replayed from the result cache; one worker batch mixing every kind,
+// a cache hit and a bad request must answer each request by its own
+// oracle; the result cache must never cross-return between kinds /
+// aggregators / member sets, and malformed requests must come back as
+// typed bad-requests, never empty-but-ok answers.
 
 #include <array>
+#include <future>
 #include <limits>
 #include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "recommend/brute_force.h"
 #include "recommend/query_kinds.h"
 #include "serving/recommendation_service.h"
 #include "serving/result_cache.h"
+#include "../testing/metrics.h"
 
 namespace gemrec::serving {
 namespace {
@@ -57,8 +61,9 @@ void ExpectSameItems(const std::vector<recommend::Recommendation>& served,
   }
 }
 
-// One seeded trial per parameter; each trial exercises both retrieval
-// modes, both group aggregators and the reciprocal path.
+// One seeded trial per parameter; each trial exercises both serve
+// modes of a query — computed on a miss, then replayed from the cache —
+// both group aggregators and the reciprocal path.
 class QueryKindDifferentialTest : public ::testing::TestWithParam<uint64_t> {
 };
 
@@ -82,18 +87,14 @@ TEST_P(QueryKindDifferentialTest, ServeMatchesOracleInBothModes) {
                << " user=" << user << " |G|=" << group.size());
 
   auto store = RandomStore(num_users, num_events, dim, seed);
+  auto snapshot = MakeSnapshot(*store, num_users, num_events);
+  ServiceOptions options;
+  options.num_workers = 2;
+  RecommendationService service(options);
+  service.Publish(snapshot);
 
-  for (const bool use_batch_ta : {false, true}) {
-    SCOPED_TRACE(::testing::Message() << "use_batch_ta=" << use_batch_ta);
-    // Publish stamps the snapshot's epoch, so each service gets its
-    // own build (same store, identical floats).
-    auto snapshot = MakeSnapshot(*store, num_users, num_events);
-    ServiceOptions options;
-    options.num_workers = 2;
-    options.use_batch_ta = use_batch_ta;
-    RecommendationService service(options);
-    service.Publish(snapshot);
-
+  for (const bool cached : {false, true}) {
+    SCOPED_TRACE(::testing::Message() << "cached=" << cached);
     for (const recommend::GroupAggregator agg :
          {recommend::GroupAggregator::kSum,
           recommend::GroupAggregator::kMin}) {
@@ -103,9 +104,9 @@ TEST_P(QueryKindDifferentialTest, ServeMatchesOracleInBothModes) {
       request.kind = recommend::QueryKind::kGroup;
       request.aggregator = agg;
       request.group = group;
-      request.bypass_cache = true;
       const QueryResponse response = service.Query(request);
       EXPECT_EQ(response.code, ResponseCode::kOk);
+      EXPECT_EQ(response.cache_hit, cached);
 
       float bound = 0.0f;
       const auto oracle = recommend::GroupTopEvents(
@@ -123,13 +124,13 @@ TEST_P(QueryKindDifferentialTest, ServeMatchesOracleInBothModes) {
       request.user = user;
       request.n = static_cast<uint32_t>(n);
       request.kind = recommend::QueryKind::kReciprocal;
-      request.bypass_cache = true;
       const QueryResponse response = service.Query(request);
       EXPECT_EQ(response.code, ResponseCode::kOk);
+      EXPECT_EQ(response.cache_hit, cached);
 
-      // ReciprocalSearch is certified equal to the exhaustive oracle
-      // (pinned by the recommend-layer differential), so the served
-      // answer must match the oracle bitwise in both modes.
+      // The batch walk's certificate makes the served answer equal the
+      // exhaustive oracle bitwise (pinned at the recommend layer by
+      // the certificate soundness differential).
       const auto oracle =
           recommend::ReciprocalTopPairs(snapshot->model(), snapshot->space(),
                                         user, n);
@@ -144,6 +145,154 @@ TEST_P(QueryKindDifferentialTest, ServeMatchesOracleInBothModes) {
 
 INSTANTIATE_TEST_SUITE_P(TwentyEightSeeds, QueryKindDifferentialTest,
                          ::testing::Range<uint64_t>(0, 28));
+
+// One worker batch carrying every request shape at once: partner,
+// group and reciprocal misses (one reciprocal deep enough to need a
+// follow-up walk), a cache hit and out-of-range users. Pins the
+// miss-index and staging-buffer bookkeeping when kinds interleave in
+// one SearchBatch call: each request must come back with its own
+// oracle's answer or its typed kBadRequest.
+TEST(QueryKindMixedBatchTest, EveryKindInOneBatchGetsItsOwnAnswer) {
+  constexpr uint32_t kUsers = 40;
+  constexpr uint32_t kEvents = 30;
+  auto store = RandomStore(kUsers, kEvents, 8, 61);
+  // Uneven user norms decorrelate the forward ranking d(u -> .) from
+  // the reciprocal min: user 0's walk certifies only at depth 512 of
+  // 1200 pairs, so it rides follow-up calls without exhausting.
+  Matrix& users = store->MatrixOf(graph::NodeType::kUser);
+  for (size_t r = 0; r < users.rows(); ++r) {
+    const float scale = r == 0 ? 2.0f : 0.05f + 0.1f * (r % 7);
+    for (size_t c = 0; c < users.cols(); ++c) users.At(r, c) *= scale;
+  }
+  auto snapshot = MakeSnapshot(*store, kUsers, kEvents);
+
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.max_batch = 64;
+  RecommendationService service(options);
+  service.Publish(snapshot);
+
+  // Warm the cache entry the batch will hit.
+  QueryRequest cached;
+  cached.user = 5;
+  cached.n = 6;
+  const QueryResponse warm = service.Query(cached);
+  ASSERT_FALSE(warm.cache_hit);
+
+  // Park the only worker inside a batch so every request below queues
+  // up and is drained together.
+  std::promise<void> entered, release;
+  std::shared_future<void> released = release.get_future().share();
+  QueryRequest blocker;
+  blocker.user = 1;
+  blocker.n = 3;
+  blocker.bypass_cache = true;
+  service.SubmitAsync(blocker, [&entered, released](QueryResponse) {
+    entered.set_value();
+    released.wait();
+  });
+  entered.get_future().wait();
+
+  std::vector<QueryRequest> requests;
+  const auto add = [&](recommend::QueryKind kind, ebsn::UserId user,
+                       uint32_t n, std::vector<ebsn::UserId> group = {}) {
+    QueryRequest request;
+    request.kind = kind;
+    request.user = user;
+    request.n = n;
+    request.group = std::move(group);
+    requests.push_back(request);
+  };
+  add(recommend::QueryKind::kPartner, 2, 7);
+  add(recommend::QueryKind::kReciprocal, 0, 16);  // deepens
+  add(recommend::QueryKind::kPartner, kUsers, 5);  // out of range
+  add(recommend::QueryKind::kGroup, 3, 4, {7, 9});
+  requests.push_back(cached);
+  add(recommend::QueryKind::kReciprocal, 4, 5);
+  add(recommend::QueryKind::kReciprocal, kUsers + 3, 5);  // out of range
+  add(recommend::QueryKind::kPartner, 6, 9);
+  add(recommend::QueryKind::kReciprocal, 8, 2);
+  const auto batches = [&] {
+    return testing::CounterValue(*service.metrics(),
+                                 "gemrec_service_batches_total");
+  };
+  const auto walks = [&] {
+    return service.metrics()
+        ->GetHistogram("gemrec_service_quantize_scan_us")
+        ->Snapshot()
+        .count;
+  };
+  const uint64_t batches_before = batches();
+  const uint64_t walks_before = walks();
+  std::vector<std::future<QueryResponse>> futures;
+  for (const QueryRequest& request : requests) {
+    futures.push_back(service.Submit(request));
+  }
+  release.set_value();
+  std::vector<QueryResponse> responses;
+  for (auto& future : futures) responses.push_back(future.get());
+  // All nine rode one batch, and the heavy user's reciprocal miss took
+  // a follow-up walk on top of the batch's first SearchBatch call.
+  EXPECT_EQ(batches(), batches_before + 1);
+  EXPECT_GE(walks(), walks_before + 2);
+
+  std::vector<float> q;
+  recommend::BruteForceSearch brute(&snapshot->space());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const QueryRequest& request = requests[i];
+    SCOPED_TRACE(::testing::Message()
+                 << "request " << i << " kind "
+                 << recommend::QueryKindName(request.kind) << " user "
+                 << request.user);
+    const QueryResponse& response = responses[i];
+    if (request.user >= kUsers) {
+      EXPECT_EQ(response.code, ResponseCode::kBadRequest);
+      EXPECT_TRUE(response.items.empty());
+      continue;
+    }
+    ASSERT_EQ(response.code, ResponseCode::kOk);
+    EXPECT_EQ(response.cache_hit, i == 4);
+    std::vector<recommend::Recommendation> oracle;
+    switch (request.kind) {
+      case recommend::QueryKind::kPartner:
+        snapshot->QueryVector(request.user, &q);
+        for (const recommend::SearchHit& hit :
+             brute.Search(q, request.n, request.user)) {
+          oracle.push_back(recommend::Recommendation{
+              hit.pair.event, hit.pair.partner, hit.score});
+        }
+        break;
+      case recommend::QueryKind::kGroup:
+        oracle = recommend::GroupTopEvents(
+            snapshot->model(), snapshot->shard_events(), request.user,
+            request.group, request.aggregator, request.n);
+        break;
+      case recommend::QueryKind::kReciprocal: {
+        float best_unreturned = 0.0f;
+        oracle = recommend::ReciprocalTopPairs(
+            snapshot->model(), snapshot->space(), request.user, request.n,
+            &best_unreturned);
+        EXPECT_GE(response.ta_bound, best_unreturned);
+        EXPECT_LE(response.ta_bound, response.items.back().score);
+        // A walk does not depend on its batch-mates: served alone, the
+        // query reproduces its answer, its certificate and the work of
+        // its final walk.
+        QueryRequest alone = request;
+        alone.bypass_cache = true;
+        const QueryResponse single = service.Query(alone);
+        ExpectSameItems(single.items, response.items);
+        EXPECT_EQ(single.ta_bound, response.ta_bound);
+        EXPECT_EQ(single.stats.points_examined,
+                  response.stats.points_examined);
+        EXPECT_EQ(single.stats.sorted_accesses,
+                  response.stats.sorted_accesses);
+        break;
+      }
+    }
+    ExpectSameItems(response.items, oracle);
+  }
+
+}
 
 // Regression for the cache-collision bug this PR fixes: before the
 // kind/aggregator/group fields joined CacheKey, a kGroup answer could

@@ -1,5 +1,5 @@
 // Functional coverage of the serving engine: snapshot publication,
-// query correctness against the raw TA index, cache behaviour across
+// query correctness against the raw batch-walk index, cache behaviour across
 // swaps, batching, and shutdown draining.
 
 #include "serving/recommendation_service.h"
@@ -55,16 +55,14 @@ TEST(RecommendationServiceTest, QueryMatchesDirectTaSearch) {
 
   ServiceOptions options;
   options.num_workers = 2;
-  // Exact-TA mode (`--exact-ta`): answers must be float-identical to a
-  // direct TaSearch on the snapshot. The batched path re-ranks with the
-  // full-width dot product instead of TA's three partial sums, so its
-  // equally-exact scores can differ in the last ulp — it gets its own
-  // brute-force comparison below.
-  options.use_batch_ta = false;
   RecommendationService service(options);
   service.Publish(snapshot);
 
+  // Answers and certified bounds must be exactly what a direct
+  // single-query call of the snapshot's batch walk returns.
   std::vector<float> q;
+  recommend::BatchTaSearch::Workspace workspace;
+  std::vector<recommend::SearchHit> expected;
   for (ebsn::UserId u = 0; u < 20; ++u) {
     QueryRequest request;
     request.user = u;
@@ -74,23 +72,26 @@ TEST(RecommendationServiceTest, QueryMatchesDirectTaSearch) {
     EXPECT_EQ(response.epoch, 1u);
 
     snapshot->QueryVector(u, &q);
-    const auto expected = snapshot->searcher().Search(q, 7, u);
+    const recommend::BatchQuery query{q.data(), 7, u};
+    recommend::SearchStats stats;
+    snapshot->batch_searcher()->SearchBatch(&query, 1, &expected, nullptr,
+                                            &workspace, &stats);
     ASSERT_EQ(response.items.size(), expected.size()) << "u=" << u;
     for (size_t i = 0; i < expected.size(); ++i) {
       EXPECT_EQ(response.items[i].event, expected[i].pair.event);
       EXPECT_EQ(response.items[i].partner, expected[i].pair.partner);
       EXPECT_EQ(response.items[i].score, expected[i].score);
     }
+    EXPECT_EQ(response.ta_bound, stats.unreturned_bound) << "u=" << u;
   }
 }
 
 TEST(RecommendationServiceTest, BatchedQueryMatchesBruteForceExactly) {
-  // Default mode: the quantized batched retrieval with exact fp32
-  // re-rank must be score-identical to brute force (it runs the same
-  // full-width kernel over the same points).
+  // The quantized batched retrieval with exact fp32 re-rank must be
+  // score-identical to brute force (it runs the same full-width kernel
+  // over the same points).
   auto store = RandomStore(20, 15, 8, 1);
   auto snapshot = MakeSnapshot(*store, 20, 15);
-  ASSERT_NE(snapshot->batch_searcher(), nullptr);
 
   ServiceOptions options;
   options.num_workers = 2;
@@ -116,27 +117,6 @@ TEST(RecommendationServiceTest, BatchedQueryMatchesBruteForceExactly) {
           << "u=" << u << " rank " << i;
     }
   }
-}
-
-TEST(RecommendationServiceTest, ExactTaSnapshotWithoutQuantizedCompanion) {
-  // A snapshot built with build_quantized=false must still serve under
-  // a batch-enabled service (per-query TA fallback).
-  auto store = RandomStore(12, 10, 6, 22);
-  SnapshotOptions snapshot_options;
-  snapshot_options.top_k_events_per_partner = 0;
-  snapshot_options.build_quantized = false;
-  auto snapshot = std::make_shared<ModelSnapshot>(*store, AllEvents(10),
-                                                  12, snapshot_options);
-  EXPECT_EQ(snapshot->batch_searcher(), nullptr);
-  EXPECT_EQ(snapshot->quantized(), nullptr);
-
-  RecommendationService service(ServiceOptions{});
-  service.Publish(snapshot);
-  QueryRequest request;
-  request.user = 3;
-  request.n = 5;
-  const QueryResponse response = service.Query(request);
-  EXPECT_EQ(response.items.size(), 5u);
 }
 
 TEST(RecommendationServiceTest, RepeatQueryHitsTheCache) {

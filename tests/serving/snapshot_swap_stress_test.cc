@@ -7,7 +7,7 @@
 // the epoch it claims to come from (the test retains a reference to
 // every published snapshot), which proves two things at once:
 //  * a cache hit can never carry data computed on a retired snapshot
-//    (its items would not match the claimed epoch's exact TA results);
+//    (its items would not match the claimed epoch's exact oracle);
 //  * the swap path never hands a worker a half-published snapshot.
 //
 // Under TSan this must produce zero reports outside scripts/tsan.supp
@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include "recommend/brute_force.h"
+#include "recommend/query_kinds.h"
 #include "serving/recommendation_service.h"
 #include "serving/snapshot_builder.h"
 #include "../testing/metrics.h"
@@ -83,13 +84,12 @@ class SnapshotArchive {
   std::vector<std::shared_ptr<const ModelSnapshot>> by_epoch_;
 };
 
-void RunChurn(bool use_batch_ta) {
+TEST(SnapshotSwapStressTest, QueriesRaceSwapsWithCacheChurn) {
   ServiceOptions options;
   options.num_workers = 3;
   options.max_batch = 8;
   options.cache_capacity = 32;  // tiny: constant LRU churn
   options.cache_shards = 4;
-  options.use_batch_ta = use_batch_ta;
   RecommendationService service(options);
 
   SnapshotOptions snapshot_options;
@@ -144,10 +144,12 @@ void RunChurn(bool use_batch_ta) {
       for (uint32_t i = 0; i < kQueriesPerThread; ++i) {
         QueryRequest request;
         // A narrow (user, n) range keeps cache hits frequent while the
-        // swaps keep invalidating them.
+        // swaps keep invalidating them; every third query is
+        // reciprocal, so the two kinds interleave in worker batches.
         request.user = (t * 31 + i) % 8;
         request.n = 5 + (i % 2) * 5;
         request.bypass_cache = (i % 7) == 0;
+        if (i % 3 == 2) request.kind = recommend::QueryKind::kReciprocal;
 
         const uint64_t epoch_before =
             service.CurrentSnapshot()->epoch();
@@ -167,23 +169,30 @@ void RunChurn(bool use_batch_ta) {
           failures.fetch_add(1);
           continue;
         }
-        snapshot->QueryVector(request.user, &q);
-        // Mode-matched oracle, both exact: the batched path re-ranks
-        // with the full-width dot (bitwise equal to brute force), the
-        // per-query path assembles TA's three partial sums.
-        const auto expected =
-            use_batch_ta
-                ? recommend::BruteForceSearch(&snapshot->space())
-                      .Search(q, request.n, request.user)
-                : snapshot->searcher().Search(q, request.n,
-                                              request.user);
+        // Exact oracles: the batch walk re-ranks partner pairs with the
+        // full-width dot (bitwise equal to brute force) and rescores
+        // reciprocal pairs with ReciprocalScore.
+        std::vector<recommend::Recommendation> expected;
+        if (request.kind == recommend::QueryKind::kReciprocal) {
+          expected = recommend::ReciprocalTopPairs(
+              snapshot->model(), snapshot->space(), request.user,
+              request.n);
+        } else {
+          snapshot->QueryVector(request.user, &q);
+          for (const recommend::SearchHit& hit :
+               recommend::BruteForceSearch(&snapshot->space())
+                   .Search(q, request.n, request.user)) {
+            expected.push_back(recommend::Recommendation{
+                hit.pair.event, hit.pair.partner, hit.score});
+          }
+        }
         if (expected.size() != response.items.size()) {
           failures.fetch_add(1);
           continue;
         }
         for (size_t j = 0; j < expected.size(); ++j) {
-          if (response.items[j].event != expected[j].pair.event ||
-              response.items[j].partner != expected[j].pair.partner ||
+          if (response.items[j].event != expected[j].event ||
+              response.items[j].partner != expected[j].partner ||
               response.items[j].score != expected[j].score) {
             failures.fetch_add(1);
             break;
@@ -216,14 +225,6 @@ void RunChurn(bool use_batch_ta) {
   request.n = 10;
   request.bypass_cache = true;
   EXPECT_EQ(service.Query(request).epoch, kSwaps + 1);
-}
-
-TEST(SnapshotSwapStressTest, QueriesRaceSwapsWithCacheChurn) {
-  RunChurn(/*use_batch_ta=*/true);
-}
-
-TEST(SnapshotSwapStressTest, QueriesRaceSwapsWithCacheChurnExactTa) {
-  RunChurn(/*use_batch_ta=*/false);
 }
 
 TEST(SnapshotSwapStressTest, RetiredSnapshotsAreReclaimed) {

@@ -5,8 +5,8 @@
 // identity-exact whenever scores are distinct (ties are documented to
 // resolve by the merger's deterministic (event, partner) order, which
 // need not match the single instance's heap order) — for N in
-// {1, 2, 4}, over 25 seeded embedding spaces, in BOTH retrieval modes
-// (exact per-query TA and quantized batched TA with fp32 re-rank).
+// {1, 2, 4}, over 25 seeded embedding spaces, on the quantized batch
+// walk with fp32 re-rank.
 // Also checks the threshold-merge soundness chain end-to-end: every
 // full merge's coordinator bound must sit at or below its k-th score.
 
@@ -75,17 +75,15 @@ bool ScoresAllDistinct(const std::vector<recommend::Recommendation>& v) {
   return true;
 }
 
-void RunSeed(uint64_t seed, bool quantized) {
+void RunSeed(uint64_t seed) {
   const auto store = RandomStore(seed);
 
   // Unsharded reference: a direct (no-socket) service over the full
-  // candidate space, same retrieval mode.
+  // candidate space.
   serving::SnapshotOptions snapshot_options;
   snapshot_options.top_k_events_per_partner = 0;
-  snapshot_options.build_quantized = quantized;
   serving::ServiceOptions service_options;
   service_options.num_workers = 1;
-  service_options.use_batch_ta = quantized;
   serving::RecommendationService reference(service_options);
   reference.Publish(std::make_shared<serving::ModelSnapshot>(
       *store, AllEvents(), kUsers, snapshot_options));
@@ -150,21 +148,12 @@ void RunSeed(uint64_t seed, bool quantized) {
   }
 }
 
-class ShardDifferentialTest
-    : public ::testing::TestWithParam<bool> {};
-
-TEST_P(ShardDifferentialTest, MatchesSingleInstanceAcrossSeeds) {
+TEST(ShardDifferentialTest, MatchesSingleInstanceAcrossSeeds) {
   for (uint64_t seed = 1; seed <= 25; ++seed) {
-    RunSeed(seed, /*quantized=*/GetParam());
+    RunSeed(seed);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(BothModes, ShardDifferentialTest,
-                         ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Quantized" : "ExactTa";
-                         });
 
 }  // namespace
 }  // namespace gemrec::shard
