@@ -7,8 +7,8 @@
 //   gemrec evaluate  --data DIR --model FILE [--cases N]
 //   gemrec recommend --data DIR --model FILE --user U [--n N]
 //                    [--top-k K] [--weekend] [--explain]
-//   gemrec serve     --data DIR --model FILE [--queries Q] [--workers W]
-//                    [--clients C] [--swaps S] [--n N] [--top-k K]
+//   gemrec serve     --data DIR --model FILE --listen HOST:PORT
+//                    [--workers W] [--top-k K] ...
 //   gemrec stats     HOST:PORT
 //
 // The CLI covers the full offline/online workflow: synthesize (or
@@ -22,16 +22,18 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "ebsn/io.h"
@@ -64,6 +66,21 @@
 namespace gemrec::cli {
 namespace {
 
+/// Parses `text` as a plain decimal in T's range: no sign, no
+/// whitespace, nothing after the digits. Every integer the CLI takes is
+/// a count, an id or a duration, so "-1" must fail rather than wrap to
+/// a huge unsigned count.
+template <typename T>
+bool ParseUnsigned(std::string_view text, T* out) {
+  static_assert(std::is_unsigned_v<T>);
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return false;
+  *out = value;
+  return true;
+}
+
 /// Minimal --flag value parser; flags without a value store "true".
 class Args {
  public:
@@ -93,16 +110,31 @@ class Args {
     const auto v = Get(key);
     return v ? std::atof(v->c_str()) : fallback;
   }
-  int64_t GetInt(const std::string& key, int64_t fallback) const {
+  /// Integer flag --key, or `fallback` when it is absent. A value
+  /// ParseUnsigned rejects yields `fallback` and records an error that
+  /// names the flag; commands check error() before acting.
+  template <typename T>
+  T GetInt(const std::string& key, T fallback) const {
     const auto v = Get(key);
-    return v ? std::atoll(v->c_str()) : fallback;
+    if (!v) return fallback;
+    T value{};
+    if (ParseUnsigned(*v, &value)) return value;
+    if (error_.empty()) {
+      error_ = "--" + key + " expects an integer in [0, " +
+               std::to_string(std::numeric_limits<T>::max()) + "], got '" +
+               *v + "'";
+    }
+    return fallback;
   }
+  /// The first integer-flag error, or empty when every value parsed.
+  const std::string& error() const { return error_; }
   bool Has(const std::string& key) const {
     return values_.count(key) != 0;
   }
 
  private:
   std::map<std::string, std::string> values_;
+  mutable std::string error_;
 };
 
 int Fail(const std::string& message) {
@@ -110,11 +142,12 @@ int Fail(const std::string& message) {
   return 1;
 }
 
-/// SIGINT/SIGTERM plumbing for `gemrec serve`. Installed in BOTH serve
-/// modes so an interrupted run always tears down through destructors
-/// (ResultCache, snapshot refcounts, worker joins) instead of dying
-/// mid-flight: the batch mode polls g_stop between queries, the
-/// network mode additionally gets a graceful drain kick.
+/// SIGINT/SIGTERM plumbing for `gemrec serve` and `gemrec coordinate`:
+/// a signal kicks a graceful drain of the NetServer (stop accepting,
+/// flush in-flight responses), so an interrupted run tears down through
+/// destructors (ResultCache, snapshot refcounts, worker joins) instead
+/// of dying mid-flight. g_stop also ends the reload and stats threads,
+/// and covers a signal that lands before the server pointer is set.
 std::atomic<bool> g_stop{false};
 std::atomic<net::NetServer*> g_net_server{nullptr};
 
@@ -168,25 +201,24 @@ int Usage() {
       "                   any, else over all users)\n"
       "  gemrec foldin    --data DIR --model FILE --event X\n"
       "                   [--out FILE]   (online cold-event fold-in)\n"
-      "  gemrec serve     --data DIR --model FILE [--queries Q]\n"
-      "                   [--workers W] [--clients C] [--swaps S]\n"
-      "                   [--n N] [--top-k K] [--reload FILE]\n"
-      "                   (batch-query serving; --reload republishes\n"
-      "                   from FILE each swap, surviving corrupt files;\n"
-      "                   every kind but group is retrieved by quantized\n"
-      "                   multi-query TA with exact fp32 re-rank)\n"
       "  gemrec serve     --data DIR --model FILE --listen HOST:PORT\n"
-      "                   [--reactors R] [--workers W] [--max-in-flight M]\n"
-      "                   [--idle-timeout-ms MS] [--reload FILE]\n"
-      "                   [--reload-interval SEC] [--stats-interval SEC]\n"
+      "                   [--reactors R] [--workers W] [--top-k K]\n"
+      "                   [--max-in-flight M] [--idle-timeout-ms MS]\n"
+      "                   [--reload FILE] [--reload-interval SEC]\n"
+      "                   [--stats-interval SEC]\n"
       "                   [--ingest-dir DIR] [--publish-every N]\n"
       "                   [--publish-interval-ms MS] [--max-pending P]\n"
-      "                   [--checkpoint-every N]\n"
+      "                   [--checkpoint-every N] [--shard i/N]\n"
       "                   (multi-reactor epoll TCP server speaking the\n"
       "                   framed binary protocol, one SO_REUSEPORT\n"
       "                   listener per reactor; --reactors defaults to\n"
-      "                   min(4, cores); SIGINT/SIGTERM drains gracefully;\n"
-      "                   --stats-interval dumps metrics periodically;\n"
+      "                   min(4, cores); every kind but group is\n"
+      "                   retrieved by quantized multi-query TA with an\n"
+      "                   exact fp32 re-rank; SIGINT/SIGTERM drains\n"
+      "                   gracefully; --reload republishes from FILE\n"
+      "                   every --reload-interval seconds, surviving\n"
+      "                   corrupt files; --stats-interval dumps metrics\n"
+      "                   periodically;\n"
       "                   --ingest-dir enables the write path: attend/\n"
       "                   new-event frames are journaled to DIR, folded\n"
       "                   into the staging store, and published as delta\n"
@@ -227,9 +259,8 @@ int CmdGenerate(const Args& args) {
   ebsn::SyntheticConfig config =
       city == "shanghai" ? ebsn::SyntheticConfig::Shanghai(scale)
                          : ebsn::SyntheticConfig::Beijing(scale);
-  if (const auto seed = args.Get("seed")) {
-    config.seed = std::strtoull(seed->c_str(), nullptr, 10);
-  }
+  config.seed = args.GetInt<uint64_t>("seed", config.seed);
+  if (!args.error().empty()) return Fail(args.error());
   const auto data = ebsn::GenerateSynthetic(config);
   if (const Status s = ebsn::SaveDataset(data.dataset, *out); !s.ok()) {
     return Fail(s.ToString());
@@ -289,9 +320,6 @@ int CmdTrain(const Args& args) {
   if (!dir || !model_path) {
     return Fail("--data and --model are required");
   }
-  auto world = LoadWorld(*dir);
-  if (!world.ok()) return Fail(world.status().ToString());
-
   const std::string config_name = args.GetOr("config", "gem-a");
   embedding::TrainerOptions options;
   if (config_name == "gem-a") {
@@ -303,11 +331,12 @@ int CmdTrain(const Args& args) {
   } else {
     return Fail("unknown --config " + config_name);
   }
-  options.num_samples =
-      static_cast<uint64_t>(args.GetInt("samples", 2000000));
-  options.dim = static_cast<uint32_t>(args.GetInt("dim", 60));
-  options.num_threads =
-      static_cast<uint32_t>(args.GetInt("threads", 1));
+  options.num_samples = args.GetInt<uint64_t>("samples", 2000000);
+  options.dim = args.GetInt<uint32_t>("dim", 60);
+  options.num_threads = args.GetInt<uint32_t>("threads", 1);
+  if (!args.error().empty()) return Fail(args.error());
+  auto world = LoadWorld(*dir);
+  if (!world.ok()) return Fail(world.status().ToString());
 
   embedding::JointTrainer trainer(world->graphs.get(), options);
   std::printf("training %s: N=%llu K=%u threads=%u ...\n",
@@ -330,14 +359,15 @@ int CmdEvaluate(const Args& args) {
   if (!dir || !model_path) {
     return Fail("--data and --model are required");
   }
+  eval::ProtocolOptions options;
+  options.max_cases = args.GetInt<size_t>("cases", 400);
+  if (!args.error().empty()) return Fail(args.error());
   auto world = LoadWorld(*dir);
   if (!world.ok()) return Fail(world.status().ToString());
   auto store = embedding::LoadEmbeddingStore(*model_path);
   if (!store.ok()) return Fail(store.status().ToString());
   recommend::GemModel model(&store.value(), "gem");
 
-  eval::ProtocolOptions options;
-  options.max_cases = static_cast<size_t>(args.GetInt("cases", 400));
   const auto events = eval::EvaluateColdStartEvents(
       model, world->dataset, *world->split, options);
   std::printf("cold-start event recommendation (%zu cases):\n",
@@ -372,14 +402,16 @@ int CmdRecommend(const Args& args) {
   if (!dir || !model_path || !user_arg) {
     return Fail("--data, --model and --user are required");
   }
+  const auto user = args.GetInt<ebsn::UserId>("user", 0);
+  const auto n = args.GetInt<size_t>("n", 10);
+  const auto top_k = args.GetInt<uint32_t>("top-k", 20);
+  if (!args.error().empty()) return Fail(args.error());
   auto world = LoadWorld(*dir);
   if (!world.ok()) return Fail(world.status().ToString());
   auto store = embedding::LoadEmbeddingStore(*model_path);
   if (!store.ok()) return Fail(store.status().ToString());
   recommend::GemModel model(&store.value(), "gem");
 
-  const auto user =
-      static_cast<ebsn::UserId>(std::atoll(user_arg->c_str()));
   if (user >= world->dataset.num_users()) {
     return Fail("user id out of range");
   }
@@ -409,10 +441,10 @@ int CmdRecommend(const Args& args) {
     std::string token;
     for (std::istringstream ss(*group_arg); std::getline(ss, token, ',');) {
       if (token.empty()) continue;
-      const auto member =
-          static_cast<ebsn::UserId>(std::atoll(token.c_str()));
-      if (member >= world->dataset.num_users()) {
-        return Fail("group member " + token + " out of range");
+      ebsn::UserId member = 0;
+      if (!ParseUnsigned(token, &member) ||
+          member >= world->dataset.num_users()) {
+        return Fail("--group member '" + token + "' is not a user id");
       }
       members.push_back(member);
     }
@@ -423,7 +455,6 @@ int CmdRecommend(const Args& args) {
         return Fail("--agg expects sum|min, got '" + *agg_arg + "'");
       }
     }
-    const size_t n = static_cast<size_t>(args.GetInt("n", 10));
     for (const auto& r : recommend::GroupTopEvents(
              model, pool, user, members, agg, n)) {
       std::printf("event %6u  group(%zu) %s-score %.3f\n", r.event,
@@ -450,7 +481,6 @@ int CmdRecommend(const Args& args) {
       }
     }
     const recommend::TransformedSpace space(model, std::move(pairs));
-    const size_t n = static_cast<size_t>(args.GetInt("n", 10));
     for (const auto& r :
          recommend::ReciprocalTopPairs(model, space, user, n)) {
       std::printf("event %6u  partner %6u  reciprocal score %.3f\n",
@@ -460,11 +490,9 @@ int CmdRecommend(const Args& args) {
   }
 
   recommend::RecommenderOptions rec_options;
-  rec_options.top_k_events_per_partner =
-      static_cast<uint32_t>(args.GetInt("top-k", 20));
+  rec_options.top_k_events_per_partner = top_k;
   recommend::EventPartnerRecommender recommender(
       &model, pool, world->dataset.num_users(), rec_options);
-  const size_t n = static_cast<size_t>(args.GetInt("n", 10));
   for (const auto& r : recommender.Recommend(user, n)) {
     std::printf("event %6u  partner %6u  score %.3f\n", r.event,
                 r.partner, r.score);
@@ -485,13 +513,13 @@ int CmdFoldin(const Args& args) {
   if (!dir || !model_path || !event_arg) {
     return Fail("--data, --model and --event are required");
   }
+  const auto event = args.GetInt<ebsn::EventId>("event", 0);
+  if (!args.error().empty()) return Fail(args.error());
   auto world = LoadWorld(*dir);
   if (!world.ok()) return Fail(world.status().ToString());
   auto store = embedding::LoadEmbeddingStore(*model_path);
   if (!store.ok()) return Fail(store.status().ToString());
 
-  const auto event =
-      static_cast<ebsn::EventId>(std::atoll(event_arg->c_str()));
   if (event >= world->dataset.num_events()) {
     return Fail("event id out of range");
   }
@@ -528,31 +556,79 @@ int CmdFoldin(const Args& args) {
   return 0;
 }
 
-/// `gemrec serve --listen host:port`: the epoll front-end over the
-/// same service/builder/reloader stack the batch mode exercises.
-/// Blocks until SIGINT/SIGTERM, then drains gracefully (stop
-/// accepting, flush in-flight responses) before tearing down.
-int ServeListen(const Args& args, const std::string& listen_spec,
-                serving::RecommendationService* service,
-                serving::SnapshotBuilder* builder) {
+/// `gemrec serve --listen host:port`: loads the dataset and model,
+/// publishes the first snapshot and serves it over the epoll front-end,
+/// optionally with the journaled write path (--ingest-dir), periodic
+/// reloads (--reload) and metrics dumps (--stats-interval). Blocks
+/// until SIGINT/SIGTERM, then drains gracefully (stop accepting, flush
+/// in-flight responses) before tearing down.
+int CmdServe(const Args& args) {
+  const auto dir = args.Get("data");
+  const auto model_path = args.Get("model");
+  const auto listen = args.Get("listen");
+  if (!dir || !model_path || !listen || *listen == "true") {
+    return Fail("--data, --model and --listen HOST:PORT are required");
+  }
+
   net::ServerOptions net_options;
   uint16_t port = 0;
-  if (const Status s = net::ParseHostPort(
-          listen_spec, &net_options.listen_address, &port);
+  if (const Status s =
+          net::ParseHostPort(*listen, &net_options.listen_address, &port);
       !s.ok()) {
     return Fail(s.ToString());
   }
   net_options.port = port;
-  net_options.max_in_flight =
-      static_cast<uint32_t>(args.GetInt("max-in-flight", 256));
-  net_options.idle_timeout =
-      std::chrono::milliseconds(args.GetInt("idle-timeout-ms", 60000));
+  net_options.max_in_flight = args.GetInt<uint32_t>("max-in-flight", 256);
+  net_options.idle_timeout = std::chrono::milliseconds(
+      args.GetInt<uint32_t>("idle-timeout-ms", 60000));
   // One epoll reactor per core up to 4 by default — past that the
   // service workers, not the front-end, are the bottleneck.
   const unsigned hw = std::thread::hardware_concurrency();
-  net_options.num_reactors = static_cast<uint32_t>(args.GetInt(
-      "reactors",
-      static_cast<int64_t>(std::min(4u, std::max(1u, hw)))));
+  net_options.num_reactors =
+      args.GetInt<uint32_t>("reactors", std::min(4u, std::max(1u, hw)));
+
+  serving::SnapshotOptions snapshot_options;
+  snapshot_options.top_k_events_per_partner =
+      args.GetInt<uint32_t>("top-k", 20);
+  serving::ServiceOptions service_options;
+  service_options.num_workers = args.GetInt<uint32_t>("workers", 4);
+
+  serving::IngestionQueueOptions iq;
+  iq.max_pending = args.GetInt<size_t>("max-pending", 1024);
+  iq.publish_threshold = args.GetInt<size_t>("publish-every", 64);
+  iq.publish_interval = std::chrono::milliseconds(
+      args.GetInt<uint32_t>("publish-interval-ms", 200));
+  iq.checkpoint_every = args.GetInt<size_t>("checkpoint-every", 4096);
+  const auto reload_interval =
+      std::chrono::seconds(args.GetInt<uint32_t>("reload-interval", 30));
+  const auto stats_interval =
+      std::chrono::seconds(args.GetInt<uint32_t>("stats-interval", 0));
+  if (!args.error().empty()) return Fail(args.error());
+
+  // --shard i/N keeps only this instance's deterministic hash-slice of
+  // the candidate-pair space; a coordinator (gemrec coordinate) fans
+  // queries out over all N and merges.
+  if (const auto shard = args.Get("shard"); shard && *shard != "true") {
+    if (!shard::ParseShardSpec(*shard, &snapshot_options.shard)) {
+      return Fail("--shard expects i/N with 0 <= i < N, got '" + *shard +
+                  "'");
+    }
+  }
+
+  auto world = LoadWorld(*dir);
+  if (!world.ok()) return Fail(world.status().ToString());
+  auto store = embedding::LoadEmbeddingStore(*model_path);
+  if (!store.ok()) return Fail(store.status().ToString());
+
+  // Installed before the first publish so an early SIGINT still tears
+  // down through ResultCache/snapshot destructors.
+  InstallStopHandlers();
+
+  serving::SnapshotBuilder builder(
+      store.value(), world->split->test_events(),
+      world->dataset.num_users(), snapshot_options);
+  serving::RecommendationService service(service_options);
+  service.Publish(builder.Build());
 
   // --ingest-dir enables the write path: a journaled ingestion queue
   // over the same builder, recovered (checkpoint + journal replay)
@@ -564,18 +640,9 @@ int ServeListen(const Args& args, const std::string& listen_spec,
     if (::mkdir(ingest_dir->c_str(), 0755) != 0 && errno != EEXIST) {
       return Fail("mkdir " + *ingest_dir + ": " + std::strerror(errno));
     }
-    serving::IngestionQueueOptions iq;
     iq.journal_path = *ingest_dir + "/journal";
     iq.checkpoint_base = *ingest_dir + "/checkpoint";
-    iq.max_pending =
-        static_cast<size_t>(args.GetInt("max-pending", 1024));
-    iq.publish_threshold =
-        static_cast<size_t>(args.GetInt("publish-every", 64));
-    iq.publish_interval =
-        std::chrono::milliseconds(args.GetInt("publish-interval-ms", 200));
-    iq.checkpoint_every =
-        static_cast<size_t>(args.GetInt("checkpoint-every", 4096));
-    ingest.emplace(service, builder, iq);
+    ingest.emplace(&service, &builder, iq);
     if (const Status s = ingest->Start(); !s.ok()) {
       return Fail("ingestion recovery: " + s.ToString());
     }
@@ -585,7 +652,7 @@ int ServeListen(const Args& args, const std::string& listen_spec,
                 ingest->recovered_clean() ? "" : " (torn tail dropped)");
   }
 
-  net::NetServer server(service, net_options,
+  net::NetServer server(&service, net_options,
                         ingest ? &*ingest : nullptr);
   if (const Status s = server.Start(); !s.ok()) {
     return Fail(s.ToString());
@@ -594,11 +661,13 @@ int ServeListen(const Args& args, const std::string& listen_spec,
   // A signal delivered before the server pointer was published only
   // set g_stop; convert it into a drain now.
   if (g_stop.load(std::memory_order_relaxed)) server.RequestDrain();
-  std::printf("listening on %s:%u (reactors=%u, workers=%u, "
-              "max-in-flight=%u); SIGINT/SIGTERM drains and exits\n",
+  std::printf("serving %zu events to %u users on %s:%u (reactors=%u, "
+              "workers=%u, max-in-flight=%u); SIGINT/SIGTERM drains and "
+              "exits\n",
+              builder.event_pool().size(), world->dataset.num_users(),
               net_options.listen_address.c_str(), server.port(),
               std::max(1u, net_options.num_reactors),
-              service->options().num_workers, net_options.max_in_flight);
+              service_options.num_workers, net_options.max_in_flight);
 
   // Optional freshness loop: republish from the artifact every
   // --reload-interval seconds through the crash-safe reload path,
@@ -610,18 +679,16 @@ int ServeListen(const Args& args, const std::string& listen_spec,
   const auto reload_path = args.Get("reload");
   std::thread reload_thread;
   if (reload_path && *reload_path != "true") {
-    const auto interval =
-        std::chrono::seconds(args.GetInt("reload-interval", 30));
-    reload_thread = std::thread([&, interval] {
-      serving::ModelReloader reloader(service, builder, {});
-      auto next = std::chrono::steady_clock::now() + interval;
+    reload_thread = std::thread([&] {
+      serving::ModelReloader reloader(&service, &builder, {});
+      auto next = std::chrono::steady_clock::now() + reload_interval;
       while (server.running() &&
              !g_stop.load(std::memory_order_relaxed)) {
         if (std::chrono::steady_clock::now() < next) {
           std::this_thread::sleep_for(std::chrono::milliseconds(200));
           continue;
         }
-        next = std::chrono::steady_clock::now() + interval;
+        next = std::chrono::steady_clock::now() + reload_interval;
         const Status s = ingest ? ingest->ReloadBase(*reload_path)
                                 : reloader.ReloadWithRetry(*reload_path);
         if (!s.ok()) {
@@ -635,20 +702,18 @@ int ServeListen(const Args& args, const std::string& listen_spec,
   // Optional observability heartbeat: dump the text exposition every
   // --stats-interval seconds, for operators tailing the log instead of
   // scraping `gemrec stats host:port`.
-  const int64_t stats_interval = args.GetInt("stats-interval", 0);
   std::thread stats_thread;
-  if (stats_interval > 0) {
-    const auto interval = std::chrono::seconds(stats_interval);
-    stats_thread = std::thread([&, interval] {
-      auto next = std::chrono::steady_clock::now() + interval;
+  if (stats_interval.count() > 0) {
+    stats_thread = std::thread([&] {
+      auto next = std::chrono::steady_clock::now() + stats_interval;
       while (server.running() &&
              !g_stop.load(std::memory_order_relaxed)) {
         if (std::chrono::steady_clock::now() < next) {
           std::this_thread::sleep_for(std::chrono::milliseconds(200));
           continue;
         }
-        next = std::chrono::steady_clock::now() + interval;
-        DumpMetrics(service);
+        next = std::chrono::steady_clock::now() + stats_interval;
+        DumpMetrics(&service);
       }
     });
   }
@@ -665,136 +730,10 @@ int ServeListen(const Args& args, const std::string& listen_spec,
 
   std::printf("drained after %llu connections; final metrics:\n",
               static_cast<unsigned long long>(
-                  service->metrics()
+                  service.metrics()
                       ->Snapshot()
                       .Find("gemrec_net_accepted_total")
                       ->counter));
-  DumpMetrics(service);
-  return 0;
-}
-
-int CmdServe(const Args& args) {
-  const auto dir = args.Get("data");
-  const auto model_path = args.Get("model");
-  if (!dir || !model_path) {
-    return Fail("--data and --model are required");
-  }
-  auto world = LoadWorld(*dir);
-  if (!world.ok()) return Fail(world.status().ToString());
-  auto store = embedding::LoadEmbeddingStore(*model_path);
-  if (!store.ok()) return Fail(store.status().ToString());
-
-  // Both serve modes install the handlers (an uncaught SIGINT would
-  // skip ResultCache/snapshot teardown); the batch loops below poll
-  // g_stop, the network mode drains.
-  InstallStopHandlers();
-
-  const size_t queries = static_cast<size_t>(args.GetInt("queries", 2000));
-  const size_t n = static_cast<size_t>(args.GetInt("n", 10));
-  const uint32_t swaps = static_cast<uint32_t>(args.GetInt("swaps", 2));
-  const uint32_t clients =
-      static_cast<uint32_t>(std::max<int64_t>(1, args.GetInt("clients", 2)));
-
-  serving::SnapshotOptions snapshot_options;
-  snapshot_options.top_k_events_per_partner =
-      static_cast<uint32_t>(args.GetInt("top-k", 20));
-  // --shard i/N keeps only this instance's deterministic hash-slice of
-  // the candidate-pair space; a coordinator (gemrec coordinate) fans
-  // queries out over all N and merges.
-  if (const auto shard = args.Get("shard"); shard && *shard != "true") {
-    if (!shard::ParseShardSpec(*shard, &snapshot_options.shard)) {
-      return Fail("--shard expects i/N with 0 <= i < N, got '" + *shard +
-                  "'");
-    }
-  }
-  serving::SnapshotBuilder builder(
-      store.value(), world->split->test_events(),
-      world->dataset.num_users(), snapshot_options);
-
-  serving::ServiceOptions service_options;
-  service_options.num_workers =
-      static_cast<uint32_t>(args.GetInt("workers", 4));
-  serving::RecommendationService service(service_options);
-  service.Publish(builder.Build());
-
-  if (const auto listen = args.Get("listen");
-      listen && *listen != "true") {
-    return ServeListen(args, *listen, &service, &builder);
-  }
-
-  std::printf("serving %zu events to %u users: workers=%u clients=%u "
-              "queries=%zu swaps=%u\n",
-              builder.event_pool().size(), world->dataset.num_users(),
-              service_options.num_workers, clients, queries, swaps);
-
-  // Closed-loop clients: each thread issues synchronous queries over a
-  // rotating user set and records its own latencies; a background
-  // updater races --swaps fold-in + rebuild + publish cycles against
-  // the traffic, demonstrating that reloads never block queries.
-  std::vector<std::vector<double>> latencies(clients);
-  const auto wall_start = std::chrono::steady_clock::now();
-  // With --reload FILE each swap republishes from the on-disk artifact
-  // through the crash-safe reload path: a corrupt or mid-write FILE
-  // costs freshness (counted below), never availability.
-  const auto reload_path = args.Get("reload");
-  serving::ModelReloader reloader(&service, &builder, {});
-  std::thread updater([&] {
-    embedding::OnlineUpdateOptions update;
-    update.iterations = 50;
-    for (uint32_t s = 0; s < swaps; ++s) {
-      if (g_stop.load(std::memory_order_relaxed)) return;
-      const auto& attendance = world->dataset.attendances();
-      const auto& a = attendance[s % attendance.size()];
-      if (!builder.RecordAttendance(a.user, a.event, update).ok()) return;
-      if (reload_path && *reload_path != "true") {
-        (void)reloader.ReloadWithRetry(*reload_path);
-      } else {
-        service.Publish(builder.Build());
-      }
-    }
-  });
-  std::vector<std::thread> client_threads;
-  for (uint32_t c = 0; c < clients; ++c) {
-    client_threads.emplace_back([&, c] {
-      auto& mine = latencies[c];
-      mine.reserve(queries / clients + 1);
-      for (size_t i = c; i < queries; i += clients) {
-        if (g_stop.load(std::memory_order_relaxed)) break;
-        serving::QueryRequest request;
-        request.user = static_cast<ebsn::UserId>(
-            (i * 131) % world->dataset.num_users());
-        request.n = n;
-        const auto start = std::chrono::steady_clock::now();
-        const auto response = service.Query(request);
-        const auto stop = std::chrono::steady_clock::now();
-        (void)response;
-        mine.push_back(
-            std::chrono::duration<double, std::micro>(stop - start)
-                .count());
-      }
-    });
-  }
-  for (auto& thread : client_threads) thread.join();
-  updater.join();
-  const double wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
-
-  std::vector<double> all;
-  for (const auto& mine : latencies) {
-    all.insert(all.end(), mine.begin(), mine.end());
-  }
-  if (all.empty()) return 0;  // stopped by signal before any query
-  std::sort(all.begin(), all.end());
-  std::printf("served %zu queries in %.2fs: %.0f qps\n", all.size(),
-              wall_seconds, all.size() / wall_seconds);
-  // Nearest-rank percentiles (an earlier revision indexed p*n, which
-  // over-reads toward the max for small sample counts).
-  std::printf("latency p50 %.0fus  p90 %.0fus  p99 %.0fus\n",
-              obs::SamplePercentile(all, 0.50),
-              obs::SamplePercentile(all, 0.90),
-              obs::SamplePercentile(all, 0.99));
   DumpMetrics(&service);
   return 0;
 }
@@ -820,18 +759,6 @@ int CmdCoordinate(const Args& args) {
     return Fail(s.ToString());
   }
 
-  shard::CoordinatorOptions coordinator_options;
-  coordinator_options.router.shard_deadline = std::chrono::milliseconds(
-      args.GetInt("shard-deadline-ms", 250));
-  coordinator_options.router.breaker_threshold = static_cast<uint32_t>(
-      args.GetInt("breaker-threshold", 3));
-  coordinator_options.router.breaker_backoff = std::chrono::milliseconds(
-      args.GetInt("breaker-backoff-ms", 250));
-  shard::CoordinatorBackend coordinator(endpoints, coordinator_options);
-  if (const Status s = coordinator.Start(); !s.ok()) {
-    return Fail(s.ToString());
-  }
-
   net::ServerOptions net_options;
   uint16_t port = 0;
   if (const Status s = net::ParseHostPort(
@@ -840,12 +767,23 @@ int CmdCoordinate(const Args& args) {
     return Fail(s.ToString());
   }
   net_options.port = port;
-  net_options.max_in_flight =
-      static_cast<uint32_t>(args.GetInt("max-in-flight", 256));
-  net_options.idle_timeout =
-      std::chrono::milliseconds(args.GetInt("idle-timeout-ms", 60000));
-  net_options.num_reactors =
-      static_cast<uint32_t>(args.GetInt("reactors", 1));
+  net_options.max_in_flight = args.GetInt<uint32_t>("max-in-flight", 256);
+  net_options.idle_timeout = std::chrono::milliseconds(
+      args.GetInt<uint32_t>("idle-timeout-ms", 60000));
+  net_options.num_reactors = args.GetInt<uint32_t>("reactors", 1);
+
+  shard::CoordinatorOptions coordinator_options;
+  coordinator_options.router.shard_deadline = std::chrono::milliseconds(
+      args.GetInt<uint32_t>("shard-deadline-ms", 250));
+  coordinator_options.router.breaker_threshold =
+      args.GetInt<uint32_t>("breaker-threshold", 3);
+  coordinator_options.router.breaker_backoff = std::chrono::milliseconds(
+      args.GetInt<uint32_t>("breaker-backoff-ms", 250));
+  if (!args.error().empty()) return Fail(args.error());
+  shard::CoordinatorBackend coordinator(endpoints, coordinator_options);
+  if (const Status s = coordinator.Start(); !s.ok()) {
+    return Fail(s.ToString());
+  }
 
   InstallStopHandlers();
   net::NetServer server(&coordinator, net_options);
@@ -899,23 +837,24 @@ int CmdIngest(int argc, char** argv) {
       Status::InvalidArgument("one of --attend or --new-event required");
   if (const auto attend = args.Get("attend");
       attend && *attend != "true") {
-    const auto colon = attend->find(':');
-    if (colon == std::string::npos) {
-      return Fail("--attend expects USER:EVENT");
+    const std::string_view spec = *attend;
+    const auto colon = spec.find(':');
+    ebsn::UserId user = 0;
+    ebsn::EventId event = 0;
+    if (colon == std::string_view::npos ||
+        !ParseUnsigned(spec.substr(0, colon), &user) ||
+        !ParseUnsigned(spec.substr(colon + 1), &event)) {
+      return Fail("--attend expects USER:EVENT, got '" + *attend + "'");
     }
-    const auto user = static_cast<ebsn::UserId>(
-        std::atoll(attend->substr(0, colon).c_str()));
-    const auto event = static_cast<ebsn::EventId>(
-        std::atoll(attend->substr(colon + 1).c_str()));
     outcome = client.value()->Attend(user, event, args.Has("new-user"));
   } else if (const auto event_arg = args.Get("new-event");
              event_arg && *event_arg != "true") {
     const auto dir = args.Get("data");
     if (!dir) return Fail("--new-event requires --data for signals");
+    const auto event = args.GetInt<ebsn::EventId>("new-event", 0);
+    if (!args.error().empty()) return Fail(args.error());
     auto world = LoadWorld(*dir);
     if (!world.ok()) return Fail(world.status().ToString());
-    const auto event =
-        static_cast<ebsn::EventId>(std::atoll(event_arg->c_str()));
     if (event >= world->dataset.num_events()) {
       return Fail("event id out of range");
     }

@@ -38,7 +38,14 @@
 # project, compiling ../src) into build-perfbench/, builds servebench
 # and distributions_test, and runs distributions_test. A src/ API
 # change that breaks the benchmark harness fails here rather than in
-# the benchmark pipeline.
+# the benchmark pipeline. It then smoke-runs every perfbench workload
+# for one second (hot_partner, cold_mix, write_mix, sharded_mix):
+# each run boots the full serve stack, drives it open-loop over
+# loopback and exits nonzero when a sampled answer differs from its
+# oracle, so this is tier-1's one run of the whole stack under load.
+# The first run builds perfbench into the git-ignored .bench_build/
+# and trains its model there (about a minute on 4 cores); later runs
+# take roughly 10 s each.
 #
 # Usage: scripts/tier1.sh [--no-tsan] [--no-ubsan] [--no-asan]
 #                         [--no-perfbench]
@@ -152,6 +159,11 @@ if [[ "$RUN_PERFBENCH" == "1" ]]; then
   cmake --build build-perfbench -j "$(nproc)" --target \
     servebench distributions_test
   ./build-perfbench/distributions_test
+  echo "== tier-1: perfbench smoke runs (every workload, 1 s each) =="
+  for workload in hot_partner cold_mix write_mix sharded_mix; do
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 \
+      --trace 0 >/dev/null
+  done
 fi
 
 echo "== tier-1: OK =="

@@ -54,7 +54,7 @@ struct TaggedReply {
 };
 
 /// Blocking client for the wire.h protocol — the reference peer used
-/// by tests, the bench load generator, and one-liner scripting against
+/// by tests, perfbench's stats scrapes, and one-liner scripting against
 /// `gemrec serve --listen`. One socket; every request frame carries a
 /// u64 frame id the server echoes, so many requests may be in flight
 /// at once and complete OUT OF ORDER: issue ids with SendTagged, then
@@ -62,8 +62,8 @@ struct TaggedReply {
 /// lockstep verbs (Query/Send/Receive/...) are thin wrappers that
 /// auto-assign ids and read one reply per request.
 ///
-/// Not thread-safe: one thread per client (open one client per
-/// connection, as bench/net_throughput does).
+/// Not thread-safe: each thread that talks to a server opens its own
+/// client (and with it its own connection).
 class Client {
  public:
   static Result<std::unique_ptr<Client>> Connect(

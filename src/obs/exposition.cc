@@ -1,7 +1,5 @@
 #include "obs/exposition.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 namespace gemrec::obs {
@@ -88,16 +86,6 @@ std::string RenderText(const MetricsSnapshot& snapshot) {
     }
   }
   return out;
-}
-
-double SamplePercentile(const std::vector<double>& sorted_samples,
-                        double p) {
-  if (sorted_samples.empty()) return 0.0;
-  p = std::clamp(p, 0.0, 1.0);
-  const size_t n = sorted_samples.size();
-  const size_t rank = std::max<size_t>(
-      1, static_cast<size_t>(std::ceil(p * static_cast<double>(n))));
-  return sorted_samples[std::min(n, rank) - 1];
 }
 
 }  // namespace gemrec::obs

@@ -2,7 +2,6 @@
 #define GEMREC_OBS_EXPOSITION_H_
 
 #include <string>
-#include <vector>
 
 #include "obs/metrics.h"
 
@@ -25,14 +24,6 @@ namespace gemrec::obs {
 /// the series. The format is byte-locked by
 /// tests/obs/exposition_test.cc — change it deliberately.
 std::string RenderText(const MetricsSnapshot& snapshot);
-
-/// Nearest-rank percentile of an ascending-sorted sample vector:
-/// the smallest element with at least ceil(p * n) samples at or below
-/// it. Unlike the old `samples[p * n]` indexing this never over-reads
-/// the distribution (p50 of {a, b} is a, not b) and never indexes one
-/// past the end for p = 1. Returns 0 for an empty vector.
-double SamplePercentile(const std::vector<double>& sorted_samples,
-                        double p);
 
 }  // namespace gemrec::obs
 

@@ -134,7 +134,6 @@ Status IngestionQueue::Start() {
                           << ": " << s.ToString();
       continue;
     }
-    last_acked_seq_value_ = record.seq;
     ++replayed_;
     live_records_.push_back(std::move(record));
   }
@@ -265,23 +264,6 @@ void IngestionQueue::Shutdown() {
   }
   if (to_join.joinable()) to_join.join();
 }
-
-uint64_t IngestionQueue::accepted() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return accepted_count_;
-}
-
-uint64_t IngestionQueue::processed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return processed_count_;
-}
-
-uint64_t IngestionQueue::last_acked_seq() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return last_acked_seq_value_;
-}
-
-uint64_t IngestionQueue::publishes() const { return m_publishes_->Value(); }
 
 Status IngestionQueue::ValidateRecord(const IngestRecord& record) const {
   // Mirrors (and tightens) the precondition checks of the fold-ins in
@@ -455,7 +437,6 @@ void IngestionQueue::ProcessBatch(std::vector<Pending>* batch) {
   std::vector<IngestRecord> to_journal;
   to_journal.reserve(batch->size());
   size_t processed = 0;
-  uint64_t last_ok_seq = 0;
   bool any_applied = false;
 
   // 1. Validate before journaling: a journaled record is a record that
@@ -512,7 +493,6 @@ void IngestionQueue::ProcessBatch(std::vector<Pending>* batch) {
         ++unpublished_;
         m_unpublished_->Add(1);
         ++applied_since_checkpoint_;
-        last_ok_seq = v.seq;
         any_applied = true;
       } else {
         // Journaled but refused by the fold-in — replay skips it the
@@ -533,7 +513,6 @@ void IngestionQueue::ProcessBatch(std::vector<Pending>* batch) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     processed_count_ += processed;
-    if (last_ok_seq != 0) last_acked_seq_value_ = last_ok_seq;
     if (any_applied) has_unpublished_ = true;
   }
   flush_cv_.notify_all();

@@ -163,11 +163,6 @@ class IngestionQueue {
   /// kShuttingDown — never dropped silently after an ack.
   void Shutdown();
 
-  /// Observability for tests/bench (thread-safe).
-  uint64_t accepted() const;
-  uint64_t processed() const;
-  uint64_t last_acked_seq() const;
-  uint64_t publishes() const;
   /// Records recovered by Start's replay.
   uint64_t replayed() const { return replayed_; }
   /// False when Start found (and dropped) a torn journal tail.
@@ -222,7 +217,6 @@ class IngestionQueue {
   // Ingest-thread-only state.
   uint64_t seq_counter_ = 0;
   uint64_t checkpoint_seq_ = 0;
-  uint64_t last_acked_seq_value_ = 0;
   std::vector<ebsn::EventId> pool_;
   std::unordered_set<ebsn::EventId> pool_members_;
   /// Acked records since the last checkpoint (mirrors the journal);

@@ -6,10 +6,17 @@
 #include "common/logging.h"
 
 namespace gemrec::serving {
+namespace {
+
+/// Lock shards of the result cache: enough that workers rarely contend
+/// on one LRU, few enough that a small cache still holds hot users.
+constexpr size_t kCacheShards = 8;
+
+}  // namespace
 
 RecommendationService::RecommendationService(const ServiceOptions& options)
     : options_(options),
-      cache_(options.cache_capacity, options.cache_shards),
+      cache_(options.cache_capacity, kCacheShards),
       registry_(std::make_unique<obs::MetricsRegistry>()) {
   queries_ = registry_->GetCounter(
       "gemrec_service_queries_total",

@@ -35,7 +35,6 @@ struct ServiceOptions {
   size_t max_batch = 16;
   /// Result-cache entries across all shards (0 disables caching).
   size_t cache_capacity = 4096;
-  size_t cache_shards = 8;
 };
 
 // QueryRequest / QueryResponse moved to serving/query_backend.h (the

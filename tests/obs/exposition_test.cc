@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <vector>
 
 #include "obs/metrics.h"
 
@@ -58,37 +57,6 @@ TEST(ExpositionTest, EmptyHistogramStillEmitsAWellFormedSeries) {
       "idle_us_sum 0\n"
       "idle_us_count 0\n";
   EXPECT_EQ(RenderText(registry.Snapshot()), expected);
-}
-
-TEST(SamplePercentileTest, EmptyReturnsZero) {
-  EXPECT_EQ(SamplePercentile({}, 0.5), 0.0);
-}
-
-TEST(SamplePercentileTest, MedianOfTwoIsTheLowerSample) {
-  // The regression the helper exists for: `samples[0.5 * 2]` picked
-  // the larger sample (and `samples[1.0 * n]` read past the end).
-  const std::vector<double> two = {1.0, 9.0};
-  EXPECT_EQ(SamplePercentile(two, 0.5), 1.0);
-  EXPECT_EQ(SamplePercentile(two, 0.9), 9.0);
-  EXPECT_EQ(SamplePercentile(two, 0.0), 1.0);
-  EXPECT_EQ(SamplePercentile(two, 1.0), 9.0);
-}
-
-TEST(SamplePercentileTest, NearestRankOnHundredSamples) {
-  std::vector<double> samples;
-  for (int i = 1; i <= 100; ++i) samples.push_back(i);
-  EXPECT_EQ(SamplePercentile(samples, 0.50), 50.0);
-  EXPECT_EQ(SamplePercentile(samples, 0.90), 90.0);
-  EXPECT_EQ(SamplePercentile(samples, 0.99), 99.0);
-  EXPECT_EQ(SamplePercentile(samples, 1.00), 100.0);
-  // Out-of-range p clamps instead of misindexing.
-  EXPECT_EQ(SamplePercentile(samples, 1.5), 100.0);
-  EXPECT_EQ(SamplePercentile(samples, -0.5), 1.0);
-}
-
-TEST(SamplePercentileTest, SingleSample) {
-  EXPECT_EQ(SamplePercentile({42.0}, 0.01), 42.0);
-  EXPECT_EQ(SamplePercentile({42.0}, 0.99), 42.0);
 }
 
 }  // namespace

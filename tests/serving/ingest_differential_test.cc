@@ -29,6 +29,7 @@
 #include "serving/ingestion_queue.h"
 #include "serving/recommendation_service.h"
 #include "serving/snapshot_builder.h"
+#include "../testing/metrics.h"
 
 namespace gemrec::serving {
 namespace {
@@ -198,8 +199,10 @@ void RunDifferential(const fs::path& dir) {
     EXPECT_EQ(outcome->seq, ++expected_seq);
   }
   queue.Flush();
-  EXPECT_EQ(queue.processed(), ops.size());
-  EXPECT_GE(queue.publishes(), 2u);
+  const obs::MetricsSnapshot metrics = online_service.metrics()->Snapshot();
+  EXPECT_EQ(testing::IngestProcessed(metrics), ops.size());
+  EXPECT_GE(
+      testing::CounterValue(metrics, "gemrec_ingest_publishes_total"), 2u);
   server.Stop();
   queue.Shutdown();  // ingest thread gone; the builder is ours now
 

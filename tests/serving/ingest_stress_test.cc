@@ -24,11 +24,14 @@
 #include "serving/ingestion_queue.h"
 #include "serving/recommendation_service.h"
 #include "serving/snapshot_builder.h"
+#include "../testing/metrics.h"
 
 namespace gemrec::serving {
 namespace {
 
 namespace fs = std::filesystem;
+using testing::CounterValue;
+using testing::IngestProcessed;
 
 constexpr uint32_t kUsers = 10;
 constexpr uint32_t kEvents = 12;
@@ -146,10 +149,12 @@ TEST_F(IngestStressTest, WritersVersusQueriesVersusReloadsAndCheckpoints) {
 
   queue.Flush();
   EXPECT_EQ(acked.load(), kWriters * kRecordsPerWriter);
-  EXPECT_EQ(queue.accepted(),
-            static_cast<uint64_t>(kWriters * kRecordsPerWriter));
-  EXPECT_EQ(queue.processed(), queue.accepted());
-  EXPECT_GE(queue.publishes(), 1u);
+  const obs::MetricsSnapshot metrics = service.metrics()->Snapshot();
+  const uint64_t accepted =
+      CounterValue(metrics, "gemrec_ingest_accepted_total");
+  EXPECT_EQ(accepted, static_cast<uint64_t>(kWriters * kRecordsPerWriter));
+  EXPECT_EQ(IngestProcessed(metrics), accepted);
+  EXPECT_GE(CounterValue(metrics, "gemrec_ingest_publishes_total"), 1u);
   EXPECT_GT(answered.load(), 0);
 
   // The flushed state is immediately queryable.
@@ -252,8 +257,10 @@ TEST_F(IngestStressTest, SubmitRacingShutdownIsShedNotLost) {
   writer.join();
 
   // Shutdown drained: every accepted record was acked, never dropped.
-  EXPECT_EQ(queue.processed(), queue.accepted());
-  EXPECT_EQ(acked_ok.load(), static_cast<int>(queue.processed()));
+  const obs::MetricsSnapshot metrics = service.metrics()->Snapshot();
+  const uint64_t processed = IngestProcessed(metrics);
+  EXPECT_EQ(processed, CounterValue(metrics, "gemrec_ingest_accepted_total"));
+  EXPECT_EQ(acked_ok.load(), static_cast<int>(processed));
   // Whether the writer hit the race is timing-dependent; what must
   // hold is that it either finished or was shed with a typed verdict.
   EXPECT_LE(shed.load(), 1);

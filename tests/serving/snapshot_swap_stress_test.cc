@@ -89,7 +89,6 @@ TEST(SnapshotSwapStressTest, QueriesRaceSwapsWithCacheChurn) {
   options.num_workers = 3;
   options.max_batch = 8;
   options.cache_capacity = 32;  // tiny: constant LRU churn
-  options.cache_shards = 4;
   RecommendationService service(options);
 
   SnapshotOptions snapshot_options;

@@ -21,6 +21,13 @@ inline uint64_t CounterValue(const obs::MetricsRegistry& registry,
   return CounterValue(registry.Snapshot(), name);
 }
 
+/// Ingest records acknowledged so far, applied or refused: what the
+/// ingestion queue's Flush waits on.
+inline uint64_t IngestProcessed(const obs::MetricsSnapshot& snapshot) {
+  return CounterValue(snapshot, "gemrec_ingest_applied_total") +
+         CounterValue(snapshot, "gemrec_ingest_rejected_total");
+}
+
 /// The network front-end's counter gemrec_net_<name>_total.
 inline uint64_t NetCounter(const obs::MetricsSnapshot& snapshot,
                            std::string_view name) {
