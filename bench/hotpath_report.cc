@@ -204,8 +204,8 @@ double MeasureQuantizationError(const QuerySpace& qs,
       quant.precision() == recommend::QuantizedSpace::Precision::kInt8;
   std::vector<uint8_t> eq8(k), pq8(k);
   std::vector<int16_t> eq16(k), pq16(k);
-  std::vector<float> ecomp(index.num_events());
-  std::vector<float> pcomp(index.num_partners());
+  std::vector<int32_t> edots(index.num_events());
+  std::vector<int32_t> pdots(index.num_partners());
   const uint32_t* pe = index.pair_event_idx().data();
   const uint32_t* pp = index.pair_partner_idx().data();
   const float* c_values = quant.c_values().data();
@@ -217,21 +217,23 @@ double MeasureQuantizationError(const QuerySpace& qs,
                                         eq16.data(), pq16.data());
     *max_epsilon = std::max(*max_epsilon, static_cast<double>(qq.epsilon));
     if (qi >= sample_queries) continue;  // epsilon from all, err sampled
-    for (size_t e = 0; e < index.num_events(); ++e) {
-      const int32_t dot = int8_mode
-                              ? DotQ8(eq8.data(), quant.EventCodes8(e), k)
-                              : DotQ16(eq16.data(), quant.EventCodes16(e), k);
-      ecomp[e] = qq.event_bias + qq.event_scale * static_cast<float>(dot);
-    }
-    for (size_t u = 0; u < index.num_partners(); ++u) {
-      const int32_t dot =
-          int8_mode ? DotQ8(pq8.data(), quant.PartnerCodes8(u), k)
-                    : DotQ16(pq16.data(), quant.PartnerCodes16(u), k);
-      pcomp[u] = qq.partner_bias + qq.partner_scale * static_cast<float>(dot);
+    if (int8_mode) {
+      DotQ8Rows(eq8.data(), quant.EventCodes8(0), edots.size(), k,
+                edots.data());
+      DotQ8Rows(pq8.data(), quant.PartnerCodes8(0), pdots.size(), k,
+                pdots.data());
+    } else {
+      DotQ16Rows(eq16.data(), quant.EventCodes16(0), edots.size(), k,
+                 edots.data());
+      DotQ16Rows(pq16.data(), quant.PartnerCodes16(0), pdots.size(), k,
+                 pdots.data());
     }
     for (size_t p = 0; p < qs.space->num_points(); ++p) {
-      const float approx =
-          ecomp[pe[p]] + pcomp[pp[p]] + qq.c_weight * c_values[p];
+      const float ecomp =
+          qq.event_bias + qq.event_scale * static_cast<float>(edots[pe[p]]);
+      const float pcomp = qq.partner_bias +
+                          qq.partner_scale * static_cast<float>(pdots[pp[p]]);
+      const float approx = ecomp + pcomp + qq.c_weight * c_values[p];
       const float exact = Dot(q, qs.space->Point(p), point_dim);
       max_err = std::max(max_err,
                          static_cast<double>(std::abs(approx - exact)));

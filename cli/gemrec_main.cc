@@ -627,6 +627,10 @@ int CmdServe(const Args& args) {
   serving::SnapshotBuilder builder(
       store.value(), world->split->test_events(),
       world->dataset.num_users(), snapshot_options);
+  if (const Status s = serving::ValidateStoreShape(store.value(), builder);
+      !s.ok()) {
+    return Fail(s.ToString());
+  }
   serving::RecommendationService service(service_options);
   service.Publish(builder.Build());
 

@@ -32,7 +32,10 @@
 # An AddressSanitizer pass (build-asan/, GEMREC_SANITIZE=address) runs
 # the suites that parse untrusted bytes or own raw buffers — fault,
 # net, serving, shard, embedding and obs — so an out-of-bounds read in
-# a decoder or a use-after-free in the reactor fails the stage.
+# a decoder or a use-after-free in the reactor fails the stage. It also
+# runs common and recommend, whose multi-row quantized kernels load
+# several code rows per step and finish the tail apart, and whose
+# batched walk reads list ranges it collects from bucket histograms.
 #
 # A benchmark-harness stage configures perfbench/ (its own CMake
 # project, compiling ../src) into build-perfbench/, builds servebench
@@ -138,10 +141,11 @@ if [[ "$RUN_UBSAN" == "1" ]]; then
 fi
 
 if [[ "$RUN_ASAN" == "1" ]]; then
-  echo "== tier-1: AddressSanitizer pass (fault/net/serving/shard/embedding/obs) =="
+  echo "== tier-1: AddressSanitizer pass (fault/net/serving/shard/embedding/obs/common/recommend) =="
   cmake -B build-asan -S . -DGEMREC_SANITIZE=address >/dev/null
   cmake --build build-asan -j "$(nproc)" --target \
-    fault_test net_test serving_test shard_test embedding_test obs_test
+    fault_test net_test serving_test shard_test embedding_test obs_test \
+    common_test recommend_test
   # Out-of-bounds reads while decoding frames, payloads, journal
   # records and model artifacts, and use-after-free across the
   # reactor/worker completion hand-off, abort the binary.
@@ -151,6 +155,11 @@ if [[ "$RUN_ASAN" == "1" ]]; then
   ./build-asan/tests/shard_test
   ./build-asan/tests/embedding_test
   ./build-asan/tests/obs_test
+  # The rows kernels' 4-row steps and scalar tails, and the walk's
+  # bucket-range refills: an overread past the last code row or the
+  # last collected key aborts the binary.
+  ./build-asan/tests/common_test
+  ./build-asan/tests/recommend_test
 fi
 
 if [[ "$RUN_PERFBENCH" == "1" ]]; then

@@ -82,6 +82,20 @@ int32_t DotQ16Portable(const int16_t* a, const int16_t* b, size_t n) {
   return acc;
 }
 
+void DotQ8RowsPortable(const uint8_t* query, const int8_t* rows,
+                       size_t num_rows, size_t k, int32_t* out) {
+  for (size_t r = 0; r < num_rows; ++r) {
+    out[r] = DotQ8Portable(query, rows + r * k, k);
+  }
+}
+
+void DotQ16RowsPortable(const int16_t* query, const int16_t* rows,
+                        size_t num_rows, size_t k, int32_t* out) {
+  for (size_t r = 0; r < num_rows; ++r) {
+    out[r] = DotQ16Portable(query, rows + r * k, k);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // AVX2 + FMA kernels (runtime-gated; unaligned loads so callers may
 // pass arbitrary spans, e.g. query.data() + k in TA search).
@@ -192,6 +206,111 @@ __attribute__((target("avx2"))) int32_t DotQ16Avx2(const int16_t* a,
   return sum;
 }
 
+// One 32-code block of a u8 x i8 dot as eight int32 partial sums.
+__attribute__((target("avx2"))) inline __m256i DotQ8Block(
+    __m256i query, const int8_t* row, __m256i ones) {
+  const __m256i vb =
+      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row));
+  return _mm256_madd_epi16(_mm256_maddubs_epi16(query, vb), ones);
+}
+
+// One 16-code block of an i16 x i16 dot as eight int32 partial sums.
+__attribute__((target("avx2"))) inline __m256i DotQ16Block(
+    __m256i query, const int16_t* row) {
+  return _mm256_madd_epi16(
+      query, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row)));
+}
+
+// Sums of four int32 accumulators, one per row: two hadd levels fold
+// each register's lanes pairwise within 128-bit halves, leaving
+// [s0 s1 s2 s3] partial sums in each half, which one add combines.
+__attribute__((target("avx2"))) inline __m128i SumRows4(
+    __m256i acc0, __m256i acc1, __m256i acc2, __m256i acc3) {
+  const __m256i h = _mm256_hadd_epi32(_mm256_hadd_epi32(acc0, acc1),
+                                      _mm256_hadd_epi32(acc2, acc3));
+  return _mm_add_epi32(_mm256_castsi256_si128(h),
+                       _mm256_extracti128_si256(h, 1));
+}
+
+// Four rows per step against one query load, the same per-row
+// arithmetic as DotQ8Avx2, then one SumRows4; codes past the last full
+// 32-wide block are added in scalar, and the last num_rows % 4 rows
+// take the one-row kernel. Integer sums are order-free, so every out[r]
+// equals the scalar reference exactly.
+__attribute__((target("avx2"))) void DotQ8RowsAvx2(const uint8_t* query,
+                                                   const int8_t* rows,
+                                                   size_t num_rows, size_t k,
+                                                   int32_t* out) {
+  const __m256i ones = _mm256_set1_epi16(1);
+  const size_t k_vec = k - k % 32;
+  size_t r = 0;
+  for (; r + 4 <= num_rows; r += 4) {
+    const int8_t* b0 = rows + r * k;
+    const int8_t* b1 = b0 + k;
+    const int8_t* b2 = b1 + k;
+    const int8_t* b3 = b2 + k;
+    __m256i acc0 = _mm256_setzero_si256();
+    __m256i acc1 = _mm256_setzero_si256();
+    __m256i acc2 = _mm256_setzero_si256();
+    __m256i acc3 = _mm256_setzero_si256();
+    for (size_t i = 0; i < k_vec; i += 32) {
+      const __m256i va = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(query + i));
+      acc0 = _mm256_add_epi32(acc0, DotQ8Block(va, b0 + i, ones));
+      acc1 = _mm256_add_epi32(acc1, DotQ8Block(va, b1 + i, ones));
+      acc2 = _mm256_add_epi32(acc2, DotQ8Block(va, b2 + i, ones));
+      acc3 = _mm256_add_epi32(acc3, DotQ8Block(va, b3 + i, ones));
+    }
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + r),
+                     SumRows4(acc0, acc1, acc2, acc3));
+    for (size_t i = k_vec; i < k; ++i) {
+      const int32_t a = query[i];
+      out[r] += a * b0[i];
+      out[r + 1] += a * b1[i];
+      out[r + 2] += a * b2[i];
+      out[r + 3] += a * b3[i];
+    }
+  }
+  for (; r < num_rows; ++r) out[r] = DotQ8Avx2(query, rows + r * k, k);
+}
+
+// DotQ8RowsAvx2's layout over 16-wide madd_epi16 blocks.
+__attribute__((target("avx2"))) void DotQ16RowsAvx2(const int16_t* query,
+                                                    const int16_t* rows,
+                                                    size_t num_rows,
+                                                    size_t k, int32_t* out) {
+  const size_t k_vec = k - k % 16;
+  size_t r = 0;
+  for (; r + 4 <= num_rows; r += 4) {
+    const int16_t* b0 = rows + r * k;
+    const int16_t* b1 = b0 + k;
+    const int16_t* b2 = b1 + k;
+    const int16_t* b3 = b2 + k;
+    __m256i acc0 = _mm256_setzero_si256();
+    __m256i acc1 = _mm256_setzero_si256();
+    __m256i acc2 = _mm256_setzero_si256();
+    __m256i acc3 = _mm256_setzero_si256();
+    for (size_t i = 0; i < k_vec; i += 16) {
+      const __m256i va = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(query + i));
+      acc0 = _mm256_add_epi32(acc0, DotQ16Block(va, b0 + i));
+      acc1 = _mm256_add_epi32(acc1, DotQ16Block(va, b1 + i));
+      acc2 = _mm256_add_epi32(acc2, DotQ16Block(va, b2 + i));
+      acc3 = _mm256_add_epi32(acc3, DotQ16Block(va, b3 + i));
+    }
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + r),
+                     SumRows4(acc0, acc1, acc2, acc3));
+    for (size_t i = k_vec; i < k; ++i) {
+      const int32_t a = query[i];
+      out[r] += a * b0[i];
+      out[r + 1] += a * b1[i];
+      out[r + 2] += a * b2[i];
+      out[r + 3] += a * b3[i];
+    }
+  }
+  for (; r < num_rows; ++r) out[r] = DotQ16Avx2(query, rows + r * k, k);
+}
+
 bool CpuHasAvx2Fma() {
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
 }
@@ -204,20 +323,24 @@ bool CpuHasAvx2Fma() {
 using DotFn = float (*)(const float*, const float*, size_t);
 using AxpyFn = void (*)(float, const float*, float*, size_t);
 using ReluFn = void (*)(float*, size_t);
-using DotQ8Fn = int32_t (*)(const uint8_t*, const int8_t*, size_t);
-using DotQ16Fn = int32_t (*)(const int16_t*, const int16_t*, size_t);
+using DotQ8RowsFn = void (*)(const uint8_t*, const int8_t*, size_t, size_t,
+                             int32_t*);
+using DotQ16RowsFn = void (*)(const int16_t*, const int16_t*, size_t,
+                              size_t, int32_t*);
 
 float DotResolve(const float* a, const float* b, size_t n);
 void AxpyResolve(float alpha, const float* x, float* y, size_t n);
 void ReluResolve(float* x, size_t n);
-int32_t DotQ8Resolve(const uint8_t* a, const int8_t* b, size_t n);
-int32_t DotQ16Resolve(const int16_t* a, const int16_t* b, size_t n);
+void DotQ8RowsResolve(const uint8_t* query, const int8_t* rows,
+                      size_t num_rows, size_t k, int32_t* out);
+void DotQ16RowsResolve(const int16_t* query, const int16_t* rows,
+                       size_t num_rows, size_t k, int32_t* out);
 
 std::atomic<DotFn> g_dot{&DotResolve};
 std::atomic<AxpyFn> g_axpy{&AxpyResolve};
 std::atomic<ReluFn> g_relu{&ReluResolve};
-std::atomic<DotQ8Fn> g_dot_q8{&DotQ8Resolve};
-std::atomic<DotQ16Fn> g_dot_q16{&DotQ16Resolve};
+std::atomic<DotQ8RowsFn> g_dot_q8_rows{&DotQ8RowsResolve};
+std::atomic<DotQ16RowsFn> g_dot_q16_rows{&DotQ16RowsResolve};
 
 bool UseAvx2() {
 #ifdef GEMREC_X86
@@ -257,24 +380,26 @@ void ReluResolve(float* x, size_t n) {
   fn(x, n);
 }
 
-int32_t DotQ8Resolve(const uint8_t* a, const int8_t* b, size_t n) {
+void DotQ8RowsResolve(const uint8_t* query, const int8_t* rows,
+                      size_t num_rows, size_t k, int32_t* out) {
 #ifdef GEMREC_X86
-  const DotQ8Fn fn = UseAvx2() ? &DotQ8Avx2 : &DotQ8Portable;
+  const DotQ8RowsFn fn = UseAvx2() ? &DotQ8RowsAvx2 : &DotQ8RowsPortable;
 #else
-  const DotQ8Fn fn = &DotQ8Portable;
+  const DotQ8RowsFn fn = &DotQ8RowsPortable;
 #endif
-  g_dot_q8.store(fn, std::memory_order_relaxed);
-  return fn(a, b, n);
+  g_dot_q8_rows.store(fn, std::memory_order_relaxed);
+  fn(query, rows, num_rows, k, out);
 }
 
-int32_t DotQ16Resolve(const int16_t* a, const int16_t* b, size_t n) {
+void DotQ16RowsResolve(const int16_t* query, const int16_t* rows,
+                       size_t num_rows, size_t k, int32_t* out) {
 #ifdef GEMREC_X86
-  const DotQ16Fn fn = UseAvx2() ? &DotQ16Avx2 : &DotQ16Portable;
+  const DotQ16RowsFn fn = UseAvx2() ? &DotQ16RowsAvx2 : &DotQ16RowsPortable;
 #else
-  const DotQ16Fn fn = &DotQ16Portable;
+  const DotQ16RowsFn fn = &DotQ16RowsPortable;
 #endif
-  g_dot_q16.store(fn, std::memory_order_relaxed);
-  return fn(a, b, n);
+  g_dot_q16_rows.store(fn, std::memory_order_relaxed);
+  fn(query, rows, num_rows, k, out);
 }
 
 }  // namespace
@@ -291,12 +416,16 @@ void ReluDispatch(float* x, size_t n) {
   g_relu.load(std::memory_order_relaxed)(x, n);
 }
 
-int32_t DotQ8Dispatch(const uint8_t* a, const int8_t* b, size_t n) {
-  return g_dot_q8.load(std::memory_order_relaxed)(a, b, n);
+void DotQ8RowsDispatch(const uint8_t* query, const int8_t* rows,
+                       size_t num_rows, size_t k, int32_t* out) {
+  g_dot_q8_rows.load(std::memory_order_relaxed)(query, rows, num_rows, k,
+                                                out);
 }
 
-int32_t DotQ16Dispatch(const int16_t* a, const int16_t* b, size_t n) {
-  return g_dot_q16.load(std::memory_order_relaxed)(a, b, n);
+void DotQ16RowsDispatch(const int16_t* query, const int16_t* rows,
+                        size_t num_rows, size_t k, int32_t* out) {
+  g_dot_q16_rows.load(std::memory_order_relaxed)(query, rows, num_rows, k,
+                                                 out);
 }
 
 const char* KernelVariant() { return UseAvx2() ? "avx2" : "scalar"; }

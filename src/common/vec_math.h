@@ -31,8 +31,10 @@ extern const float* SigmoidTable();  // kSigmoidEntries + 1 floats
 float DotDispatch(const float* a, const float* b, size_t n);
 void AxpyDispatch(float alpha, const float* x, float* y, size_t n);
 void ReluDispatch(float* x, size_t n);
-int32_t DotQ8Dispatch(const uint8_t* a, const int8_t* b, size_t n);
-int32_t DotQ16Dispatch(const int16_t* a, const int16_t* b, size_t n);
+void DotQ8RowsDispatch(const uint8_t* query, const int8_t* rows,
+                       size_t num_rows, size_t k, int32_t* out);
+void DotQ16RowsDispatch(const int16_t* query, const int16_t* rows,
+                        size_t num_rows, size_t k, int32_t* out);
 
 /// Name of the kernel variant in use ("avx2" or "scalar"); for logs,
 /// benches and tests.
@@ -108,6 +110,22 @@ inline int32_t DotQ16(const int16_t* a, const int16_t* b, size_t n) {
   return acc;
 }
 
+/// One query against `num_rows` contiguous rows of k codes each:
+/// out[r] = DotQ*(query, rows + r * k, k).
+inline void DotQ8Rows(const uint8_t* query, const int8_t* rows,
+                      size_t num_rows, size_t k, int32_t* out) {
+  for (size_t r = 0; r < num_rows; ++r) {
+    out[r] = DotQ8(query, rows + r * k, k);
+  }
+}
+
+inline void DotQ16Rows(const int16_t* query, const int16_t* rows,
+                       size_t num_rows, size_t k, int32_t* out) {
+  for (size_t r = 0; r < num_rows; ++r) {
+    out[r] = DotQ16(query, rows + r * k, k);
+  }
+}
+
 }  // namespace scalar
 
 /// Dense dot product over contiguous float spans of length n.
@@ -133,19 +151,38 @@ inline float Norm(const float* x, size_t n) {
   return std::sqrt(Dot(x, x, n));
 }
 
-/// Quantized-code dot product: unsigned 7-bit codes against signed
-/// 7-bit codes (see the scalar reference for the [0, 127] range
-/// contract). Integer-exact: the dispatched kernel returns the same
-/// int32 as the scalar loop, bit for bit — no float reassociation
-/// caveat like Dot.
-inline int32_t DotQ8(const uint8_t* a, const int8_t* b, size_t n) {
-  return vec_detail::DotQ8Dispatch(a, b, n);
+/// Quantized-code dot products of one query against `num_rows`
+/// contiguous code rows (row r starts at rows + r * k):
+/// out[r] = sum_i query[i] * rows[r * k + i]. Unsigned 7-bit query
+/// codes against signed 7-bit row codes (see the scalar reference for
+/// the [0, 127] range contract). Integer-exact: the dispatched kernel
+/// returns the same int32s as the scalar loop, bit for bit — no float
+/// reassociation caveat like Dot. The AVX2 variant takes four rows per
+/// step and reduces them together, so a block of rows costs one call
+/// and a quarter of the horizontal reductions of per-row calls.
+inline void DotQ8Rows(const uint8_t* query, const int8_t* rows,
+                      size_t num_rows, size_t k, int32_t* out) {
+  vec_detail::DotQ8RowsDispatch(query, rows, num_rows, k, out);
 }
 
-/// Quantized-code dot product over 11-bit codes ([0, 2047] both sides,
-/// n <= 512); integer-exact like DotQ8.
+/// DotQ8Rows over 11-bit codes ([0, 2047] both sides, k <= 512).
+inline void DotQ16Rows(const int16_t* query, const int16_t* rows,
+                       size_t num_rows, size_t k, int32_t* out) {
+  vec_detail::DotQ16RowsDispatch(query, rows, num_rows, k, out);
+}
+
+/// One-row DotQ8Rows: the dot of two n-code spans.
+inline int32_t DotQ8(const uint8_t* a, const int8_t* b, size_t n) {
+  int32_t out = 0;
+  DotQ8Rows(a, b, 1, n, &out);
+  return out;
+}
+
+/// One-row DotQ16Rows.
 inline int32_t DotQ16(const int16_t* a, const int16_t* b, size_t n) {
-  return vec_detail::DotQ16Dispatch(a, b, n);
+  int32_t out = 0;
+  DotQ16Rows(a, b, 1, n, &out);
+  return out;
 }
 
 }  // namespace gemrec

@@ -1,8 +1,9 @@
 #include "recommend/batch_ta_search.h"
 
 #include <algorithm>
+#include <bit>
+#include <functional>
 #include <limits>
-#include <numeric>
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
@@ -15,8 +16,91 @@ namespace {
 constexpr size_t kMaxChunk = 64;
 /// Sorted-list steps a live query takes before yielding to the next.
 constexpr size_t kWalkQuantum = 64;
+/// Code rows per component-stage tile: 64 int16 rows of K = 32 are
+/// 4 KiB, so a tile stays in L1 while every query of the chunk takes
+/// its dots against it.
+constexpr size_t kRowTile = 64;
+/// Smallest list range the walk reads: the whole head when the TA
+/// threshold fires early, which it does after a dozen or so positions.
+constexpr size_t kMinRange = 64;
+
+/// The list-order key: (dot << 32 | group). Dots are nonnegative, and
+/// bias + scale * float(dot) with scale >= 0 is monotone in the dot, so
+/// descending-key order IS descending-component order, ties broken by
+/// the larger group id.
+uint64_t OrderKey(int32_t dot, size_t group) {
+  return (static_cast<uint64_t>(static_cast<uint32_t>(dot)) << 32) | group;
+}
+int32_t KeyDot(uint64_t key) { return static_cast<int32_t>(key >> 32); }
+uint32_t KeyGroup(uint64_t key) { return static_cast<uint32_t>(key); }
+
+/// dots[q * num_rows + r] = kernel(query q's codes, row r) for the
+/// chunk's `count` queries, tile of rows outer and queries inner;
+/// max_dot[q] is the largest of query q's dots (0 when there are none).
+template <typename QueryCode, typename RowCode>
+void TiledDots(void (*kernel)(const QueryCode*, const RowCode*, size_t,
+                              size_t, int32_t*),
+               const QueryCode* query_codes, const RowCode* rows,
+               size_t num_rows, size_t k, size_t count, int32_t* dots,
+               int32_t* max_dot) {
+  std::fill(max_dot, max_dot + count, 0);
+  for (size_t first = 0; first < num_rows; first += kRowTile) {
+    const size_t tile = std::min(kRowTile, num_rows - first);
+    for (size_t q = 0; q < count; ++q) {
+      int32_t* out = dots + q * num_rows + first;
+      kernel(query_codes + q * k, rows + first * k, tile, k, out);
+      int32_t m = max_dot[q];
+      for (size_t r = 0; r < tile; ++r) m = std::max(m, out[r]);
+      max_dot[q] = m;
+    }
+  }
+}
 
 }  // namespace
+
+void BatchTaSearch::Workspace::ListOrder::Reset(const int32_t* dots,
+                                                size_t num_groups,
+                                                int32_t max_dot) {
+  dots_ = dots;
+  num_groups_ = num_groups;
+  // Bucket = the dot's top 8 significant bits relative to the max, so
+  // buckets are value ranges in the dots' own order.
+  shift_ = static_cast<uint32_t>(std::max(
+      0, static_cast<int>(std::bit_width(static_cast<uint32_t>(max_dot))) -
+             8));
+  next_bucket_ = kBuckets;
+  begin_ = 0;
+  range_.clear();
+  std::fill(std::begin(histogram_), std::end(histogram_), 0u);
+  for (size_t g = 0; g < num_groups; ++g) {
+    ++histogram_[static_cast<uint32_t>(dots[g]) >> shift_];
+  }
+}
+
+void BatchTaSearch::Workspace::ListOrder::Refill() {
+  // The next buckets down, enough of them to hold at least twice the
+  // current range (kMinRange for the head), collected in one pass.
+  const size_t want = std::max(kMinRange, 2 * range_.size());
+  begin_ += range_.size();
+  GEMREC_DCHECK(begin_ < num_groups_);  // At() past the list's end
+  uint32_t lo = next_bucket_;
+  size_t take = 0;
+  while (lo > 0 && take < want) take += histogram_[--lo];
+  range_.resize(take);
+  const uint32_t span = next_bucket_ - lo;
+  size_t n = 0;
+  for (size_t g = 0; g < num_groups_; ++g) {
+    // bucket in [lo, next_bucket_), as one unsigned compare.
+    if ((static_cast<uint32_t>(dots_[g]) >> shift_) - lo < span) {
+      range_[n++] = OrderKey(dots_[g], g);
+    }
+  }
+  GEMREC_DCHECK(n == take);
+  next_bucket_ = lo;
+  // Every key in a higher bucket is larger than every key here, so the
+  // ranges concatenate into the full descending key order.
+  std::sort(range_.begin(), range_.end(), std::greater<uint64_t>());
+}
 
 BatchTaSearch::BatchTaSearch(const QuantizedSpace* quant)
     : quant_(quant),
@@ -93,77 +177,42 @@ void BatchTaSearch::SearchChunk(const BatchQuery* queries, size_t count,
         ws->partner_q16.data() + q * k);
   }
 
-  // Group rows outer, queries inner: each compact code row is read once
-  // per batch, and the chunk's query codes stay resident in L1. The
-  // raw integer dot is kept alongside the fp32 component as a packed
-  // (dot << 32 | group) ordering key: bias + scale * float(dot) with
-  // scale >= 0 is monotone in the dot, so descending-key order IS
-  // descending-component order, with no float comparator needed.
-  ws->event_comp.resize(kMaxChunk * num_events);
-  ws->partner_comp.resize(kMaxChunk * num_partners);
-  ws->event_keys.resize(kMaxChunk * num_events);
-  ws->partner_keys.resize(kMaxChunk * num_partners);
-  float* event_comp = ws->event_comp.data();
-  float* partner_comp = ws->partner_comp.data();
-  uint64_t* event_keys = ws->event_keys.data();
-  uint64_t* partner_keys = ws->partner_keys.data();
+  // Tiles of code rows outer, queries inner: each compact code row is
+  // read once per batch, and the chunk's query codes stay resident in
+  // L1. Only the integer dots are kept; a component is recomputed from
+  // its dot where the walk reads it.
+  ws->event_dots.resize(kMaxChunk * num_events);
+  ws->partner_dots.resize(kMaxChunk * num_partners);
+  ws->event_max.resize(kMaxChunk);
+  ws->partner_max.resize(kMaxChunk);
+  const int32_t* event_dots = ws->event_dots.data();
+  const int32_t* partner_dots = ws->partner_dots.data();
   if (int8_mode) {
-    for (size_t e = 0; e < num_events; ++e) {
-      const int8_t* row = quant_->EventCodes8(e);
-      for (size_t q = 0; q < count; ++q) {
-        const int32_t dot = DotQ8(ws->event_q8.data() + q * k, row, k);
-        event_comp[q * num_events + e] =
-            ws->qq[q].event_bias +
-            ws->qq[q].event_scale * static_cast<float>(dot);
-        event_keys[q * num_events + e] =
-            (static_cast<uint64_t>(static_cast<uint32_t>(dot)) << 32) | e;
-      }
-    }
-    for (size_t u = 0; u < num_partners; ++u) {
-      const int8_t* row = quant_->PartnerCodes8(u);
-      for (size_t q = 0; q < count; ++q) {
-        const int32_t dot = DotQ8(ws->partner_q8.data() + q * k, row, k);
-        partner_comp[q * num_partners + u] =
-            ws->qq[q].partner_bias +
-            ws->qq[q].partner_scale * static_cast<float>(dot);
-        partner_keys[q * num_partners + u] =
-            (static_cast<uint64_t>(static_cast<uint32_t>(dot)) << 32) | u;
-      }
-    }
+    TiledDots(&DotQ8Rows, ws->event_q8.data(), quant_->EventCodes8(0),
+              num_events, k, count, ws->event_dots.data(),
+              ws->event_max.data());
+    TiledDots(&DotQ8Rows, ws->partner_q8.data(), quant_->PartnerCodes8(0),
+              num_partners, k, count, ws->partner_dots.data(),
+              ws->partner_max.data());
   } else {
-    for (size_t e = 0; e < num_events; ++e) {
-      const int16_t* row = quant_->EventCodes16(e);
-      for (size_t q = 0; q < count; ++q) {
-        const int32_t dot = DotQ16(ws->event_q16.data() + q * k, row, k);
-        event_comp[q * num_events + e] =
-            ws->qq[q].event_bias +
-            ws->qq[q].event_scale * static_cast<float>(dot);
-        event_keys[q * num_events + e] =
-            (static_cast<uint64_t>(static_cast<uint32_t>(dot)) << 32) | e;
-      }
-    }
-    for (size_t u = 0; u < num_partners; ++u) {
-      const int16_t* row = quant_->PartnerCodes16(u);
-      for (size_t q = 0; q < count; ++q) {
-        const int32_t dot = DotQ16(ws->partner_q16.data() + q * k, row, k);
-        partner_comp[q * num_partners + u] =
-            ws->qq[q].partner_bias +
-            ws->qq[q].partner_scale * static_cast<float>(dot);
-        partner_keys[q * num_partners + u] =
-            (static_cast<uint64_t>(static_cast<uint32_t>(dot)) << 32) | u;
-      }
-    }
+    TiledDots(&DotQ16Rows, ws->event_q16.data(), quant_->EventCodes16(0),
+              num_events, k, count, ws->event_dots.data(),
+              ws->event_max.data());
+    TiledDots(&DotQ16Rows, ws->partner_q16.data(),
+              quant_->PartnerCodes16(0), num_partners, k, count,
+              ws->partner_dots.data(), ws->partner_max.data());
   }
 
-  // --- Stage 2: per-query lazy A/B list orders. O(groups) heapify
-  // now; the walk pops the next-best group only when it reaches it. A
-  // full sort would order thousands of partner groups per query when
-  // the threshold typically fires after a few dozen prefix positions.
+  // --- Stage 2: per-query list orders. One histogram pass per list
+  // now; the walk collects and sorts its head when it first reads it,
+  // and each later bucket range when it reaches the end of the last.
+  ws->event_orders.resize(kMaxChunk);
+  ws->partner_orders.resize(kMaxChunk);
   for (size_t q = 0; q < count; ++q) {
-    uint64_t* ek = event_keys + q * num_events;
-    std::make_heap(ek, ek + num_events);
-    uint64_t* pk = partner_keys + q * num_partners;
-    std::make_heap(pk, pk + num_partners);
+    ws->event_orders[q].Reset(event_dots + q * num_events, num_events,
+                              ws->event_max[q]);
+    ws->partner_orders[q].Reset(partner_dots + q * num_partners,
+                                num_partners, ws->partner_max[q]);
   }
 
   // --- Stage 3: round-robin widened-threshold TA walk. ---
@@ -209,28 +258,19 @@ void BatchTaSearch::SearchChunk(const BatchQuery* queries, size_t count,
     for (size_t q = 0; q < count; ++q) {
       Workspace::Cursor& cur = ws->cursors[q];
       if (cur.done) continue;
-      const float* ec = event_comp + q * num_events;
-      const float* pc = partner_comp + q * num_partners;
-      uint64_t* ek = event_keys + q * num_events;
-      uint64_t* pk = partner_keys + q * num_partners;
-      // i-th best group of a lazily popped list: pop_heap moves each
-      // successive max to the array's back, so the descending prefix
-      // is read back-to-front. Amortized O(log groups) per new
-      // position, free for positions already popped.
-      const auto nth_event = [&](size_t i) {
-        while (cur.a_filled <= i) {
-          std::pop_heap(ek, ek + num_events - cur.a_filled);
-          ++cur.a_filled;
-        }
-        return static_cast<uint32_t>(ek[num_events - 1 - i]);
+      const QuantizedSpace::QuantizedQuery& qq = ws->qq[q];
+      // The component of a dot, bitwise what a stored fp32 component
+      // array would hold.
+      const auto event_comp = [&qq](int32_t dot) {
+        return qq.event_bias + qq.event_scale * static_cast<float>(dot);
       };
-      const auto nth_partner = [&](size_t i) {
-        while (cur.b_filled <= i) {
-          std::pop_heap(pk, pk + num_partners - cur.b_filled);
-          ++cur.b_filled;
-        }
-        return static_cast<uint32_t>(pk[num_partners - 1 - i]);
+      const auto partner_comp = [&qq](int32_t dot) {
+        return qq.partner_bias + qq.partner_scale * static_cast<float>(dot);
       };
+      const int32_t* ed = event_dots + q * num_events;
+      const int32_t* pd = partner_dots + q * num_partners;
+      Workspace::ListOrder& event_order = ws->event_orders[q];
+      Workspace::ListOrder& partner_order = ws->partner_orders[q];
       TopK<uint32_t>& heap = ws->heaps[q];
       std::vector<uint32_t>& examined = ws->examined[q];
       const ebsn::UserId exclude = queries[q].exclude_partner;
@@ -247,7 +287,8 @@ void BatchTaSearch::SearchChunk(const BatchQuery* queries, size_t count,
         ++cur.examined;
         if (space_->pair(id).partner == exclude) return;
         examined.push_back(id);
-        heap.Push(id, ec[pair_event_idx[id]] + pc[pair_partner_idx[id]] +
+        heap.Push(id, event_comp(ed[pair_event_idx[id]]) +
+                          partner_comp(pd[pair_partner_idx[id]]) +
                           cur.c_weight * c_values[id]);
       };
 
@@ -255,8 +296,10 @@ void BatchTaSearch::SearchChunk(const BatchQuery* queries, size_t count,
         const bool a_live = cur.a_group < num_events;
         const bool b_live = cur.b_group < num_partners;
         const bool c_live = cur.c_cursor < num_points;
-        const float ha = a_live ? ec[nth_event(cur.a_group)] : 0.0f;
-        const float hb = b_live ? pc[nth_partner(cur.b_group)] : 0.0f;
+        const uint64_t a_key = a_live ? event_order.At(cur.a_group) : 0;
+        const uint64_t b_key = b_live ? partner_order.At(cur.b_group) : 0;
+        const float ha = a_live ? event_comp(KeyDot(a_key)) : 0.0f;
+        const float hb = b_live ? partner_comp(KeyDot(b_key)) : 0.0f;
         const float hc =
             c_live ? cur.c_weight * c_sorted_values[cur.c_cursor] : 0.0f;
         // Widened stop: only when the n-th best *approximate* score
@@ -277,14 +320,14 @@ void BatchTaSearch::SearchChunk(const BatchQuery* queries, size_t count,
         ++sorted_accesses;
         ++cur.sorted_accesses;
         if (a_live && ha >= hb && ha >= hc) {
-          const auto& pairs = event_pairs[nth_event(cur.a_group)];
+          const auto& pairs = event_pairs[KeyGroup(a_key)];
           examine(pairs[cur.a_offset]);
           if (++cur.a_offset >= pairs.size()) {
             cur.a_offset = 0;
             ++cur.a_group;
           }
         } else if (b_live && hb >= hc) {
-          const auto& pairs = partner_pairs[nth_partner(cur.b_group)];
+          const auto& pairs = partner_pairs[KeyGroup(b_key)];
           examine(pairs[cur.b_offset]);
           if (++cur.b_offset >= pairs.size()) {
             cur.b_offset = 0;
@@ -294,14 +337,14 @@ void BatchTaSearch::SearchChunk(const BatchQuery* queries, size_t count,
           examine(c_sorted[cur.c_cursor]);
           ++cur.c_cursor;
         } else if (a_live) {
-          const auto& pairs = event_pairs[nth_event(cur.a_group)];
+          const auto& pairs = event_pairs[KeyGroup(a_key)];
           examine(pairs[cur.a_offset]);
           if (++cur.a_offset >= pairs.size()) {
             cur.a_offset = 0;
             ++cur.a_group;
           }
         } else {
-          const auto& pairs = partner_pairs[nth_partner(cur.b_group)];
+          const auto& pairs = partner_pairs[KeyGroup(b_key)];
           examine(pairs[cur.b_offset]);
           if (++cur.b_offset >= pairs.size()) {
             cur.b_offset = 0;

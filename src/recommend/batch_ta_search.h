@@ -31,7 +31,8 @@ struct BatchSearchStats {
   /// points_examined / (num_points * batch size).
   double examined_fraction = 0.0;
   /// Time in the quantized stage: query quantization, batched
-  /// component dot products, per-query list heapify, and the TA walk.
+  /// component dot products, per-query list heads and refills, and
+  /// the TA walk.
   uint64_t quantize_scan_us = 0;
   /// Time re-scoring survivors in exact fp32.
   uint64_t rerank_us = 0;
@@ -43,18 +44,24 @@ struct BatchSearchStats {
 /// TaSearch but restructured around the batch:
 ///
 ///   1. Component stage: every query is quantized once, then the
-///      compact code matrices are walked *once* — group rows outer,
-///      queries inner — so each event/partner row is read from cache
-///      for the whole batch instead of once per query. Components are
-///      integer dot products (DotQ8/DotQ16, AVX2-dispatched) scaled
-///      back to fp32.
-///   2. Per-query lazy list orders: the A and B group lists are NOT
-///      fully sorted. Each query max-heapifies packed
-///      (integer-dot << 32 | group) keys — O(groups), branch-cheap
-///      uint64 compares — and the walk pops the next-best group on
-///      demand. TA consumes only a short sorted prefix before its
-///      threshold fires, so full introsorts (the dominant per-query
-///      cost at thousands of partner groups) would be ~95% wasted work.
+///      compact code matrices are walked *once* in tiles of rows — tile
+///      outer, queries inner — so each event/partner row is read from
+///      cache for the whole batch instead of once per query. Each
+///      (query, tile) pair is one DotQ8Rows/DotQ16Rows call, which
+///      writes the integer dots of the whole tile; the stage keeps only
+///      those int32 dots plus each list's max. A component is
+///      bias + scale * float(dot), computed where the walk reads it.
+///   2. Per-query list orders, built in linear passes: the A and B
+///      group lists are NOT fully sorted. Each list histograms its dots
+///      into 256 buckets of its top 8 significant bits; the walk reads
+///      a head of at least 64 groups, collected from the top buckets in
+///      one pass and sorted descending by packed (dot << 32 | group)
+///      keys. When the walk reaches the end of the head, the next
+///      bucket range, holding at least twice as many groups, is
+///      collected and sorted the same way. Buckets partition the dots
+///      by value, so the concatenated ranges are the full descending
+///      key order; TA consumes only a short prefix of it before its
+///      threshold fires.
 ///   3. Round-robin TA walk: each live query advances its best list a
 ///      fixed quantum, then yields; queries retire as they stop. The
 ///      visited set is one generation-stamped uint64 bitmask shared by
@@ -84,9 +91,38 @@ class BatchTaSearch {
 
    private:
     friend class BatchTaSearch;
+    /// One query's descending (dot << 32 | group) order over one group
+    /// list, materialized one bucket range at a time (step 2 above).
+    class ListOrder {
+     public:
+      /// Histograms `dots` (one per group, each in [0, max_dot]); they
+      /// must stay valid while the order is read.
+      void Reset(const int32_t* dots, size_t num_groups, int32_t max_dot);
+      /// Key of the i-th best group, i < num_groups. Positions before
+      /// the current range are gone, so reads must not go backwards
+      /// past it; the TA walk only moves forward.
+      uint64_t At(size_t i) {
+        while (i >= begin_ + range_.size()) Refill();
+        return range_[i - begin_];
+      }
+
+     private:
+      static constexpr uint32_t kBuckets = 256;
+      /// Collects and sorts the next bucket range after the current one.
+      void Refill();
+
+      const int32_t* dots_ = nullptr;
+      size_t num_groups_ = 0;
+      uint32_t shift_ = 0;
+      /// Buckets [next_bucket_, kBuckets) are collected already.
+      uint32_t next_bucket_ = kBuckets;
+      /// List position of range_[0].
+      size_t begin_ = 0;
+      std::vector<uint64_t> range_;
+      uint32_t histogram_[kBuckets] = {};
+    };
     struct Cursor {
       size_t a_group, a_offset, b_group, b_offset, c_cursor;
-      size_t a_filled, b_filled;  // sorted-prefix length popped so far
       size_t want;
       size_t examined, sorted_accesses;  // this query's own counts
       float epsilon2;  // 2 * epsilon, the threshold widening
@@ -99,10 +135,9 @@ class BatchTaSearch {
     std::vector<uint8_t> event_q8, partner_q8;     // query codes, int8 mode
     std::vector<int16_t> event_q16, partner_q16;   // query codes, int16 mode
     std::vector<QuantizedSpace::QuantizedQuery> qq;
-    std::vector<float> event_comp, partner_comp;   // [query][group]
-    /// Per-query (dot << 32 | group) keys: a max-heap in the front,
-    /// the popped descending prefix growing from the back.
-    std::vector<uint64_t> event_keys, partner_keys;
+    std::vector<int32_t> event_dots, partner_dots;  // [query][group]
+    std::vector<int32_t> event_max, partner_max;    // [query]
+    std::vector<ListOrder> event_orders, partner_orders;  // [query]
     std::vector<uint32_t> seen_gen;
     std::vector<uint64_t> seen_bits;
     uint32_t generation = 0;

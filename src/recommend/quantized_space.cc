@@ -35,8 +35,7 @@ QuantizedSpace::QuantizedSpace(const SpaceIndex* index)
 QuantizedSpace::QuantizedSpace(const SpaceIndex* index, Options options)
     : index_(index), latent_dim_(index->latent_dim()) {
   GEMREC_CHECK(index != nullptr);
-  // The scalar DotQ16 contract is exact only up to 512 dimensions.
-  GEMREC_CHECK(latent_dim_ <= 512);
+  GEMREC_CHECK(latent_dim_ <= kMaxLatentDim);
   const TransformedSpace& space = index_->space();
   const size_t num_points = space.num_points();
   const uint32_t c_dim = 2 * latent_dim_;

@@ -50,6 +50,12 @@ class QuantizedSpace {
  public:
   enum class Precision : uint8_t { kInt8, kInt16 };
 
+  /// Widest latent dimension the codes support: 11-bit codes keep an
+  /// int32 dot of K terms exact only while K * 2047^2 < 2^31 (see the
+  /// DotQ16 contract in common/vec_math.h). Serving checks a store
+  /// against it before building a snapshot.
+  static constexpr uint32_t kMaxLatentDim = 512;
+
   struct Options {
     /// kAuto picks by estimated relative error; the others force a
     /// precision (used by tests to cover both kernel paths).

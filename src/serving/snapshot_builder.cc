@@ -1,6 +1,9 @@
 #include "serving/snapshot_builder.h"
 
+#include <string>
 #include <utility>
+
+#include "recommend/quantized_space.h"
 
 namespace gemrec::serving {
 
@@ -20,6 +23,13 @@ std::shared_ptr<ModelSnapshot> SnapshotBuilder::Build() const {
 
 Status ValidateStoreShape(const embedding::EmbeddingStore& store,
                           const SnapshotBuilder& builder) {
+  if (store.dim() > recommend::QuantizedSpace::kMaxLatentDim) {
+    return Status::FailedPrecondition(
+        "store has " + std::to_string(store.dim()) +
+        " latent dimensions but the quantized serving index supports at "
+        "most " +
+        std::to_string(recommend::QuantizedSpace::kMaxLatentDim));
+  }
   const uint32_t num_events = store.CountOf(graph::NodeType::kEvent);
   for (const ebsn::EventId event : builder.event_pool()) {
     if (event >= num_events) {

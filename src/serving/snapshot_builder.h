@@ -83,11 +83,14 @@ class SnapshotBuilder {
   SnapshotOptions options_;
 };
 
-/// A loaded artifact must cover the serving pool: every recommendable
-/// event id and every user id must index into the new store, or
-/// QueryVector/TA would walk out of bounds once published. Checked by
-/// both reload paths (ModelReloader and IngestionQueue::ReloadBase)
-/// before a store reaches ResetStagingStore.
+/// A loaded artifact must fit the serving index and cover the serving
+/// pool: its latent dimension must not exceed
+/// QuantizedSpace::kMaxLatentDim, or the snapshot build would abort,
+/// and every recommendable event id and every user id must index into
+/// the new store, or QueryVector/TA would walk out of bounds once
+/// published. Checked by both reload paths (ModelReloader and
+/// IngestionQueue::ReloadBase) before a store reaches
+/// ResetStagingStore, and by `gemrec serve` before its first build.
 Status ValidateStoreShape(const embedding::EmbeddingStore& store,
                           const SnapshotBuilder& builder);
 

@@ -1,11 +1,14 @@
 // Runs the built `gemrec` binary as a subprocess and checks what a
 // user sees at the process boundary: exit codes and error messages for
-// missing and malformed flags. Every case fails before any dataset,
-// model or socket is touched, so the suite needs no fixtures.
+// missing and malformed flags, and for a model the server cannot serve.
+// The flag cases fail before any dataset, model or socket is touched;
+// the model case builds its own tiny city and model with the binary.
 
 #include <sys/wait.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -64,6 +67,35 @@ TEST(GemrecCliTest, MalformedIntegerFlagFailsNamingTheFlag) {
     EXPECT_NE(run.output.find(name + " expects"), std::string::npos)
         << run.output;
   }
+}
+
+TEST(GemrecCliTest, ServeRefusesAModelWiderThanTheQuantizedIndex) {
+  // gemrec train writes a valid 520-dim model; serve must refuse it
+  // with an error naming both widths instead of aborting in the
+  // snapshot build. The listener is never opened.
+  namespace fs = std::filesystem;
+  std::string dir_template =
+      (fs::temp_directory_path() / "gemrec_cli_XXXXXX").string();
+  ASSERT_NE(::mkdtemp(dir_template.data()), nullptr);
+  const fs::path dir(dir_template);
+  const std::string city = "'" + (dir / "city").string() + "'";
+  const std::string model = "'" + (dir / "wide.bin").string() + "'";
+
+  const CliRun generate =
+      RunGemrec("generate --scale 0.02 --out " + city);
+  ASSERT_EQ(generate.exit_code, 0) << generate.output;
+  const CliRun train = RunGemrec("train --data " + city + " --model " +
+                                 model + " --dim 520 --samples 1000");
+  ASSERT_EQ(train.exit_code, 0) << train.output;
+
+  const CliRun serve = RunGemrec("serve --data " + city + " --model " +
+                                 model + " --listen 127.0.0.1:0");
+  EXPECT_EQ(serve.exit_code, 1) << serve.output;
+  EXPECT_NE(serve.output.find("520"), std::string::npos) << serve.output;
+  EXPECT_NE(serve.output.find("512"), std::string::npos) << serve.output;
+
+  std::error_code ec;
+  fs::remove_all(dir, ec);
 }
 
 }  // namespace

@@ -278,6 +278,84 @@ TEST(VecMathTest, DotQ8ZeroLengthIsZero) {
 INSTANTIATE_TEST_SUITE_P(Lengths, VecMathDifferentialTest,
                          ::testing::Values(1, 7, 16, 100));
 
+// The rows kernels against the scalar reference, bitwise: every row
+// count from 0 to 9 plus 4m+1..3 tails past the 4-row steps, at code
+// widths on both sides of the 16- and 32-code SIMD blocks, with random
+// codes and with every code at its contract maximum (127 / 2047; at
+// K = 512 the int16 sum sits just under 2^31). Each case also runs
+// with the query and the rows one code past their allocation, so the
+// last row ends on the buffer's last element (an overread trips ASan),
+// and a sentinel after the outputs must survive.
+class DotQRowsTest : public ::testing::TestWithParam<size_t> {};
+
+constexpr size_t kRowCounts[] = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 14, 15};
+
+TEST_P(DotQRowsTest, DotQ8RowsMatchesScalarReferenceExactly) {
+  const size_t k = GetParam();
+  for (const bool all_max : {false, true}) {
+    for (const size_t num_rows : kRowCounts) {
+      SCOPED_TRACE(::testing::Message()
+                   << "rows=" << num_rows << " all_max=" << all_max);
+      Rng rng(31 + 17 * k + num_rows);
+      std::vector<uint8_t> query(k + 1);
+      std::vector<int8_t> rows(num_rows * k + 1);
+      for (auto& v : query) {
+        v = all_max ? 127 : static_cast<uint8_t>(rng.UniformInt(128));
+      }
+      for (auto& v : rows) {
+        v = all_max ? 127 : static_cast<int8_t>(rng.UniformInt(128));
+      }
+      for (const size_t offset : {0u, 1u}) {
+        std::vector<int32_t> want(num_rows + 1, -1);
+        std::vector<int32_t> got(num_rows + 1, -1);
+        scalar::DotQ8Rows(query.data() + offset, rows.data() + offset,
+                          num_rows, k, want.data());
+        DotQ8Rows(query.data() + offset, rows.data() + offset, num_rows, k,
+                  got.data());
+        EXPECT_EQ(got, want) << "offset=" << offset;
+        if (all_max && num_rows > 0) {
+          EXPECT_EQ(want[0], static_cast<int32_t>(k) * 127 * 127);
+        }
+      }
+    }
+  }
+}
+
+TEST_P(DotQRowsTest, DotQ16RowsMatchesScalarReferenceExactly) {
+  const size_t k = GetParam();
+  for (const bool all_max : {false, true}) {
+    for (const size_t num_rows : kRowCounts) {
+      SCOPED_TRACE(::testing::Message()
+                   << "rows=" << num_rows << " all_max=" << all_max);
+      Rng rng(37 + 19 * k + num_rows);
+      std::vector<int16_t> query(k + 1);
+      std::vector<int16_t> rows(num_rows * k + 1);
+      for (auto& v : query) {
+        v = all_max ? 2047 : static_cast<int16_t>(rng.UniformInt(2048));
+      }
+      for (auto& v : rows) {
+        v = all_max ? 2047 : static_cast<int16_t>(rng.UniformInt(2048));
+      }
+      for (const size_t offset : {0u, 1u}) {
+        std::vector<int32_t> want(num_rows + 1, -1);
+        std::vector<int32_t> got(num_rows + 1, -1);
+        scalar::DotQ16Rows(query.data() + offset, rows.data() + offset,
+                           num_rows, k, want.data());
+        DotQ16Rows(query.data() + offset, rows.data() + offset, num_rows,
+                   k, got.data());
+        EXPECT_EQ(got, want) << "offset=" << offset;
+        if (all_max && num_rows > 0) {
+          EXPECT_EQ(want[0], static_cast<int32_t>(k) * (2047 * 2047));
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Widths, DotQRowsTest,
+                         ::testing::Values(1, 7, 15, 16, 17, 31, 32, 33, 100,
+                                           512));
+
 TEST(VecMathTest, NormMatchesScalarReference) {
   Rng rng(3);
   std::vector<float> v(61);

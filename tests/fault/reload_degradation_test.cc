@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "embedding/serialization.h"
+#include "recommend/quantized_space.h"
 #include "serving/model_reloader.h"
 #include "serving/recommendation_service.h"
 #include "serving/snapshot_builder.h"
@@ -34,9 +35,10 @@ constexpr uint32_t kEvents = 10;
 constexpr uint32_t kDim = 6;
 
 embedding::EmbeddingStore RandomStore(uint32_t num_users,
-                                      uint32_t num_events, uint64_t seed) {
+                                      uint32_t num_events, uint64_t seed,
+                                      uint32_t dim = kDim) {
   embedding::EmbeddingStore store(
-      kDim, std::array<uint32_t, 5>{num_users, num_events, 1, 1, 1});
+      dim, std::array<uint32_t, 5>{num_users, num_events, 1, 1, 1});
   Rng rng(seed);
   store.MatrixOf(graph::NodeType::kUser).FillAbsGaussian(&rng, 0.2, 0.3);
   store.MatrixOf(graph::NodeType::kEvent).FillAbsGaussian(&rng, 0.2, 0.3);
@@ -230,6 +232,53 @@ TEST_F(ReloadDegradationTest, ShapeIncompatibleArtifactIsRejected) {
   ASSERT_TRUE(embedding::SaveEmbeddingStore(grown, path_).ok());
   ASSERT_TRUE(reloader.ReloadFromFile(path_).ok());
   EXPECT_EQ(service.CurrentSnapshot()->epoch(), epoch + 1);
+}
+
+TEST_F(ReloadDegradationTest, TooWideArtifactIsRejectedAndServingContinues) {
+  const embedding::EmbeddingStore initial = RandomStore(kUsers, kEvents, 8);
+  SnapshotBuilder builder(initial, AllEvents(kEvents), kUsers, {});
+  RecommendationService service(ServiceOptions{});
+
+  ReloaderOptions reloader_options;
+  reloader_options.sleep_fn = [](milliseconds) {};
+  ModelReloader reloader(&service, &builder, reloader_options);
+
+  ASSERT_TRUE(embedding::SaveEmbeddingStore(initial, path_).ok());
+  ASSERT_TRUE(reloader.ReloadFromFile(path_).ok());
+  const uint64_t epoch = service.CurrentSnapshot()->epoch();
+  QueryRequest request;
+  request.user = 3;
+  request.n = 4;
+  request.filter_hash = service.CurrentSnapshot()->pool_hash();
+  request.bypass_cache = true;
+  const QueryResponse baseline = service.Query(request);
+  ASSERT_FALSE(baseline.items.empty());
+
+  // A healthy artifact covering the pool, one dimension wider than the
+  // quantized index supports: the snapshot build would abort, so the
+  // reload must be refused before it.
+  const uint32_t wide = recommend::QuantizedSpace::kMaxLatentDim + 1;
+  const embedding::EmbeddingStore too_wide =
+      RandomStore(kUsers, kEvents, 9, wide);
+  ASSERT_TRUE(embedding::SaveEmbeddingStore(too_wide, path_).ok());
+  const Status status = reloader.ReloadFromFile(path_);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(status.message().find(std::to_string(wide)), std::string::npos)
+      << status.message();
+  EXPECT_NE(status.message().find(
+                std::to_string(recommend::QuantizedSpace::kMaxLatentDim)),
+            std::string::npos)
+      << status.message();
+  EXPECT_EQ(CounterValue(*service.metrics(),
+                         "gemrec_service_reload_failures_total"),
+            1u);
+
+  // The previous snapshot keeps answering, unchanged.
+  EXPECT_EQ(service.CurrentSnapshot()->epoch(), epoch);
+  const QueryResponse after = service.Query(request);
+  EXPECT_EQ(after.epoch, epoch);
+  ExpectSameItems(baseline, after);
 }
 
 }  // namespace

@@ -14,6 +14,11 @@
 // ten orders of magnitude (the worst case for per-dimension affine
 // quantization) and asserts the widened bound still never prunes a
 // true top-k candidate, for both forced precisions.
+//
+// A third suite drives walks past the sorted head of each group list
+// (at least 64 groups) into its bucket-range refills: one bucket
+// holding every partner group, top-n walks deep enough to need
+// refills, and walks that run to exhaustion.
 
 #include <algorithm>
 #include <cmath>
@@ -226,6 +231,91 @@ TEST(QuantizedScaleExtremesTest, WidenedBoundNeverPrunesTrueTopK) {
                        QuantizedSpace::Options::Force::kInt16}) {
       CheckBatchedDifferential(space, model, force, kUsers, 10);
     }
+  }
+}
+
+// --- Walks that outrun the list head. The walk reads each group list
+// through a sorted head of at least 64 groups, then refills it from the
+// next bucket range; these spaces have more partner groups than one
+// head holds.
+
+/// A seeded space over `num_users` (> 64) partner groups and 12
+/// events, each partner keeping its `top_k` best events.
+TrialConfig DeepTrial(uint64_t seed, uint32_t num_users, uint32_t top_k,
+                      size_t n) {
+  TrialConfig trial;
+  trial.seed = 0xdee9a1c + seed;
+  trial.num_users = num_users;
+  trial.num_events = 12;
+  trial.dim = 8;
+  trial.pool_size = trial.num_events;
+  trial.top_k = top_k;
+  trial.n = n;
+  return trial;
+}
+
+/// Checks `store` (shaped by `trial`) under both forced precisions.
+void CheckBothPrecisions(const TrialConfig& trial,
+                         const embedding::EmbeddingStore& store) {
+  GemModel model(&store, "GEM");
+  auto pairs = BuildCandidatePairs(model, BuildPool(trial), trial.num_users,
+                                   trial.top_k);
+  TransformedSpace space(model, std::move(pairs));
+  for (auto force : {QuantizedSpace::Options::Force::kInt8,
+                     QuantizedSpace::Options::Force::kInt16}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "seed=" << trial.seed << " |U|=" << trial.num_users
+                 << " top_k=" << trial.top_k << " n=" << trial.n
+                 << " force=" << static_cast<int>(force));
+    CheckBatchedDifferential(space, model, force, trial.num_users, trial.n);
+  }
+}
+
+/// Every partner row has the same codes, so one histogram bucket holds
+/// every partner group and the head is the whole list, in group order.
+TEST(QuantizedDeepWalkTest, OneBucketHoldsEveryPartnerGroup) {
+  for (const size_t n : {size_t{10}, size_t{200}}) {
+    const TrialConfig trial = DeepTrial(0, 200, 3, n);
+    auto store = BuildStore(trial);
+    Matrix& users = store->MatrixOf(graph::NodeType::kUser);
+    for (size_t r = 1; r < users.rows(); ++r) {
+      for (size_t c = 0; c < users.cols(); ++c) {
+        users.At(r, c) = users.At(0, c);
+      }
+    }
+    CheckBothPrecisions(trial, *store);
+  }
+}
+
+/// Top-n walks with n >= 200 over 300 partner groups. In the first
+/// half of the seeds the event embeddings are shrunk 1000x, so the
+/// partner list leads every step of the walk; each partner group holds
+/// at most 2 pairs, so a top-200 walks at least 100 groups deep, past
+/// the 64-group head and into a refill.
+TEST(QuantizedDeepWalkTest, DeepWalksRefillTheHead) {
+  for (uint64_t seed = 0; seed < 6; ++seed) {
+    for (const size_t n : {size_t{200}, size_t{320}}) {
+      const TrialConfig trial = DeepTrial(seed, 300, 2, n);
+      auto store = BuildStore(trial);
+      if (seed < 3) {
+        Matrix& events = store->MatrixOf(graph::NodeType::kEvent);
+        for (size_t r = 0; r < events.rows(); ++r) {
+          for (size_t c = 0; c < events.cols(); ++c) {
+            events.At(r, c) *= 1e-3f;
+          }
+        }
+      }
+      CheckBothPrecisions(trial, *store);
+    }
+  }
+}
+
+/// n above ResultsPossible: the walk consumes every position of every
+/// list, refilling each head until the last bucket.
+TEST(QuantizedDeepWalkTest, ExhaustiveWalksMatchBruteForce) {
+  for (uint64_t seed = 0; seed < 4; ++seed) {
+    const TrialConfig trial = DeepTrial(seed, 150, 4, 150 * 4 + 10);
+    CheckBothPrecisions(trial, *BuildStore(trial));
   }
 }
 

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "recommend/batch_ta_search.h"
+#include "recommend/candidate_index.h"
 #include "recommend/gem_model.h"
 #include "recommend/quantized_space.h"
 #include "recommend/query_kinds.h"
@@ -165,6 +166,65 @@ TEST(TaAllocTest, SteadyStateSearchBatchAllocatesNothing) {
     EXPECT_EQ(after - before, 0u)
         << "steady-state SearchBatch performed " << (after - before)
         << " heap allocations over 50 batches of " << kBatch;
+  }
+}
+
+/// A batch whose walks outrun the 64-group list head: 300 partner
+/// groups of at most 2 pairs each, and event embeddings shrunk 1000x so
+/// the partner list leads the walk. A top-200 then reads at least 100
+/// partner groups, so each query refills its head at least once; the
+/// refills reuse the workspace's range buffers once they are warm.
+TEST(TaAllocTest, SteadyStateRefillingBatchAllocatesNothing) {
+  constexpr uint32_t kUsers = 300;
+  constexpr uint32_t kEvents = 12;
+  constexpr uint32_t kDim = 8;
+  constexpr size_t kBatch = 8;
+  constexpr size_t kN = 200;
+
+  auto store = std::make_unique<embedding::EmbeddingStore>(
+      kDim, std::array<uint32_t, 5>{kUsers, kEvents, 1, 1, 1});
+  Rng rng(20);
+  store->MatrixOf(graph::NodeType::kUser).FillAbsGaussian(&rng, 0.2, 0.3);
+  Matrix& events = store->MatrixOf(graph::NodeType::kEvent);
+  events.FillAbsGaussian(&rng, 0.2, 0.3);
+  for (size_t r = 0; r < events.rows(); ++r) {
+    for (size_t c = 0; c < events.cols(); ++c) events.At(r, c) *= 1e-3f;
+  }
+  GemModel model(store.get(), "GEM");
+  std::vector<ebsn::EventId> pool(kEvents);
+  for (uint32_t x = 0; x < kEvents; ++x) pool[x] = x;
+  TransformedSpace space(model,
+                         BuildCandidatePairs(model, pool, kUsers, 2));
+  SpaceIndex index(&space);
+
+  std::vector<std::vector<float>> queries(kBatch);
+  std::vector<BatchQuery> batch_queries(kBatch);
+  for (uint32_t i = 0; i < kBatch; ++i) {
+    const uint32_t u = 37 * i;
+    space.QueryVector(model, u, &queries[i]);
+    batch_queries[i] = BatchQuery{queries[i].data(), kN, u};
+  }
+
+  for (auto force : {QuantizedSpace::Options::Force::kInt8,
+                     QuantizedSpace::Options::Force::kInt16}) {
+    QuantizedSpace quant(&index, {force});
+    BatchTaSearch batch(&quant);
+    BatchTaSearch::Workspace ws;
+    std::vector<std::vector<SearchHit>> results(kBatch);
+    BatchSearchStats stats;
+    batch.SearchBatch(batch_queries.data(), kBatch, results.data(), &stats,
+                      &ws);
+
+    const size_t before = g_allocations.load(std::memory_order_relaxed);
+    for (int round = 0; round < 20; ++round) {
+      batch.SearchBatch(batch_queries.data(), kBatch, results.data(),
+                        &stats, &ws);
+      ASSERT_EQ(results[0].size(), kN);
+    }
+    const size_t after = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 0u)
+        << "steady-state refilling SearchBatch performed "
+        << (after - before) << " heap allocations over 20 batches";
   }
 }
 
