@@ -136,7 +136,8 @@ QuerySpace BuildQuerySpace(const CityBundle& city) {
   const uint32_t num_users = city.dataset().num_users();
   // Unpruned Table-VI space: every test event x every partner.
   const auto pairs = recommend::BuildCandidatePairs(
-      *qs.model, city.split->test_events(), num_users, /*top_k=*/0);
+      *qs.model, city.split->test_events(), recommend::AllUsers(num_users),
+      /*top_k=*/0);
   qs.space =
       std::make_unique<recommend::TransformedSpace>(*qs.model, pairs);
   qs.queries.resize(kQueries);

@@ -225,8 +225,9 @@ int Usage() {
       "                   snapshots; acknowledged writes survive SIGKILL\n"
       "                   and are replayed on restart)\n"
       "                   (add --shard i/N to build and serve only\n"
-      "                   shard i's hash-slice of the candidate-pair\n"
-      "                   space, behind a gemrec coordinate tier)\n"
+      "                   the partners u with u mod N == i and their\n"
+      "                   candidate pairs, behind a gemrec coordinate\n"
+      "                   tier)\n"
       "  gemrec coordinate --shards HOST:P1,HOST:P2,... --listen H:P\n"
       "                   [--shard-deadline-ms MS] [--breaker-threshold N]\n"
       "                   [--breaker-backoff-ms MS] [--reactors R]\n"
@@ -605,9 +606,9 @@ int CmdServe(const Args& args) {
       std::chrono::seconds(args.GetInt<uint32_t>("stats-interval", 0));
   if (!args.error().empty()) return Fail(args.error());
 
-  // --shard i/N keeps only this instance's deterministic hash-slice of
-  // the candidate-pair space; a coordinator (gemrec coordinate) fans
-  // queries out over all N and merges.
+  // --shard i/N builds only the partners this instance owns
+  // (shard/partitioner.h) and their candidate pairs; a coordinator
+  // (gemrec coordinate) fans queries out over all N and merges.
   if (const auto shard = args.Get("shard"); shard && *shard != "true") {
     if (!shard::ParseShardSpec(*shard, &snapshot_options.shard)) {
       return Fail("--shard expects i/N with 0 <= i < N, got '" + *shard +
@@ -776,15 +777,15 @@ int CmdCoordinate(const Args& args) {
       args.GetInt<uint32_t>("idle-timeout-ms", 60000));
   net_options.num_reactors = args.GetInt<uint32_t>("reactors", 1);
 
-  shard::CoordinatorOptions coordinator_options;
-  coordinator_options.router.shard_deadline = std::chrono::milliseconds(
+  shard::RouterOptions router_options;
+  router_options.shard_deadline = std::chrono::milliseconds(
       args.GetInt<uint32_t>("shard-deadline-ms", 250));
-  coordinator_options.router.breaker_threshold =
+  router_options.breaker_threshold =
       args.GetInt<uint32_t>("breaker-threshold", 3);
-  coordinator_options.router.breaker_backoff = std::chrono::milliseconds(
+  router_options.breaker_backoff = std::chrono::milliseconds(
       args.GetInt<uint32_t>("breaker-backoff-ms", 250));
   if (!args.error().empty()) return Fail(args.error());
-  shard::CoordinatorBackend coordinator(endpoints, coordinator_options);
+  shard::CoordinatorBackend coordinator(endpoints, router_options);
   if (const Status s = coordinator.Start(); !s.ok()) {
     return Fail(s.ToString());
   }
@@ -801,8 +802,8 @@ int CmdCoordinate(const Args& args) {
               coordinator.num_shards(),
               net_options.listen_address.c_str(), server.port(),
               static_cast<long long>(
-                  coordinator_options.router.shard_deadline.count()),
-              coordinator_options.router.breaker_threshold);
+                  router_options.shard_deadline.count()),
+              router_options.breaker_threshold);
   server.WaitUntilStopped();
   g_net_server.store(nullptr, std::memory_order_relaxed);
   server.Stop();

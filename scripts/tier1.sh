@@ -129,7 +129,7 @@ if [[ "$RUN_UBSAN" == "1" ]]; then
   # Wire header parsing (u64 frame ids, length fields from untrusted
   # bytes) and the reactor pointer<->epoll-tag casts.
   ./build-ubsan/tests/net_test
-  # Scatter-gather tier: the splitmix64 pair-hash shifts, the fp32 TA
+  # Scatter-gather tier: the shard-id modulo placement, the fp32 TA
   # bound trailer parse, and the merge/certificate float comparisons.
   ./build-ubsan/tests/shard_test
   # Signed-record TSV parsing (dislikes.tsv / groups.tsv from untrusted

@@ -9,7 +9,7 @@ EventPartnerRecommender::EventPartnerRecommender(
     uint32_t num_users, const RecommenderOptions& options)
     : model_(model), options_(options) {
   GEMREC_CHECK(model != nullptr);
-  auto pairs = BuildCandidatePairs(*model, events, num_users,
+  auto pairs = BuildCandidatePairs(*model, events, AllUsers(num_users),
                                    options.top_k_events_per_partner);
   space_ = std::make_unique<TransformedSpace>(*model, std::move(pairs));
   if (options.backend == SearchBackend::kThresholdAlgorithm) {

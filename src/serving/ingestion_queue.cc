@@ -15,6 +15,18 @@
 namespace gemrec::serving {
 namespace {
 
+/// Records drained per ingest-thread visit — one journal fsync covers
+/// the whole batch (group commit).
+constexpr size_t kMaxApplyBatch = 64;
+
+/// Nice value of the ingest thread. Delta publishes rebuild the full
+/// snapshot on this thread, which on few-core hosts steals cycles from
+/// the latency-critical read path; a positive nice keeps rebuild CPU
+/// subordinate to query workers. Writes are durability-critical, not
+/// latency-critical, so acks tolerating a deprioritized thread is the
+/// intended trade.
+constexpr int kIngestThreadNice = 10;
+
 uint64_t ElapsedUs(std::chrono::steady_clock::time_point since,
                    std::chrono::steady_clock::time_point now) {
   return static_cast<uint64_t>(
@@ -32,7 +44,6 @@ IngestionQueue::IngestionQueue(RecommendationService* service,
   GEMREC_CHECK(!options_.journal_path.empty())
       << "IngestionQueue requires a journal path";
   options_.max_pending = std::max<size_t>(1, options_.max_pending);
-  options_.max_apply_batch = std::max<size_t>(1, options_.max_apply_batch);
   options_.publish_threshold = std::max<size_t>(1, options_.publish_threshold);
   RegisterMetrics();
 }
@@ -351,12 +362,10 @@ Status IngestionQueue::ApplyRecord(const IngestRecord& record) {
 }
 
 void IngestionQueue::IngestLoop() {
-  if (options_.thread_nice > 0) {
-    // Lowering our own priority never needs privilege; failure (e.g.
-    // an exotic sandbox) only costs scheduling fairness, so ignore it.
-    (void)::setpriority(PRIO_PROCESS, static_cast<id_t>(::syscall(SYS_gettid)),
-                        options_.thread_nice);
-  }
+  // Lowering our own priority never needs privilege; failure (e.g. an
+  // exotic sandbox) only costs scheduling fairness, so ignore it.
+  (void)::setpriority(PRIO_PROCESS, static_cast<id_t>(::syscall(SYS_gettid)),
+                      kIngestThreadNice);
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
     const bool actionable = !pending_.empty() || !controls_.empty() ||
@@ -392,7 +401,7 @@ void IngestionQueue::IngestLoop() {
     }
 
     std::vector<Pending> batch;
-    const size_t take = std::min(options_.max_apply_batch, pending_.size());
+    const size_t take = std::min(kMaxApplyBatch, pending_.size());
     batch.reserve(take);
     for (size_t i = 0; i < take; ++i) {
       batch.push_back(std::move(pending_.front()));

@@ -37,9 +37,6 @@ struct IngestionQueueOptions {
   /// SubmitAsync sheds synchronously (the net layer answers with a
   /// typed OVERLOADED error).
   size_t max_pending = 1024;
-  /// Records drained per ingest-thread visit — one journal fsync
-  /// covers the whole batch (group commit).
-  size_t max_apply_batch = 64;
   /// Publish a delta snapshot once this many records applied since the
   /// last publish...
   size_t publish_threshold = 64;
@@ -48,14 +45,6 @@ struct IngestionQueueOptions {
   /// Checkpoint (store + pool to checkpoint_base, then journal reset)
   /// every this many applied records; 0 = only explicit Checkpoint().
   size_t checkpoint_every = 0;
-  /// Nice value for the ingest thread (0 = inherit the process
-  /// priority). Delta publishes rebuild the full snapshot on this
-  /// thread, which on few-core hosts steals cycles from the
-  /// latency-critical read path; a positive nice keeps rebuild CPU
-  /// subordinate to query workers. Writes are durability-critical,
-  /// not latency-critical, so acks tolerating a deprioritized thread
-  /// is the intended trade.
-  int thread_nice = 10;
   /// Fold-in options for cold events and cold users. Must stay fixed
   /// for the journal's lifetime: replay re-applies records with these
   /// options, and bitwise recovery needs the originals.

@@ -23,31 +23,16 @@ ModelSnapshot::ModelSnapshot(const embedding::EmbeddingStore& store,
     : store_(store),
       model_(&store_, "gem-snapshot"),
       events_(std::move(events)),
-      shard_(options.shard),
       num_users_(num_users),
       pool_hash_(HashEventPool(events_)) {
-  // Group queries scan whole events, which the pair-granular shard
-  // filter below does not partition (every shard sees pairs of most
-  // events); their disjoint cover is this event-id-hash slice.
-  if (shard_.unsharded()) {
-    shard_events_ = events_;
-  } else {
-    for (const ebsn::EventId x : events_) {
-      if (shard::OwnsEvent(shard_, x)) shard_events_.push_back(x);
-    }
+  // Group queries scan whole events, so their cover is by event id;
+  // partner and reciprocal queries walk only the owned partners' pairs.
+  for (const ebsn::EventId x : events_) {
+    if (shard::OwnsEvent(options.shard, x)) shard_events_.push_back(x);
   }
   auto pairs = recommend::BuildCandidatePairs(
-      model_, events_, num_users_, options.top_k_events_per_partner,
-      options.build_pool);
-  // Shard filter AFTER the (deterministic) candidate build: every
-  // shard derives the identical full pair list and keeps its disjoint
-  // hash slice, so the N slices reassemble the single-instance space
-  // exactly.
-  if (!options.shard.unsharded()) {
-    std::erase_if(pairs, [&](const recommend::CandidatePair& p) {
-      return !shard::OwnsPair(options.shard, p.event, p.partner);
-    });
-  }
+      model_, events_, shard::OwnedPartners(options.shard, num_users_),
+      options.top_k_events_per_partner);
   space_ = std::make_unique<recommend::TransformedSpace>(model_,
                                                          std::move(pairs));
   // One grouping/sort pass shared by the exact and quantized searchers.

@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "ebsn/types.h"
 #include "embedding/embedding_store.h"
 #include "recommend/batch_ta_search.h"
@@ -22,12 +21,9 @@ namespace gemrec::serving {
 struct SnapshotOptions {
   /// Pruning level forwarded to BuildCandidatePairs (0 = unpruned).
   uint32_t top_k_events_per_partner = 20;
-  /// Optional pool for the candidate-pair build (caller participates).
-  ThreadPool* build_pool = nullptr;
-  /// Keep only this shard's deterministic pair-id-hash slice of the
-  /// candidate-pair space (`gemrec serve --shard i/N`). The default
-  /// spec keeps everything; the exact and quantized searchers are both
-  /// built over the filtered space.
+  /// Build only this shard's partners (shard/partitioner.h) and scan
+  /// only its events in group queries (`gemrec serve --shard i/N`).
+  /// The default spec builds everything.
   shard::ShardSpec shard;
 };
 
@@ -47,8 +43,9 @@ struct SnapshotOptions {
 class ModelSnapshot {
  public:
   /// Copies `store` and materializes the candidate space over `events`
-  /// x all users (pruned per options). The heavy build runs on the
-  /// calling thread (plus `build_pool`), never on serving workers.
+  /// x the partners of 0..num_users-1 that `options.shard` owns (all
+  /// of them by default), pruned per options. The heavy build runs on
+  /// the calling thread, never on serving workers.
   ModelSnapshot(const embedding::EmbeddingStore& store,
                 std::vector<ebsn::EventId> events, uint32_t num_users,
                 const SnapshotOptions& options);
@@ -75,10 +72,6 @@ class ModelSnapshot {
     return batch_.get();
   }
   const std::vector<ebsn::EventId>& events() const { return events_; }
-  /// The shard spec this snapshot was built under (unsharded by
-  /// default). Group queries need it at query time: events are
-  /// partitioned by event-id hash, not baked into the pair space.
-  const shard::ShardSpec& shard_spec() const { return shard_; }
   /// This shard's slice of the event pool under OwnsEvent — the scan
   /// domain of group queries. Equals events() when unsharded; the N
   /// slices are disjoint and their union is events(), so the shard
@@ -106,7 +99,6 @@ class ModelSnapshot {
   embedding::EmbeddingStore store_;  // deep copy; owned
   recommend::GemModel model_;        // points into store_
   std::vector<ebsn::EventId> events_;
-  shard::ShardSpec shard_;
   std::vector<ebsn::EventId> shard_events_;
   uint32_t num_users_;
   uint64_t pool_hash_;

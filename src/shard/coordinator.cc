@@ -6,10 +6,10 @@
 namespace gemrec::shard {
 
 CoordinatorBackend::CoordinatorBackend(std::vector<ShardEndpoint> shards,
-                                       const CoordinatorOptions& options)
+                                       const RouterOptions& options)
     : registry_(std::make_unique<obs::MetricsRegistry>()),
       router_(std::make_unique<ShardRouter>(std::move(shards),
-                                            options.router,
+                                            options,
                                             registry_.get())) {}
 
 CoordinatorBackend::~CoordinatorBackend() { Stop(); }

@@ -11,10 +11,6 @@
 
 namespace gemrec::shard {
 
-struct CoordinatorOptions {
-  RouterOptions router;
-};
-
 /// The scatter-gather serving tier's QueryBackend: plugs a ShardRouter
 /// into the unmodified NetServer front-end, so `gemrec coordinate`
 /// speaks the exact same wire protocol as `gemrec serve` — clients
@@ -31,7 +27,7 @@ struct CoordinatorOptions {
 class CoordinatorBackend : public serving::QueryBackend {
  public:
   explicit CoordinatorBackend(std::vector<ShardEndpoint> shards,
-                              const CoordinatorOptions& options = {});
+                              const RouterOptions& options = {});
   ~CoordinatorBackend() override;
 
   /// Connects the router to the shards (breaker-open for unreachable

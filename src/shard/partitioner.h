@@ -3,15 +3,24 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "ebsn/types.h"
 
 namespace gemrec::shard {
 
-/// Which disjoint slice of the candidate-pair space one shard serves.
+/// Which disjoint slice of the candidate space one shard serves.
 ///
-/// The partition is a pure function of the (event, partner) pair id —
-/// no coordination, no assignment tables: every shard process given
+/// The placement rule lives here and nowhere else. Shard i of N owns
+/// partner u iff u % N == i, and with it every candidate pair
+/// (x, u). The paper's pruning (§IV) keeps each partner's own top-k
+/// events, so the candidate space is a union of independent
+/// per-partner lists: a shard builds and walks only the partners it
+/// owns, and every partner contributes exactly min(k, |pool|) pairs,
+/// so the N slices balance to within one partner. Group queries rank
+/// whole events and split under the same rule by event id.
+///
+/// No coordination, no assignment tables: every shard process given
 /// the same model artifacts and the same `count` derives the same
 /// disjoint cover, and the union over index = 0..count-1 is exactly
 /// the unsharded space. `count <= 1` means "the whole space"
@@ -24,42 +33,28 @@ struct ShardSpec {
   bool valid() const { return count >= 1 && index < count; }
 };
 
-/// Full-avalanche pair-id hash (splitmix64 finalizer, the same mix the
-/// result cache uses for shard selection). Modulo-`count` placement
-/// needs every output bit to depend on every input bit: the raw
-/// (event << 32 | partner) key varies only in the low word across
-/// partners of one event, and an unmixed modulo would send an event's
-/// whole partner row to shards in lockstep.
-inline uint64_t PairHash(ebsn::EventId event, ebsn::UserId partner) {
-  uint64_t h =
-      (static_cast<uint64_t>(event) << 32) | static_cast<uint64_t>(partner);
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ULL;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebULL;
-  h ^= h >> 31;
-  return h;
+/// True iff `spec` owns `partner` and so every candidate pair whose
+/// partner it is.
+inline bool OwnsPartner(const ShardSpec& spec, ebsn::UserId partner) {
+  return spec.unsharded() || partner % spec.count == spec.index;
 }
 
-/// True iff `spec` owns the pair. Deterministic; for a fixed pair the
-/// owning index is PairHash % count, so the N specs partition the
-/// space into disjoint ranges whose union is the whole space.
-inline bool OwnsPair(const ShardSpec& spec, ebsn::EventId event,
-                     ebsn::UserId partner) {
-  if (spec.unsharded()) return true;
-  return PairHash(event, partner) % spec.count == spec.index;
-}
-
-/// Event-granular partition for workloads that rank whole events
-/// (group queries): every shard holds the full embedding store, so
-/// the split happens at query time by event id rather than at build
-/// time by pair id. Reuses PairHash with an out-of-band partner
-/// sentinel so the event cover is independent of the pair cover (an
-/// event's pairs may live on other shards than the event itself —
-/// both covers are disjoint and complete on their own).
+/// True iff `spec` owns `event` in the group-query scan. This event
+/// cover is independent of the partner cover: both are disjoint and
+/// complete on their own.
 inline bool OwnsEvent(const ShardSpec& spec, ebsn::EventId event) {
-  if (spec.unsharded()) return true;
-  return PairHash(event, ebsn::kInvalidId) % spec.count == spec.index;
+  return spec.unsharded() || event % spec.count == spec.index;
+}
+
+/// The partners of 0..num_users-1 that `spec` owns, ascending: what a
+/// shard passes to the candidate build.
+inline std::vector<ebsn::UserId> OwnedPartners(const ShardSpec& spec,
+                                               uint32_t num_users) {
+  std::vector<ebsn::UserId> owned;
+  for (ebsn::UserId u = 0; u < num_users; ++u) {
+    if (OwnsPartner(spec, u)) owned.push_back(u);
+  }
+  return owned;
 }
 
 /// Parses "i/N" (e.g. "0/4") into a spec; returns false on malformed

@@ -9,6 +9,9 @@
 namespace gemrec::shard {
 namespace {
 
+/// Growth of the re-probe delay per failed re-probe.
+constexpr int kBreakerBackoffMultiplier = 2;
+
 /// Failed-slot answer for shard `index` (slice missing from the merge).
 ShardAnswer FailedAnswer(uint32_t index) {
   ShardAnswer answer;
@@ -487,11 +490,8 @@ void ShardRouter::SweepReprobes(std::chrono::steady_clock::time_point now) {
       GEMREC_LOG(Info) << "shard " << i << " breaker closed (re-probe "
                        << "succeeded)";
     } else {
-      shard.backoff = std::min(
-          std::chrono::milliseconds(static_cast<int64_t>(
-              static_cast<double>(shard.backoff.count()) *
-              options_.breaker_backoff_multiplier)),
-          options_.breaker_backoff_max);
+      shard.backoff = std::min(shard.backoff * kBreakerBackoffMultiplier,
+                               options_.breaker_backoff_max);
       shard.reprobe_at = now + shard.backoff;
     }
   }

@@ -47,7 +47,6 @@ struct RouterOptions {
   /// First re-probe delay after eviction; doubles (capped) while the
   /// shard stays down.
   std::chrono::milliseconds breaker_backoff{250};
-  double breaker_backoff_multiplier = 2.0;
   std::chrono::milliseconds breaker_backoff_max{5000};
   /// Per-shard connection knobs. connect_timeout bounds the re-probe
   /// (which runs inline on the router thread — a blocking connect, but

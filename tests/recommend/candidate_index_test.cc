@@ -1,5 +1,6 @@
 #include "recommend/candidate_index.h"
 
+#include <algorithm>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -24,7 +25,7 @@ TEST(CandidateIndexTest, ZeroTopKKeepsEveryPair) {
   auto store = RandomStore(5, 7, 1);
   GemModel model(store.get(), "GEM");
   std::vector<ebsn::EventId> events = {0, 1, 2, 3, 4, 5, 6};
-  const auto pairs = BuildCandidatePairs(model, events, 5, 0);
+  const auto pairs = BuildCandidatePairs(model, events, AllUsers(5), 0);
   EXPECT_EQ(pairs.size(), 35u);
 }
 
@@ -33,7 +34,7 @@ TEST(CandidateIndexTest, TopKLimitsPairsPerPartner) {
   GemModel model(store.get(), "GEM");
   std::vector<ebsn::EventId> events;
   for (uint32_t x = 0; x < 10; ++x) events.push_back(x);
-  const auto pairs = BuildCandidatePairs(model, events, 5, 3);
+  const auto pairs = BuildCandidatePairs(model, events, AllUsers(5), 3);
   EXPECT_EQ(pairs.size(), 15u);
   std::vector<int> per_partner(5, 0);
   for (const auto& p : pairs) ++per_partner[p.partner];
@@ -45,7 +46,7 @@ TEST(CandidateIndexTest, TopKEventsAreThePartnersBestEvents) {
   GemModel model(store.get(), "GEM");
   std::vector<ebsn::EventId> events;
   for (uint32_t x = 0; x < 20; ++x) events.push_back(x);
-  const auto per_user = TopKEventsPerUser(model, events, 4, 5);
+  const auto per_user = TopKEventsPerUser(model, events, AllUsers(4), 5);
   for (uint32_t u = 0; u < 4; ++u) {
     ASSERT_EQ(per_user[u].size(), 5u);
     // Minimum kept score must be >= every dropped score.
@@ -67,7 +68,7 @@ TEST(CandidateIndexTest, TopKListIsSortedByScoreDescending) {
   GemModel model(store.get(), "GEM");
   std::vector<ebsn::EventId> events;
   for (uint32_t x = 0; x < 15; ++x) events.push_back(x);
-  const auto per_user = TopKEventsPerUser(model, events, 2, 6);
+  const auto per_user = TopKEventsPerUser(model, events, AllUsers(2), 6);
   for (uint32_t u = 0; u < 2; ++u) {
     for (size_t i = 1; i < per_user[u].size(); ++i) {
       EXPECT_GE(model.ScoreUserEvent(u, per_user[u][i - 1]),
@@ -80,7 +81,7 @@ TEST(CandidateIndexTest, TopKLargerThanEventPoolKeepsAll) {
   auto store = RandomStore(3, 4, 5);
   GemModel model(store.get(), "GEM");
   std::vector<ebsn::EventId> events = {0, 1, 2, 3};
-  const auto pairs = BuildCandidatePairs(model, events, 3, 99);
+  const auto pairs = BuildCandidatePairs(model, events, AllUsers(3), 99);
   EXPECT_EQ(pairs.size(), 12u);
 }
 
@@ -91,11 +92,11 @@ TEST(CandidateIndexTest, ParallelTopKMatchesSerialExactly) {
   GemModel model(store.get(), "GEM");
   std::vector<ebsn::EventId> events;
   for (uint32_t x = 0; x < 40; ++x) events.push_back(x);
-  const auto serial = TopKEventsPerUser(model, events, 30, 6);
+  const auto serial = TopKEventsPerUser(model, events, AllUsers(30), 6);
   for (size_t workers : {1u, 3u, 7u}) {
     ThreadPool pool(workers);
     const auto parallel =
-        TopKEventsPerUser(model, events, 30, 6, &pool);
+        TopKEventsPerUser(model, events, AllUsers(30), 6, &pool);
     ASSERT_EQ(parallel.size(), serial.size());
     for (size_t u = 0; u < serial.size(); ++u) {
       EXPECT_EQ(parallel[u], serial[u])
@@ -109,9 +110,10 @@ TEST(CandidateIndexTest, ParallelBuildCandidatePairsMatchesSerial) {
   GemModel model(store.get(), "GEM");
   std::vector<ebsn::EventId> events;
   for (uint32_t x = 0; x < 18; ++x) events.push_back(x);
-  const auto serial = BuildCandidatePairs(model, events, 12, 4);
+  const auto serial = BuildCandidatePairs(model, events, AllUsers(12), 4);
   ThreadPool pool(4);
-  const auto parallel = BuildCandidatePairs(model, events, 12, 4, &pool);
+  const auto parallel =
+      BuildCandidatePairs(model, events, AllUsers(12), 4, &pool);
   ASSERT_EQ(parallel.size(), serial.size());
   for (size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(parallel[i].event, serial[i].event) << "i=" << i;
@@ -123,10 +125,37 @@ TEST(CandidateIndexTest, EventSubsetIsRespected) {
   auto store = RandomStore(3, 10, 6);
   GemModel model(store.get(), "GEM");
   std::vector<ebsn::EventId> events = {2, 5, 9};
-  const auto pairs = BuildCandidatePairs(model, events, 3, 2);
+  const auto pairs = BuildCandidatePairs(model, events, AllUsers(3), 2);
   for (const auto& p : pairs) {
     EXPECT_TRUE(p.event == 2 || p.event == 5 || p.event == 9);
   }
+}
+
+TEST(CandidateIndexTest, PartnerSubsetIsSubsequenceOfFullBuild) {
+  // A partner's pairs depend on that partner alone, so building for a
+  // subset yields exactly the full list's pairs of those partners, in
+  // the full list's order — pruned and unpruned alike.
+  auto store = RandomStore(11, 8, 9);
+  GemModel model(store.get(), "GEM");
+  std::vector<ebsn::EventId> events = {0, 1, 2, 3, 4, 5, 6, 7};
+  const std::vector<ebsn::UserId> subset = {1, 4, 5, 10};
+  for (const uint32_t top_k : {0u, 3u}) {
+    const auto full = BuildCandidatePairs(model, events, AllUsers(11), top_k);
+    std::vector<CandidatePair> want;
+    for (const auto& p : full) {
+      if (std::find(subset.begin(), subset.end(), p.partner) !=
+          subset.end()) {
+        want.push_back(p);
+      }
+    }
+    const auto got = BuildCandidatePairs(model, events, subset, top_k);
+    ASSERT_EQ(got.size(), want.size()) << "top_k=" << top_k;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].event, want[i].event) << "i=" << i;
+      EXPECT_EQ(got[i].partner, want[i].partner) << "i=" << i;
+    }
+  }
+  EXPECT_TRUE(BuildCandidatePairs(model, events, {}, 3).empty());
 }
 
 }  // namespace

@@ -179,7 +179,7 @@ void CheckTrial(const TrialConfig& trial) {
   GemModel model(store.get(), "GEM");
   const auto pool = BuildPool(trial);
   auto pairs =
-      BuildCandidatePairs(model, pool, trial.num_users, trial.top_k);
+      BuildCandidatePairs(model, pool, AllUsers(trial.num_users), trial.top_k);
   TransformedSpace space(model, std::move(pairs));
   CheckBatchedDifferential(space, model, trial.force, trial.num_users,
                            trial.n);
@@ -258,8 +258,8 @@ TrialConfig DeepTrial(uint64_t seed, uint32_t num_users, uint32_t top_k,
 void CheckBothPrecisions(const TrialConfig& trial,
                          const embedding::EmbeddingStore& store) {
   GemModel model(&store, "GEM");
-  auto pairs = BuildCandidatePairs(model, BuildPool(trial), trial.num_users,
-                                   trial.top_k);
+  auto pairs = BuildCandidatePairs(model, BuildPool(trial),
+                                   AllUsers(trial.num_users), trial.top_k);
   TransformedSpace space(model, std::move(pairs));
   for (auto force : {QuantizedSpace::Options::Force::kInt8,
                      QuantizedSpace::Options::Force::kInt16}) {

@@ -79,7 +79,7 @@ TEST(QueryKindNamesTest, ParseRejectsUnknownSpellings) {
 TEST(PairwiseScoreTest, BitwiseEqualToTaAssembly) {
   auto store = RandomStore(12, 10, 8, 77);
   GemModel model(store.get(), "GEM");
-  auto pairs = BuildCandidatePairs(model, AllEvents(10), 12, /*top_k=*/0);
+  auto pairs = BuildCandidatePairs(model, AllEvents(10), AllUsers(12), /*top_k=*/0);
   TransformedSpace space(model, std::move(pairs));
   TaSearch ta(&space);
 
@@ -104,7 +104,7 @@ TEST(PairwiseScoreTest, BitwiseEqualToTaAssembly) {
 TEST(DirectedScoreTest, BitwiseEqualToZeroedCQuery) {
   auto store = RandomStore(10, 9, 8, 31);
   GemModel model(store.get(), "GEM");
-  auto pairs = BuildCandidatePairs(model, AllEvents(9), 10, /*top_k=*/0);
+  auto pairs = BuildCandidatePairs(model, AllEvents(9), AllUsers(10), /*top_k=*/0);
   TransformedSpace space(model, std::move(pairs));
   TaSearch ta(&space);
 
@@ -227,7 +227,7 @@ TEST(GroupTopEventsTest, NothingDroppedYieldsNegInfBound) {
 TEST(ReciprocalTopPairsTest, ExcludesSelfAndRanksByMin) {
   auto store = RandomStore(10, 8, 8, 41);
   GemModel model(store.get(), "GEM");
-  auto pairs = BuildCandidatePairs(model, AllEvents(8), 10, /*top_k=*/0);
+  auto pairs = BuildCandidatePairs(model, AllEvents(8), AllUsers(10), /*top_k=*/0);
   TransformedSpace space(model, std::move(pairs));
 
   float bound = 0.0f;
@@ -306,7 +306,7 @@ TEST_P(ReciprocalDifferentialTest, MatchesBruteForceOracle) {
       RandomStore(trial.num_users, trial.num_events, trial.dim, trial.seed);
   GemModel model(store.get(), "GEM");
   auto pairs = BuildCandidatePairs(model, AllEvents(trial.num_events),
-                                   trial.num_users, trial.top_k);
+                                   AllUsers(trial.num_users), trial.top_k);
   TransformedSpace space(model, std::move(pairs));
   TaSearch ta(&space);
   ReciprocalScratch scratch;
@@ -403,7 +403,7 @@ TEST_P(BatchWalkReciprocalTest, CertifiedAnswerEqualsOracle) {
   GemModel model(store.get(), "GEM");
   TransformedSpace space(
       model, BuildCandidatePairs(model, AllEvents(trial.num_events),
-                                 trial.num_users, trial.top_k));
+                                 AllUsers(trial.num_users), trial.top_k));
   // Every user in one batch, plus one query asking for more pairs than
   // exist (the exhausted branch).
   std::vector<std::pair<ebsn::UserId, size_t>> queries;
@@ -441,8 +441,8 @@ TEST(BatchWalkReciprocalTest, ScaleExtremesStayCertified) {
     }
     GemModel model(store.get(), "GEM");
     TransformedSpace space(
-        model, BuildCandidatePairs(model, AllEvents(kEvents), kUsers,
-                                   /*top_k=*/0));
+        model, BuildCandidatePairs(model, AllEvents(kEvents),
+                                   AllUsers(kUsers), /*top_k=*/0));
     std::vector<std::pair<ebsn::UserId, size_t>> queries;
     for (ebsn::UserId u = 0; u < kUsers; ++u) queries.push_back({u, 10});
     for (const auto force : {QuantizedSpace::Options::Force::kInt8,
@@ -455,7 +455,7 @@ TEST(BatchWalkReciprocalTest, ScaleExtremesStayCertified) {
 TEST(ReciprocalSearchTest, EmptySpaceAndZeroNAreDefined) {
   auto store = RandomStore(4, 3, 8, 1);
   GemModel model(store.get(), "GEM");
-  auto pairs = BuildCandidatePairs(model, AllEvents(3), 4, /*top_k=*/0);
+  auto pairs = BuildCandidatePairs(model, AllEvents(3), AllUsers(4), /*top_k=*/0);
   TransformedSpace space(model, std::move(pairs));
   TaSearch ta(&space);
   ReciprocalScratch scratch;

@@ -194,7 +194,7 @@ TEST(TaAllocTest, SteadyStateRefillingBatchAllocatesNothing) {
   std::vector<ebsn::EventId> pool(kEvents);
   for (uint32_t x = 0; x < kEvents; ++x) pool[x] = x;
   TransformedSpace space(model,
-                         BuildCandidatePairs(model, pool, kUsers, 2));
+                         BuildCandidatePairs(model, pool, AllUsers(kUsers), 2));
   SpaceIndex index(&space);
 
   std::vector<std::vector<float>> queries(kBatch);

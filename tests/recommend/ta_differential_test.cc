@@ -105,7 +105,7 @@ void CheckDifferential(const TrialConfig& trial) {
   GemModel model(store.get(), "GEM");
   const auto pool = BuildPool(trial);
   auto pairs =
-      BuildCandidatePairs(model, pool, trial.num_users, trial.top_k);
+      BuildCandidatePairs(model, pool, AllUsers(trial.num_users), trial.top_k);
   TransformedSpace space(model, std::move(pairs));
   TaSearch ta(&space);
   BruteForceSearch bf(&space);

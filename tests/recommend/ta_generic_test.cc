@@ -100,7 +100,7 @@ TEST(TaGenericTest, PrunedSpacesAreExact) {
   std::vector<ebsn::EventId> events;
   for (uint32_t x = 0; x < 30; ++x) events.push_back(x);
   for (uint32_t k : {1u, 3u, 10u}) {
-    auto pairs = BuildCandidatePairs(model, events, 20, k);
+    auto pairs = BuildCandidatePairs(model, events, AllUsers(20), k);
     TransformedSpace space(model, std::move(pairs));
     std::vector<float> query;
     space.QueryVector(model, 7, &query);

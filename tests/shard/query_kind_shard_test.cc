@@ -1,7 +1,9 @@
 // Scatter-gather coverage for the non-partner query kinds: group (both
 // aggregators — min exercises the non-additive merge-certificate case)
 // and reciprocal answers from an N-shard tier must be bitwise-identical
-// to one unsharded instance for N in {1, 2, 4} over seeded spaces, and
+// to one unsharded instance for N in {1, 2, 3, 4} over seeded spaces
+// and over a store with fewer users than shards (some shards own no
+// partner), and
 // a request every shard refuses as invalid must come back from the
 // coordinator as the same typed kBadRequest a single instance answers —
 // never an empty partial answer.
@@ -10,6 +12,7 @@
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <vector>
@@ -38,9 +41,10 @@ constexpr uint32_t kEvents = 22;
 constexpr uint32_t kDim = 8;
 constexpr size_t kTopN = 8;
 
-std::unique_ptr<embedding::EmbeddingStore> RandomStore(uint64_t seed) {
+std::unique_ptr<embedding::EmbeddingStore> RandomStore(
+    uint64_t seed, uint32_t num_users = kUsers) {
   auto store = std::make_unique<embedding::EmbeddingStore>(
-      kDim, std::array<uint32_t, 5>{kUsers, kEvents, 1, 1, 1});
+      kDim, std::array<uint32_t, 5>{num_users, kEvents, 1, 1, 1});
   Rng rng(seed);
   store->MatrixOf(graph::NodeType::kUser).FillAbsGaussian(&rng, 0.2, 0.3);
   store->MatrixOf(graph::NodeType::kEvent)
@@ -86,17 +90,18 @@ void ExpectBitwiseEqual(const serving::QueryResponse& got,
   }
 }
 
-void RunSeed(uint64_t seed) {
-  const auto store = RandomStore(seed);
+void RunSeed(uint64_t seed, uint32_t num_users = kUsers,
+             std::initializer_list<uint32_t> shard_counts = {1, 2, 3, 4}) {
+  const auto store = RandomStore(seed, num_users);
   serving::SnapshotOptions snapshot_options;
   snapshot_options.top_k_events_per_partner = 0;
   serving::ServiceOptions service_options;
   service_options.num_workers = 1;
   serving::RecommendationService reference(service_options);
   reference.Publish(std::make_shared<serving::ModelSnapshot>(
-      *store, AllEvents(), kUsers, snapshot_options));
+      *store, AllEvents(), num_users, snapshot_options));
 
-  const ebsn::UserId user = static_cast<ebsn::UserId>(seed % kUsers);
+  const ebsn::UserId user = static_cast<ebsn::UserId>(seed % num_users);
   std::vector<serving::QueryRequest> requests;
   for (const recommend::GroupAggregator agg :
        {recommend::GroupAggregator::kSum, recommend::GroupAggregator::kMin}) {
@@ -105,9 +110,9 @@ void RunSeed(uint64_t seed) {
     request.n = kTopN;
     request.kind = recommend::QueryKind::kGroup;
     request.aggregator = agg;
-    request.group = {static_cast<ebsn::UserId>((user + 1) % kUsers),
-                     static_cast<ebsn::UserId>((user + 5) % kUsers),
-                     static_cast<ebsn::UserId>((user + 11) % kUsers)};
+    request.group = {static_cast<ebsn::UserId>((user + 1) % num_users),
+                     static_cast<ebsn::UserId>((user + 5) % num_users),
+                     static_cast<ebsn::UserId>((user + 11) % num_users)};
     requests.push_back(request);
   }
   {
@@ -118,18 +123,18 @@ void RunSeed(uint64_t seed) {
     requests.push_back(request);
   }
 
-  for (const uint32_t num_shards : {1u, 2u, 4u}) {
+  for (const uint32_t num_shards : shard_counts) {
     ShardGroupOptions group_options;
     group_options.num_shards = num_shards;
     group_options.snapshot = snapshot_options;
     group_options.service = service_options;
-    ShardGroup group(*store, AllEvents(), kUsers, group_options);
+    ShardGroup group(*store, AllEvents(), num_users, group_options);
     ASSERT_TRUE(group.Start().ok());
 
-    CoordinatorOptions coordinator_options;
-    coordinator_options.router.shard_deadline =
+    RouterOptions router_options;
+    router_options.shard_deadline =
         std::chrono::milliseconds(10000);
-    CoordinatorBackend coordinator(group.endpoints(), coordinator_options);
+    CoordinatorBackend coordinator(group.endpoints(), router_options);
     ASSERT_TRUE(coordinator.Start().ok());
 
     for (const serving::QueryRequest& request : requests) {
@@ -161,6 +166,10 @@ TEST(QueryKindShardDifferentialTest, MatchesSingleInstanceAcrossSeeds) {
     RunSeed(seed);
     if (::testing::Test::HasFatalFailure()) return;
   }
+  // 3 users over 4 and 5 shards: the last shards own no partner, so
+  // their reciprocal walks run over an empty space, while their event
+  // slices still serve group queries.
+  RunSeed(11, /*num_users=*/3, {4, 5});
 }
 
 TEST(QueryKindShardBadRequestTest, InvalidUserIsBadRequestNotPartial) {
@@ -177,10 +186,10 @@ TEST(QueryKindShardBadRequestTest, InvalidUserIsBadRequestNotPartial) {
   group_options.service.num_workers = 1;
   ShardGroup group(*store, AllEvents(), kUsers, group_options);
   ASSERT_TRUE(group.Start().ok());
-  CoordinatorOptions coordinator_options;
-  coordinator_options.router.shard_deadline =
+  RouterOptions router_options;
+  router_options.shard_deadline =
       std::chrono::milliseconds(10000);
-  CoordinatorBackend coordinator(group.endpoints(), coordinator_options);
+  CoordinatorBackend coordinator(group.endpoints(), router_options);
   ASSERT_TRUE(coordinator.Start().ok());
   net::NetServer front(&coordinator, net::ServerOptions{});
   ASSERT_TRUE(front.Start().ok());

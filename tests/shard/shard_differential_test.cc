@@ -5,8 +5,10 @@
 // identity-exact whenever scores are distinct (ties are documented to
 // resolve by the merger's deterministic (event, partner) order, which
 // need not match the single instance's heap order) — for N in
-// {1, 2, 4}, over 25 seeded embedding spaces, on the quantized batch
-// walk with fp32 re-rank.
+// {1, 2, 3, 4}, over 25 seeded embedding spaces, on the quantized
+// batch walk with fp32 re-rank. A store with fewer users than shards
+// leaves some shards without a partner: those must build, answer empty
+// and complete, and leave the merge bitwise.
 // Also checks the threshold-merge soundness chain end-to-end: every
 // full merge's coordinator bound must sit at or below its k-th score.
 
@@ -14,8 +16,10 @@
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <initializer_list>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -35,9 +39,10 @@ constexpr uint32_t kEvents = 24;
 constexpr uint32_t kDim = 8;
 constexpr size_t kTopN = 10;
 
-std::unique_ptr<embedding::EmbeddingStore> RandomStore(uint64_t seed) {
+std::unique_ptr<embedding::EmbeddingStore> RandomStore(
+    uint64_t seed, uint32_t num_users = kUsers) {
   auto store = std::make_unique<embedding::EmbeddingStore>(
-      kDim, std::array<uint32_t, 5>{kUsers, kEvents, 1, 1, 1});
+      kDim, std::array<uint32_t, 5>{num_users, kEvents, 1, 1, 1});
   Rng rng(seed);
   store->MatrixOf(graph::NodeType::kUser).FillAbsGaussian(&rng, 0.2, 0.3);
   store->MatrixOf(graph::NodeType::kEvent)
@@ -75,8 +80,9 @@ bool ScoresAllDistinct(const std::vector<recommend::Recommendation>& v) {
   return true;
 }
 
-void RunSeed(uint64_t seed) {
-  const auto store = RandomStore(seed);
+void RunSeed(uint64_t seed, uint32_t num_users = kUsers,
+             std::initializer_list<uint32_t> shard_counts = {1, 2, 3, 4}) {
+  const auto store = RandomStore(seed, num_users);
 
   // Unsharded reference: a direct (no-socket) service over the full
   // candidate space.
@@ -86,25 +92,25 @@ void RunSeed(uint64_t seed) {
   service_options.num_workers = 1;
   serving::RecommendationService reference(service_options);
   reference.Publish(std::make_shared<serving::ModelSnapshot>(
-      *store, AllEvents(), kUsers, snapshot_options));
+      *store, AllEvents(), num_users, snapshot_options));
 
   const std::vector<ebsn::UserId> users = {
-      0, static_cast<ebsn::UserId>(seed % kUsers),
-      static_cast<ebsn::UserId>((seed * 7 + 3) % kUsers), kUsers - 1};
+      0, static_cast<ebsn::UserId>(seed % num_users),
+      static_cast<ebsn::UserId>((seed * 7 + 3) % num_users), num_users - 1};
 
-  for (const uint32_t num_shards : {1u, 2u, 4u}) {
+  for (const uint32_t num_shards : shard_counts) {
     ShardGroupOptions group_options;
     group_options.num_shards = num_shards;
     group_options.snapshot = snapshot_options;
     group_options.service = service_options;
-    ShardGroup group(*store, AllEvents(), kUsers, group_options);
+    ShardGroup group(*store, AllEvents(), num_users, group_options);
     ASSERT_TRUE(group.Start().ok());
 
-    CoordinatorOptions coordinator_options;
-    coordinator_options.router.shard_deadline =
+    RouterOptions router_options;
+    router_options.shard_deadline =
         std::chrono::milliseconds(10000);  // differential: no misses
     CoordinatorBackend coordinator(group.endpoints(),
-                                   coordinator_options);
+                                   router_options);
     ASSERT_TRUE(coordinator.Start().ok());
 
     for (const ebsn::UserId user : users) {
@@ -153,6 +159,44 @@ TEST(ShardDifferentialTest, MatchesSingleInstanceAcrossSeeds) {
     RunSeed(seed);
     if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+TEST(ShardDifferentialTest, ShardOwningNoPartnerAnswersEmptyAndComplete) {
+  // 3 users over 5 shards: shards 3 and 4 own no partner, so their
+  // candidate space is empty.
+  constexpr uint32_t kFewUsers = 3;
+  const auto store = RandomStore(41, kFewUsers);
+  serving::SnapshotOptions snapshot_options;
+  snapshot_options.top_k_events_per_partner = 0;
+  snapshot_options.shard = ShardSpec{4, 5};
+  auto snapshot = std::make_shared<serving::ModelSnapshot>(
+      *store, AllEvents(), kFewUsers, snapshot_options);
+  EXPECT_EQ(snapshot->num_candidate_pairs(), 0u);
+  serving::ServiceOptions service_options;
+  service_options.num_workers = 1;
+  serving::RecommendationService service(service_options);
+  service.Publish(std::move(snapshot));
+  for (const recommend::QueryKind kind :
+       {recommend::QueryKind::kPartner, recommend::QueryKind::kReciprocal}) {
+    for (ebsn::UserId user = 0; user < kFewUsers; ++user) {
+      serving::QueryRequest request;
+      request.user = user;
+      request.n = kTopN;
+      request.kind = kind;
+      const serving::QueryResponse got = service.Query(request);
+      const std::string trace = std::string(recommend::QueryKindName(kind)) +
+                                " user " + std::to_string(user);
+      EXPECT_EQ(got.code, serving::ResponseCode::kOk) << trace;
+      EXPECT_TRUE(got.items.empty()) << trace;
+      EXPECT_FALSE(got.partial) << trace;
+      EXPECT_EQ(got.ta_bound, -std::numeric_limits<float>::infinity())
+          << trace;
+    }
+  }
+  service.Shutdown();
+
+  // The tier around the empty shards still merges bitwise.
+  RunSeed(41, kFewUsers, {4, 5});
 }
 
 }  // namespace

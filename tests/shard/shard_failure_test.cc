@@ -60,12 +60,12 @@ ShardGroupOptions GroupOptions(uint32_t num_shards) {
   return options;
 }
 
-CoordinatorOptions FastBreaker() {
-  CoordinatorOptions options;
-  options.router.shard_deadline = std::chrono::milliseconds(500);
-  options.router.breaker_threshold = 2;
-  options.router.breaker_backoff = std::chrono::milliseconds(50);
-  options.router.breaker_backoff_max = std::chrono::milliseconds(400);
+RouterOptions FastBreaker() {
+  RouterOptions options;
+  options.shard_deadline = std::chrono::milliseconds(500);
+  options.breaker_threshold = 2;
+  options.breaker_backoff = std::chrono::milliseconds(50);
+  options.breaker_backoff_max = std::chrono::milliseconds(400);
   return options;
 }
 
@@ -192,8 +192,8 @@ TEST(ShardFailureTest, CoordinatorStatsStayReachableDuringDrain) {
   net::NetServer shard_server(&parked, {});
   ASSERT_TRUE(shard_server.Start().ok());
 
-  CoordinatorOptions options;
-  options.router.shard_deadline = std::chrono::milliseconds(30000);
+  RouterOptions options;
+  options.shard_deadline = std::chrono::milliseconds(30000);
   CoordinatorBackend coordinator({{"127.0.0.1", shard_server.port()}},
                                  options);
   ASSERT_TRUE(coordinator.Start().ok());
