@@ -11,9 +11,15 @@
 //   2. Online TA latency: top-10 event-partner queries over the
 //      unpruned test-event x partner space (the Table-VI workload),
 //      with the steady-state heap-allocation count (must be 0).
+//   3. Snapshot publish cost on the serving benchmark's city shape
+//      (Beijing at 4x scale, K = 32, top-k 20): a from-scratch build,
+//      a publish after 16 and after 64 changed users, the stage split
+//      of each, and the heap bytes one snapshot holds.
 //
 // Run from the repo root so BENCH_hotpath.json lands there:
 //   ./build/bench/hotpath_report
+
+#include <malloc.h>
 
 #include <algorithm>
 #include <atomic>
@@ -35,48 +41,54 @@
 #include "recommend/space_index.h"
 #include "recommend/space_transform.h"
 #include "recommend/ta_search.h"
+#include "serving/snapshot_builder.h"
 
 namespace {
 
 std::atomic<size_t> g_allocations{0};
+/// Bytes held by live operator-new blocks (usable sizes).
+std::atomic<int64_t> g_live_bytes{0};
+
+void* Track(void* p) {
+  if (p == nullptr) throw std::bad_alloc();
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_live_bytes.fetch_add(static_cast<int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  return p;
+}
+
+void Release(void* p) {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(static_cast<int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  std::free(p);
+}
 
 }  // namespace
 
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
+void* operator new(std::size_t size) { return Track(std::malloc(size)); }
 
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
+void* operator new[](std::size_t size) { return Track(std::malloc(size)); }
 
 void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align), size)) {
-    return p;
-  }
-  throw std::bad_alloc();
+  return Track(std::aligned_alloc(static_cast<std::size_t>(align), size));
 }
 
 void* operator new[](std::size_t size, std::align_val_t align) {
   return operator new(size, align);
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { Release(p); }
+void operator delete[](void* p) noexcept { Release(p); }
+void operator delete(void* p, std::size_t) noexcept { Release(p); }
+void operator delete[](void* p, std::size_t) noexcept { Release(p); }
+void operator delete(void* p, std::align_val_t) noexcept { Release(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { Release(p); }
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  Release(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  Release(p);
 }
 
 namespace gemrec::bench {
@@ -210,6 +222,7 @@ double MeasureQuantizationError(const QuerySpace& qs,
   const uint32_t* pe = index.pair_event_idx().data();
   const uint32_t* pp = index.pair_partner_idx().data();
   const float* c_values = quant.c_values().data();
+  std::vector<float> point(point_dim);
   double max_err = 0.0;
   *max_epsilon = 0.0;
   for (size_t qi = 0; qi < qs.queries.size(); ++qi) {
@@ -235,7 +248,8 @@ double MeasureQuantizationError(const QuerySpace& qs,
       const float pcomp = qq.partner_bias +
                           qq.partner_scale * static_cast<float>(pdots[pp[p]]);
       const float approx = ecomp + pcomp + qq.c_weight * c_values[p];
-      const float exact = Dot(q, qs.space->Point(p), point_dim);
+      qs.space->CopyPoint(p, point.data());
+      const float exact = Dot(q, point.data(), point_dim);
       max_err = std::max(max_err,
                          static_cast<double>(std::abs(approx - exact)));
     }
@@ -295,6 +309,145 @@ QuantResult MeasureQuantizedBatch(const QuerySpace& qs) {
   return result;
 }
 
+/// Snapshot publish cost at commit 30303ea, the last to build every
+/// snapshot from scratch and keep the (2K+1)-float point matrix,
+/// measured by this section's procedure on a 4-core x86-64 host with
+/// AVX2 (medians of three runs interleaved with this binary's) — frozen
+/// so the JSON always carries the "before" column.
+constexpr double kBeforeFullBuildMs = 287.4;
+constexpr double kBeforeStageMs[4] = {152.1, 49.6, 60.9, 19.1};
+constexpr int64_t kBeforeSnapshotBytes = 83000824;
+
+/// Stages of a snapshot build, in build order.
+constexpr const char* kStageNames[4] = {"candidates", "space", "index",
+                                        "quantized"};
+
+struct PublishResult {
+  uint32_t num_users = 0;
+  size_t pool_size = 0;
+  size_t num_pairs = 0;
+  double full_ms = 0.0;
+  double delta16_ms = 0.0;
+  double delta64_ms = 0.0;
+  double full_stage_ms[4] = {};
+  double delta16_stage_ms[4] = {};
+  int64_t snapshot_bytes = 0;
+};
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+/// Times the four stages of one candidate-space build, as ModelSnapshot
+/// runs them; `delta` null builds from scratch.
+void TimeStages(const recommend::GemModel& model,
+                const std::vector<ebsn::EventId>& pool,
+                const std::vector<ebsn::UserId>& partners, uint32_t top_k,
+                const recommend::CandidateDelta* delta, double stage_ms[4]) {
+  Stopwatch watch;
+  recommend::CandidateList list =
+      recommend::BuildCandidateList(model, pool, partners, top_k, delta);
+  stage_ms[0] = watch.ElapsedMillis();
+  watch.Reset();
+  recommend::TransformedSpace space(model, std::move(list.pairs),
+                                    std::move(list.c));
+  stage_ms[1] = watch.ElapsedMillis();
+  watch.Reset();
+  recommend::SpaceIndex index(&space);
+  stage_ms[2] = watch.ElapsedMillis();
+  watch.Reset();
+  recommend::QuantizedSpace quant(&index);
+  stage_ms[3] = watch.ElapsedMillis();
+}
+
+PublishResult MeasureSnapshotPublish() {
+  constexpr int kReps = 7;
+  constexpr uint32_t kTopK = 20;
+  CityBundle city = MakeCity(ebsn::SyntheticConfig::Beijing(4.0));
+  embedding::TrainerOptions options = embedding::TrainerOptions::GemA();
+  options.dim = 32;
+  options.num_threads = 1;
+  const auto trainer = TrainEmbedding(city, options, 500000);
+  const embedding::EmbeddingStore& store = trainer->store();
+  const std::vector<ebsn::EventId>& pool = city.split->test_events();
+
+  PublishResult result;
+  result.num_users = city.dataset().num_users();
+  result.pool_size = pool.size();
+  serving::SnapshotOptions snapshot_options;
+  snapshot_options.top_k_events_per_partner = kTopK;
+  serving::SnapshotBuilder builder(store, pool, result.num_users,
+                                   snapshot_options);
+
+  std::vector<double> full;
+  for (int r = 0; r < kReps; ++r) {
+    const int64_t live_before = g_live_bytes.load();
+    Stopwatch watch;
+    const auto snapshot = builder.Build();
+    full.push_back(watch.ElapsedMillis());
+    result.snapshot_bytes = g_live_bytes.load() - live_before;
+    result.num_pairs = snapshot->num_candidate_pairs();
+  }
+  result.full_ms = Median(full);
+
+  // Attendance nudges on distinct random users, then one publish.
+  Rng rng(0x9b11);
+  embedding::OnlineUpdateOptions nudge;
+  nudge.iterations = 20;
+  builder.BuildNext();
+  for (const size_t dirty : {size_t{16}, size_t{64}}) {
+    std::vector<double> times;
+    for (int r = 0; r < kReps; ++r) {
+      for (size_t i = 0; i < dirty; ++i) {
+        const auto user =
+            static_cast<ebsn::UserId>(rng.UniformInt(result.num_users));
+        const ebsn::EventId event = pool[rng.UniformInt(pool.size())];
+        GEMREC_CHECK(builder.RecordAttendance(user, event, nudge).ok());
+      }
+      Stopwatch watch;
+      builder.BuildNext();
+      times.push_back(watch.ElapsedMillis());
+    }
+    (dirty == 16 ? result.delta16_ms : result.delta64_ms) = Median(times);
+  }
+
+  // Stage split: medians per stage, from scratch and with 16 partners
+  // dirty against a from-scratch previous list.
+  const recommend::GemModel model(&store, "GEM-A");
+  const std::vector<ebsn::UserId> partners =
+      recommend::AllUsers(result.num_users);
+  recommend::CandidateList previous_list =
+      recommend::BuildCandidateList(model, pool, partners, kTopK);
+  const recommend::TransformedSpace previous(
+      model, std::move(previous_list.pairs), std::move(previous_list.c));
+  std::vector<uint8_t> dirty_users(result.num_users, 0);
+  for (int i = 0; i < 16; ++i) dirty_users[rng.UniformInt(result.num_users)] = 1;
+  const recommend::CandidateDelta delta{&previous, pool.size(), &dirty_users};
+  for (const bool use_delta : {false, true}) {
+    std::vector<double> stages[4];
+    for (int r = 0; r < kReps; ++r) {
+      double ms[4];
+      TimeStages(model, pool, partners, kTopK, use_delta ? &delta : nullptr,
+                 ms);
+      for (int s = 0; s < 4; ++s) stages[s].push_back(ms[s]);
+    }
+    double* out = use_delta ? result.delta16_stage_ms : result.full_stage_ms;
+    for (int s = 0; s < 4; ++s) out[s] = Median(stages[s]);
+  }
+  return result;
+}
+
+/// `{"candidates": a, "space": b, ...}`
+std::string StageJson(const double ms[4]) {
+  std::string out = "{";
+  for (int s = 0; s < 4; ++s) {
+    out += std::string(s == 0 ? "" : ", ") + "\"" + kStageNames[s] +
+           "\": " + std::to_string(ms[s]);
+  }
+  return out + "}";
+}
+
 void Run() {
   PrintNote("hot-path report: training throughput (GEM-A, K=100) and "
             "TA top-10 latency vs the frozen seed baselines; writes "
@@ -309,6 +462,7 @@ void Run() {
   const QuerySpace qs = BuildQuerySpace(city);
   const TaResult ta = MeasureTaSearch(qs);
   const QuantResult quant = MeasureQuantizedBatch(qs);
+  const PublishResult publish = MeasureSnapshotPublish();
 
   const double speedup_k100 =
       k100.items_per_sec / kSeedTrainK100ItemsPerSec;
@@ -336,6 +490,14 @@ void Run() {
             << quant.max_abs_err << " (bound " << quant.max_epsilon
             << "), steady-state allocations "
             << quant.steady_state_allocations << "\n";
+  std::cout << "snapshot publish:     full " << publish.full_ms
+            << " ms (before " << kBeforeFullBuildMs << "), 16 users "
+            << publish.delta16_ms << " ms, 64 users " << publish.delta64_ms
+            << " ms over " << publish.num_pairs << " pairs; stages full "
+            << StageJson(publish.full_stage_ms) << ", 16 users "
+            << StageJson(publish.delta16_stage_ms) << "; "
+            << publish.snapshot_bytes << " heap bytes per snapshot (before "
+            << kBeforeSnapshotBytes << ")\n";
 
   std::ofstream json("BENCH_hotpath.json");
   json << "{\n"
@@ -389,6 +551,28 @@ void Run() {
        << "    \"steady_state_allocations\": "
        << quant.steady_state_allocations << ",\n"
        << "    \"target_allocations\": 0\n"
+       << "  },\n"
+       << "  \"snapshot_publish\": {\n"
+       << "    \"workload\": \"beijing synthetic x4 (" << publish.num_users
+       << " users, " << publish.pool_size
+       << " pool events), K=32, top-k 20; medians of 7; delta = "
+          "BuildNext after that many attendance nudges\",\n"
+       << "    \"num_pairs\": " << publish.num_pairs << ",\n"
+       << "    \"before_full_build_ms\": " << kBeforeFullBuildMs << ",\n"
+       << "    \"full_build_ms\": " << publish.full_ms << ",\n"
+       << "    \"delta_publish_ms_16_users\": " << publish.delta16_ms
+       << ",\n"
+       << "    \"delta_publish_ms_64_users\": " << publish.delta64_ms
+       << ",\n"
+       << "    \"before_full_stage_ms\": " << StageJson(kBeforeStageMs)
+       << ",\n"
+       << "    \"full_stage_ms\": " << StageJson(publish.full_stage_ms)
+       << ",\n"
+       << "    \"delta_16_users_stage_ms\": "
+       << StageJson(publish.delta16_stage_ms) << ",\n"
+       << "    \"before_snapshot_heap_bytes\": " << kBeforeSnapshotBytes
+       << ",\n"
+       << "    \"snapshot_heap_bytes\": " << publish.snapshot_bytes << "\n"
        << "  }\n"
        << "}\n";
   std::cout << "\nwrote BENCH_hotpath.json\n";

@@ -633,7 +633,7 @@ int CmdServe(const Args& args) {
     return Fail(s.ToString());
   }
   serving::RecommendationService service(service_options);
-  service.Publish(builder.Build());
+  service.Publish(builder.BuildNext());
 
   // --ingest-dir enables the write path: a journaled ingestion queue
   // over the same builder, recovered (checkpoint + journal replay)

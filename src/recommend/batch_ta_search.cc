@@ -144,8 +144,6 @@ void BatchTaSearch::SearchChunk(const BatchQuery* queries, size_t count,
   const uint32_t k = latent_dim_;
   const size_t num_events = index_->num_events();
   const size_t num_partners = index_->num_partners();
-  const auto& event_pairs = index_->event_pairs();
-  const auto& partner_pairs = index_->partner_pairs();
   const uint32_t* pair_event_idx = index_->pair_event_idx().data();
   const uint32_t* pair_partner_idx = index_->pair_partner_idx().data();
   const uint32_t* c_sorted = index_->c_sorted().data();
@@ -230,6 +228,7 @@ void BatchTaSearch::SearchChunk(const BatchQuery* queries, size_t count,
   uint64_t* seen_bits = ws->seen_bits.data();
 
   ws->cursors.resize(kMaxChunk);
+  ws->point.resize(space_->point_dim());
   if (ws->examined.size() < kMaxChunk) ws->examined.resize(kMaxChunk);
   if (ws->heaps.size() < kMaxChunk) {
     ws->heaps.resize(kMaxChunk, TopK<uint32_t>(1));
@@ -320,14 +319,14 @@ void BatchTaSearch::SearchChunk(const BatchQuery* queries, size_t count,
         ++sorted_accesses;
         ++cur.sorted_accesses;
         if (a_live && ha >= hb && ha >= hc) {
-          const auto& pairs = event_pairs[KeyGroup(a_key)];
+          const auto pairs = index_->EventPairs(KeyGroup(a_key));
           examine(pairs[cur.a_offset]);
           if (++cur.a_offset >= pairs.size()) {
             cur.a_offset = 0;
             ++cur.a_group;
           }
         } else if (b_live && hb >= hc) {
-          const auto& pairs = partner_pairs[KeyGroup(b_key)];
+          const auto pairs = index_->PartnerPairs(KeyGroup(b_key));
           examine(pairs[cur.b_offset]);
           if (++cur.b_offset >= pairs.size()) {
             cur.b_offset = 0;
@@ -337,14 +336,14 @@ void BatchTaSearch::SearchChunk(const BatchQuery* queries, size_t count,
           examine(c_sorted[cur.c_cursor]);
           ++cur.c_cursor;
         } else if (a_live) {
-          const auto& pairs = event_pairs[KeyGroup(a_key)];
+          const auto pairs = index_->EventPairs(KeyGroup(a_key));
           examine(pairs[cur.a_offset]);
           if (++cur.a_offset >= pairs.size()) {
             cur.a_offset = 0;
             ++cur.a_group;
           }
         } else {
-          const auto& pairs = partner_pairs[KeyGroup(b_key)];
+          const auto pairs = index_->PartnerPairs(KeyGroup(b_key));
           examine(pairs[cur.b_offset]);
           if (++cur.b_offset >= pairs.size()) {
             cur.b_offset = 0;
@@ -362,8 +361,13 @@ void BatchTaSearch::SearchChunk(const BatchQuery* queries, size_t count,
         heap.Reset(std::max<size_t>(queries[q].n, 1));
         const float* query = queries[q].query;
         const size_t point_dim = space_->point_dim();
+        float* point = ws->point.data();
+        // The store rows are usually cold here: start every examined
+        // pair's loads before the first dot waits on one.
+        for (uint32_t id : examined) space_->PrefetchPoint(id);
         for (uint32_t id : examined) {
-          heap.Push(id, Dot(query, space_->Point(id), point_dim));
+          space_->CopyPoint(id, point);
+          heap.Push(id, Dot(query, point, point_dim));
         }
         const auto& entries = heap.SortDescendingInPlace();
         std::vector<SearchHit>& out = results[q];

@@ -68,8 +68,9 @@ struct BatchSearchStats {
 ///      the whole chunk (bit q = "query q examined this pair"), so
 ///      batch-64 costs the same memory as a single query.
 ///   4. Exact re-rank: every pair a query examined is re-scored with
-///      the full-width fp32 Dot over the original point matrix, and the
-///      top-n of those exact scores is returned.
+///      the full-width fp32 Dot over its point, assembled from the
+///      store rows and C (TransformedSpace::CopyPoint), and the top-n
+///      of those exact scores is returned.
 ///
 /// Exactness: approximate scores are within epsilon of exact ones
 /// (QuantizedSpace::QuantizedQuery), so a query only stops once its
@@ -144,6 +145,7 @@ class BatchTaSearch {
     std::vector<Cursor> cursors;
     std::vector<std::vector<uint32_t>> examined;
     std::vector<TopK<uint32_t>> heaps;
+    std::vector<float> point;  // the re-rank's assembled point
   };
 
   /// `quant` (and the SpaceIndex it wraps) must outlive the searcher.

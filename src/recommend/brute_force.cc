@@ -24,10 +24,11 @@ std::vector<SearchHit> BruteForceSearch::Search(
   }
   const uint32_t dim = space_->point_dim();
   TopK<uint32_t> heap(n);
+  std::vector<float> point(dim);
   for (size_t i = 0; i < num_points; ++i) {
     if (space_->pair(i).partner == exclude_partner) continue;
-    heap.Push(static_cast<uint32_t>(i),
-              Dot(query.data(), space_->Point(i), dim));
+    space_->CopyPoint(i, point.data());
+    heap.Push(static_cast<uint32_t>(i), Dot(query.data(), point.data(), dim));
   }
   local_stats.points_examined = num_points;
   local_stats.examined_fraction = 1.0;

@@ -34,6 +34,41 @@ std::vector<CandidatePair> BuildCandidatePairs(
     const std::vector<ebsn::UserId>& partners, uint32_t top_k,
     ThreadPool* pool = nullptr);
 
+/// A candidate list with each pair's C = Dot(ū', x̄), the input of
+/// TransformedSpace. In a pruned list C is bitwise the score that
+/// ranked the pair, so each partner's slice is in descending C order.
+struct CandidateList {
+  std::vector<CandidatePair> pairs;
+  std::vector<float> c;
+};
+
+/// What changed since `previous` was built, so that BuildCandidateList
+/// can copy every other partner's slice out of it.
+struct CandidateDelta {
+  /// A pruned list built over the same partners and top_k, from the
+  /// pool events[0, previous_pool_size), where previous_pool_size >
+  /// top_k, and from the same event rows.
+  const TransformedSpace* previous = nullptr;
+  size_t previous_pool_size = 0;
+  /// dirty_users[u] != 0 when user u's row changed since `previous`;
+  /// ids past the end are clean.
+  const std::vector<uint8_t>* dirty_users = nullptr;
+};
+
+/// BuildCandidatePairs plus C. With a `delta`, a partner's slice is
+/// copied from `delta->previous` when the partner is clean and no event
+/// appended since (events[previous_pool_size, end)) scores strictly
+/// above its k-th score. TopK drops a push with score <= its threshold
+/// without touching the heap, so that slice is bitwise what ranking
+/// the whole pool again would give; every other partner is ranked
+/// again. The result is identical to a build without `delta`.
+CandidateList BuildCandidateList(const GemModel& model,
+                                 const std::vector<ebsn::EventId>& events,
+                                 const std::vector<ebsn::UserId>& partners,
+                                 uint32_t top_k,
+                                 const CandidateDelta* delta = nullptr,
+                                 ThreadPool* pool = nullptr);
+
 /// Per-partner top-k events (entry i ranks partners[i]), exposed
 /// separately for tests and for the pruning study (Fig. 7). Partners
 /// are independent, so `pool` shards the loop over them; each ranking

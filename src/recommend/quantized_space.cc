@@ -36,20 +36,16 @@ QuantizedSpace::QuantizedSpace(const SpaceIndex* index, Options options)
     : index_(index), latent_dim_(index->latent_dim()) {
   GEMREC_CHECK(index != nullptr);
   GEMREC_CHECK(latent_dim_ <= kMaxLatentDim);
-  const TransformedSpace& space = index_->space();
-  const size_t num_points = space.num_points();
-  const uint32_t c_dim = 2 * latent_dim_;
+  const std::vector<float>& c = c_values();
+  const size_t num_points = c.size();
 
-  // C stays exact: compact per-pair fp32, plus a copy in C-descending
-  // rank order so the TA's C-list walk is a sequential read.
-  c_values_.resize(num_points);
-  for (size_t i = 0; i < num_points; ++i) {
-    c_values_[i] = space.Point(i)[c_dim];
-  }
+  // C stays exact: the space's per-pair fp32, plus a copy in
+  // C-descending rank order so the TA's C-list walk is a sequential
+  // read.
   c_sorted_values_.resize(num_points);
   const std::vector<uint32_t>& c_sorted = index_->c_sorted();
   for (size_t r = 0; r < num_points; ++r) {
-    c_sorted_values_[r] = c_values_[c_sorted[r]];
+    c_sorted_values_[r] = c[c_sorted[r]];
   }
 
   // Estimate the int8 relative error against a worst-case reference
@@ -62,9 +58,9 @@ QuantizedSpace::QuantizedSpace(const SpaceIndex* index, Options options)
   const uint32_t k = latent_dim_;
   std::vector<float> qref(k, 0.0f);
   for (size_t u = 0; u < index_->num_partners(); ++u) {
-    const float* p = space.Point(index_->partner_pairs()[u].front());
+    const float* p = GroupRow(/*partner_half=*/true, u);
     for (uint32_t d = 0; d < k; ++d) {
-      qref[d] = std::max(qref[d], p[k + d]);
+      qref[d] = std::max(qref[d], p[d]);
     }
   }
   float err8 = 0.0f;
@@ -87,7 +83,7 @@ QuantizedSpace::QuantizedSpace(const SpaceIndex* index, Options options)
             static_cast<float>(k) * static_cast<float>(kInt8Levels);
   }
   float c_abs_max = 0.0f;
-  for (float c : c_values_) c_abs_max = std::max(c_abs_max, std::abs(c));
+  for (const float v : c) c_abs_max = std::max(c_abs_max, std::abs(v));
   score_ref += c_abs_max;
   rel_err8_estimate_ = score_ref > 0.0f ? err8 / score_ref : 0.0f;
 
@@ -119,23 +115,27 @@ QuantizedSpace::QuantizedSpace(const SpaceIndex* index, Options options)
   }
 }
 
+const float* QuantizedSpace::GroupRow(bool partner_half, size_t g) const {
+  const GemModel& model = index_->space().model();
+  return partner_half ? model.UserVec(index_->partners()[g])
+                      : model.EventVec(index_->events()[g]);
+}
+
 void QuantizedSpace::BuildHalfParams(bool partner_half, int levels,
                                      HalfParams* out) {
-  const TransformedSpace& space = index_->space();
   const uint32_t k = latent_dim_;
-  const uint32_t base = partner_half ? k : 0;
-  const auto& groups =
-      partner_half ? index_->partner_pairs() : index_->event_pairs();
+  const size_t num_groups =
+      partner_half ? index_->num_partners() : index_->num_events();
 
   out->min.assign(k, 0.0f);
   out->scale.assign(k, 0.0f);
   out->half_err.assign(k, 0.0f);
-  if (groups.empty()) return;
+  if (num_groups == 0) return;
 
   std::vector<float> col_max(k, -std::numeric_limits<float>::infinity());
   std::vector<float> col_min(k, std::numeric_limits<float>::infinity());
-  for (const auto& pairs : groups) {
-    const float* p = space.Point(pairs.front()) + base;
+  for (size_t g = 0; g < num_groups; ++g) {
+    const float* p = GroupRow(partner_half, g);
     for (uint32_t d = 0; d < k; ++d) {
       col_min[d] = std::min(col_min[d], p[d]);
       col_max[d] = std::max(col_max[d], p[d]);
@@ -161,18 +161,16 @@ template <typename Code>
 int64_t QuantizedSpace::EncodeRows(bool partner_half,
                                    const HalfParams& params,
                                    std::vector<Code>* codes) {
-  const TransformedSpace& space = index_->space();
   const uint32_t k = latent_dim_;
-  const uint32_t base = partner_half ? k : 0;
-  const auto& groups =
-      partner_half ? index_->partner_pairs() : index_->event_pairs();
+  const size_t num_groups =
+      partner_half ? index_->num_partners() : index_->num_events();
   const long levels =
       sizeof(Code) == 1 ? kInt8Levels : kInt16Levels;
 
-  codes->assign(groups.size() * k, Code{0});
+  codes->assign(num_groups * k, Code{0});
   int64_t max_row_sum = 0;
-  for (size_t g = 0; g < groups.size(); ++g) {
-    const float* p = space.Point(groups[g].front()) + base;
+  for (size_t g = 0; g < num_groups; ++g) {
+    const float* p = GroupRow(partner_half, g);
     Code* row = codes->data() + g * k;
     int64_t row_sum = 0;
     for (uint32_t d = 0; d < k; ++d) {

@@ -9,18 +9,17 @@
 namespace gemrec::recommend {
 
 /// Quantized companion of a TransformedSpace, built once per model
-/// snapshot. The exact TA's cost at scale is dominated by scattered
-/// reads over the full point matrix (2K+1 floats per pair, hundreds of
-/// MB at ~10^6 pairs). This structure replaces that traffic with three
-/// compact arrays sized to the *group* structure, not the pair count:
+/// snapshot. An exact walk reads 2K+1 fp32 coordinates per examined
+/// pair. This structure replaces that traffic with compact arrays
+/// sized to the *group* structure, not the pair count:
 ///
-///   * event codes:   num_events   x K integer codes (the first K
-///     coordinates of each event group's representative point),
-///   * partner codes: num_partners x K integer codes (coordinates
-///     [K, 2K) of each partner group's representative point),
-///   * C values:      one fp32 per pair, stored twice — indexed by pair
-///     id for scoring, and in C-descending rank order so the TA's C
-///     walk is a sequential read.
+///   * event codes:   num_events   x K integer codes (each event
+///     group's row x̄, the first K coordinates of its points),
+///   * partner codes: num_partners x K integer codes (each partner
+///     group's row ū', coordinates [K, 2K)),
+///   * C values:      the space's one fp32 per pair, indexed by pair id
+///     for scoring, plus a copy in C-descending rank order so the TA's
+///     C walk is a sequential read.
 ///
 /// Codes use per-dimension asymmetric affine quantization
 ///     code_d = round((v_d - min_d) / scale_d)
@@ -113,8 +112,10 @@ class QuantizedSpace {
     return partner_codes16_.data() + u * latent_dim_;
   }
 
-  /// Exact fp32 C coordinate by pair id.
-  const std::vector<float>& c_values() const { return c_values_; }
+  /// Exact fp32 C coordinate by pair id (the space's own array).
+  const std::vector<float>& c_values() const {
+    return index_->space().c_values();
+  }
   /// C coordinates in the index's c_sorted() rank order (sequential
   /// walk companion: c_sorted_values()[r] is the C of c_sorted()[r]).
   const std::vector<float>& c_sorted_values() const {
@@ -138,6 +139,8 @@ class QuantizedSpace {
     std::vector<float> half_err;  // per-dim one-sided rounding bound
   };
 
+  /// Row of event group g (the event half) or partner group g.
+  const float* GroupRow(bool partner_half, size_t g) const;
   void BuildHalfParams(bool partner_half, int levels, HalfParams* out);
   template <typename Code>
   int64_t EncodeRows(bool partner_half, const HalfParams& params,
@@ -157,7 +160,6 @@ class QuantizedSpace {
   int64_t max_event_row_sum_ = 0;
   int64_t max_partner_row_sum_ = 0;
 
-  std::vector<float> c_values_;
   std::vector<float> c_sorted_values_;
 };
 

@@ -9,9 +9,10 @@ EventPartnerRecommender::EventPartnerRecommender(
     uint32_t num_users, const RecommenderOptions& options)
     : model_(model), options_(options) {
   GEMREC_CHECK(model != nullptr);
-  auto pairs = BuildCandidatePairs(*model, events, AllUsers(num_users),
-                                   options.top_k_events_per_partner);
-  space_ = std::make_unique<TransformedSpace>(*model, std::move(pairs));
+  CandidateList list = BuildCandidateList(*model, events, AllUsers(num_users),
+                                          options.top_k_events_per_partner);
+  space_ = std::make_unique<TransformedSpace>(*model, std::move(list.pairs),
+                                              std::move(list.c));
   if (options.backend == SearchBackend::kThresholdAlgorithm) {
     ta_ = std::make_unique<TaSearch>(space_.get());
   } else {

@@ -1,60 +1,109 @@
 #include "recommend/space_index.h"
 
 #include <algorithm>
-#include <numeric>
+#include <array>
+#include <bit>
 
 #include "common/logging.h"
 
 namespace gemrec::recommend {
+namespace {
+
+/// Groups the pairs by `id_of(i)` in order of first appearance: fills
+/// the distinct ids, the CSR offsets and pair ids, and pair -> group.
+/// Returns the dense id -> group array (kNoGroup where absent).
+template <typename IdOf>
+std::vector<uint32_t> GroupPairs(size_t n, IdOf id_of, uint32_t no_group,
+                                 std::vector<uint32_t>* ids,
+                                 std::vector<uint32_t>* offsets,
+                                 std::vector<uint32_t>* pair_ids,
+                                 std::vector<uint32_t>* pair_group) {
+  uint32_t max_id = 0;
+  for (size_t i = 0; i < n; ++i) max_id = std::max(max_id, id_of(i));
+  std::vector<uint32_t> group_of(n == 0 ? 0 : size_t{max_id} + 1, no_group);
+  pair_group->resize(n);
+  std::vector<uint32_t> counts;
+  for (size_t i = 0; i < n; ++i) {
+    uint32_t& g = group_of[id_of(i)];
+    if (g == no_group) {
+      g = static_cast<uint32_t>(ids->size());
+      ids->push_back(id_of(i));
+      counts.push_back(0);
+    }
+    (*pair_group)[i] = g;
+    ++counts[g];
+  }
+  offsets->assign(ids->size() + 1, 0);
+  for (size_t g = 0; g < ids->size(); ++g) {
+    (*offsets)[g + 1] = (*offsets)[g] + counts[g];
+  }
+  // Scatter in ascending pair id: each group's list stays ascending.
+  pair_ids->resize(n);
+  std::copy(offsets->begin(), offsets->end() - 1, counts.begin());
+  for (size_t i = 0; i < n; ++i) {
+    (*pair_ids)[counts[(*pair_group)[i]]++] = static_cast<uint32_t>(i);
+  }
+  return group_of;
+}
+
+/// Unsigned key whose ascending order is the float's descending order.
+/// Both zeros map to one key, as `>` finds them equal.
+uint32_t DescendingKey(float c) {
+  const uint32_t bits = std::bit_cast<uint32_t>(c == 0.0f ? 0.0f : c);
+  const uint32_t ascending =
+      (bits & 0x80000000u) != 0 ? ~bits : bits | 0x80000000u;
+  return ~ascending;
+}
+
+}  // namespace
+
+std::vector<uint32_t> SortByCDescending(const std::vector<float>& c) {
+  const size_t n = c.size();
+  // Key in the high word, pair id in the low word; the sort moves only
+  // by the key, so the low word doubles as the output.
+  std::vector<uint64_t> items(n);
+  for (size_t i = 0; i < n; ++i) {
+    items[i] = uint64_t{DescendingKey(c[i])} << 32 | i;
+  }
+  // LSD radix sort of the key, 8 bits per pass: every pass is stable,
+  // so equal keys keep ascending ids. A pass whose digit is the same for
+  // every key would leave the order as it is and is skipped.
+  constexpr int kBits = 8;
+  constexpr uint64_t kMask = (1u << kBits) - 1;
+  std::vector<uint64_t> next(n);
+  for (int shift = 32; shift < 64; shift += kBits) {
+    std::array<uint32_t, kMask + 1> count{};
+    for (const uint64_t item : items) ++count[(item >> shift) & kMask];
+    if (n == 0 || count[(items[0] >> shift) & kMask] == n) continue;
+    uint32_t sum = 0;
+    for (uint32_t& b : count) {
+      const uint32_t here = b;
+      b = sum;
+      sum += here;
+    }
+    for (const uint64_t item : items) {
+      next[count[(item >> shift) & kMask]++] = item;
+    }
+    items.swap(next);
+  }
+  std::vector<uint32_t> order(n);
+  for (size_t i = 0; i < n; ++i) order[i] = static_cast<uint32_t>(items[i]);
+  return order;
+}
 
 SpaceIndex::SpaceIndex(const TransformedSpace* space) : space_(space) {
   GEMREC_CHECK(space != nullptr);
-  GEMREC_CHECK(space->point_dim() % 2 == 1);
-  latent_dim_ = (space->point_dim() - 1) / 2;
+  latent_dim_ = space->model().dim();
   const size_t n = space_->num_points();
+  const std::vector<CandidatePair>& pairs = space_->pairs();
 
-  std::unordered_map<ebsn::EventId, uint32_t> event_index;
-  for (size_t i = 0; i < n; ++i) {
-    const CandidatePair& pair = space_->pair(i);
-    auto [eit, einserted] = event_index.try_emplace(
-        pair.event, static_cast<uint32_t>(events_.size()));
-    if (einserted) {
-      events_.push_back(pair.event);
-      event_pairs_.emplace_back();
-    }
-    event_pairs_[eit->second].push_back(static_cast<uint32_t>(i));
-
-    auto [pit, pinserted] = partner_index_.try_emplace(
-        pair.partner, static_cast<uint32_t>(partners_.size()));
-    if (pinserted) {
-      partners_.push_back(pair.partner);
-      partner_pairs_.emplace_back();
-    }
-    partner_pairs_[pit->second].push_back(static_cast<uint32_t>(i));
-  }
-
-  // Inverse maps so a pair's components are O(1) during random access.
-  pair_event_idx_.resize(n);
-  for (size_t e = 0; e < events_.size(); ++e) {
-    for (uint32_t id : event_pairs_[e]) {
-      pair_event_idx_[id] = static_cast<uint32_t>(e);
-    }
-  }
-  pair_partner_idx_.resize(n);
-  for (size_t u = 0; u < partners_.size(); ++u) {
-    for (uint32_t id : partner_pairs_[u]) {
-      pair_partner_idx_[id] = static_cast<uint32_t>(u);
-    }
-  }
-
-  c_sorted_.resize(n);
-  std::iota(c_sorted_.begin(), c_sorted_.end(), 0);
-  const uint32_t c_dim = 2 * latent_dim_;
-  std::stable_sort(c_sorted_.begin(), c_sorted_.end(),
-                   [&](uint32_t a, uint32_t b) {
-                     return space_->Point(a)[c_dim] >
-                            space_->Point(b)[c_dim];
-                   });
+  GroupPairs(
+      n, [&](size_t i) { return pairs[i].event; }, kNoGroup, &events_,
+      &event_offsets_, &event_pair_ids_, &pair_event_idx_);
+  partner_group_ = GroupPairs(
+      n, [&](size_t i) { return pairs[i].partner; }, kNoGroup, &partners_,
+      &partner_offsets_, &partner_pair_ids_, &pair_partner_idx_);
+  c_sorted_ = SortByCDescending(space_->c_values());
 }
 
 }  // namespace gemrec::recommend

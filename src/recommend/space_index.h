@@ -2,7 +2,7 @@
 #define GEMREC_RECOMMEND_SPACE_INDEX_H_
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "ebsn/types.h"
@@ -13,14 +13,19 @@ namespace gemrec::recommend {
 /// Query-independent structure of a TransformedSpace, extracted from
 /// TaSearch so every searcher over the same space (exact TA, the
 /// quantized batch path, and QuantizedSpace's per-group compaction)
-/// shares one O(n log n) preprocessing pass instead of each rebuilding
-/// it:
-///   * distinct events/partners with their pair-index lists (the
-///     "groups" whose aggregate components A and B the TA walks),
+/// shares one preprocessing pass instead of each rebuilding it:
+///   * distinct events/partners in order of first appearance, with
+///     their pair-index lists (the "groups" whose aggregate components
+///     A and B the TA walks), each list in ascending pair id,
 ///   * pair -> group inverse maps for O(1) random-access scoring,
-///   * the pair order sorted by the materialized C coordinate
-///     descending (the one sorted list that is query-independent),
+///   * the pair order sorted by the C coordinate descending, ties in
+///     ascending pair id (the one sorted list that is
+///     query-independent),
 ///   * the partner census used by the exclusion filter.
+///
+/// Every pass is linear: ids map to groups through dense arrays, and
+/// the C order is an LSD radix sort, which is stable and so equals
+/// std::stable_sort by C descending.
 ///
 /// Immutable after construction; `space` must outlive the index.
 class SpaceIndex {
@@ -36,11 +41,14 @@ class SpaceIndex {
 
   const std::vector<ebsn::EventId>& events() const { return events_; }
   const std::vector<ebsn::UserId>& partners() const { return partners_; }
-  const std::vector<std::vector<uint32_t>>& event_pairs() const {
-    return event_pairs_;
+  /// Pair ids of event group / partner group g, ascending.
+  std::span<const uint32_t> EventPairs(size_t g) const {
+    return {event_pair_ids_.data() + event_offsets_[g],
+            event_offsets_[g + 1] - event_offsets_[g]};
   }
-  const std::vector<std::vector<uint32_t>>& partner_pairs() const {
-    return partner_pairs_;
+  std::span<const uint32_t> PartnerPairs(size_t g) const {
+    return {partner_pair_ids_.data() + partner_offsets_[g],
+            partner_offsets_[g + 1] - partner_offsets_[g]};
   }
   const std::vector<uint32_t>& pair_event_idx() const {
     return pair_event_idx_;
@@ -55,26 +63,35 @@ class SpaceIndex {
   /// can possibly return.
   size_t ResultsPossible(ebsn::UserId exclude_partner) const {
     size_t possible = space_->num_points();
-    if (auto it = partner_index_.find(exclude_partner);
-        it != partner_index_.end()) {
-      possible -= partner_pairs_[it->second].size();
+    if (exclude_partner < partner_group_.size() &&
+        partner_group_[exclude_partner] != kNoGroup) {
+      possible -= PartnerPairs(partner_group_[exclude_partner]).size();
     }
     return possible;
   }
 
  private:
+  static constexpr uint32_t kNoGroup = 0xFFFFFFFFu;
+
   const TransformedSpace* space_;
   uint32_t latent_dim_;
 
   std::vector<ebsn::EventId> events_;
-  std::vector<std::vector<uint32_t>> event_pairs_;
+  std::vector<uint32_t> event_offsets_;  // num_events + 1
+  std::vector<uint32_t> event_pair_ids_;
   std::vector<ebsn::UserId> partners_;
-  std::vector<std::vector<uint32_t>> partner_pairs_;
-  std::unordered_map<ebsn::UserId, uint32_t> partner_index_;
+  std::vector<uint32_t> partner_offsets_;  // num_partners + 1
+  std::vector<uint32_t> partner_pair_ids_;
+  std::vector<uint32_t> partner_group_;  // partner id -> group
   std::vector<uint32_t> pair_event_idx_;
   std::vector<uint32_t> pair_partner_idx_;
   std::vector<uint32_t> c_sorted_;
 };
+
+/// Pair ids ordered by `c` descending, ties in ascending id: exactly
+/// std::stable_sort of 0..n-1 under `c[a] > c[b]` (so -0 ties +0), in
+/// linear time. `c` must hold no NaN.
+std::vector<uint32_t> SortByCDescending(const std::vector<float>& c);
 
 }  // namespace gemrec::recommend
 

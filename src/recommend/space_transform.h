@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/matrix.h"
 #include "ebsn/types.h"
 #include "recommend/gem_model.h"
 
@@ -26,29 +25,45 @@ struct CandidatePair {
 /// becomes the plain inner product q_uᵀ p_{xu'} — which standard
 /// top-n dot-product retrieval (TA) can process.
 ///
-/// Points are materialized offline, as in the paper (space cost
-/// O(#pairs · K)).
+/// Only the pair-specific coordinate C = ū'ᵀx̄ is stored, one fp32 per
+/// pair; the x̄ and ū' halves are rows of the model's store, shared by
+/// every pair of that event or partner. CopyPoint assembles the full
+/// point where an exact (2K+1)-dim dot is taken. Space cost is
+/// O(#pairs + (|X| + |U|) · K), not the O(#pairs · K) of stored points.
+///
+/// The model (a handle on its store) is kept by value; the store must
+/// outlive the space and must not change while the space is in use.
 class TransformedSpace {
  public:
-  /// Materializes the points for the given candidate pairs.
-  TransformedSpace(const GemModel& model,
-                   std::vector<CandidatePair> pairs);
+  /// Computes C = Dot(ū', x̄) for every pair.
+  TransformedSpace(const GemModel& model, std::vector<CandidatePair> pairs);
+  /// Takes C precomputed by the caller: c[i] must be bitwise
+  /// Dot(UserVec(pairs[i].partner), EventVec(pairs[i].event), K).
+  TransformedSpace(const GemModel& model, std::vector<CandidatePair> pairs,
+                   std::vector<float> c);
 
-  uint32_t point_dim() const { return point_dim_; }  // 2K+1
+  uint32_t point_dim() const { return 2 * model_.dim() + 1; }  // 2K+1
   size_t num_points() const { return pairs_.size(); }
   const std::vector<CandidatePair>& pairs() const { return pairs_; }
   const CandidatePair& pair(size_t i) const { return pairs_[i]; }
+  const GemModel& model() const { return model_; }
 
-  const float* Point(size_t i) const { return points_.Row(i); }
+  /// The C coordinate of every pair, by pair id.
+  const std::vector<float>& c_values() const { return c_; }
+
+  /// Writes point i, (x̄, ū', C), to out[0, point_dim()).
+  void CopyPoint(size_t i, float* out) const;
+  /// Starts loading the rows CopyPoint(i) reads (a cache hint only).
+  void PrefetchPoint(size_t i) const;
 
   /// Fills `out` (size 2K+1) with the query point q_u.
   void QueryVector(const GemModel& model, ebsn::UserId u,
                    std::vector<float>* out) const;
 
  private:
-  uint32_t point_dim_;
+  GemModel model_;
   std::vector<CandidatePair> pairs_;
-  Matrix points_;
+  std::vector<float> c_;
 };
 
 }  // namespace gemrec::recommend

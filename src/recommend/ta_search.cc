@@ -66,34 +66,34 @@ void TaSearch::SearchInto(const std::vector<float>& query, size_t n,
   const uint32_t c_dim = 2 * k;
   const float c_weight = query[c_dim];
 
-  const auto& event_pairs = index_->event_pairs();
-  const auto& partner_pairs = index_->partner_pairs();
   const auto& pair_event_idx = index_->pair_event_idx();
   const auto& pair_partner_idx = index_->pair_partner_idx();
   const auto& c_sorted = index_->c_sorted();
+  const std::vector<float>& c_values = space_->c_values();
+  const GemModel& model = space_->model();
   const size_t num_events = index_->num_events();
   const size_t num_partners = index_->num_partners();
 
   // Per-group aggregate components: A over the event block, B over the
-  // partner block. Computed from any representative pair of the group
-  // (those coordinates are identical across the group by construction).
-  // resize() allocates only on the first query through this scratch.
+  // partner block — the group's x̄ or ū' row, the coordinates every
+  // point of the group shares. resize() allocates only on the first
+  // query through this scratch.
   scratch->event_component.resize(num_events);
   float* event_component = scratch->event_component.data();
   for (size_t e = 0; e < num_events; ++e) {
-    const float* p = space_->Point(event_pairs[e].front());
-    event_component[e] = Dot(query.data(), p, k);
+    event_component[e] =
+        Dot(query.data(), model.EventVec(index_->events()[e]), k);
   }
   scratch->partner_component.resize(num_partners);
   float* partner_component = scratch->partner_component.data();
   for (size_t u = 0; u < num_partners; ++u) {
-    const float* p = space_->Point(partner_pairs[u].front());
-    partner_component[u] = Dot(query.data() + k, p + k, k);
+    partner_component[u] =
+        Dot(query.data() + k, model.UserVec(index_->partners()[u]), k);
   }
   auto pair_score = [&](uint32_t id, uint32_t event_idx,
                         uint32_t partner_idx) {
     return event_component[event_idx] + partner_component[partner_idx] +
-           c_weight * space_->Point(id)[c_dim];
+           c_weight * c_values[id];
   };
 
   // Query-time orderings of the A and B lists (in-place introsort; no
@@ -166,7 +166,7 @@ void TaSearch::SearchInto(const std::vector<float>& query, size_t n,
   };
   auto c_head = [&]() {
     return c_cursor < num_points
-               ? c_weight * space_->Point(c_sorted[c_cursor])[c_dim]
+               ? c_weight * c_values[c_sorted[c_cursor]]
                : 0.0f;
   };
 
@@ -188,7 +188,7 @@ void TaSearch::SearchInto(const std::vector<float>& query, size_t n,
     }
     // Best-first: advance the list with the largest head.
     if (ha >= hb && ha >= hc && a_group < event_order.size()) {
-      const auto& pairs = event_pairs[event_order[a_group]];
+      const auto pairs = index_->EventPairs(event_order[a_group]);
       examine(pairs[a_offset]);
       ++local_stats.sorted_accesses;
       if (++a_offset >= pairs.size()) {
@@ -196,7 +196,7 @@ void TaSearch::SearchInto(const std::vector<float>& query, size_t n,
         ++a_group;
       }
     } else if (hb >= hc && b_group < partner_order.size()) {
-      const auto& pairs = partner_pairs[partner_order[b_group]];
+      const auto pairs = index_->PartnerPairs(partner_order[b_group]);
       examine(pairs[b_offset]);
       ++local_stats.sorted_accesses;
       if (++b_offset >= pairs.size()) {
@@ -210,7 +210,7 @@ void TaSearch::SearchInto(const std::vector<float>& query, size_t n,
     } else {
       // Preferred list exhausted; fall back to any remaining one.
       if (a_group < event_order.size()) {
-        const auto& pairs = event_pairs[event_order[a_group]];
+        const auto pairs = index_->EventPairs(event_order[a_group]);
         examine(pairs[a_offset]);
         ++local_stats.sorted_accesses;
         if (++a_offset >= pairs.size()) {
@@ -218,7 +218,7 @@ void TaSearch::SearchInto(const std::vector<float>& query, size_t n,
           ++a_group;
         }
       } else if (b_group < partner_order.size()) {
-        const auto& pairs = partner_pairs[partner_order[b_group]];
+        const auto pairs = index_->PartnerPairs(partner_order[b_group]);
         examine(pairs[b_offset]);
         ++local_stats.sorted_accesses;
         if (++b_offset >= pairs.size()) {

@@ -48,8 +48,7 @@ struct SearchStats {
 /// scores q·p = A(x) + B(u') + C(x, u') with three monotone components
 ///   A(x)  = ūᵀx̄        (depends on the event only),
 ///   B(u') = ūᵀū'        (depends on the partner only),
-///   C     = ū'ᵀx̄        (materialized offline as the pair's last
-///                         coordinate).
+///   C     = ū'ᵀx̄        (computed offline, one fp32 per pair).
 /// TA runs over three sorted lists — events by A (query time), partners
 /// by B (query time), pairs by C (precomputed) — with the standard
 /// stopping threshold A_next + B_next + C_next. This is exact: every

@@ -19,9 +19,9 @@ namespace {
 /// the whole batch (group commit).
 constexpr size_t kMaxApplyBatch = 64;
 
-/// Nice value of the ingest thread. Delta publishes rebuild the full
-/// snapshot on this thread, which on few-core hosts steals cycles from
-/// the latency-critical read path; a positive nice keeps rebuild CPU
+/// Nice value of the ingest thread. Publishes build snapshots on this
+/// thread, which on few-core hosts steals cycles from the
+/// latency-critical read path; a positive nice keeps build CPU
 /// subordinate to query workers. Writes are durability-critical, not
 /// latency-critical, so acks tolerating a deprioritized thread is the
 /// intended trade.
@@ -109,7 +109,10 @@ Status IngestionQueue::Start() {
     auto checkpoint = LoadIngestCheckpoint(options_.checkpoint_base);
     if (checkpoint.ok()) {
       IngestCheckpoint& cp = checkpoint.value();
-      GEMREC_RETURN_IF_ERROR(ValidateStoreShape(cp.store, *builder_));
+      // The checkpoint's store and pool replace the builder's together,
+      // so they are checked against each other.
+      GEMREC_RETURN_IF_ERROR(ValidateStoreShape(cp.store, cp.event_pool,
+                                                builder_->num_users()));
       builder_->set_event_pool(cp.event_pool);
       builder_->ResetStagingStore(std::move(cp.store));
       checkpoint_seq_ = cp.seq;
@@ -159,7 +162,7 @@ Status IngestionQueue::Start() {
 
   // 3. Every acknowledged write is retrievable before the first new
   //    submission is accepted.
-  service_->Publish(builder_->Build());
+  service_->Publish(builder_->BuildNext());
   m_publishes_->Increment();
 
   {
@@ -553,7 +556,7 @@ void IngestionQueue::DoPublish() {
   if (unpublished_ > 0) {
     m_publish_lag_us_->Record(ElapsedUs(oldest_unpublished_, start));
   }
-  service_->Publish(builder_->Build());
+  service_->Publish(builder_->BuildNext());
   m_publish_build_us_->Record(
       ElapsedUs(start, std::chrono::steady_clock::now()));
   m_publishes_->Increment();

@@ -76,8 +76,10 @@ enum class IngestAdmission {
 /// fold-ins to the SnapshotBuilder staging store, and (5) publishes
 /// delta snapshots through RecommendationService::Publish on a
 /// threshold/interval cadence — so a live attendance/new-event stream
-/// becomes retrievable (including through the quantized batched path,
-/// which ModelSnapshot rebuilds on every publish) without a retrain.
+/// becomes retrievable (including through the quantized batched path)
+/// without a retrain. A publish is SnapshotBuilder::BuildNext: it
+/// ranks again only the partners the applied records can reach and
+/// reuses the previous snapshot's lists for the rest.
 ///
 /// Durability contract: an acknowledged record survives SIGKILL at any
 /// instruction. Start() recovers the newest checkpoint (or the

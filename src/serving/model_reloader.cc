@@ -39,7 +39,7 @@ Status ModelReloader::ReloadFromFile(const std::string& path) {
     if (!store.ok()) return store.status();
     GEMREC_RETURN_IF_ERROR(ValidateStoreShape(*store, *builder_));
     builder_->ResetStagingStore(std::move(store).value());
-    service_->Publish(builder_->Build());
+    service_->Publish(builder_->BuildNext());
     return Status::Ok();
   };
   const Status status = run();

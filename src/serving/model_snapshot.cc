@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "recommend/candidate_index.h"
-
 namespace gemrec::serving {
 
 uint64_t ModelSnapshot::HashEventPool(
@@ -19,7 +17,8 @@ uint64_t ModelSnapshot::HashEventPool(
 ModelSnapshot::ModelSnapshot(const embedding::EmbeddingStore& store,
                              std::vector<ebsn::EventId> events,
                              uint32_t num_users,
-                             const SnapshotOptions& options)
+                             const SnapshotOptions& options,
+                             const recommend::CandidateDelta* delta)
     : store_(store),
       model_(&store_, "gem-snapshot"),
       events_(std::move(events)),
@@ -30,11 +29,11 @@ ModelSnapshot::ModelSnapshot(const embedding::EmbeddingStore& store,
   for (const ebsn::EventId x : events_) {
     if (shard::OwnsEvent(options.shard, x)) shard_events_.push_back(x);
   }
-  auto pairs = recommend::BuildCandidatePairs(
+  recommend::CandidateList list = recommend::BuildCandidateList(
       model_, events_, shard::OwnedPartners(options.shard, num_users_),
-      options.top_k_events_per_partner);
-  space_ = std::make_unique<recommend::TransformedSpace>(model_,
-                                                         std::move(pairs));
+      options.top_k_events_per_partner, delta);
+  space_ = std::make_unique<recommend::TransformedSpace>(
+      model_, std::move(list.pairs), std::move(list.c));
   // One grouping/sort pass shared by the exact and quantized searchers.
   index_ = std::make_unique<recommend::SpaceIndex>(space_.get());
   ta_ = std::make_unique<recommend::TaSearch>(index_.get());

@@ -8,6 +8,7 @@
 #include "ebsn/types.h"
 #include "embedding/embedding_store.h"
 #include "recommend/batch_ta_search.h"
+#include "recommend/candidate_index.h"
 #include "recommend/gem_model.h"
 #include "recommend/quantized_space.h"
 #include "recommend/space_index.h"
@@ -29,8 +30,11 @@ struct SnapshotOptions {
 
 /// An immutable, self-contained serving model: a deep copy of the
 /// embedding store plus everything derived from it — the GemModel
-/// adapter, the transformed (2K+1)-dim event-partner space and the TA
-/// index. Because the store is copied at construction, the caller's
+/// adapter, the candidate pairs with one C = ū'ᵀx̄ each (the
+/// transformed (2K+1)-dim space, whose x̄ and ū' halves are the copied
+/// store's rows), the group/C-order index and the quantized codes the
+/// batch walk reads. Because the store is copied at construction, the
+/// caller's
 /// staging store can keep absorbing OnlineUpdate fold-ins while this
 /// snapshot serves; publishing the result is building a new snapshot
 /// and handing it to RecommendationService::Publish.
@@ -42,13 +46,17 @@ struct SnapshotOptions {
 /// reference — epoch/refcount retirement with no reader-side blocking.
 class ModelSnapshot {
  public:
-  /// Copies `store` and materializes the candidate space over `events`
-  /// x the partners of 0..num_users-1 that `options.shard` owns (all
-  /// of them by default), pruned per options. The heavy build runs on
-  /// the calling thread, never on serving workers.
+  /// Copies `store` and builds the candidate space over `events` x the
+  /// partners of 0..num_users-1 that `options.shard` owns (all of them
+  /// by default), pruned per options. With a `delta`
+  /// (recommend::BuildCandidateList) clean partners' lists are copied
+  /// from an earlier snapshot of the same builder; the result is
+  /// bitwise the same. The build runs on the calling thread, never on
+  /// serving workers.
   ModelSnapshot(const embedding::EmbeddingStore& store,
                 std::vector<ebsn::EventId> events, uint32_t num_users,
-                const SnapshotOptions& options);
+                const SnapshotOptions& options,
+                const recommend::CandidateDelta* delta = nullptr);
 
   ModelSnapshot(const ModelSnapshot&) = delete;
   ModelSnapshot& operator=(const ModelSnapshot&) = delete;
@@ -64,6 +72,8 @@ class ModelSnapshot {
 
   const recommend::GemModel& model() const { return model_; }
   const recommend::TransformedSpace& space() const { return *space_; }
+  const recommend::SpaceIndex& index() const { return *index_; }
+  const recommend::QuantizedSpace& quantized() const { return *quant_; }
   /// Exact per-query TA over the same index (offline replays and
   /// oracles; serving answers through batch_searcher()).
   const recommend::TaSearch& searcher() const { return *ta_; }

@@ -1,5 +1,6 @@
 #include "serving/snapshot_builder.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -14,15 +15,53 @@ SnapshotBuilder::SnapshotBuilder(const embedding::EmbeddingStore& initial,
     : staging_(initial),
       events_(std::move(events)),
       num_users_(num_users),
-      options_(options) {}
+      options_(options),
+      dirty_users_(num_users, 0) {}
+
+Status SnapshotBuilder::FoldInEvent(
+    ebsn::EventId event, const embedding::NewEventSignals& signals,
+    const embedding::OnlineUpdateOptions& options) {
+  // A pooled event's row is in every partner's ranking.
+  if (std::find(events_.begin(), events_.end(), event) != events_.end()) {
+    reuse_blocked_ = true;
+  }
+  return embedding::FoldInColdEvent(&staging_, event, signals, options);
+}
 
 std::shared_ptr<ModelSnapshot> SnapshotBuilder::Build() const {
   return std::make_shared<ModelSnapshot>(staging_, events_, num_users_,
                                          options_);
 }
 
+bool SnapshotBuilder::CanReuseLast() const {
+  if (last_ == nullptr || reuse_blocked_) return false;
+  const std::vector<ebsn::EventId>& previous = last_->events();
+  return options_.top_k_events_per_partner > 0 &&
+         previous.size() > options_.top_k_events_per_partner &&
+         events_.size() >= previous.size() &&
+         std::equal(previous.begin(), previous.end(), events_.begin());
+}
+
+std::shared_ptr<ModelSnapshot> SnapshotBuilder::BuildNext() {
+  std::shared_ptr<ModelSnapshot> snapshot;
+  if (CanReuseLast()) {
+    const recommend::CandidateDelta delta{&last_->space(),
+                                          last_->events().size(),
+                                          &dirty_users_};
+    snapshot = std::make_shared<ModelSnapshot>(staging_, events_,
+                                               num_users_, options_, &delta);
+  } else {
+    snapshot = Build();
+  }
+  last_ = snapshot;
+  std::fill(dirty_users_.begin(), dirty_users_.end(), 0);
+  reuse_blocked_ = false;
+  return snapshot;
+}
+
 Status ValidateStoreShape(const embedding::EmbeddingStore& store,
-                          const SnapshotBuilder& builder) {
+                          const std::vector<ebsn::EventId>& event_pool,
+                          uint32_t num_users) {
   if (store.dim() > recommend::QuantizedSpace::kMaxLatentDim) {
     return Status::FailedPrecondition(
         "store has " + std::to_string(store.dim()) +
@@ -31,22 +70,32 @@ Status ValidateStoreShape(const embedding::EmbeddingStore& store,
         std::to_string(recommend::QuantizedSpace::kMaxLatentDim));
   }
   const uint32_t num_events = store.CountOf(graph::NodeType::kEvent);
-  for (const ebsn::EventId event : builder.event_pool()) {
+  std::vector<uint8_t> pooled(num_events, 0);
+  for (const ebsn::EventId event : event_pool) {
     if (event >= num_events) {
       return Status::FailedPrecondition(
-          "reloaded store has " + std::to_string(num_events) +
+          "store has " + std::to_string(num_events) +
           " events but the serving pool references event " +
           std::to_string(event));
     }
+    if (pooled[event] != 0) {
+      return Status::FailedPrecondition("the serving pool lists event " +
+                                        std::to_string(event) + " twice");
+    }
+    pooled[event] = 1;
   }
-  const uint32_t num_users = store.CountOf(graph::NodeType::kUser);
-  if (builder.num_users() > num_users) {
+  const uint32_t store_users = store.CountOf(graph::NodeType::kUser);
+  if (num_users > store_users) {
     return Status::FailedPrecondition(
-        "reloaded store has " + std::to_string(num_users) +
-        " users but the service serves " +
-        std::to_string(builder.num_users()));
+        "store has " + std::to_string(store_users) +
+        " users but the service serves " + std::to_string(num_users));
   }
   return Status::Ok();
+}
+
+Status ValidateStoreShape(const embedding::EmbeddingStore& store,
+                          const SnapshotBuilder& builder) {
+  return ValidateStoreShape(store, builder.event_pool(), builder.num_users());
 }
 
 }  // namespace gemrec::serving

@@ -17,10 +17,19 @@ namespace gemrec::serving {
 /// cold users, attendance nudges), and mints immutable ModelSnapshots
 /// to hand to RecommendationService::Publish.
 ///
-/// The staging store is never the one being served — Build() deep-
+/// The staging store is never the one being served — a build deep-
 /// copies it into the snapshot — so fold-ins between builds are
 /// invisible to queries until the next Publish, and a half-applied
 /// update can never leak into serving.
+///
+/// Publishing cost follows the change. The mutating wrappers below are
+/// the only way to change the staging state, and they record what
+/// changed: users whose row moved, events appended to the pool, or
+/// "everything" (a store reset, a re-fold of an event already in the
+/// pool, a pool edit that is not an append). BuildNext reuses the last
+/// snapshot it built for every partner that change cannot reach
+/// (recommend::BuildCandidateList); Build always starts from scratch.
+/// Both give bitwise the same snapshot.
 ///
 /// Not thread-safe: one updater thread owns the builder (the service
 /// handles concurrency on the query side).
@@ -34,25 +43,26 @@ class SnapshotBuilder {
                   const SnapshotOptions& options);
 
   /// Fold-in wrappers over embedding/online_update.h, applied to the
-  /// staging store only.
+  /// staging store only. Each marks what it may change before it runs.
   Status FoldInEvent(ebsn::EventId event,
                      const embedding::NewEventSignals& signals,
-                     const embedding::OnlineUpdateOptions& options) {
-    return embedding::FoldInColdEvent(&staging_, event, signals, options);
-  }
+                     const embedding::OnlineUpdateOptions& options);
   Status FoldInUser(ebsn::UserId user,
                     const embedding::NewUserSignals& signals,
                     const embedding::OnlineUpdateOptions& options) {
+    MarkUserDirty(user);
     return embedding::FoldInColdUser(&staging_, user, signals, options);
   }
   Status RecordAttendance(ebsn::UserId user, ebsn::EventId event,
                           const embedding::OnlineUpdateOptions& options) {
+    MarkUserDirty(user);
     return embedding::UpdateUserWithAttendance(&staging_, user, event,
                                                options);
   }
 
   /// Replaces the event pool of future builds (e.g. after FoldInEvent
-  /// makes a just-published event recommendable).
+  /// makes a just-published event recommendable). BuildNext compares it
+  /// with the pool of its last build: an append keeps the reuse.
   void set_event_pool(std::vector<ebsn::EventId> events) {
     events_ = std::move(events);
   }
@@ -66,31 +76,62 @@ class SnapshotBuilder {
   /// already built, never lost from serving).
   void ResetStagingStore(embedding::EmbeddingStore store) {
     staging_ = std::move(store);
+    reuse_blocked_ = true;
   }
 
-  /// Direct access for updates not covered by the wrappers.
-  embedding::EmbeddingStore* staging_store() { return &staging_; }
+  /// Read-only view of the staging store; changes go through the
+  /// wrappers above, which record them.
+  const embedding::EmbeddingStore* staging_store() const {
+    return &staging_;
+  }
 
-  /// Builds an immutable snapshot of the current staging state. Heavy
-  /// (candidate build + space transform + TA preprocessing); run it on
-  /// the updater thread, then Publish the result.
+  /// Builds an immutable snapshot of the current staging state from
+  /// scratch (the candidate build, the space, its index and codes).
+  /// Leaves the recorded changes in place for BuildNext.
   std::shared_ptr<ModelSnapshot> Build() const;
 
+  /// Builds the same snapshot as Build, reusing the previous BuildNext
+  /// result for every partner the changes since then cannot reach, so
+  /// the cost is O(changed partners · |pool|) plus linear passes over
+  /// the pair arrays. The first call, and any call after a change
+  /// that counts as "everything", or with top_k == 0 or a previous
+  /// pool of at most top_k events, builds from scratch. Run it on the
+  /// updater thread, then Publish the result.
+  std::shared_ptr<ModelSnapshot> BuildNext();
+
  private:
+  void MarkUserDirty(ebsn::UserId user) {
+    if (user < dirty_users_.size()) dirty_users_[user] = 1;
+  }
+  /// Whether BuildNext may reuse last_ for clean partners.
+  bool CanReuseLast() const;
+
   embedding::EmbeddingStore staging_;
   std::vector<ebsn::EventId> events_;
   uint32_t num_users_;
   SnapshotOptions options_;
+
+  /// The last BuildNext result and what changed since: dirty_users_[u]
+  /// is set when user u's row may have moved; reuse_blocked_ when a
+  /// change may reach every partner.
+  std::shared_ptr<const ModelSnapshot> last_;
+  std::vector<uint8_t> dirty_users_;
+  bool reuse_blocked_ = false;
 };
 
 /// A loaded artifact must fit the serving index and cover the serving
 /// pool: its latent dimension must not exceed
 /// QuantizedSpace::kMaxLatentDim, or the snapshot build would abort,
-/// and every recommendable event id and every user id must index into
-/// the new store, or QueryVector/TA would walk out of bounds once
-/// published. Checked by both reload paths (ModelReloader and
-/// IngestionQueue::ReloadBase) before a store reaches
-/// ResetStagingStore, and by `gemrec serve` before its first build.
+/// every recommendable event id must index into the new store, once,
+/// and every user id must too, or QueryVector/TA would walk out of
+/// bounds once published. Checked by both reload paths (ModelReloader
+/// and IngestionQueue::ReloadBase) and by checkpoint recovery before a
+/// store reaches ResetStagingStore, and by `gemrec serve` before its
+/// first build.
+Status ValidateStoreShape(const embedding::EmbeddingStore& store,
+                          const std::vector<ebsn::EventId>& event_pool,
+                          uint32_t num_users);
+/// The same, against the builder's pool and user count.
 Status ValidateStoreShape(const embedding::EmbeddingStore& store,
                           const SnapshotBuilder& builder);
 

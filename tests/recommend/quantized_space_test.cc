@@ -4,6 +4,7 @@
 // whole retrieval stack leans on — QuantizeQuery's epsilon is a true
 // one-sided bound on |approximate - exact| for every pair.
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <memory>
@@ -17,6 +18,7 @@
 #include "recommend/candidate_index.h"
 #include "recommend/gem_model.h"
 #include "recommend/quantized_space.h"
+#include "shard/partitioner.h"
 
 namespace gemrec::recommend {
 namespace {
@@ -84,13 +86,15 @@ void CheckEpsilonBound(const TransformedSpace& space, const GemModel& model,
   std::vector<uint8_t> eq8(k), pq8(k);
   std::vector<int16_t> eq16(k), pq16(k);
   std::vector<float> q;
+  std::vector<float> point(space.point_dim());
   for (uint32_t user = 0; user < num_users; ++user) {
     space.QueryVector(model, user, &q);
     const auto qq =
         quant.QuantizeQuery(q.data(), eq8.data(), pq8.data(), eq16.data(),
                             pq16.data());
     for (uint32_t id = 0; id < space.num_points(); ++id) {
-      const float exact = Dot(q.data(), space.Point(id), space.point_dim());
+      space.CopyPoint(id, point.data());
+      const float exact = Dot(q.data(), point.data(), space.point_dim());
       const float approx =
           ApproxScore(quant, qq, eq8, pq8, eq16, pq16, id);
       // Tiny slack for the fp32 evaluation of the bound itself.
@@ -217,6 +221,59 @@ TEST(QuantizedSpaceTest, ForcedPrecisionIsHonoredAndAutoSelects) {
   QuantizedSpace qa(&index);
   EXPECT_GE(qa.int8_relative_error_estimate(), 0.0f);
   EXPECT_TRUE(std::isfinite(qa.int8_relative_error_estimate()));
+}
+
+/// The reference C order: std::stable_sort of the pair ids by C
+/// descending.
+std::vector<uint32_t> StableSortOrder(const std::vector<float>& c) {
+  std::vector<uint32_t> order(c.size());
+  for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](uint32_t a, uint32_t b) { return c[a] > c[b]; });
+  return order;
+}
+
+TEST(SpaceIndexCOrderTest, RadixOrderEqualsStableSortOnTiedValues) {
+  // Repeated values, both zeros (which `>` finds equal), negatives,
+  // subnormals and values whose keys share every high digit.
+  std::vector<float> c = {0.5f,   -0.0f, 0.0f,   2.0f,  0.5f,  -3.0f,
+                          1e-40f, 0.0f,  -1e-40f, -0.0f, 2.0f,  -3.0f,
+                          1.0f,   1.0000001f, 1.0f, 1e30f, -1e30f, 0.5f};
+  EXPECT_EQ(SortByCDescending(c), StableSortOrder(c));
+  Rng rng(77);
+  for (int round = 0; round < 20; ++round) {
+    // Few distinct values among many pairs: long runs of ties.
+    std::vector<float> values(1 + rng.UniformInt(6));
+    for (float& v : values) v = static_cast<float>(rng.Gaussian(0.0, 2.0));
+    std::vector<float> many(1 + rng.UniformInt(3000));
+    for (float& v : many) v = values[rng.UniformInt(values.size())];
+    EXPECT_EQ(SortByCDescending(many), StableSortOrder(many));
+  }
+  EXPECT_TRUE(SortByCDescending({}).empty());
+}
+
+TEST(SpaceIndexCOrderTest, IndexOrderEqualsStableSortOnTiedSpaces) {
+  // Users and events that share rows give every C value many pairs.
+  auto store = MakeStore(12, 9, 4, 21);
+  for (auto type : {graph::NodeType::kUser, graph::NodeType::kEvent}) {
+    Matrix& m = store->MatrixOf(type);
+    for (size_t r = 3; r < m.rows(); ++r) {
+      for (size_t d = 0; d < m.cols(); ++d) m.At(r, d) = m.At(r % 3, d);
+    }
+  }
+  GemModel model(store.get(), "GEM");
+  TransformedSpace space(model, AllPairs(12, 9));
+  SpaceIndex index(&space);
+  EXPECT_EQ(index.c_sorted(), StableSortOrder(space.c_values()));
+
+  // A shard that owns no partner builds an empty space.
+  const CandidateList none = BuildCandidateList(
+      model, {0, 1, 2, 3, 4, 5}, shard::OwnedPartners({1, 2}, 1), 2);
+  TransformedSpace empty(model, none.pairs, none.c);
+  SpaceIndex empty_index(&empty);
+  EXPECT_TRUE(empty_index.c_sorted().empty());
+  EXPECT_EQ(empty_index.c_sorted(), StableSortOrder(empty.c_values()));
+  EXPECT_EQ(empty_index.num_partners(), 0u);
 }
 
 }  // namespace

@@ -1,7 +1,12 @@
 #include "recommend/space_transform.h"
 
+#include <algorithm>
+#include <array>
+#include <cstring>
+
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "common/vec_math.h"
 
 namespace gemrec::recommend {
@@ -35,13 +40,44 @@ TEST(SpaceTransformTest, PointLayoutIsEventPartnerDot) {
   auto store = MakeStore();
   GemModel model(store.get(), "GEM");
   TransformedSpace space(model, {{1, 2}});  // event 1, partner 2
-  const float* p = space.Point(0);
+  float p[5];
+  space.CopyPoint(0, p);
   // (x̄, ū', ū'ᵀx̄) = (0, 2, 0.5, 0.5, 1.0)
   EXPECT_FLOAT_EQ(p[0], 0.0f);
   EXPECT_FLOAT_EQ(p[1], 2.0f);
   EXPECT_FLOAT_EQ(p[2], 0.5f);
   EXPECT_FLOAT_EQ(p[3], 0.5f);
   EXPECT_FLOAT_EQ(p[4], 1.0f);
+}
+
+TEST(SpaceTransformTest, AssembledPointIsRowsAndDotBitwise) {
+  // 37 dims: the Dot kernels' vector blocks straddle the x̄/ū' seam.
+  constexpr uint32_t kDim = 37;
+  embedding::EmbeddingStore store(kDim, std::array<uint32_t, 5>{7, 5, 1, 1, 1});
+  Rng rng(3);
+  store.MatrixOf(graph::NodeType::kUser).FillAbsGaussian(&rng, 0.2, 0.3);
+  store.MatrixOf(graph::NodeType::kEvent).FillGaussian(&rng, 0.0, 0.5);
+  GemModel model(&store, "GEM");
+  std::vector<CandidatePair> pairs;
+  for (uint32_t x = 0; x < 5; ++x) {
+    for (uint32_t u = 0; u < 7; ++u) pairs.push_back({x, u});
+  }
+  TransformedSpace space(model, pairs);
+  std::vector<float> got(space.point_dim());
+  std::vector<float> want(space.point_dim());
+  for (size_t i = 0; i < space.num_points(); ++i) {
+    const float* x = model.EventVec(pairs[i].event);
+    const float* u = model.UserVec(pairs[i].partner);
+    std::copy_n(x, kDim, want.begin());
+    std::copy_n(u, kDim, want.begin() + kDim);
+    want[2 * kDim] = Dot(u, x, kDim);
+    space.CopyPoint(i, got.data());
+    EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                             want.size() * sizeof(float)))
+        << "pair " << i;
+    EXPECT_EQ(0, std::memcmp(&space.c_values()[i], &want[2 * kDim],
+                             sizeof(float)));
+  }
 }
 
 TEST(SpaceTransformTest, QueryLayoutIsUserUserOne) {
@@ -69,12 +105,14 @@ TEST(SpaceTransformTest, InnerProductEqualsEqn8Score) {
   }
   TransformedSpace space(model, pairs);
   std::vector<float> q;
+  std::vector<float> point(space.point_dim());
   for (uint32_t u = 0; u < 3; ++u) {
     space.QueryVector(model, u, &q);
     for (size_t i = 0; i < space.num_points(); ++i) {
       const auto& pair = space.pair(i);
+      space.CopyPoint(i, point.data());
       const float via_transform =
-          Dot(q.data(), space.Point(i), space.point_dim());
+          Dot(q.data(), point.data(), space.point_dim());
       const float direct = model.ScoreUserEvent(u, pair.event) +
                            model.ScoreUserEvent(pair.partner, pair.event) +
                            model.ScoreUserUser(u, pair.partner);

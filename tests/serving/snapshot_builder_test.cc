@@ -1,0 +1,345 @@
+// SnapshotBuilder's publish contract: BuildNext, which ranks again only
+// the partners a change can reach and copies every other partner's
+// list from its previous snapshot, must produce bitwise the snapshot a
+// from-scratch Build() of the same staging state produces — pairs, C,
+// groups, inverse maps, the C order, quantization parameters, precision
+// and codes — at every publish of seeded write streams, unsharded and
+// under every shard of N = 2 and N = 3. The streams mix attendance
+// nudges, cold-user fold-ins, appended events (two with identical
+// signals, so TopK sees tied scores, and one that enters most lists),
+// re-folds of pooled events, non-append pool edits and store resets.
+// Also here: recovery refuses a checkpoint whose pool does not fit its
+// own store.
+
+#include <unistd.h>
+
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <cstring>
+#include <filesystem>
+#include <memory>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "common/rng.h"
+#include "serving/ingest_journal.h"
+#include "serving/ingestion_queue.h"
+#include "serving/recommendation_service.h"
+#include "serving/snapshot_builder.h"
+
+namespace gemrec::serving {
+namespace {
+
+namespace fs = std::filesystem;
+
+constexpr uint32_t kUsers = 40;
+constexpr uint32_t kEventRows = 72;
+constexpr uint32_t kInitialEvents = 24;
+constexpr uint32_t kLocations = 4;
+constexpr uint32_t kTimeSlots = 33;
+constexpr uint32_t kWords = 50;
+constexpr uint32_t kDim = 8;
+constexpr uint32_t kTopK = 5;
+constexpr int kPublishes = 36;
+
+embedding::EmbeddingStore DeltaStore(uint64_t seed) {
+  embedding::EmbeddingStore store(
+      kDim, std::array<uint32_t, 5>{kUsers, kEventRows, kLocations,
+                                    kTimeSlots, kWords});
+  Rng rng(seed);
+  for (size_t t = 0; t < embedding::EmbeddingStore::kNumTypes; ++t) {
+    store.MatrixOf(static_cast<graph::NodeType>(t))
+        .FillAbsGaussian(&rng, 0.2, 0.3);
+  }
+  return store;
+}
+
+std::vector<ebsn::EventId> InitialPool() {
+  std::vector<ebsn::EventId> events(kInitialEvents);
+  for (uint32_t x = 0; x < kInitialEvents; ++x) events[x] = x;
+  return events;
+}
+
+template <typename T>
+void ExpectBitwiseEqual(const T* got, const T* want, size_t n,
+                        const char* what) {
+  EXPECT_EQ(0, n == 0 ? 0 : std::memcmp(got, want, n * sizeof(T))) << what;
+}
+
+template <typename T>
+void ExpectBitwiseEqual(const std::vector<T>& got, const std::vector<T>& want,
+                        const char* what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  ExpectBitwiseEqual(got.data(), want.data(), got.size(), what);
+}
+
+/// One-hot queries read back each dimension's zero point (the bias),
+/// scale (through the folded code scale) and rounding bound (epsilon),
+/// so equal outputs pin the private quantization parameters bitwise.
+void ExpectSameQuantization(const recommend::QuantizedSpace& got,
+                            const recommend::QuantizedSpace& want) {
+  const uint32_t k = want.latent_dim();
+  ASSERT_EQ(got.latent_dim(), k);
+  EXPECT_EQ(got.precision(), want.precision());
+  EXPECT_EQ(got.max_event_code_row_sum(), want.max_event_code_row_sum());
+  EXPECT_EQ(got.max_partner_code_row_sum(), want.max_partner_code_row_sum());
+  const float got_err = got.int8_relative_error_estimate();
+  const float want_err = want.int8_relative_error_estimate();
+  ExpectBitwiseEqual(&got_err, &want_err, 1, "int8 error estimate");
+  ExpectBitwiseEqual(got.c_sorted_values(), want.c_sorted_values(),
+                     "c_sorted_values");
+  if (want.precision() == recommend::QuantizedSpace::Precision::kInt8) {
+    ExpectBitwiseEqual(got.EventCodes8(0), want.EventCodes8(0),
+                       want.num_events() * k, "event codes8");
+    ExpectBitwiseEqual(got.PartnerCodes8(0), want.PartnerCodes8(0),
+                       want.num_partners() * k, "partner codes8");
+  } else {
+    ExpectBitwiseEqual(got.EventCodes16(0), want.EventCodes16(0),
+                       want.num_events() * k, "event codes16");
+    ExpectBitwiseEqual(got.PartnerCodes16(0), want.PartnerCodes16(0),
+                       want.num_partners() * k, "partner codes16");
+  }
+  for (uint32_t d = 0; d <= 2 * k; ++d) {
+    std::vector<float> query(2 * k + 1, 0.0f);
+    query[d] = 1.0f;
+    std::vector<uint8_t> e8g(k), p8g(k), e8w(k), p8w(k);
+    std::vector<int16_t> e16g(k), p16g(k), e16w(k), p16w(k);
+    const auto qg = got.QuantizeQuery(query.data(), e8g.data(), p8g.data(),
+                                      e16g.data(), p16g.data());
+    const auto qw = want.QuantizeQuery(query.data(), e8w.data(), p8w.data(),
+                                       e16w.data(), p16w.data());
+    ExpectBitwiseEqual(&qg, &qw, 1, "quantized one-hot query");
+    ExpectBitwiseEqual(e8g, e8w, "query codes");
+    ExpectBitwiseEqual(p8g, p8w, "query codes");
+    ExpectBitwiseEqual(e16g, e16w, "query codes");
+    ExpectBitwiseEqual(p16g, p16w, "query codes");
+  }
+}
+
+void ExpectSameSnapshot(const ModelSnapshot& got, const ModelSnapshot& want) {
+  EXPECT_EQ(got.events(), want.events());
+  EXPECT_EQ(got.shard_events(), want.shard_events());
+  EXPECT_EQ(got.pool_hash(), want.pool_hash());
+
+  const recommend::TransformedSpace& gs = got.space();
+  const recommend::TransformedSpace& ws = want.space();
+  ASSERT_EQ(gs.num_points(), ws.num_points());
+  ExpectBitwiseEqual(gs.pairs().data(), ws.pairs().data(), ws.num_points(),
+                     "pairs");
+  ExpectBitwiseEqual(gs.c_values(), ws.c_values(), "C");
+
+  const recommend::SpaceIndex& gi = got.index();
+  const recommend::SpaceIndex& wi = want.index();
+  EXPECT_EQ(gi.events(), wi.events());
+  EXPECT_EQ(gi.partners(), wi.partners());
+  ASSERT_EQ(gi.num_events(), wi.num_events());
+  ASSERT_EQ(gi.num_partners(), wi.num_partners());
+  for (size_t g = 0; g < wi.num_events(); ++g) {
+    EXPECT_TRUE(std::ranges::equal(gi.EventPairs(g), wi.EventPairs(g)));
+  }
+  for (size_t g = 0; g < wi.num_partners(); ++g) {
+    EXPECT_TRUE(std::ranges::equal(gi.PartnerPairs(g), wi.PartnerPairs(g)));
+  }
+  EXPECT_EQ(gi.pair_event_idx(), wi.pair_event_idx());
+  EXPECT_EQ(gi.pair_partner_idx(), wi.pair_partner_idx());
+  EXPECT_EQ(gi.c_sorted(), wi.c_sorted());
+
+  ExpectSameQuantization(got.quantized(), want.quantized());
+}
+
+/// Share of owned partners whose list holds `event`.
+double ListShare(const ModelSnapshot& snapshot, ebsn::EventId event) {
+  const auto& pairs = snapshot.space().pairs();
+  if (pairs.empty()) return 0.0;
+  size_t holding = 0;
+  for (const recommend::CandidatePair& pair : pairs) {
+    holding += pair.event == event ? 1 : 0;
+  }
+  return static_cast<double>(holding * kTopK) /
+         static_cast<double>(pairs.size());
+}
+
+embedding::NewEventSignals SignalsFor(uint32_t i) {
+  embedding::NewEventSignals signals;
+  signals.region = i % kLocations;
+  signals.start_time = 1700000000 + static_cast<int64_t>(i) * 86400;
+  signals.words = {{(i * 3) % kWords, 0.75f}, {(i * 11 + 1) % kWords, 1.5f}};
+  return signals;
+}
+
+/// Drives one seeded write stream against one builder, publishing with
+/// BuildNext and checking each publish against Build().
+class WriteStream {
+ public:
+  WriteStream(uint64_t seed, const shard::ShardSpec& spec)
+      : rng_(seed), seed_(seed) {
+    SnapshotOptions options;
+    options.top_k_events_per_partner = kTopK;
+    options.shard = spec;
+    pool_ = InitialPool();
+    builder_ = std::make_unique<SnapshotBuilder>(DeltaStore(seed), pool_,
+                                                 kUsers, options);
+  }
+
+  void Run() {
+    for (int step = 0; step < kPublishes; ++step) {
+      SCOPED_TRACE(::testing::Message() << "publish " << step);
+      switch (step) {
+        case 4:  // two appended events with identical signals: ties
+          AppendEvent(SignalsFor(1000), foldin_);
+          AppendEvent(SignalsFor(1000), foldin_);
+          break;
+        case 8: {  // an event that enters most partners' lists
+          embedding::OnlineUpdateOptions hot = foldin_;
+          hot.bias = 60.0f;
+          hot.learning_rate = 2.0f;
+          hot_event_ = AppendEvent(SignalsFor(7), hot);
+          break;
+        }
+        case 12:  // re-fold of a pooled event
+          ASSERT_TRUE(builder_
+                          ->FoldInEvent(pool_[rng_.UniformInt(pool_.size())],
+                                        SignalsFor(step), foldin_)
+                          .ok());
+          break;
+        case 16:  // a pool edit that is not an append
+          pool_.erase(pool_.begin() + 3);
+          builder_->set_event_pool(pool_);
+          break;
+        case 20:
+        case 29:  // a reload
+          builder_->ResetStagingStore(DeltaStore(seed_ + 1000 + step));
+          break;
+        case 24:  // nothing changed
+          break;
+        default:
+          RandomWrites(1 + static_cast<int>(rng_.UniformInt(4)));
+      }
+      const auto next = builder_->BuildNext();
+      const auto full = builder_->Build();
+      ExpectSameSnapshot(*next, *full);
+      if (step == 8 && full->space().num_points() > 0) {
+        EXPECT_GT(ListShare(*full, hot_event_), 0.5)
+            << "the hot event should enter most partners' lists";
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+
+ private:
+  ebsn::EventId AppendEvent(const embedding::NewEventSignals& signals,
+                            const embedding::OnlineUpdateOptions& options) {
+    const ebsn::EventId event = next_event_++;
+    EXPECT_LT(event, kEventRows);
+    EXPECT_TRUE(builder_->FoldInEvent(event, signals, options).ok());
+    pool_.push_back(event);
+    builder_->set_event_pool(pool_);
+    return event;
+  }
+
+  void RandomWrites(int count) {
+    for (int i = 0; i < count; ++i) {
+      const uint64_t roll = rng_.UniformInt(10);
+      const auto user = static_cast<ebsn::UserId>(rng_.UniformInt(kUsers));
+      const ebsn::EventId attended = pool_[rng_.UniformInt(pool_.size())];
+      if (roll < 6) {
+        ASSERT_TRUE(builder_->RecordAttendance(user, attended, nudge_).ok());
+      } else if (roll < 8) {
+        embedding::NewUserSignals signals;
+        signals.attended_events = {attended,
+                                   pool_[rng_.UniformInt(pool_.size())]};
+        ASSERT_TRUE(builder_->FoldInUser(user, signals, foldin_).ok());
+      } else if (next_event_ < kEventRows - 4) {
+        AppendEvent(SignalsFor(static_cast<uint32_t>(next_event_)), foldin_);
+      }
+    }
+  }
+
+  Rng rng_;
+  uint64_t seed_;
+  std::vector<ebsn::EventId> pool_;
+  std::unique_ptr<SnapshotBuilder> builder_;
+  ebsn::EventId next_event_ = kInitialEvents;
+  ebsn::EventId hot_event_ = 0;
+  embedding::OnlineUpdateOptions foldin_;
+  embedding::OnlineUpdateOptions nudge_ = [] {
+    embedding::OnlineUpdateOptions o;
+    o.iterations = 20;
+    return o;
+  }();
+};
+
+/// (shard index, shard count, stream seed); count 1 is unsharded.
+class SnapshotDeltaTest
+    : public ::testing::TestWithParam<std::tuple<uint32_t, uint32_t, uint64_t>> {
+};
+
+TEST_P(SnapshotDeltaTest, EveryPublishEqualsAFullBuild) {
+  const auto [index, count, seed] = GetParam();
+  WriteStream(seed, shard::ShardSpec{index, count}).Run();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Specs, SnapshotDeltaTest,
+    ::testing::Values(std::make_tuple(0u, 1u, 11u), std::make_tuple(0u, 1u, 12u),
+                      std::make_tuple(0u, 1u, 13u), std::make_tuple(0u, 2u, 21u),
+                      std::make_tuple(1u, 2u, 21u), std::make_tuple(0u, 3u, 31u),
+                      std::make_tuple(1u, 3u, 31u), std::make_tuple(2u, 3u, 31u)));
+
+/// The pool a recovered checkpoint carries is checked against that
+/// checkpoint's own store before either reaches the builder.
+class CheckpointShapeTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const auto* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = fs::temp_directory_path() /
+           ("gemrec_snapshot_builder_" + std::to_string(::getpid()) + "_" +
+            info->name());
+    fs::create_directories(dir_);
+  }
+  void TearDown() override {
+    std::error_code ec;
+    fs::remove_all(dir_, ec);
+  }
+
+  /// Starts a queue over a valid base after writing a checkpoint whose
+  /// pool is `checkpoint_pool`.
+  Status StartWithCheckpointPool(std::vector<ebsn::EventId> checkpoint_pool) {
+    const std::string base = (dir_ / "checkpoint").string();
+    EXPECT_TRUE(
+        SaveIngestCheckpoint(base, DeltaStore(5), checkpoint_pool, 3).ok());
+    SnapshotBuilder builder(DeltaStore(4), InitialPool(), kUsers,
+                            SnapshotOptions{});
+    RecommendationService service(ServiceOptions{});
+    IngestionQueueOptions iq;
+    iq.journal_path = (dir_ / "journal").string();
+    iq.checkpoint_base = base;
+    IngestionQueue queue(&service, &builder, iq);
+    return queue.Start();
+  }
+
+  fs::path dir_;
+};
+
+TEST_F(CheckpointShapeTest, PoolNamingAnEventPastTheStoreIsRefused) {
+  const Status s = StartWithCheckpointPool({0, 1, kEventRows});
+  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
+}
+
+TEST_F(CheckpointShapeTest, PoolListingAnEventTwiceIsRefused) {
+  const Status s = StartWithCheckpointPool({0, 1, 2, 1});
+  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
+}
+
+TEST_F(CheckpointShapeTest, FittingCheckpointStarts) {
+  const Status s = StartWithCheckpointPool({0, 1, kEventRows - 1});
+  EXPECT_TRUE(s.ok()) << s.ToString();
+}
+
+}  // namespace
+}  // namespace gemrec::serving
