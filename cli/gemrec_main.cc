@@ -61,7 +61,6 @@
 #include "serving/snapshot_builder.h"
 #include "shard/coordinator.h"
 #include "shard/partitioner.h"
-#include "shard/shard_router.h"
 
 namespace gemrec::cli {
 namespace {
@@ -744,9 +743,9 @@ int CmdServe(const Args& args) {
 }
 
 /// `gemrec coordinate --shards host:p1,host:p2 --listen host:port` —
-/// the scatter-gather tier: a CoordinatorBackend (ShardRouter fan-out
-/// + TA-bounded top-k merge) behind the same NetServer front-end that
-/// `gemrec serve --listen` uses, speaking the same wire protocol.
+/// the scatter-gather tier: a CoordinatorBackend (fan-out on its router
+/// thread + TA-bounded top-k merge) behind the same NetServer front-end
+/// that `gemrec serve --listen` uses, speaking the same wire protocol.
 /// Each shard should run `gemrec serve --listen --shard i/N` with the
 /// same model over the same event pool; i in the order the endpoints
 /// are listed here.

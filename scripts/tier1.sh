@@ -100,7 +100,7 @@ if [[ "$RUN_TSAN" == "1" ]]; then
   # Striped lock-free metrics: writers vs the snapshot reader must be
   # race-free (RegistryTest.ConcurrentWritersAndSnapshotReader).
   ./build-tsan/tests/obs_test
-  # Scatter-gather tier: the router thread vs SubmitQuery/SubmitStats
+  # Scatter-gather tier: the router thread vs SubmitAsync/StatsAsync
   # callers, breaker eviction vs completion callbacks, and ShardGroup's
   # kill/restart against live coordinator traffic.
   ./build-tsan/tests/shard_test

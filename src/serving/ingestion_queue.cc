@@ -124,10 +124,6 @@ Status IngestionQueue::Start() {
       return checkpoint.status();
     }
   }
-  pool_ = builder_->event_pool();
-  pool_members_ =
-      std::unordered_set<ebsn::EventId>(pool_.begin(), pool_.end());
-
   // 2. Journal: open (dropping any torn tail), then replay records past
   //    the checkpoint watermark in ack order.
   GEMREC_ASSIGN_OR_RETURN(IngestJournal journal,
@@ -350,16 +346,9 @@ Status IngestionQueue::ApplyRecord(const IngestRecord& record) {
       }
       return builder_->RecordAttendance(record.user, record.event,
                                         options_.nudge);
-    case IngestKind::kNewEvent: {
-      GEMREC_RETURN_IF_ERROR(
-          builder_->FoldInEvent(record.event, record.signals,
-                                options_.foldin));
-      if (pool_members_.insert(record.event).second) {
-        pool_.push_back(record.event);
-        builder_->set_event_pool(pool_);
-      }
-      return Status::Ok();
-    }
+    case IngestKind::kNewEvent:
+      return builder_->FoldInEvent(record.event, record.signals,
+                                   options_.foldin);
   }
   return Status::InvalidArgument("unknown ingest record kind");
 }
@@ -580,7 +569,8 @@ Status IngestionQueue::DoCheckpoint() {
   const uint64_t watermark = seq_counter_;
   GEMREC_RETURN_IF_ERROR(SaveIngestCheckpoint(options_.checkpoint_base,
                                               *builder_->staging_store(),
-                                              pool_, watermark));
+                                              builder_->event_pool(),
+                                              watermark));
   // The checkpoint is durable; its records in the journal are now
   // redundant. A crash before this Reset replays them onto the
   // checkpoint, where seq <= watermark filters every one out.

@@ -12,7 +12,6 @@
 #include <optional>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -208,8 +207,6 @@ class IngestionQueue {
   // Ingest-thread-only state.
   uint64_t seq_counter_ = 0;
   uint64_t checkpoint_seq_ = 0;
-  std::vector<ebsn::EventId> pool_;
-  std::unordered_set<ebsn::EventId> pool_members_;
   /// Acked records since the last checkpoint (mirrors the journal);
   /// re-applied by ReloadBase onto a fresh base artifact.
   std::vector<IngestRecord> live_records_;

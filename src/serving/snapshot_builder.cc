@@ -22,10 +22,13 @@ Status SnapshotBuilder::FoldInEvent(
     ebsn::EventId event, const embedding::NewEventSignals& signals,
     const embedding::OnlineUpdateOptions& options) {
   // A pooled event's row is in every partner's ranking.
-  if (std::find(events_.begin(), events_.end(), event) != events_.end()) {
-    reuse_blocked_ = true;
-  }
-  return embedding::FoldInColdEvent(&staging_, event, signals, options);
+  const bool pooled =
+      std::find(events_.begin(), events_.end(), event) != events_.end();
+  if (pooled) reuse_blocked_ = true;
+  GEMREC_RETURN_IF_ERROR(
+      embedding::FoldInColdEvent(&staging_, event, signals, options));
+  if (!pooled) events_.push_back(event);
+  return Status::Ok();
 }
 
 std::shared_ptr<ModelSnapshot> SnapshotBuilder::Build() const {

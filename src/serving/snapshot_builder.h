@@ -36,14 +36,16 @@ namespace gemrec::serving {
 class SnapshotBuilder {
  public:
   /// Copies `initial` as the staging store. `events` is the
-  /// recommendable pool snapshots are built over (replaceable via
-  /// set_event_pool as fresh events fold in).
+  /// recommendable pool snapshots are built over (FoldInEvent appends
+  /// fresh events; set_event_pool replaces it).
   SnapshotBuilder(const embedding::EmbeddingStore& initial,
                   std::vector<ebsn::EventId> events, uint32_t num_users,
                   const SnapshotOptions& options);
 
   /// Fold-in wrappers over embedding/online_update.h, applied to the
   /// staging store only. Each marks what it may change before it runs.
+  /// FoldInEvent also appends a newly folded event to the pool, so it
+  /// is recommendable from the next build on.
   Status FoldInEvent(ebsn::EventId event,
                      const embedding::NewEventSignals& signals,
                      const embedding::OnlineUpdateOptions& options);
@@ -60,9 +62,9 @@ class SnapshotBuilder {
                                                options);
   }
 
-  /// Replaces the event pool of future builds (e.g. after FoldInEvent
-  /// makes a just-published event recommendable). BuildNext compares it
-  /// with the pool of its last build: an append keeps the reuse.
+  /// Replaces the event pool of future builds (e.g. a recovered
+  /// checkpoint's). BuildNext compares it with the pool of its last
+  /// build: an append keeps the reuse.
   void set_event_pool(std::vector<ebsn::EventId> events) {
     events_ = std::move(events);
   }

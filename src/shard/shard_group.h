@@ -11,7 +11,7 @@
 #include "net/server.h"
 #include "serving/model_snapshot.h"
 #include "serving/recommendation_service.h"
-#include "shard/shard_router.h"
+#include "shard/coordinator.h"
 
 namespace gemrec::shard {
 

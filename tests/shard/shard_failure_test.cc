@@ -1,6 +1,6 @@
 // Failure semantics of the scatter-gather tier, over real sockets end
-// to end (Client -> coordinator NetServer -> CoordinatorBackend ->
-// ShardRouter -> shard NetServers): killing one shard mid-load
+// to end (Client -> coordinator NetServer -> CoordinatorBackend's
+// router thread -> shard NetServers): killing one shard mid-load
 // degrades to TYPED partial results (wire partial flag set, remaining
 // shards' answers intact, no coordinator hang or crash), the breaker
 // evicts the dead shard and re-probes it back in after a restart on
@@ -65,7 +65,6 @@ RouterOptions FastBreaker() {
   options.shard_deadline = std::chrono::milliseconds(500);
   options.breaker_threshold = 2;
   options.breaker_backoff = std::chrono::milliseconds(50);
-  options.breaker_backoff_max = std::chrono::milliseconds(400);
   return options;
 }
 
