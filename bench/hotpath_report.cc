@@ -197,6 +197,9 @@ struct QuantResult {
   double ms_b8 = 0.0;
   double ms_b64 = 0.0;
   double examined_fraction = 0.0;  // at batch 64
+  /// Share of the event and partner code blocks a query expands, at
+  /// batch 64: blocks_expanded / (queries * total blocks).
+  double blocks_expanded_fraction = 0.0;
   /// Measured max |approx - exact| over sampled queries x all pairs,
   /// and the max rigorous per-query bound epsilon — the measured value
   /// must sit under the bound.
@@ -213,8 +216,6 @@ double MeasureQuantizationError(const QuerySpace& qs,
                                 double* max_epsilon) {
   const uint32_t k = quant.latent_dim();
   const uint32_t point_dim = qs.space->point_dim();
-  const bool int8_mode =
-      quant.precision() == recommend::QuantizedSpace::Precision::kInt8;
   std::vector<uint8_t> eq8(k), pq8(k);
   std::vector<int16_t> eq16(k), pq16(k);
   std::vector<int32_t> edots(index.num_events());
@@ -231,16 +232,12 @@ double MeasureQuantizationError(const QuerySpace& qs,
                                         eq16.data(), pq16.data());
     *max_epsilon = std::max(*max_epsilon, static_cast<double>(qq.epsilon));
     if (qi >= sample_queries) continue;  // epsilon from all, err sampled
-    if (int8_mode) {
-      DotQ8Rows(eq8.data(), quant.EventCodes8(0), edots.size(), k,
-                edots.data());
-      DotQ8Rows(pq8.data(), quant.PartnerCodes8(0), pdots.size(), k,
-                pdots.data());
-    } else {
-      DotQ16Rows(eq16.data(), quant.EventCodes16(0), edots.size(), k,
-                 edots.data());
-      DotQ16Rows(pq16.data(), quant.PartnerCodes16(0), pdots.size(), k,
-                 pdots.data());
+    for (size_t g = 0; g < edots.size(); ++g) {
+      edots[g] = quant.event_blocks().GroupDot({eq8.data(), eq16.data()}, g);
+    }
+    for (size_t g = 0; g < pdots.size(); ++g) {
+      pdots[g] =
+          quant.partner_blocks().GroupDot({pq8.data(), pq16.data()}, g);
     }
     for (size_t p = 0; p < qs.space->num_points(); ++p) {
       const float ecomp =
@@ -292,17 +289,24 @@ QuantResult MeasureQuantizedBatch(const QuerySpace& qs) {
     }
     const size_t allocs_before = g_allocations.load();
     double examined = 0.0;
+    size_t blocks_expanded = 0;
     Stopwatch watch;
     for (size_t i = 0; i < kQueries; i += bs) {
       const size_t n = std::min(bs, kQueries - i);
       batch.SearchBatch(bq.data() + i, n, hits.data(), &stats, &ws);
       examined += stats.examined_fraction * static_cast<double>(n);
+      blocks_expanded += stats.blocks_expanded;
     }
     const double elapsed = watch.ElapsedSeconds();
     alloc_total += g_allocations.load() - allocs_before;
     *slots[b] = elapsed * 1000.0 / static_cast<double>(kQueries);
     if (bs == 64) {
       result.examined_fraction = examined / static_cast<double>(kQueries);
+      const size_t blocks = quant.event_blocks().num_blocks() +
+                            quant.partner_blocks().num_blocks();
+      result.blocks_expanded_fraction =
+          static_cast<double>(blocks_expanded) /
+          (static_cast<double>(kQueries) * static_cast<double>(blocks));
     }
   }
   result.steady_state_allocations = alloc_total;
@@ -486,7 +490,8 @@ void Run() {
             << "), vs exact " << ta.ms_per_query << " ms ("
             << ta.ms_per_query / quant.ms_b64
             << "x at batch 64), examined_frac "
-            << quant.examined_fraction << ", max_abs_err "
+            << quant.examined_fraction << ", blocks expanded "
+            << quant.blocks_expanded_fraction << ", max_abs_err "
             << quant.max_abs_err << " (bound " << quant.max_epsilon
             << "), steady-state allocations "
             << quant.steady_state_allocations << "\n";
@@ -544,6 +549,8 @@ void Run() {
        << "    \"speedup_vs_exact_ta_batch64\": "
        << ta.ms_per_query / quant.ms_b64 << ",\n"
        << "    \"examined_fraction\": " << quant.examined_fraction << ",\n"
+       << "    \"blocks_expanded_fraction\": "
+       << quant.blocks_expanded_fraction << ",\n"
        << "    \"quantization_max_abs_err\": " << quant.max_abs_err
        << ",\n"
        << "    \"quantization_epsilon_bound\": " << quant.max_epsilon

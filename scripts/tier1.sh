@@ -35,7 +35,8 @@
 # a decoder or a use-after-free in the reactor fails the stage. It also
 # runs common and recommend, whose multi-row quantized kernels load
 # several code rows per step and finish the tail apart, and whose
-# batched walk reads list ranges it collects from bucket histograms.
+# batched walk expands 64-row code blocks, the last one short, into
+# per-query heaps.
 #
 # A benchmark-harness stage configures perfbench/ (its own CMake
 # project, compiling ../src) into build-perfbench/, builds servebench

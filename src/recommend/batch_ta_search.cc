@@ -1,8 +1,6 @@
 #include "recommend/batch_ta_search.h"
 
 #include <algorithm>
-#include <bit>
-#include <functional>
 #include <limits>
 
 #include "common/logging.h"
@@ -16,90 +14,46 @@ namespace {
 constexpr size_t kMaxChunk = 64;
 /// Sorted-list steps a live query takes before yielding to the next.
 constexpr size_t kWalkQuantum = 64;
-/// Code rows per component-stage tile: 64 int16 rows of K = 32 are
-/// 4 KiB, so a tile stays in L1 while every query of the chunk takes
-/// its dots against it.
-constexpr size_t kRowTile = 64;
-/// Smallest list range the walk reads: the whole head when the TA
-/// threshold fires early, which it does after a dozen or so positions.
-constexpr size_t kMinRange = 64;
-
-/// The list-order key: (dot << 32 | group). Dots are nonnegative, and
-/// bias + scale * float(dot) with scale >= 0 is monotone in the dot, so
-/// descending-key order IS descending-component order, ties broken by
-/// the larger group id.
-uint64_t OrderKey(int32_t dot, size_t group) {
-  return (static_cast<uint64_t>(static_cast<uint32_t>(dot)) << 32) | group;
-}
-int32_t KeyDot(uint64_t key) { return static_cast<int32_t>(key >> 32); }
-uint32_t KeyGroup(uint64_t key) { return static_cast<uint32_t>(key); }
-
-/// dots[q * num_rows + r] = kernel(query q's codes, row r) for the
-/// chunk's `count` queries, tile of rows outer and queries inner;
-/// max_dot[q] is the largest of query q's dots (0 when there are none).
-template <typename QueryCode, typename RowCode>
-void TiledDots(void (*kernel)(const QueryCode*, const RowCode*, size_t,
-                              size_t, int32_t*),
-               const QueryCode* query_codes, const RowCode* rows,
-               size_t num_rows, size_t k, size_t count, int32_t* dots,
-               int32_t* max_dot) {
-  std::fill(max_dot, max_dot + count, 0);
-  for (size_t first = 0; first < num_rows; first += kRowTile) {
-    const size_t tile = std::min(kRowTile, num_rows - first);
-    for (size_t q = 0; q < count; ++q) {
-      int32_t* out = dots + q * num_rows + first;
-      kernel(query_codes + q * k, rows + first * k, tile, k, out);
-      int32_t m = max_dot[q];
-      for (size_t r = 0; r < tile; ++r) m = std::max(m, out[r]);
-      max_dot[q] = m;
-    }
-  }
-}
 
 }  // namespace
 
-void BatchTaSearch::Workspace::ListOrder::Reset(const int32_t* dots,
-                                                size_t num_groups,
-                                                int32_t max_dot) {
-  dots_ = dots;
-  num_groups_ = num_groups;
-  // Bucket = the dot's top 8 significant bits relative to the max, so
-  // buckets are value ranges in the dots' own order.
-  shift_ = static_cast<uint32_t>(std::max(
-      0, static_cast<int>(std::bit_width(static_cast<uint32_t>(max_dot))) -
-             8));
-  next_bucket_ = kBuckets;
-  begin_ = 0;
-  range_.clear();
-  std::fill(std::begin(histogram_), std::end(histogram_), 0u);
-  for (size_t g = 0; g < num_groups; ++g) {
-    ++histogram_[static_cast<uint32_t>(dots[g]) >> shift_];
-  }
+void BlockOrder::Reset(const CodeBlocks* list, QueryCodes query) {
+  list_ = list;
+  query_ = query;
+  emitted_ = 0;
+  blocks_expanded_ = 0;
+  const size_t num_blocks = list->num_blocks();
+  dots_.resize(std::max(num_blocks, CodeBlocks::kBlockRows));
+  list->BlockBounds(query, dots_.data());
+  blocks_.resize(num_blocks);
+  for (size_t b = 0; b < num_blocks; ++b) blocks_[b] = Key(dots_[b], b);
+  std::make_heap(blocks_.begin(), blocks_.end());
+  keys_.clear();
 }
 
-void BatchTaSearch::Workspace::ListOrder::Refill() {
-  // The next buckets down, enough of them to hold at least twice the
-  // current range (kMinRange for the head), collected in one pass.
-  const size_t want = std::max(kMinRange, 2 * range_.size());
-  begin_ += range_.size();
-  GEMREC_DCHECK(begin_ < num_groups_);  // At() past the list's end
-  uint32_t lo = next_bucket_;
-  size_t take = 0;
-  while (lo > 0 && take < want) take += histogram_[--lo];
-  range_.resize(take);
-  const uint32_t span = next_bucket_ - lo;
-  size_t n = 0;
-  for (size_t g = 0; g < num_groups_; ++g) {
-    // bucket in [lo, next_bucket_), as one unsigned compare.
-    if ((static_cast<uint32_t>(dots_[g]) >> shift_) - lo < span) {
-      range_[n++] = OrderKey(dots_[g], g);
+void BlockOrder::Emit() {
+  // Expand while some unexpanded block could hold a key >= the top
+  // one: a bound equal to the top dot may hide the same dot with a
+  // larger group id.
+  while (!blocks_.empty() &&
+         (keys_.empty() || KeyDot(blocks_.front()) >= KeyDot(keys_.front()))) {
+    std::pop_heap(blocks_.begin(), blocks_.end());
+    const size_t block = KeyGroup(blocks_.back());
+    blocks_.pop_back();
+    const size_t rows = list_->BlockDots(query_, block, dots_.data());
+    const uint32_t* groups =
+        list_->order().data() + block * CodeBlocks::kBlockRows;
+    for (size_t r = 0; r < rows; ++r) {
+      keys_.push_back(Key(dots_[r], groups[r]));
+      std::push_heap(keys_.begin(), keys_.end());
     }
+    ++blocks_expanded_;
   }
-  GEMREC_DCHECK(n == take);
-  next_bucket_ = lo;
-  // Every key in a higher bucket is larger than every key here, so the
-  // ranges concatenate into the full descending key order.
-  std::sort(range_.begin(), range_.end(), std::greater<uint64_t>());
+  GEMREC_DCHECK(!keys_.empty());  // At() past the list's end
+  std::pop_heap(keys_.begin(), keys_.end());
+  last_ = keys_.back();
+  keys_.pop_back();
+  ++emitted_;
 }
 
 BatchTaSearch::BatchTaSearch(const QuantizedSpace* quant)
@@ -149,8 +103,6 @@ void BatchTaSearch::SearchChunk(const BatchQuery* queries, size_t count,
   const uint32_t* c_sorted = index_->c_sorted().data();
   const float* c_values = quant_->c_values().data();
   const float* c_sorted_values = quant_->c_sorted_values().data();
-  const bool int8_mode =
-      quant_->precision() == QuantizedSpace::Precision::kInt8;
 
   for (size_t q = 0; q < count; ++q) results[q].clear();
   if (per_query_stats != nullptr) {
@@ -162,58 +114,28 @@ void BatchTaSearch::SearchChunk(const BatchQuery* queries, size_t count,
     return;
   }
 
-  // --- Stage 1: quantize queries, then batched components. ---
+  // --- Stage 1: quantize queries and bound their lists' blocks. ---
   ws->event_q8.resize(kMaxChunk * k);
   ws->partner_q8.resize(kMaxChunk * k);
   ws->event_q16.resize(kMaxChunk * k);
   ws->partner_q16.resize(kMaxChunk * k);
   ws->qq.resize(kMaxChunk);
+  ws->event_orders.resize(kMaxChunk);
+  ws->partner_orders.resize(kMaxChunk);
   for (size_t q = 0; q < count; ++q) {
     ws->qq[q] = quant_->QuantizeQuery(
         queries[q].query, ws->event_q8.data() + q * k,
         ws->partner_q8.data() + q * k, ws->event_q16.data() + q * k,
         ws->partner_q16.data() + q * k);
+    ws->event_orders[q].Reset(
+        &quant_->event_blocks(),
+        {ws->event_q8.data() + q * k, ws->event_q16.data() + q * k});
+    ws->partner_orders[q].Reset(
+        &quant_->partner_blocks(),
+        {ws->partner_q8.data() + q * k, ws->partner_q16.data() + q * k});
   }
 
-  // Tiles of code rows outer, queries inner: each compact code row is
-  // read once per batch, and the chunk's query codes stay resident in
-  // L1. Only the integer dots are kept; a component is recomputed from
-  // its dot where the walk reads it.
-  ws->event_dots.resize(kMaxChunk * num_events);
-  ws->partner_dots.resize(kMaxChunk * num_partners);
-  ws->event_max.resize(kMaxChunk);
-  ws->partner_max.resize(kMaxChunk);
-  const int32_t* event_dots = ws->event_dots.data();
-  const int32_t* partner_dots = ws->partner_dots.data();
-  if (int8_mode) {
-    TiledDots(&DotQ8Rows, ws->event_q8.data(), quant_->EventCodes8(0),
-              num_events, k, count, ws->event_dots.data(),
-              ws->event_max.data());
-    TiledDots(&DotQ8Rows, ws->partner_q8.data(), quant_->PartnerCodes8(0),
-              num_partners, k, count, ws->partner_dots.data(),
-              ws->partner_max.data());
-  } else {
-    TiledDots(&DotQ16Rows, ws->event_q16.data(), quant_->EventCodes16(0),
-              num_events, k, count, ws->event_dots.data(),
-              ws->event_max.data());
-    TiledDots(&DotQ16Rows, ws->partner_q16.data(),
-              quant_->PartnerCodes16(0), num_partners, k, count,
-              ws->partner_dots.data(), ws->partner_max.data());
-  }
-
-  // --- Stage 2: per-query list orders. One histogram pass per list
-  // now; the walk collects and sorts its head when it first reads it,
-  // and each later bucket range when it reaches the end of the last.
-  ws->event_orders.resize(kMaxChunk);
-  ws->partner_orders.resize(kMaxChunk);
-  for (size_t q = 0; q < count; ++q) {
-    ws->event_orders[q].Reset(event_dots + q * num_events, num_events,
-                              ws->event_max[q]);
-    ws->partner_orders[q].Reset(partner_dots + q * num_partners,
-                                num_partners, ws->partner_max[q]);
-  }
-
-  // --- Stage 3: round-robin widened-threshold TA walk. ---
+  // --- Stage 2: round-robin widened-threshold TA walk. ---
   if (ws->seen_gen.size() < num_points) {
     ws->seen_gen.assign(num_points, 0);
     ws->seen_bits.assign(num_points, 0);
@@ -266,10 +188,8 @@ void BatchTaSearch::SearchChunk(const BatchQuery* queries, size_t count,
       const auto partner_comp = [&qq](int32_t dot) {
         return qq.partner_bias + qq.partner_scale * static_cast<float>(dot);
       };
-      const int32_t* ed = event_dots + q * num_events;
-      const int32_t* pd = partner_dots + q * num_partners;
-      Workspace::ListOrder& event_order = ws->event_orders[q];
-      Workspace::ListOrder& partner_order = ws->partner_orders[q];
+      BlockOrder& event_order = ws->event_orders[q];
+      BlockOrder& partner_order = ws->partner_orders[q];
       TopK<uint32_t>& heap = ws->heaps[q];
       std::vector<uint32_t>& examined = ws->examined[q];
       const ebsn::UserId exclude = queries[q].exclude_partner;
@@ -286,9 +206,11 @@ void BatchTaSearch::SearchChunk(const BatchQuery* queries, size_t count,
         ++cur.examined;
         if (space_->pair(id).partner == exclude) return;
         examined.push_back(id);
-        heap.Push(id, event_comp(ed[pair_event_idx[id]]) +
-                          partner_comp(pd[pair_partner_idx[id]]) +
-                          cur.c_weight * c_values[id]);
+        heap.Push(id,
+                  event_comp(event_order.GroupDot(pair_event_idx[id])) +
+                      partner_comp(
+                          partner_order.GroupDot(pair_partner_idx[id])) +
+                      cur.c_weight * c_values[id]);
       };
 
       for (size_t step = 0; step < kWalkQuantum; ++step) {
@@ -297,8 +219,10 @@ void BatchTaSearch::SearchChunk(const BatchQuery* queries, size_t count,
         const bool c_live = cur.c_cursor < num_points;
         const uint64_t a_key = a_live ? event_order.At(cur.a_group) : 0;
         const uint64_t b_key = b_live ? partner_order.At(cur.b_group) : 0;
-        const float ha = a_live ? event_comp(KeyDot(a_key)) : 0.0f;
-        const float hb = b_live ? partner_comp(KeyDot(b_key)) : 0.0f;
+        const float ha =
+            a_live ? event_comp(BlockOrder::KeyDot(a_key)) : 0.0f;
+        const float hb =
+            b_live ? partner_comp(BlockOrder::KeyDot(b_key)) : 0.0f;
         const float hc =
             c_live ? cur.c_weight * c_sorted_values[cur.c_cursor] : 0.0f;
         // Widened stop: only when the n-th best *approximate* score
@@ -319,14 +243,14 @@ void BatchTaSearch::SearchChunk(const BatchQuery* queries, size_t count,
         ++sorted_accesses;
         ++cur.sorted_accesses;
         if (a_live && ha >= hb && ha >= hc) {
-          const auto pairs = index_->EventPairs(KeyGroup(a_key));
+          const auto pairs = index_->EventPairs(BlockOrder::KeyGroup(a_key));
           examine(pairs[cur.a_offset]);
           if (++cur.a_offset >= pairs.size()) {
             cur.a_offset = 0;
             ++cur.a_group;
           }
         } else if (b_live && hb >= hc) {
-          const auto pairs = index_->PartnerPairs(KeyGroup(b_key));
+          const auto pairs = index_->PartnerPairs(BlockOrder::KeyGroup(b_key));
           examine(pairs[cur.b_offset]);
           if (++cur.b_offset >= pairs.size()) {
             cur.b_offset = 0;
@@ -336,14 +260,14 @@ void BatchTaSearch::SearchChunk(const BatchQuery* queries, size_t count,
           examine(c_sorted[cur.c_cursor]);
           ++cur.c_cursor;
         } else if (a_live) {
-          const auto pairs = index_->EventPairs(KeyGroup(a_key));
+          const auto pairs = index_->EventPairs(BlockOrder::KeyGroup(a_key));
           examine(pairs[cur.a_offset]);
           if (++cur.a_offset >= pairs.size()) {
             cur.a_offset = 0;
             ++cur.a_group;
           }
         } else {
-          const auto pairs = index_->PartnerPairs(KeyGroup(b_key));
+          const auto pairs = index_->PartnerPairs(BlockOrder::KeyGroup(b_key));
           examine(pairs[cur.b_offset]);
           if (++cur.b_offset >= pairs.size()) {
             cur.b_offset = 0;
@@ -354,7 +278,9 @@ void BatchTaSearch::SearchChunk(const BatchQuery* queries, size_t count,
 
       if (cur.done) {
         --active;
-        // --- Stage 4: exact fp32 re-rank of this query's survivors.
+        stats->blocks_expanded += event_order.blocks_expanded() +
+                                  partner_order.blocks_expanded();
+        // --- Stage 3: exact fp32 re-rank of this query's survivors.
         // The approximate heap has served its purpose (the stopping
         // rule); reuse it for the exact scores.
         Stopwatch rr;

@@ -30,12 +30,73 @@ struct BatchSearchStats {
   size_t reranked = 0;
   /// points_examined / (num_points * batch size).
   double examined_fraction = 0.0;
-  /// Time in the quantized stage: query quantization, batched
-  /// component dot products, per-query list heads and refills, and
-  /// the TA walk.
+  /// Code blocks the list orders expanded (rows call over the block's
+  /// rows), summed over both lists and the batch.
+  size_t blocks_expanded = 0;
+  /// Time in the quantized stage: query quantization, the block
+  /// bounds, the block expansions the walk reaches, and the TA walk.
   uint64_t quantize_scan_us = 0;
   /// Time re-scoring survivors in exact fp32.
   uint64_t rerank_us = 0;
+};
+
+/// One query's descending (dot << 32 | group) order over one CodeBlocks
+/// list, materialized only as far as it is read. Reset bounds every
+/// block with one rows call and heaps the blocks by (bound << 32 |
+/// block). At(i) emits the top expanded key only when no unexpanded
+/// block's bound is >= its dot; while one is, the block with the
+/// largest bound is expanded (one rows call over its rows) into the
+/// heap of keys. A bound is >= every dot in its block, so a key is
+/// emitted only after every key above it is in the heap, and the
+/// emitted sequence is exactly the descending order of all keys. The
+/// >= (not >) matters for ties: a block whose bound equals the top dot
+/// may hold the same dot with a larger group id, whose key comes first.
+/// One mechanism serves both lists and both precisions.
+class BlockOrder {
+ public:
+  /// The list-order key. Dots are nonnegative, and bias + scale *
+  /// float(dot) with scale >= 0 is monotone in the dot, so descending-
+  /// key order is descending-component order, ties broken by the
+  /// larger group id.
+  static uint64_t Key(int32_t dot, size_t group) {
+    return (static_cast<uint64_t>(static_cast<uint32_t>(dot)) << 32) |
+           group;
+  }
+  static int32_t KeyDot(uint64_t key) {
+    return static_cast<int32_t>(key >> 32);
+  }
+  static uint32_t KeyGroup(uint64_t key) {
+    return static_cast<uint32_t>(key);
+  }
+
+  /// Starts the order of `query` over `list`; both must stay valid
+  /// while the order is read.
+  void Reset(const CodeBlocks* list, QueryCodes query);
+  /// Key of the i-th best group, i < list->num_groups(). Reads must not
+  /// go backwards (re-reading the last position is fine); the TA walk
+  /// only moves forward.
+  uint64_t At(size_t i) {
+    while (emitted_ <= i) Emit();
+    return last_;
+  }
+  /// The dot of group g's row against this order's query: one one-row
+  /// call, the value group g's key carries.
+  int32_t GroupDot(size_t g) const { return list_->GroupDot(query_, g); }
+  /// Blocks expanded since Reset.
+  size_t blocks_expanded() const { return blocks_expanded_; }
+
+ private:
+  /// Pops the next key into last_.
+  void Emit();
+
+  const CodeBlocks* list_ = nullptr;
+  QueryCodes query_;
+  std::vector<int32_t> dots_;    // block bounds, then one block's dots
+  std::vector<uint64_t> blocks_;  // max-heap of unexpanded blocks
+  std::vector<uint64_t> keys_;    // max-heap of expanded keys
+  size_t emitted_ = 0;
+  uint64_t last_ = 0;
+  size_t blocks_expanded_ = 0;
 };
 
 /// Multi-query TA over the quantized space, with an exact fp32 re-rank.
@@ -43,31 +104,21 @@ struct BatchSearchStats {
 /// Given a batch of queries, this runs the same aggregate-list TA as
 /// TaSearch but restructured around the batch:
 ///
-///   1. Component stage: every query is quantized once, then the
-///      compact code matrices are walked *once* in tiles of rows — tile
-///      outer, queries inner — so each event/partner row is read from
-///      cache for the whole batch instead of once per query. Each
-///      (query, tile) pair is one DotQ8Rows/DotQ16Rows call, which
-///      writes the integer dots of the whole tile; the stage keeps only
-///      those int32 dots plus each list's max. A component is
-///      bias + scale * float(dot), computed where the walk reads it.
-///   2. Per-query list orders, built in linear passes: the A and B
-///      group lists are NOT fully sorted. Each list histograms its dots
-///      into 256 buckets of its top 8 significant bits; the walk reads
-///      a head of at least 64 groups, collected from the top buckets in
-///      one pass and sorted descending by packed (dot << 32 | group)
-///      keys. When the walk reaches the end of the head, the next
-///      bucket range, holding at least twice as many groups, is
-///      collected and sorted the same way. Buckets partition the dots
-///      by value, so the concatenated ranges are the full descending
-///      key order; TA consumes only a short prefix of it before its
-///      threshold fires.
-///   3. Round-robin TA walk: each live query advances its best list a
-///      fixed quantum, then yields; queries retire as they stop. The
-///      visited set is one generation-stamped uint64 bitmask shared by
-///      the whole chunk (bit q = "query q examined this pair"), so
-///      batch-64 costs the same memory as a single query.
-///   4. Exact re-rank: every pair a query examined is re-scored with
+///   1. Per-query list orders: every query is quantized once, and each
+///      of its two group lists (events, partners) gets a BlockOrder.
+///      One rows call bounds every 64-row code block; the walk then
+///      computes row dots only for the blocks whose bound can reach
+///      the keys it reads. TA consumes a short prefix of each list
+///      before its threshold fires, so a query expands few blocks.
+///   2. Round-robin TA walk: each live query advances its best list a
+///      fixed quantum, then yields; queries retire as they stop. An
+///      examined pair's two components come from one-row DotQ8/DotQ16
+///      calls against its event and partner rows, as bias + scale *
+///      float(dot), bitwise what the list keys encode. The visited set
+///      is one generation-stamped uint64 bitmask shared by the whole
+///      chunk (bit q = "query q examined this pair"), so batch-64 costs
+///      the same memory as a single query.
+///   3. Exact re-rank: every pair a query examined is re-scored with
 ///      the full-width fp32 Dot over its point, assembled from the
 ///      store rows and C (TransformedSpace::CopyPoint), and the top-n
 ///      of those exact scores is returned.
@@ -92,36 +143,6 @@ class BatchTaSearch {
 
    private:
     friend class BatchTaSearch;
-    /// One query's descending (dot << 32 | group) order over one group
-    /// list, materialized one bucket range at a time (step 2 above).
-    class ListOrder {
-     public:
-      /// Histograms `dots` (one per group, each in [0, max_dot]); they
-      /// must stay valid while the order is read.
-      void Reset(const int32_t* dots, size_t num_groups, int32_t max_dot);
-      /// Key of the i-th best group, i < num_groups. Positions before
-      /// the current range are gone, so reads must not go backwards
-      /// past it; the TA walk only moves forward.
-      uint64_t At(size_t i) {
-        while (i >= begin_ + range_.size()) Refill();
-        return range_[i - begin_];
-      }
-
-     private:
-      static constexpr uint32_t kBuckets = 256;
-      /// Collects and sorts the next bucket range after the current one.
-      void Refill();
-
-      const int32_t* dots_ = nullptr;
-      size_t num_groups_ = 0;
-      uint32_t shift_ = 0;
-      /// Buckets [next_bucket_, kBuckets) are collected already.
-      uint32_t next_bucket_ = kBuckets;
-      /// List position of range_[0].
-      size_t begin_ = 0;
-      std::vector<uint64_t> range_;
-      uint32_t histogram_[kBuckets] = {};
-    };
     struct Cursor {
       size_t a_group, a_offset, b_group, b_offset, c_cursor;
       size_t want;
@@ -136,9 +157,7 @@ class BatchTaSearch {
     std::vector<uint8_t> event_q8, partner_q8;     // query codes, int8 mode
     std::vector<int16_t> event_q16, partner_q16;   // query codes, int16 mode
     std::vector<QuantizedSpace::QuantizedQuery> qq;
-    std::vector<int32_t> event_dots, partner_dots;  // [query][group]
-    std::vector<int32_t> event_max, partner_max;    // [query]
-    std::vector<ListOrder> event_orders, partner_orders;  // [query]
+    std::vector<BlockOrder> event_orders, partner_orders;  // [query]
     std::vector<uint32_t> seen_gen;
     std::vector<uint64_t> seen_bits;
     uint32_t generation = 0;

@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/logging.h"
+#include "common/vec_math.h"
 
 namespace gemrec::recommend {
 namespace {
@@ -28,6 +29,62 @@ constexpr float kFlatRange = 1e-12f;
 constexpr float kInt8RelTol = 2e-3f;
 
 }  // namespace
+
+CodeBlocks::CodeBlocks(const std::vector<int8_t>& by_group, uint32_t k)
+    : k_(k), int8_(true) {
+  Layout(by_group, &codes8_, &block_max8_);
+}
+
+CodeBlocks::CodeBlocks(const std::vector<int16_t>& by_group, uint32_t k)
+    : k_(k), int8_(false) {
+  Layout(by_group, &codes16_, &block_max16_);
+}
+
+template <typename Code>
+void CodeBlocks::Layout(const std::vector<Code>& by_group,
+                        std::vector<Code>* codes,
+                        std::vector<Code>* block_max) {
+  GEMREC_CHECK(k_ > 0 && by_group.size() % k_ == 0);
+  const size_t num_groups = by_group.size() / k_;
+  // (row sum << 32 | group), sorted: ascending sums, ties by group id.
+  // A row sum is at most k * 2047, far below 2^32.
+  std::vector<uint64_t> keys(num_groups);
+  for (size_t g = 0; g < num_groups; ++g) {
+    uint64_t sum = 0;
+    for (uint32_t d = 0; d < k_; ++d) {
+      sum += static_cast<uint64_t>(by_group[g * k_ + d]);
+    }
+    keys[g] = sum << 32 | g;
+  }
+  SortByHighWord(&keys);
+  order_.resize(num_groups);
+  for (size_t p = 0; p < num_groups; ++p) {
+    order_[p] = static_cast<uint32_t>(keys[p]);
+  }
+  position_.resize(num_groups);
+  codes->resize(by_group.size());
+  block_max->assign(num_blocks() * k_, Code{0});
+  for (size_t p = 0; p < num_groups; ++p) {
+    const Code* row = by_group.data() + size_t{order_[p]} * k_;
+    Code* max_row = block_max->data() + (p / kBlockRows) * k_;
+    position_[order_[p]] = static_cast<uint32_t>(p);
+    std::copy(row, row + k_, codes->data() + p * k_);
+    for (uint32_t d = 0; d < k_; ++d) {
+      max_row[d] = std::max(max_row[d], row[d]);
+    }
+  }
+}
+
+void CodeBlocks::Dots(QueryCodes q, bool block_max, size_t first,
+                      size_t rows, int32_t* out) const {
+  if (int8_) {
+    const int8_t* m = (block_max ? block_max8_ : codes8_).data();
+    DotQ8Rows(q.codes8, m + first * k_, rows, k_, out);
+  } else {
+    const int16_t* m = (block_max ? block_max16_ : codes16_).data();
+    DotQ16Rows(q.codes16, m + first * k_, rows, k_, out);
+  }
+}
 
 QuantizedSpace::QuantizedSpace(const SpaceIndex* index)
     : QuantizedSpace(index, Options{}) {}
@@ -101,17 +158,17 @@ QuantizedSpace::QuantizedSpace(const SpaceIndex* index, Options options)
   }
 
   if (precision_ == Precision::kInt8) {
-    max_event_row_sum_ =
-        EncodeRows(/*partner_half=*/false, event_params_, &event_codes8_);
-    max_partner_row_sum_ =
-        EncodeRows(/*partner_half=*/true, partner_params_, &partner_codes8_);
+    max_event_row_sum_ = EncodeRows<int8_t>(/*partner_half=*/false,
+                                            event_params_, &event_blocks_);
+    max_partner_row_sum_ = EncodeRows<int8_t>(
+        /*partner_half=*/true, partner_params_, &partner_blocks_);
   } else {
     BuildHalfParams(/*partner_half=*/false, kInt16Levels, &event_params_);
     BuildHalfParams(/*partner_half=*/true, kInt16Levels, &partner_params_);
-    max_event_row_sum_ =
-        EncodeRows(/*partner_half=*/false, event_params_, &event_codes16_);
-    max_partner_row_sum_ = EncodeRows(/*partner_half=*/true, partner_params_,
-                                      &partner_codes16_);
+    max_event_row_sum_ = EncodeRows<int16_t>(/*partner_half=*/false,
+                                             event_params_, &event_blocks_);
+    max_partner_row_sum_ = EncodeRows<int16_t>(
+        /*partner_half=*/true, partner_params_, &partner_blocks_);
   }
 }
 
@@ -160,18 +217,18 @@ void QuantizedSpace::BuildHalfParams(bool partner_half, int levels,
 template <typename Code>
 int64_t QuantizedSpace::EncodeRows(bool partner_half,
                                    const HalfParams& params,
-                                   std::vector<Code>* codes) {
+                                   CodeBlocks* blocks) {
   const uint32_t k = latent_dim_;
   const size_t num_groups =
       partner_half ? index_->num_partners() : index_->num_events();
   const long levels =
       sizeof(Code) == 1 ? kInt8Levels : kInt16Levels;
 
-  codes->assign(num_groups * k, Code{0});
+  std::vector<Code> codes(num_groups * k, Code{0});
   int64_t max_row_sum = 0;
   for (size_t g = 0; g < num_groups; ++g) {
     const float* p = GroupRow(partner_half, g);
-    Code* row = codes->data() + g * k;
+    Code* row = codes.data() + g * k;
     int64_t row_sum = 0;
     for (uint32_t d = 0; d < k; ++d) {
       long code = 0;
@@ -184,6 +241,7 @@ int64_t QuantizedSpace::EncodeRows(bool partner_half,
     }
     max_row_sum = std::max(max_row_sum, row_sum);
   }
+  *blocks = CodeBlocks(codes, k);
   return max_row_sum;
 }
 

@@ -1,12 +1,102 @@
 #ifndef GEMREC_RECOMMEND_QUANTIZED_SPACE_H_
 #define GEMREC_RECOMMEND_QUANTIZED_SPACE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "recommend/space_index.h"
 
 namespace gemrec::recommend {
+
+/// One query half's codes, in whichever precision the space uses (the
+/// other pointer may be null).
+struct QueryCodes {
+  const uint8_t* codes8 = nullptr;
+  const int16_t* codes16 = nullptr;
+};
+
+/// One group list's code rows (the event half or the partner half),
+/// stored once, in block order. The groups are sorted by the sum of
+/// their row's codes, ascending, ties by group id, and the positions
+/// are cut into blocks of kBlockRows rows (the last block may be
+/// shorter). Rows of similar sum share a block, which keeps each
+/// block's per-dimension code max close to its rows. Query codes and
+/// row codes are both nonnegative, so for every row of block b
+///     dot(q, row) <= Σ_d q_d · blockmax_d   (the block's bound),
+/// exactly, in int32: a block-max row obeys the same code-range
+/// contract as a code row (common/vec_math.h, K <= 512).
+///
+/// Exactly one precision's storage is filled. Immutable after
+/// construction.
+class CodeBlocks {
+ public:
+  static constexpr size_t kBlockRows = 64;
+
+  CodeBlocks() = default;
+  /// Lays out `by_group` (group g's k codes at [g * k, (g + 1) * k))
+  /// in block order.
+  CodeBlocks(const std::vector<int8_t>& by_group, uint32_t k);
+  CodeBlocks(const std::vector<int16_t>& by_group, uint32_t k);
+
+  size_t num_groups() const { return order_.size(); }
+  size_t num_blocks() const {
+    return (num_groups() + kBlockRows - 1) / kBlockRows;
+  }
+
+  /// Position -> group: the block order.
+  const std::vector<uint32_t>& order() const { return order_; }
+  /// Row codes by position, and block-max rows by block (k codes each).
+  const std::vector<int8_t>& codes8() const { return codes8_; }
+  const std::vector<int16_t>& codes16() const { return codes16_; }
+  const std::vector<int8_t>& block_max8() const { return block_max8_; }
+  const std::vector<int16_t>& block_max16() const { return block_max16_; }
+
+  /// Group g's row.
+  const int8_t* Codes8(size_t g) const {
+    return codes8_.data() + size_t{position_[g]} * k_;
+  }
+  const int16_t* Codes16(size_t g) const {
+    return codes16_.data() + size_t{position_[g]} * k_;
+  }
+
+  /// out[b] = the bound of block b, for every block: one rows call over
+  /// the block-max rows.
+  void BlockBounds(QueryCodes q, int32_t* out) const {
+    Dots(q, /*block_max=*/true, 0, num_blocks(), out);
+  }
+  /// out[r] = the dot of the r-th row of `block` (group
+  /// order()[block * kBlockRows + r]): one rows call. Returns the row
+  /// count.
+  size_t BlockDots(QueryCodes q, size_t block, int32_t* out) const {
+    const size_t first = block * kBlockRows;
+    const size_t rows = std::min(kBlockRows, num_groups() - first);
+    Dots(q, /*block_max=*/false, first, rows, out);
+    return rows;
+  }
+  /// The dot of group g's row.
+  int32_t GroupDot(QueryCodes q, size_t g) const {
+    int32_t dot = 0;
+    Dots(q, /*block_max=*/false, position_[g], 1, &dot);
+    return dot;
+  }
+
+ private:
+  template <typename Code>
+  void Layout(const std::vector<Code>& by_group, std::vector<Code>* codes,
+              std::vector<Code>* block_max);
+  /// out[r] = dot(q, row first + r) over `rows` rows of the code matrix
+  /// or of the block-max matrix, in the stored precision.
+  void Dots(QueryCodes q, bool block_max, size_t first, size_t rows,
+            int32_t* out) const;
+
+  uint32_t k_ = 0;
+  bool int8_ = false;
+  std::vector<uint32_t> order_;     // position -> group
+  std::vector<uint32_t> position_;  // group -> position
+  std::vector<int8_t> codes8_, block_max8_;
+  std::vector<int16_t> codes16_, block_max16_;
+};
 
 /// Quantized companion of a TransformedSpace, built once per model
 /// snapshot. An exact walk reads 2K+1 fp32 coordinates per examined
@@ -17,6 +107,8 @@ namespace gemrec::recommend {
 ///     group's row x̄, the first K coordinates of its points),
 ///   * partner codes: num_partners x K integer codes (each partner
 ///     group's row ū', coordinates [K, 2K)),
+///     each list stored once as CodeBlocks (block order plus per-block
+///     code maxes, which bound a query's dots block by block),
 ///   * C values:      the space's one fp32 per pair, indexed by pair id
 ///     for scoring, plus a copy in C-descending rank order so the TA's
 ///     C walk is a sequential read.
@@ -96,20 +188,25 @@ class QuantizedSpace {
                                int16_t* event_codes16,
                                int16_t* partner_codes16) const;
 
-  /// Row pointers into the compact code matrices (K codes per row).
-  /// The 8-bit variants are valid only when precision() == kInt8, the
+  /// The two group lists' codes, in block order.
+  const CodeBlocks& event_blocks() const { return event_blocks_; }
+  const CodeBlocks& partner_blocks() const { return partner_blocks_; }
+
+  /// Row of event group e / partner group u (K codes). Rows are stored
+  /// in block order, so consecutive groups' rows are not adjacent. The
+  /// 8-bit variants are valid only when precision() == kInt8, the
   /// 16-bit ones only when precision() == kInt16.
   const int8_t* EventCodes8(size_t e) const {
-    return event_codes8_.data() + e * latent_dim_;
+    return event_blocks_.Codes8(e);
   }
   const int8_t* PartnerCodes8(size_t u) const {
-    return partner_codes8_.data() + u * latent_dim_;
+    return partner_blocks_.Codes8(u);
   }
   const int16_t* EventCodes16(size_t e) const {
-    return event_codes16_.data() + e * latent_dim_;
+    return event_blocks_.Codes16(e);
   }
   const int16_t* PartnerCodes16(size_t u) const {
-    return partner_codes16_.data() + u * latent_dim_;
+    return partner_blocks_.Codes16(u);
   }
 
   /// Exact fp32 C coordinate by pair id (the space's own array).
@@ -142,9 +239,11 @@ class QuantizedSpace {
   /// Row of event group g (the event half) or partner group g.
   const float* GroupRow(bool partner_half, size_t g) const;
   void BuildHalfParams(bool partner_half, int levels, HalfParams* out);
+  /// Encodes one half's rows by group and lays them out as CodeBlocks;
+  /// returns the largest row code sum.
   template <typename Code>
   int64_t EncodeRows(bool partner_half, const HalfParams& params,
-                     std::vector<Code>* codes);
+                     CodeBlocks* blocks);
 
   const SpaceIndex* index_;
   uint32_t latent_dim_;
@@ -153,10 +252,8 @@ class QuantizedSpace {
 
   HalfParams event_params_;
   HalfParams partner_params_;
-  std::vector<int8_t> event_codes8_;
-  std::vector<int8_t> partner_codes8_;
-  std::vector<int16_t> event_codes16_;
-  std::vector<int16_t> partner_codes16_;
+  CodeBlocks event_blocks_;
+  CodeBlocks partner_blocks_;
   int64_t max_event_row_sum_ = 0;
   int64_t max_partner_row_sum_ = 0;
 

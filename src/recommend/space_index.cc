@@ -57,6 +57,32 @@ uint32_t DescendingKey(float c) {
 
 }  // namespace
 
+void SortByHighWord(std::vector<uint64_t>* items) {
+  // LSD radix sort of the high word, 8 bits per pass: every pass is
+  // stable, so items with equal high words keep their order. A pass
+  // whose digit is the same for every item would leave the order as it
+  // is and is skipped.
+  constexpr int kBits = 8;
+  constexpr uint64_t kMask = (1u << kBits) - 1;
+  const size_t n = items->size();
+  std::vector<uint64_t> next(n);
+  for (int shift = 32; shift < 64; shift += kBits) {
+    std::array<uint32_t, kMask + 1> count{};
+    for (const uint64_t item : *items) ++count[(item >> shift) & kMask];
+    if (n == 0 || count[((*items)[0] >> shift) & kMask] == n) continue;
+    uint32_t sum = 0;
+    for (uint32_t& b : count) {
+      const uint32_t here = b;
+      b = sum;
+      sum += here;
+    }
+    for (const uint64_t item : *items) {
+      next[count[(item >> shift) & kMask]++] = item;
+    }
+    items->swap(next);
+  }
+}
+
 std::vector<uint32_t> SortByCDescending(const std::vector<float>& c) {
   const size_t n = c.size();
   // Key in the high word, pair id in the low word; the sort moves only
@@ -65,27 +91,7 @@ std::vector<uint32_t> SortByCDescending(const std::vector<float>& c) {
   for (size_t i = 0; i < n; ++i) {
     items[i] = uint64_t{DescendingKey(c[i])} << 32 | i;
   }
-  // LSD radix sort of the key, 8 bits per pass: every pass is stable,
-  // so equal keys keep ascending ids. A pass whose digit is the same for
-  // every key would leave the order as it is and is skipped.
-  constexpr int kBits = 8;
-  constexpr uint64_t kMask = (1u << kBits) - 1;
-  std::vector<uint64_t> next(n);
-  for (int shift = 32; shift < 64; shift += kBits) {
-    std::array<uint32_t, kMask + 1> count{};
-    for (const uint64_t item : items) ++count[(item >> shift) & kMask];
-    if (n == 0 || count[(items[0] >> shift) & kMask] == n) continue;
-    uint32_t sum = 0;
-    for (uint32_t& b : count) {
-      const uint32_t here = b;
-      b = sum;
-      sum += here;
-    }
-    for (const uint64_t item : items) {
-      next[count[(item >> shift) & kMask]++] = item;
-    }
-    items.swap(next);
-  }
+  SortByHighWord(&items);
   std::vector<uint32_t> order(n);
   for (size_t i = 0; i < n; ++i) order[i] = static_cast<uint32_t>(items[i]);
   return order;

@@ -88,6 +88,11 @@ class SpaceIndex {
   std::vector<uint32_t> c_sorted_;
 };
 
+/// Sorts `items` by their high 32 bits, stably (items with equal high
+/// words keep their order), in linear time. With (key << 32 | i) items
+/// built in ascending i, this is std::sort of the items.
+void SortByHighWord(std::vector<uint64_t>* items);
+
 /// Pair ids ordered by `c` descending, ties in ascending id: exactly
 /// std::stable_sort of 0..n-1 under `c[a] > c[b]` (so -0 ties +0), in
 /// linear time. `c` must hold no NaN.

@@ -71,7 +71,7 @@ RecommendationService::RecommendationService(const ServiceOptions& options)
   quantize_scan_us_ = registry_->GetHistogram(
       "gemrec_service_quantize_scan_us",
       "Microseconds one batch spent in the quantized stage (query "
-      "quantization, batched components, sorts, TA walk).");
+      "quantization, block bounds, block expansions, TA walk).");
   rerank_us_ = registry_->GetHistogram(
       "gemrec_service_rerank_us",
       "Microseconds one batch spent re-scoring survivors in exact "

@@ -16,20 +16,20 @@ namespace gemrec::serving {
 
 /// Cache key of one top-n query: who asked, how many results, which
 /// filtered event pool the snapshot was built over — and which
-/// workload. The kind, aggregator and group-member digest are key
-/// components because every kind ranks a different objective over a
-/// different result shape: without them a kGroup answer (events, no
-/// partners) would replay for the same user's kPartner query and vice
-/// versa.
+/// workload. The kind, aggregator and group members are key components
+/// because every kind ranks a different objective over a different
+/// result shape: without them a kGroup answer (events, no partners)
+/// would replay for the same user's kPartner query and vice versa.
 struct CacheKey {
   ebsn::UserId user = 0;
   uint32_t n = 0;
   uint64_t filter_hash = 0;
   recommend::QueryKind kind = recommend::QueryKind::kPartner;
   recommend::GroupAggregator aggregator = recommend::GroupAggregator::kSum;
-  /// FNV-1a over the group member list, order-sensitive (member order
-  /// is semantic for the sum aggregator); 0 for groupless kinds.
-  uint64_t group_hash = 0;
+  /// The group member list, compared exactly (member order is
+  /// semantic for the sum aggregator); empty for groupless kinds. Its
+  /// digest only feeds the hash: two lists can share one.
+  std::vector<ebsn::UserId> group = {};
 
   /// Order-sensitive FNV-1a digest of a group member list.
   static uint64_t HashGroup(const std::vector<ebsn::UserId>& members) {
@@ -51,17 +51,16 @@ struct CacheKey {
     key.filter_hash = request.filter_hash;
     key.kind = request.kind;
     key.aggregator = request.aggregator;
-    key.group_hash = request.kind == recommend::QueryKind::kGroup
-                         ? HashGroup(request.group)
-                         : 0;
+    if (request.kind == recommend::QueryKind::kGroup) {
+      key.group = request.group;
+    }
     return key;
   }
 
   bool operator==(const CacheKey& other) const {
     return user == other.user && n == other.n &&
            filter_hash == other.filter_hash && kind == other.kind &&
-           aggregator == other.aggregator &&
-           group_hash == other.group_hash;
+           aggregator == other.aggregator && group == other.group;
   }
 };
 
@@ -130,7 +129,7 @@ class ResultCache {
     size_t operator()(const CacheKey& k) const {
       uint64_t h =
           k.filter_hash ^ ((static_cast<uint64_t>(k.user) << 32) | k.n);
-      h ^= k.group_hash;
+      if (!k.group.empty()) h ^= CacheKey::HashGroup(k.group);
       h ^= (static_cast<uint64_t>(k.kind) << 8 |
             static_cast<uint64_t>(k.aggregator))
            << 48;

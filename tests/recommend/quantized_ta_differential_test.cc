@@ -15,10 +15,10 @@
 // quantization) and asserts the widened bound still never prunes a
 // true top-k candidate, for both forced precisions.
 //
-// A third suite drives walks past the sorted head of each group list
-// (at least 64 groups) into its bucket-range refills: one bucket
-// holding every partner group, top-n walks deep enough to need
-// refills, and walks that run to exhaustion.
+// A third suite drives walks through many 64-row code blocks of the
+// partner list: identical partner rows, so every block ties at one
+// bound, top-n walks deep enough to expand several blocks, and walks
+// that run to exhaustion.
 
 #include <algorithm>
 #include <cmath>
@@ -234,10 +234,9 @@ TEST(QuantizedScaleExtremesTest, WidenedBoundNeverPrunesTrueTopK) {
   }
 }
 
-// --- Walks that outrun the list head. The walk reads each group list
-// through a sorted head of at least 64 groups, then refills it from the
-// next bucket range; these spaces have more partner groups than one
-// head holds.
+// --- Walks that outrun one code block. The walk reads each group list
+// through a BlockOrder that expands 64-row blocks as their bounds reach
+// it; these spaces have several partner blocks.
 
 /// A seeded space over `num_users` (> 64) partner groups and 12
 /// events, each partner keeping its `top_k` best events.
@@ -271,9 +270,10 @@ void CheckBothPrecisions(const TrialConfig& trial,
   }
 }
 
-/// Every partner row has the same codes, so one histogram bucket holds
-/// every partner group and the head is the whole list, in group order.
-TEST(QuantizedDeepWalkTest, OneBucketHoldsEveryPartnerGroup) {
+/// Every partner row has the same codes, so every partner block has the
+/// same bound and every partner dot equals it: the list is in group
+/// order, and each emission hinges on the >= expansion rule.
+TEST(QuantizedDeepWalkTest, EveryPartnerBlockTiesAtOneBound) {
   for (const size_t n : {size_t{10}, size_t{200}}) {
     const TrialConfig trial = DeepTrial(0, 200, 3, n);
     auto store = BuildStore(trial);
@@ -291,8 +291,8 @@ TEST(QuantizedDeepWalkTest, OneBucketHoldsEveryPartnerGroup) {
 /// half of the seeds the event embeddings are shrunk 1000x, so the
 /// partner list leads every step of the walk; each partner group holds
 /// at most 2 pairs, so a top-200 walks at least 100 groups deep, past
-/// the 64-group head and into a refill.
-TEST(QuantizedDeepWalkTest, DeepWalksRefillTheHead) {
+/// the first 64-row block.
+TEST(QuantizedDeepWalkTest, DeepWalksExpandManyBlocks) {
   for (uint64_t seed = 0; seed < 6; ++seed) {
     for (const size_t n : {size_t{200}, size_t{320}}) {
       const TrialConfig trial = DeepTrial(seed, 300, 2, n);
@@ -311,7 +311,7 @@ TEST(QuantizedDeepWalkTest, DeepWalksRefillTheHead) {
 }
 
 /// n above ResultsPossible: the walk consumes every position of every
-/// list, refilling each head until the last bucket.
+/// list, expanding every block.
 TEST(QuantizedDeepWalkTest, ExhaustiveWalksMatchBruteForce) {
   for (uint64_t seed = 0; seed < 4; ++seed) {
     const TrialConfig trial = DeepTrial(seed, 150, 4, 150 * 4 + 10);

@@ -5,6 +5,7 @@
 // allocator — the counter would otherwise pick up unrelated gtest
 // bookkeeping from neighboring suites.
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstddef>
@@ -169,12 +170,12 @@ TEST(TaAllocTest, SteadyStateSearchBatchAllocatesNothing) {
   }
 }
 
-/// A batch whose walks outrun the 64-group list head: 300 partner
+/// A batch whose walks outrun one 64-row code block: 300 partner
 /// groups of at most 2 pairs each, and event embeddings shrunk 1000x so
 /// the partner list leads the walk. A top-200 then reads at least 100
-/// partner groups, so each query refills its head at least once; the
-/// refills reuse the workspace's range buffers once they are warm.
-TEST(TaAllocTest, SteadyStateRefillingBatchAllocatesNothing) {
+/// partner groups, so each query expands several blocks; the
+/// expansions reuse the workspace's heaps once they are warm.
+TEST(TaAllocTest, SteadyStateDeepWalkBatchAllocatesNothing) {
   constexpr uint32_t kUsers = 300;
   constexpr uint32_t kEvents = 12;
   constexpr uint32_t kDim = 8;
@@ -223,7 +224,69 @@ TEST(TaAllocTest, SteadyStateRefillingBatchAllocatesNothing) {
     }
     const size_t after = g_allocations.load(std::memory_order_relaxed);
     EXPECT_EQ(after - before, 0u)
-        << "steady-state refilling SearchBatch performed "
+        << "steady-state deep-walk SearchBatch performed "
+        << (after - before) << " heap allocations over 20 batches";
+  }
+}
+
+/// A flat partner half: the queries' partner coordinates are all 0, so
+/// every partner code is 0, every block bound is 0 and every partner
+/// dot is 0. The first read of the partner list therefore expands every
+/// one of its 16 blocks, and the warm workspace must hold them all
+/// without touching the heap.
+TEST(TaAllocTest, SteadyStateFlatQueryExpandingEveryBlockAllocatesNothing) {
+  constexpr uint32_t kUsers = 1000;
+  constexpr uint32_t kEvents = 12;
+  constexpr uint32_t kDim = 8;
+  constexpr size_t kBatch = 8;
+  constexpr size_t kN = 10;
+
+  auto store = std::make_unique<embedding::EmbeddingStore>(
+      kDim, std::array<uint32_t, 5>{kUsers, kEvents, 1, 1, 1});
+  Rng rng(21);
+  store->MatrixOf(graph::NodeType::kUser).FillAbsGaussian(&rng, 0.2, 0.3);
+  store->MatrixOf(graph::NodeType::kEvent)
+      .FillAbsGaussian(&rng, 0.2, 0.3);
+  GemModel model(store.get(), "GEM");
+  std::vector<ebsn::EventId> pool(kEvents);
+  for (uint32_t x = 0; x < kEvents; ++x) pool[x] = x;
+  TransformedSpace space(model,
+                         BuildCandidatePairs(model, pool, AllUsers(kUsers), 2));
+  SpaceIndex index(&space);
+
+  std::vector<std::vector<float>> queries(kBatch);
+  std::vector<BatchQuery> batch_queries(kBatch);
+  for (uint32_t i = 0; i < kBatch; ++i) {
+    const uint32_t u = 101 * i;
+    space.QueryVector(model, u, &queries[i]);
+    std::fill(queries[i].begin() + kDim, queries[i].begin() + 2 * kDim,
+              0.0f);
+    batch_queries[i] = BatchQuery{queries[i].data(), kN, u};
+  }
+
+  for (auto force : {QuantizedSpace::Options::Force::kInt8,
+                     QuantizedSpace::Options::Force::kInt16}) {
+    QuantizedSpace quant(&index, {force});
+    const size_t blocks = quant.event_blocks().num_blocks() +
+                          quant.partner_blocks().num_blocks();
+    ASSERT_EQ(quant.partner_blocks().num_blocks(), 16u);
+    BatchTaSearch batch(&quant);
+    BatchTaSearch::Workspace ws;
+    std::vector<std::vector<SearchHit>> results(kBatch);
+    BatchSearchStats stats;
+    batch.SearchBatch(batch_queries.data(), kBatch, results.data(), &stats,
+                      &ws);
+
+    const size_t before = g_allocations.load(std::memory_order_relaxed);
+    for (int round = 0; round < 20; ++round) {
+      batch.SearchBatch(batch_queries.data(), kBatch, results.data(),
+                        &stats, &ws);
+      ASSERT_EQ(results[0].size(), kN);
+      ASSERT_EQ(stats.blocks_expanded, kBatch * blocks);
+    }
+    const size_t after = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_EQ(after - before, 0u)
+        << "steady-state flat-query SearchBatch performed "
         << (after - before) << " heap allocations over 20 batches";
   }
 }

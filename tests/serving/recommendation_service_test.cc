@@ -433,6 +433,26 @@ TEST(ResultCacheTest, DistinguishesFilterHashes) {
   EXPECT_EQ(out[0].event, 7u);
 }
 
+TEST(ResultCacheTest, GroupsWithOneMemberDigestDoNotShareAnEntry) {
+  QueryRequest stored;
+  stored.user = 7;
+  stored.kind = recommend::QueryKind::kGroup;
+  stored.group = {4060, 59296, 0};
+  QueryRequest other = stored;
+  other.group = {3693, 63270, 19147227};
+  // The two member lists collide under the cache's FNV-1a digest.
+  ASSERT_EQ(CacheKey::HashGroup(stored.group),
+            CacheKey::HashGroup(other.group));
+
+  ResultCache cache(16, 2);
+  cache.Insert(CacheKey::For(stored), 1, {{3, 0, 1.5f}});
+  std::vector<recommend::Recommendation> out;
+  EXPECT_FALSE(cache.Lookup(CacheKey::For(other), 1, &out))
+      << "a group's cached answer was served for a different group";
+  ASSERT_TRUE(cache.Lookup(CacheKey::For(stored), 1, &out));
+  EXPECT_EQ(out[0].event, 3u);
+}
+
 TEST(ResultCacheTest, EvictsLeastRecentlyUsed) {
   ResultCache cache(4, 1);  // single shard, capacity 4
   std::vector<recommend::Recommendation> items{{0, 0, 0.0f}};

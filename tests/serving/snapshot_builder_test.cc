@@ -2,12 +2,13 @@
 // the partners a change can reach and copies every other partner's
 // list from its previous snapshot, must produce bitwise the snapshot a
 // from-scratch Build() of the same staging state produces — pairs, C,
-// groups, inverse maps, the C order, quantization parameters, precision
-// and codes — at every publish of seeded write streams, unsharded and
-// under every shard of N = 2 and N = 3. The streams mix attendance
-// nudges, cold-user fold-ins, appended events (two with identical
-// signals, so TopK sees tied scores, and one that enters most lists),
-// re-folds of pooled events, non-append pool edits and store resets.
+// groups, inverse maps, the C order, quantization parameters, precision,
+// codes, block order and block maxes — at every publish of seeded write
+// streams, unsharded and under every shard of N = 2 and N = 3. The
+// streams mix attendance nudges, cold-user fold-ins, appended events
+// (two with identical signals, so TopK sees tied scores, and one that
+// enters most lists), re-folds of pooled events, non-append pool edits
+// and store resets.
 // Also here: recovery refuses a checkpoint whose pool does not fit its
 // own store.
 
@@ -77,6 +78,18 @@ void ExpectBitwiseEqual(const std::vector<T>& got, const std::vector<T>& want,
   ExpectBitwiseEqual(got.data(), want.data(), got.size(), what);
 }
 
+/// Block order, codes in block order and block maxes, in both
+/// precisions (the one a space does not use is empty on both sides).
+void ExpectSameBlocks(const recommend::CodeBlocks& got,
+                      const recommend::CodeBlocks& want, const char* list) {
+  SCOPED_TRACE(list);
+  ExpectBitwiseEqual(got.order(), want.order(), "block order");
+  ExpectBitwiseEqual(got.codes8(), want.codes8(), "codes8");
+  ExpectBitwiseEqual(got.codes16(), want.codes16(), "codes16");
+  ExpectBitwiseEqual(got.block_max8(), want.block_max8(), "block max8");
+  ExpectBitwiseEqual(got.block_max16(), want.block_max16(), "block max16");
+}
+
 /// One-hot queries read back each dimension's zero point (the bias),
 /// scale (through the folded code scale) and rounding bound (epsilon),
 /// so equal outputs pin the private quantization parameters bitwise.
@@ -92,17 +105,8 @@ void ExpectSameQuantization(const recommend::QuantizedSpace& got,
   ExpectBitwiseEqual(&got_err, &want_err, 1, "int8 error estimate");
   ExpectBitwiseEqual(got.c_sorted_values(), want.c_sorted_values(),
                      "c_sorted_values");
-  if (want.precision() == recommend::QuantizedSpace::Precision::kInt8) {
-    ExpectBitwiseEqual(got.EventCodes8(0), want.EventCodes8(0),
-                       want.num_events() * k, "event codes8");
-    ExpectBitwiseEqual(got.PartnerCodes8(0), want.PartnerCodes8(0),
-                       want.num_partners() * k, "partner codes8");
-  } else {
-    ExpectBitwiseEqual(got.EventCodes16(0), want.EventCodes16(0),
-                       want.num_events() * k, "event codes16");
-    ExpectBitwiseEqual(got.PartnerCodes16(0), want.PartnerCodes16(0),
-                       want.num_partners() * k, "partner codes16");
-  }
+  ExpectSameBlocks(got.event_blocks(), want.event_blocks(), "event");
+  ExpectSameBlocks(got.partner_blocks(), want.partner_blocks(), "partner");
   for (uint32_t d = 0; d <= 2 * k; ++d) {
     std::vector<float> query(2 * k + 1, 0.0f);
     query[d] = 1.0f;
