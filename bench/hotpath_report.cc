@@ -205,7 +205,6 @@ struct QuantResult {
   /// must sit under the bound.
   double max_abs_err = 0.0;
   double max_epsilon = 0.0;
-  const char* precision = "";
   size_t steady_state_allocations = 0;
 };
 
@@ -216,8 +215,7 @@ double MeasureQuantizationError(const QuerySpace& qs,
                                 double* max_epsilon) {
   const uint32_t k = quant.latent_dim();
   const uint32_t point_dim = qs.space->point_dim();
-  std::vector<uint8_t> eq8(k), pq8(k);
-  std::vector<int16_t> eq16(k), pq16(k);
+  std::vector<int16_t> eq(k), pq(k);
   std::vector<int32_t> edots(index.num_events());
   std::vector<int32_t> pdots(index.num_partners());
   const uint32_t* pe = index.pair_event_idx().data();
@@ -228,16 +226,14 @@ double MeasureQuantizationError(const QuerySpace& qs,
   *max_epsilon = 0.0;
   for (size_t qi = 0; qi < qs.queries.size(); ++qi) {
     const float* q = qs.queries[qi].data();
-    const auto qq = quant.QuantizeQuery(q, eq8.data(), pq8.data(),
-                                        eq16.data(), pq16.data());
+    const auto qq = quant.QuantizeQuery(q, eq.data(), pq.data());
     *max_epsilon = std::max(*max_epsilon, static_cast<double>(qq.epsilon));
     if (qi >= sample_queries) continue;  // epsilon from all, err sampled
     for (size_t g = 0; g < edots.size(); ++g) {
-      edots[g] = quant.event_blocks().GroupDot({eq8.data(), eq16.data()}, g);
+      edots[g] = quant.event_blocks().GroupDot(eq.data(), g);
     }
     for (size_t g = 0; g < pdots.size(); ++g) {
-      pdots[g] =
-          quant.partner_blocks().GroupDot({pq8.data(), pq16.data()}, g);
+      pdots[g] = quant.partner_blocks().GroupDot(pq.data(), g);
     }
     for (size_t p = 0; p < qs.space->num_points(); ++p) {
       const float ecomp =
@@ -260,10 +256,6 @@ QuantResult MeasureQuantizedBatch(const QuerySpace& qs) {
   recommend::BatchTaSearch batch(&quant);
 
   QuantResult result;
-  result.precision =
-      quant.precision() == recommend::QuantizedSpace::Precision::kInt8
-          ? "int8"
-          : "int16";
   result.max_abs_err = MeasureQuantizationError(
       qs, index, quant, /*sample_queries=*/4, &result.max_epsilon);
 
@@ -486,9 +478,8 @@ void Run() {
             << ta.steady_state_allocations << "\n";
   std::cout << "quantized batched TA: " << quant.ms_b1 << " / "
             << quant.ms_b8 << " / " << quant.ms_b64
-            << " ms/query at batch 1/8/64 (" << quant.precision
-            << "), vs exact " << ta.ms_per_query << " ms ("
-            << ta.ms_per_query / quant.ms_b64
+            << " ms/query at batch 1/8/64, vs exact " << ta.ms_per_query
+            << " ms (" << ta.ms_per_query / quant.ms_b64
             << "x at batch 64), examined_frac "
             << quant.examined_fraction << ", blocks expanded "
             << quant.blocks_expanded_fraction << ", max_abs_err "
@@ -541,7 +532,6 @@ void Run() {
        << "  \"quantized_batched_top10\": {\n"
        << "    \"workload\": \"same space/queries as ta_search_top10, "
           "quantized multi-query TA + exact fp32 re-rank\",\n"
-       << "    \"precision\": \"" << quant.precision << "\",\n"
        << "    \"ms_per_query_batch1\": " << quant.ms_b1 << ",\n"
        << "    \"ms_per_query_batch8\": " << quant.ms_b8 << ",\n"
        << "    \"ms_per_query_batch64\": " << quant.ms_b64 << ",\n"

@@ -78,6 +78,12 @@ for arg in "$@"; do
     --no-ubsan) RUN_UBSAN=0 ;;
     --no-asan) RUN_ASAN=0 ;;
     --no-perfbench) RUN_PERFBENCH=0 ;;
+    *)
+      echo "tier1.sh: unknown argument: $arg" >&2
+      echo "usage: scripts/tier1.sh [--no-tsan] [--no-ubsan] [--no-asan]" \
+        "[--no-perfbench]" >&2
+      exit 2
+      ;;
   esac
 done
 
@@ -122,7 +128,7 @@ if [[ "$RUN_UBSAN" == "1" ]]; then
   # Histogram bucket math (bit shifts at the 64-bit edge) and the
   # stats wire codec parse under UBSan.
   ./build-ubsan/tests/obs_test
-  # Quantization arithmetic (scale/zero-point folding, int8/int16 code
+  # Quantization arithmetic (scale/zero-point folding, 11-bit code
   # clamps, packed ordering keys) and the batched serve path: shifts,
   # casts and float->int rounding must all be defined.
   ./build-ubsan/tests/recommend_test
@@ -157,8 +163,8 @@ if [[ "$RUN_ASAN" == "1" ]]; then
   ./build-asan/tests/embedding_test
   ./build-asan/tests/obs_test
   # The rows kernels' 4-row steps and scalar tails, and the walk's
-  # bucket-range refills: an overread past the last code row or the
-  # last collected key aborts the binary.
+  # expansion of the last, short code block: an overread past the last
+  # code row or block-max row aborts the binary.
   ./build-asan/tests/common_test
   ./build-asan/tests/recommend_test
 fi

@@ -51,23 +51,9 @@ void ReluPortable(float* x, size_t n) {
   for (size_t i = 0; i < n; ++i) x[i] = x[i] < 0.0f ? 0.0f : x[i];
 }
 
-// Quantized-code dots: 4-way unrolled like DotPortable so the compiler
-// can vectorize; int32 accumulators are safe under the [0,127] /
-// [0,2047] caller contracts documented in vec_math.h.
-int32_t DotQ8Portable(const uint8_t* a, const int8_t* b, size_t n) {
-  int32_t acc0 = 0, acc1 = 0, acc2 = 0, acc3 = 0;
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    acc0 += static_cast<int32_t>(a[i]) * b[i];
-    acc1 += static_cast<int32_t>(a[i + 1]) * b[i + 1];
-    acc2 += static_cast<int32_t>(a[i + 2]) * b[i + 2];
-    acc3 += static_cast<int32_t>(a[i + 3]) * b[i + 3];
-  }
-  int32_t acc = (acc0 + acc1) + (acc2 + acc3);
-  for (; i < n; ++i) acc += static_cast<int32_t>(a[i]) * b[i];
-  return acc;
-}
-
+// Quantized-code dot: 4-way unrolled like DotPortable so the compiler
+// can vectorize; int32 accumulators are safe under the [0,2047] caller
+// contract documented in vec_math.h.
 int32_t DotQ16Portable(const int16_t* a, const int16_t* b, size_t n) {
   int32_t acc0 = 0, acc1 = 0, acc2 = 0, acc3 = 0;
   size_t i = 0;
@@ -80,13 +66,6 @@ int32_t DotQ16Portable(const int16_t* a, const int16_t* b, size_t n) {
   int32_t acc = (acc0 + acc1) + (acc2 + acc3);
   for (; i < n; ++i) acc += static_cast<int32_t>(a[i]) * b[i];
   return acc;
-}
-
-void DotQ8RowsPortable(const uint8_t* query, const int8_t* rows,
-                       size_t num_rows, size_t k, int32_t* out) {
-  for (size_t r = 0; r < num_rows; ++r) {
-    out[r] = DotQ8Portable(query, rows + r * k, k);
-  }
 }
 
 void DotQ16RowsPortable(const int16_t* query, const int16_t* rows,
@@ -151,35 +130,6 @@ __attribute__((target("avx2"))) void ReluAvx2(float* x, size_t n) {
   for (; i < n; ++i) x[i] = x[i] < 0.0f ? 0.0f : x[i];
 }
 
-// 32 codes per iteration: u8*i8 -> pairwise i16 (maddubs; pair sums
-// <= 2*127*127 = 32258, no saturation under the 7-bit contract), i16
-// pairs -> i32 (madd against ones), i32 lanes accumulate. Each i32
-// lane grows by <= 4*127^2 per iteration, so overflow needs n beyond
-// 2^21 — far past any embedding width.
-__attribute__((target("avx2"))) int32_t DotQ8Avx2(const uint8_t* a,
-                                                  const int8_t* b,
-                                                  size_t n) {
-  const __m256i ones = _mm256_set1_epi16(1);
-  __m256i acc = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i va = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(b + i));
-    const __m256i prods16 = _mm256_maddubs_epi16(va, vb);
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(prods16, ones));
-  }
-  __m128i lo = _mm256_castsi256_si128(acc);
-  __m128i hi = _mm256_extracti128_si256(acc, 1);
-  lo = _mm_add_epi32(lo, hi);
-  lo = _mm_hadd_epi32(lo, lo);
-  lo = _mm_hadd_epi32(lo, lo);
-  int32_t sum = _mm_cvtsi128_si32(lo);
-  for (; i < n; ++i) sum += static_cast<int32_t>(a[i]) * b[i];
-  return sum;
-}
-
 // 16 codes per iteration via madd_epi16 (pair sums <= 2*2047^2 < 2^31
 // under the 11-bit contract); i32 lanes accumulate, each growing by
 // <= 2*2047^2 per iteration, so the n <= 512 caller contract keeps the
@@ -206,14 +156,6 @@ __attribute__((target("avx2"))) int32_t DotQ16Avx2(const int16_t* a,
   return sum;
 }
 
-// One 32-code block of a u8 x i8 dot as eight int32 partial sums.
-__attribute__((target("avx2"))) inline __m256i DotQ8Block(
-    __m256i query, const int8_t* row, __m256i ones) {
-  const __m256i vb =
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row));
-  return _mm256_madd_epi16(_mm256_maddubs_epi16(query, vb), ones);
-}
-
 // One 16-code block of an i16 x i16 dot as eight int32 partial sums.
 __attribute__((target("avx2"))) inline __m256i DotQ16Block(
     __m256i query, const int16_t* row) {
@@ -233,48 +175,10 @@ __attribute__((target("avx2"))) inline __m128i SumRows4(
 }
 
 // Four rows per step against one query load, the same per-row
-// arithmetic as DotQ8Avx2, then one SumRows4; codes past the last full
-// 32-wide block are added in scalar, and the last num_rows % 4 rows
+// arithmetic as DotQ16Avx2, then one SumRows4; codes past the last full
+// 16-wide block are added in scalar, and the last num_rows % 4 rows
 // take the one-row kernel. Integer sums are order-free, so every out[r]
 // equals the scalar reference exactly.
-__attribute__((target("avx2"))) void DotQ8RowsAvx2(const uint8_t* query,
-                                                   const int8_t* rows,
-                                                   size_t num_rows, size_t k,
-                                                   int32_t* out) {
-  const __m256i ones = _mm256_set1_epi16(1);
-  const size_t k_vec = k - k % 32;
-  size_t r = 0;
-  for (; r + 4 <= num_rows; r += 4) {
-    const int8_t* b0 = rows + r * k;
-    const int8_t* b1 = b0 + k;
-    const int8_t* b2 = b1 + k;
-    const int8_t* b3 = b2 + k;
-    __m256i acc0 = _mm256_setzero_si256();
-    __m256i acc1 = _mm256_setzero_si256();
-    __m256i acc2 = _mm256_setzero_si256();
-    __m256i acc3 = _mm256_setzero_si256();
-    for (size_t i = 0; i < k_vec; i += 32) {
-      const __m256i va = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(query + i));
-      acc0 = _mm256_add_epi32(acc0, DotQ8Block(va, b0 + i, ones));
-      acc1 = _mm256_add_epi32(acc1, DotQ8Block(va, b1 + i, ones));
-      acc2 = _mm256_add_epi32(acc2, DotQ8Block(va, b2 + i, ones));
-      acc3 = _mm256_add_epi32(acc3, DotQ8Block(va, b3 + i, ones));
-    }
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + r),
-                     SumRows4(acc0, acc1, acc2, acc3));
-    for (size_t i = k_vec; i < k; ++i) {
-      const int32_t a = query[i];
-      out[r] += a * b0[i];
-      out[r + 1] += a * b1[i];
-      out[r + 2] += a * b2[i];
-      out[r + 3] += a * b3[i];
-    }
-  }
-  for (; r < num_rows; ++r) out[r] = DotQ8Avx2(query, rows + r * k, k);
-}
-
-// DotQ8RowsAvx2's layout over 16-wide madd_epi16 blocks.
 __attribute__((target("avx2"))) void DotQ16RowsAvx2(const int16_t* query,
                                                     const int16_t* rows,
                                                     size_t num_rows,
@@ -323,23 +227,18 @@ bool CpuHasAvx2Fma() {
 using DotFn = float (*)(const float*, const float*, size_t);
 using AxpyFn = void (*)(float, const float*, float*, size_t);
 using ReluFn = void (*)(float*, size_t);
-using DotQ8RowsFn = void (*)(const uint8_t*, const int8_t*, size_t, size_t,
-                             int32_t*);
 using DotQ16RowsFn = void (*)(const int16_t*, const int16_t*, size_t,
                               size_t, int32_t*);
 
 float DotResolve(const float* a, const float* b, size_t n);
 void AxpyResolve(float alpha, const float* x, float* y, size_t n);
 void ReluResolve(float* x, size_t n);
-void DotQ8RowsResolve(const uint8_t* query, const int8_t* rows,
-                      size_t num_rows, size_t k, int32_t* out);
 void DotQ16RowsResolve(const int16_t* query, const int16_t* rows,
                        size_t num_rows, size_t k, int32_t* out);
 
 std::atomic<DotFn> g_dot{&DotResolve};
 std::atomic<AxpyFn> g_axpy{&AxpyResolve};
 std::atomic<ReluFn> g_relu{&ReluResolve};
-std::atomic<DotQ8RowsFn> g_dot_q8_rows{&DotQ8RowsResolve};
 std::atomic<DotQ16RowsFn> g_dot_q16_rows{&DotQ16RowsResolve};
 
 bool UseAvx2() {
@@ -380,17 +279,6 @@ void ReluResolve(float* x, size_t n) {
   fn(x, n);
 }
 
-void DotQ8RowsResolve(const uint8_t* query, const int8_t* rows,
-                      size_t num_rows, size_t k, int32_t* out) {
-#ifdef GEMREC_X86
-  const DotQ8RowsFn fn = UseAvx2() ? &DotQ8RowsAvx2 : &DotQ8RowsPortable;
-#else
-  const DotQ8RowsFn fn = &DotQ8RowsPortable;
-#endif
-  g_dot_q8_rows.store(fn, std::memory_order_relaxed);
-  fn(query, rows, num_rows, k, out);
-}
-
 void DotQ16RowsResolve(const int16_t* query, const int16_t* rows,
                        size_t num_rows, size_t k, int32_t* out) {
 #ifdef GEMREC_X86
@@ -414,12 +302,6 @@ void AxpyDispatch(float alpha, const float* x, float* y, size_t n) {
 
 void ReluDispatch(float* x, size_t n) {
   g_relu.load(std::memory_order_relaxed)(x, n);
-}
-
-void DotQ8RowsDispatch(const uint8_t* query, const int8_t* rows,
-                       size_t num_rows, size_t k, int32_t* out) {
-  g_dot_q8_rows.load(std::memory_order_relaxed)(query, rows, num_rows, k,
-                                                out);
 }
 
 void DotQ16RowsDispatch(const int16_t* query, const int16_t* rows,

@@ -31,8 +31,6 @@ extern const float* SigmoidTable();  // kSigmoidEntries + 1 floats
 float DotDispatch(const float* a, const float* b, size_t n);
 void AxpyDispatch(float alpha, const float* x, float* y, size_t n);
 void ReluDispatch(float* x, size_t n);
-void DotQ8RowsDispatch(const uint8_t* query, const int8_t* rows,
-                       size_t num_rows, size_t k, int32_t* out);
 void DotQ16RowsDispatch(const int16_t* query, const int16_t* rows,
                         size_t num_rows, size_t k, int32_t* out);
 
@@ -85,23 +83,12 @@ inline float Norm(const float* x, size_t n) {
   return std::sqrt(Dot(x, x, n));
 }
 
-/// Quantized dot products. Value-range contracts (enforced by the
-/// quantizers, not the kernels) exist so the AVX2 variants can use
-/// _mm256_maddubs_epi16 / _mm256_madd_epi16 without saturating and the
-/// scalar references can accumulate in int32 without signed overflow
-/// (which UBSan would flag):
-///   DotQ8:  a in [0, 127], b in [0, 127]  -> n up to ~2^17 is safe
-///           (pairwise i16 sums stay <= 2*127*127 = 32258 < 2^15).
-///   DotQ16: both in [0, 2047]             -> n up to 512 is safe
-///           (per-product <= 2047^2 ~ 2^22; 512 of them < 2^31).
-inline int32_t DotQ8(const uint8_t* a, const int8_t* b, size_t n) {
-  int32_t acc = 0;
-  for (size_t i = 0; i < n; ++i) {
-    acc += static_cast<int32_t>(a[i]) * static_cast<int32_t>(b[i]);
-  }
-  return acc;
-}
-
+/// Quantized dot product. The value-range contract (enforced by the
+/// quantizer, not the kernel) exists so the AVX2 variant can use
+/// _mm256_madd_epi16 without saturating and the scalar reference can
+/// accumulate in int32 without signed overflow (which UBSan would flag):
+/// both sides in [0, 2047] and n <= 512 (per-product <= 2047^2 ~ 2^22;
+/// 512 of them < 2^31).
 inline int32_t DotQ16(const int16_t* a, const int16_t* b, size_t n) {
   int32_t acc = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -111,14 +98,7 @@ inline int32_t DotQ16(const int16_t* a, const int16_t* b, size_t n) {
 }
 
 /// One query against `num_rows` contiguous rows of k codes each:
-/// out[r] = DotQ*(query, rows + r * k, k).
-inline void DotQ8Rows(const uint8_t* query, const int8_t* rows,
-                      size_t num_rows, size_t k, int32_t* out) {
-  for (size_t r = 0; r < num_rows; ++r) {
-    out[r] = DotQ8(query, rows + r * k, k);
-  }
-}
-
+/// out[r] = DotQ16(query, rows + r * k, k).
 inline void DotQ16Rows(const int16_t* query, const int16_t* rows,
                        size_t num_rows, size_t k, int32_t* out) {
   for (size_t r = 0; r < num_rows; ++r) {
@@ -153,32 +133,19 @@ inline float Norm(const float* x, size_t n) {
 
 /// Quantized-code dot products of one query against `num_rows`
 /// contiguous code rows (row r starts at rows + r * k):
-/// out[r] = sum_i query[i] * rows[r * k + i]. Unsigned 7-bit query
-/// codes against signed 7-bit row codes (see the scalar reference for
-/// the [0, 127] range contract). Integer-exact: the dispatched kernel
-/// returns the same int32s as the scalar loop, bit for bit — no float
-/// reassociation caveat like Dot. The AVX2 variant takes four rows per
-/// step and reduces them together, so a block of rows costs one call
-/// and a quarter of the horizontal reductions of per-row calls.
-inline void DotQ8Rows(const uint8_t* query, const int8_t* rows,
-                      size_t num_rows, size_t k, int32_t* out) {
-  vec_detail::DotQ8RowsDispatch(query, rows, num_rows, k, out);
-}
-
-/// DotQ8Rows over 11-bit codes ([0, 2047] both sides, k <= 512).
+/// out[r] = sum_i query[i] * rows[r * k + i], over 11-bit codes (see the
+/// scalar reference for the [0, 2047], k <= 512 contract).
+/// Integer-exact: the dispatched kernel returns the same int32s as the
+/// scalar loop, bit for bit — no float reassociation caveat like Dot.
+/// The AVX2 variant takes four rows per step and reduces them together,
+/// so a block of rows costs one call and a quarter of the horizontal
+/// reductions of per-row calls.
 inline void DotQ16Rows(const int16_t* query, const int16_t* rows,
                        size_t num_rows, size_t k, int32_t* out) {
   vec_detail::DotQ16RowsDispatch(query, rows, num_rows, k, out);
 }
 
-/// One-row DotQ8Rows: the dot of two n-code spans.
-inline int32_t DotQ8(const uint8_t* a, const int8_t* b, size_t n) {
-  int32_t out = 0;
-  DotQ8Rows(a, b, 1, n, &out);
-  return out;
-}
-
-/// One-row DotQ16Rows.
+/// One-row DotQ16Rows: the dot of two n-code spans.
 inline int32_t DotQ16(const int16_t* a, const int16_t* b, size_t n) {
   int32_t out = 0;
   DotQ16Rows(a, b, 1, n, &out);

@@ -115,24 +115,18 @@ void BatchTaSearch::SearchChunk(const BatchQuery* queries, size_t count,
   }
 
   // --- Stage 1: quantize queries and bound their lists' blocks. ---
-  ws->event_q8.resize(kMaxChunk * k);
-  ws->partner_q8.resize(kMaxChunk * k);
-  ws->event_q16.resize(kMaxChunk * k);
-  ws->partner_q16.resize(kMaxChunk * k);
+  ws->event_codes.resize(kMaxChunk * k);
+  ws->partner_codes.resize(kMaxChunk * k);
   ws->qq.resize(kMaxChunk);
   ws->event_orders.resize(kMaxChunk);
   ws->partner_orders.resize(kMaxChunk);
   for (size_t q = 0; q < count; ++q) {
-    ws->qq[q] = quant_->QuantizeQuery(
-        queries[q].query, ws->event_q8.data() + q * k,
-        ws->partner_q8.data() + q * k, ws->event_q16.data() + q * k,
-        ws->partner_q16.data() + q * k);
-    ws->event_orders[q].Reset(
-        &quant_->event_blocks(),
-        {ws->event_q8.data() + q * k, ws->event_q16.data() + q * k});
-    ws->partner_orders[q].Reset(
-        &quant_->partner_blocks(),
-        {ws->partner_q8.data() + q * k, ws->partner_q16.data() + q * k});
+    int16_t* event_codes = ws->event_codes.data() + q * k;
+    int16_t* partner_codes = ws->partner_codes.data() + q * k;
+    ws->qq[q] =
+        quant_->QuantizeQuery(queries[q].query, event_codes, partner_codes);
+    ws->event_orders[q].Reset(&quant_->event_blocks(), event_codes);
+    ws->partner_orders[q].Reset(&quant_->partner_blocks(), partner_codes);
   }
 
   // --- Stage 2: round-robin widened-threshold TA walk. ---

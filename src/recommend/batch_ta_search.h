@@ -51,7 +51,7 @@ struct BatchSearchStats {
 /// emitted sequence is exactly the descending order of all keys. The
 /// >= (not >) matters for ties: a block whose bound equals the top dot
 /// may hold the same dot with a larger group id, whose key comes first.
-/// One mechanism serves both lists and both precisions.
+/// One mechanism serves both lists.
 class BlockOrder {
  public:
   /// The list-order key. Dots are nonnegative, and bias + scale *
@@ -90,7 +90,7 @@ class BlockOrder {
   void Emit();
 
   const CodeBlocks* list_ = nullptr;
-  QueryCodes query_;
+  QueryCodes query_ = nullptr;
   std::vector<int32_t> dots_;    // block bounds, then one block's dots
   std::vector<uint64_t> blocks_;  // max-heap of unexpanded blocks
   std::vector<uint64_t> keys_;    // max-heap of expanded keys
@@ -112,7 +112,7 @@ class BlockOrder {
 ///      before its threshold fires, so a query expands few blocks.
 ///   2. Round-robin TA walk: each live query advances its best list a
 ///      fixed quantum, then yields; queries retire as they stop. An
-///      examined pair's two components come from one-row DotQ8/DotQ16
+///      examined pair's two components come from one-row DotQ16
 ///      calls against its event and partner rows, as bias + scale *
 ///      float(dot), bitwise what the list keys encode. The visited set
 ///      is one generation-stamped uint64 bitmask shared by the whole
@@ -154,8 +154,7 @@ class BatchTaSearch {
       float stop_bound;
       bool done;
     };
-    std::vector<uint8_t> event_q8, partner_q8;     // query codes, int8 mode
-    std::vector<int16_t> event_q16, partner_q16;   // query codes, int16 mode
+    std::vector<int16_t> event_codes, partner_codes;  // query codes
     std::vector<QuantizedSpace::QuantizedQuery> qq;
     std::vector<BlockOrder> event_orders, partner_orders;  // [query]
     std::vector<uint32_t> seen_gen;

@@ -9,12 +9,8 @@
 
 namespace gemrec::recommend {
 
-/// One query half's codes, in whichever precision the space uses (the
-/// other pointer may be null).
-struct QueryCodes {
-  const uint8_t* codes8 = nullptr;
-  const int16_t* codes16 = nullptr;
-};
+/// One query half's codes (K of them).
+using QueryCodes = const int16_t*;
 
 /// One group list's code rows (the event half or the partner half),
 /// stored once, in block order. The groups are sorted by the sum of
@@ -27,8 +23,7 @@ struct QueryCodes {
 /// exactly, in int32: a block-max row obeys the same code-range
 /// contract as a code row (common/vec_math.h, K <= 512).
 ///
-/// Exactly one precision's storage is filled. Immutable after
-/// construction.
+/// Immutable after construction.
 class CodeBlocks {
  public:
   static constexpr size_t kBlockRows = 64;
@@ -36,7 +31,6 @@ class CodeBlocks {
   CodeBlocks() = default;
   /// Lays out `by_group` (group g's k codes at [g * k, (g + 1) * k))
   /// in block order.
-  CodeBlocks(const std::vector<int8_t>& by_group, uint32_t k);
   CodeBlocks(const std::vector<int16_t>& by_group, uint32_t k);
 
   size_t num_groups() const { return order_.size(); }
@@ -47,17 +41,12 @@ class CodeBlocks {
   /// Position -> group: the block order.
   const std::vector<uint32_t>& order() const { return order_; }
   /// Row codes by position, and block-max rows by block (k codes each).
-  const std::vector<int8_t>& codes8() const { return codes8_; }
-  const std::vector<int16_t>& codes16() const { return codes16_; }
-  const std::vector<int8_t>& block_max8() const { return block_max8_; }
-  const std::vector<int16_t>& block_max16() const { return block_max16_; }
+  const std::vector<int16_t>& codes() const { return codes_; }
+  const std::vector<int16_t>& block_max() const { return block_max_; }
 
   /// Group g's row.
-  const int8_t* Codes8(size_t g) const {
-    return codes8_.data() + size_t{position_[g]} * k_;
-  }
-  const int16_t* Codes16(size_t g) const {
-    return codes16_.data() + size_t{position_[g]} * k_;
+  const int16_t* Codes(size_t g) const {
+    return codes_.data() + size_t{position_[g]} * k_;
   }
 
   /// out[b] = the bound of block b, for every block: one rows call over
@@ -82,20 +71,15 @@ class CodeBlocks {
   }
 
  private:
-  template <typename Code>
-  void Layout(const std::vector<Code>& by_group, std::vector<Code>* codes,
-              std::vector<Code>* block_max);
   /// out[r] = dot(q, row first + r) over `rows` rows of the code matrix
-  /// or of the block-max matrix, in the stored precision.
+  /// or of the block-max matrix.
   void Dots(QueryCodes q, bool block_max, size_t first, size_t rows,
             int32_t* out) const;
 
   uint32_t k_ = 0;
-  bool int8_ = false;
   std::vector<uint32_t> order_;     // position -> group
   std::vector<uint32_t> position_;  // group -> position
-  std::vector<int8_t> codes8_, block_max8_;
-  std::vector<int16_t> codes16_, block_max16_;
+  std::vector<int16_t> codes_, block_max_;
 };
 
 /// Quantized companion of a TransformedSpace, built once per model
@@ -115,13 +99,11 @@ class CodeBlocks {
 ///
 /// Codes use per-dimension asymmetric affine quantization
 ///     code_d = round((v_d - min_d) / scale_d)
-/// into [0, 127] (int8 mode) or [0, 2047] (int16 mode). The 7-/11-bit
-/// ranges are deliberate: they keep the SIMD kernels' intermediate
-/// products inside int16 (DotQ8's maddubs pairs) and the scalar int32
-/// accumulator exact (see common/vec_math.h contracts). The C
-/// coordinate stays fp32: it is a single value per pair, so compaction
-/// — not bit-width — is the win, and keeping it exact removes one term
-/// from the error bound.
+/// into [0, 2047], stored as int16. The 11-bit range is deliberate: it
+/// keeps DotQ16's int32 accumulation exact for K <= 512 (see the
+/// contract in common/vec_math.h). The C coordinate stays fp32: it is a
+/// single value per pair, so compaction — not bit-width — is the win,
+/// and keeping it exact removes one term from the error bound.
 ///
 /// A query q folds into the code domain as w_d = q_d * scale_d >= 0,
 /// itself quantized with a single per-half scale; the approximate
@@ -131,28 +113,14 @@ class CodeBlocks {
 /// which BatchTaSearch uses to widen the TA stopping threshold so that
 /// no true top-n candidate is ever pruned (DESIGN.md section 13).
 ///
-/// Precision is chosen at build time: int8 when the estimated relative
-/// component error against a worst-case reference query is tiny, int16
-/// otherwise (the bias is toward int16 — a tighter epsilon keeps the
-/// examined set, and therefore the exact re-rank, near the exact TA's).
-///
 /// Immutable after construction; `index` must outlive this object.
 class QuantizedSpace {
  public:
-  enum class Precision : uint8_t { kInt8, kInt16 };
-
   /// Widest latent dimension the codes support: 11-bit codes keep an
   /// int32 dot of K terms exact only while K * 2047^2 < 2^31 (see the
   /// DotQ16 contract in common/vec_math.h). Serving checks a store
   /// against it before building a snapshot.
   static constexpr uint32_t kMaxLatentDim = 512;
-
-  struct Options {
-    /// kAuto picks by estimated relative error; the others force a
-    /// precision (used by tests to cover both kernel paths).
-    enum class Force : uint8_t { kAuto, kInt8, kInt16 };
-    Force force = Force::kAuto;
-  };
 
   /// Per-query constants produced by QuantizeQuery.
   struct QuantizedQuery {
@@ -171,42 +139,29 @@ class QuantizedSpace {
   };
 
   explicit QuantizedSpace(const SpaceIndex* index);
-  QuantizedSpace(const SpaceIndex* index, Options options);
 
   const SpaceIndex& index() const { return *index_; }
-  Precision precision() const { return precision_; }
   uint32_t latent_dim() const { return latent_dim_; }
   size_t num_events() const { return index_->num_events(); }
   size_t num_partners() const { return index_->num_partners(); }
 
-  /// Quantizes a (2K+1)-dim nonnegative fp32 query. Exactly one pair of
-  /// output buffers is written, matching precision(); each must hold
-  /// latent_dim() entries (they may be null in the other mode). Event
-  /// codes pair with EventCodes*, partner codes with PartnerCodes*.
-  QuantizedQuery QuantizeQuery(const float* query, uint8_t* event_codes8,
-                               uint8_t* partner_codes8,
-                               int16_t* event_codes16,
-                               int16_t* partner_codes16) const;
+  /// Quantizes a (2K+1)-dim nonnegative fp32 query. Each output buffer
+  /// must hold latent_dim() entries. Event codes pair with EventCodes,
+  /// partner codes with PartnerCodes.
+  QuantizedQuery QuantizeQuery(const float* query, int16_t* event_codes,
+                               int16_t* partner_codes) const;
 
   /// The two group lists' codes, in block order.
   const CodeBlocks& event_blocks() const { return event_blocks_; }
   const CodeBlocks& partner_blocks() const { return partner_blocks_; }
 
   /// Row of event group e / partner group u (K codes). Rows are stored
-  /// in block order, so consecutive groups' rows are not adjacent. The
-  /// 8-bit variants are valid only when precision() == kInt8, the
-  /// 16-bit ones only when precision() == kInt16.
-  const int8_t* EventCodes8(size_t e) const {
-    return event_blocks_.Codes8(e);
+  /// in block order, so consecutive groups' rows are not adjacent.
+  const int16_t* EventCodes(size_t e) const {
+    return event_blocks_.Codes(e);
   }
-  const int8_t* PartnerCodes8(size_t u) const {
-    return partner_blocks_.Codes8(u);
-  }
-  const int16_t* EventCodes16(size_t e) const {
-    return event_blocks_.Codes16(e);
-  }
-  const int16_t* PartnerCodes16(size_t u) const {
-    return partner_blocks_.Codes16(u);
+  const int16_t* PartnerCodes(size_t u) const {
+    return partner_blocks_.Codes(u);
   }
 
   /// Exact fp32 C coordinate by pair id (the space's own array).
@@ -224,11 +179,6 @@ class QuantizedSpace {
   int64_t max_event_code_row_sum() const { return max_event_row_sum_; }
   int64_t max_partner_code_row_sum() const { return max_partner_row_sum_; }
 
-  /// The relative error estimate kAuto used to pick the precision
-  /// (estimated int8 bound / reference score magnitude; 0 when the
-  /// space is empty or degenerate).
-  float int8_relative_error_estimate() const { return rel_err8_estimate_; }
-
  private:
   struct HalfParams {
     std::vector<float> min;       // K per-dimension zero points
@@ -238,17 +188,14 @@ class QuantizedSpace {
 
   /// Row of event group g (the event half) or partner group g.
   const float* GroupRow(bool partner_half, size_t g) const;
-  void BuildHalfParams(bool partner_half, int levels, HalfParams* out);
+  void BuildHalfParams(bool partner_half, HalfParams* out);
   /// Encodes one half's rows by group and lays them out as CodeBlocks;
   /// returns the largest row code sum.
-  template <typename Code>
   int64_t EncodeRows(bool partner_half, const HalfParams& params,
                      CodeBlocks* blocks);
 
   const SpaceIndex* index_;
   uint32_t latent_dim_;
-  Precision precision_ = Precision::kInt16;
-  float rel_err8_estimate_ = 0.0f;
 
   HalfParams event_params_;
   HalfParams partner_params_;

@@ -1,6 +1,6 @@
 // The block-bounded list order against its definition: for any code
 // list and query, BlockOrder must emit exactly the descending sort of
-// every (dot << 32 | group) key, in both precisions — for lists of
+// every (dot << 32 | group) key — for lists of
 // 0, 1, 63, 64, 65 and about 12,000 groups, for a flat query (every
 // bound 0, so every block expands), and for equal dots whose blocks are
 // expanded in the opposite order of their group ids (the case the >=
@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -26,56 +25,37 @@ namespace {
 
 constexpr uint32_t kDim = 32;
 
-/// One list plus the query codes, in one precision.
-template <typename Code>
+/// One list plus the query codes.
 struct Case {
-  std::vector<Code> by_group;  // group g's row at [g * k, (g + 1) * k)
-  std::vector<std::conditional_t<sizeof(Code) == 1, uint8_t, int16_t>>
-      query;
+  std::vector<int16_t> by_group;  // group g's row at [g * k, (g + 1) * k)
+  std::vector<int16_t> query;
   uint32_t k = kDim;
 
   size_t num_groups() const { return by_group.size() / k; }
   CodeBlocks Blocks() const { return CodeBlocks(by_group, k); }
-  QueryCodes Query() const {
-    if constexpr (sizeof(Code) == 1) {
-      return {query.data(), nullptr};
-    } else {
-      return {nullptr, query.data()};
-    }
-  }
+  QueryCodes Query() const { return query.data(); }
   int32_t Dot(size_t g) const {
-    if constexpr (sizeof(Code) == 1) {
-      return scalar::DotQ8(query.data(), by_group.data() + g * k, k);
-    } else {
-      return scalar::DotQ16(query.data(), by_group.data() + g * k, k);
-    }
+    return scalar::DotQ16(query.data(), by_group.data() + g * k, k);
   }
 };
 
-constexpr int Levels(size_t code_bytes) {
-  return code_bytes == 1 ? 127 : 2047;
-}
-
-template <typename Code>
-Case<Code> RandomCase(size_t num_groups, uint64_t seed) {
-  Case<Code> c;
+Case RandomCase(size_t num_groups, uint64_t seed) {
+  constexpr int kLevels = 2047;
+  Case c;
   Rng rng(seed);
-  const int levels = Levels(sizeof(Code));
   c.by_group.resize(num_groups * c.k);
-  for (Code& v : c.by_group) {
-    v = static_cast<Code>(rng.UniformInt(levels + 1));
+  for (int16_t& v : c.by_group) {
+    v = static_cast<int16_t>(rng.UniformInt(kLevels + 1));
   }
   c.query.resize(c.k);
-  for (auto& v : c.query) {
-    v = static_cast<std::remove_reference_t<decltype(v)>>(
-        rng.UniformInt(levels + 1));
+  for (int16_t& v : c.query) {
+    v = static_cast<int16_t>(rng.UniformInt(kLevels + 1));
   }
   return c;
 }
 
 /// Every key of the list, sorted descending: the order's definition.
-template <typename Code>
-std::vector<uint64_t> SortedKeys(const Case<Code>& c) {
+std::vector<uint64_t> SortedKeys(const Case& c) {
   std::vector<uint64_t> keys(c.num_groups());
   for (size_t g = 0; g < keys.size(); ++g) {
     keys[g] = BlockOrder::Key(c.Dot(g), g);
@@ -86,8 +66,7 @@ std::vector<uint64_t> SortedKeys(const Case<Code>& c) {
 
 /// Reads the whole order (each position twice, as the walk re-reads
 /// its current position) and compares it with SortedKeys.
-template <typename Code>
-void ExpectSortedOrder(const Case<Code>& c) {
+void ExpectSortedOrder(const Case& c) {
   const CodeBlocks blocks = c.Blocks();
   const std::vector<uint64_t> want = SortedKeys(c);
   BlockOrder order;
@@ -105,8 +84,7 @@ void ExpectSortedOrder(const Case<Code>& c) {
   }
 }
 
-template <typename Code>
-void ExpectLayout(const Case<Code>& c) {
+void ExpectLayout(const Case& c) {
   const CodeBlocks blocks = c.Blocks();
   const size_t n = c.num_groups();
   ASSERT_EQ(blocks.num_groups(), n);
@@ -128,12 +106,7 @@ void ExpectLayout(const Case<Code>& c) {
   std::vector<int32_t> bounds(blocks.num_blocks());
   blocks.BlockBounds(c.Query(), bounds.data());
   for (size_t g = 0; g < n; ++g) {
-    const Code* row = nullptr;
-    if constexpr (sizeof(Code) == 1) {
-      row = blocks.Codes8(g);
-    } else {
-      row = blocks.Codes16(g);
-    }
+    const int16_t* row = blocks.Codes(g);
     ASSERT_TRUE(std::equal(row, row + c.k, c.by_group.data() + g * c.k))
         << "group " << g;
     EXPECT_EQ(blocks.GroupDot(c.Query(), g), c.Dot(g));
@@ -143,22 +116,17 @@ void ExpectLayout(const Case<Code>& c) {
   }
 }
 
-template <typename Code>
-class BlockOrderTest : public ::testing::Test {};
-using CodeTypes = ::testing::Types<int8_t, int16_t>;
-TYPED_TEST_SUITE(BlockOrderTest, CodeTypes);
-
-TYPED_TEST(BlockOrderTest, EmitsTheSortOfAllKeys) {
+TEST(BlockOrderTest, EmitsTheSortOfAllKeys) {
   for (const size_t groups : {0, 1, 63, 64, 65, 12003}) {
     SCOPED_TRACE(groups);
-    const Case<TypeParam> c = RandomCase<TypeParam>(groups, 100 + groups);
+    const Case c = RandomCase(groups, 100 + groups);
     ExpectLayout(c);
     ExpectSortedOrder(c);
   }
 }
 
-TYPED_TEST(BlockOrderTest, FlatQueryExpandsEveryBlockAtTheFirstRead) {
-  Case<TypeParam> c = RandomCase<TypeParam>(1000, 7);
+TEST(BlockOrderTest, FlatQueryExpandsEveryBlockAtTheFirstRead) {
+  Case c = RandomCase(1000, 7);
   std::fill(c.query.begin(), c.query.end(), 0);
   const CodeBlocks blocks = c.Blocks();
   BlockOrder order;
@@ -178,8 +146,8 @@ TYPED_TEST(BlockOrderTest, FlatQueryExpandsEveryBlockAtTheFirstRead) {
 /// Block 1 expands first and emits (9, group 1). Its next key is
 /// (5, group 0), but block 0's bound equals 5 and holds (5, group 127),
 /// whose key is larger, so block 0 must expand before that emission.
-TYPED_TEST(BlockOrderTest, EqualDotsAcrossBlocksKeepGroupIdOrder) {
-  Case<TypeParam> c;
+TEST(BlockOrderTest, EqualDotsAcrossBlocksKeepGroupIdOrder) {
+  Case c;
   c.k = 4;
   c.by_group.assign(128 * c.k, 0);
   for (size_t g = 2; g < 64; ++g) {

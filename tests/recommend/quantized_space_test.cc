@@ -49,54 +49,38 @@ std::vector<CandidatePair> AllPairs(uint32_t num_users,
 /// BatchTaSearch's component stage does, from the public accessors.
 float ApproxScore(const QuantizedSpace& quant,
                   const QuantizedSpace::QuantizedQuery& qq,
-                  const std::vector<uint8_t>& eq8,
-                  const std::vector<uint8_t>& pq8,
-                  const std::vector<int16_t>& eq16,
-                  const std::vector<int16_t>& pq16, uint32_t id) {
+                  const std::vector<int16_t>& eq,
+                  const std::vector<int16_t>& pq, uint32_t id) {
   const SpaceIndex& index = quant.index();
   const uint32_t k = quant.latent_dim();
   const uint32_t e = index.pair_event_idx()[id];
   const uint32_t u = index.pair_partner_idx()[id];
-  float a, b;
-  if (quant.precision() == QuantizedSpace::Precision::kInt8) {
-    a = qq.event_bias +
-        qq.event_scale *
-            static_cast<float>(DotQ8(eq8.data(), quant.EventCodes8(e), k));
-    b = qq.partner_bias +
-        qq.partner_scale * static_cast<float>(
-                               DotQ8(pq8.data(), quant.PartnerCodes8(u), k));
-  } else {
-    a = qq.event_bias +
-        qq.event_scale * static_cast<float>(
-                             DotQ16(eq16.data(), quant.EventCodes16(e), k));
-    b = qq.partner_bias +
-        qq.partner_scale *
-            static_cast<float>(
-                DotQ16(pq16.data(), quant.PartnerCodes16(u), k));
-  }
+  const float a =
+      qq.event_bias +
+      qq.event_scale *
+          static_cast<float>(DotQ16(eq.data(), quant.EventCodes(e), k));
+  const float b =
+      qq.partner_bias +
+      qq.partner_scale *
+          static_cast<float>(DotQ16(pq.data(), quant.PartnerCodes(u), k));
   return a + b + qq.c_weight * quant.c_values()[id];
 }
 
 void CheckEpsilonBound(const TransformedSpace& space, const GemModel& model,
-                       QuantizedSpace::Options::Force force,
                        uint32_t num_users) {
   SpaceIndex index(&space);
-  QuantizedSpace quant(&index, {force});
+  QuantizedSpace quant(&index);
   const uint32_t k = quant.latent_dim();
-  std::vector<uint8_t> eq8(k), pq8(k);
-  std::vector<int16_t> eq16(k), pq16(k);
+  std::vector<int16_t> eq(k), pq(k);
   std::vector<float> q;
   std::vector<float> point(space.point_dim());
   for (uint32_t user = 0; user < num_users; ++user) {
     space.QueryVector(model, user, &q);
-    const auto qq =
-        quant.QuantizeQuery(q.data(), eq8.data(), pq8.data(), eq16.data(),
-                            pq16.data());
+    const auto qq = quant.QuantizeQuery(q.data(), eq.data(), pq.data());
     for (uint32_t id = 0; id < space.num_points(); ++id) {
       space.CopyPoint(id, point.data());
       const float exact = Dot(q.data(), point.data(), space.point_dim());
-      const float approx =
-          ApproxScore(quant, qq, eq8, pq8, eq16, pq16, id);
+      const float approx = ApproxScore(quant, qq, eq, pq, id);
       // Tiny slack for the fp32 evaluation of the bound itself.
       EXPECT_LE(std::fabs(approx - exact),
                 qq.epsilon * 1.001f + 1e-5f)
@@ -117,10 +101,8 @@ TEST(QuantizedSpaceTest, EmptyStoreBuildsAndSearchesSafely) {
   std::vector<float> q;
   space.QueryVector(model, 0, &q);
   const uint32_t k = quant.latent_dim();
-  std::vector<uint8_t> eq8(k), pq8(k);
-  std::vector<int16_t> eq16(k), pq16(k);
-  const auto qq = quant.QuantizeQuery(q.data(), eq8.data(), pq8.data(),
-                                      eq16.data(), pq16.data());
+  std::vector<int16_t> eq(k), pq(k);
+  const auto qq = quant.QuantizeQuery(q.data(), eq.data(), pq.data());
   EXPECT_TRUE(std::isfinite(qq.epsilon));
 
   BatchTaSearch batch(&quant);
@@ -173,10 +155,7 @@ TEST(QuantizedSpaceTest, ConstantAndZeroColumnsDoNotDivideByZero) {
 
   GemModel model(store.get(), "GEM");
   TransformedSpace space(model, AllPairs(12, 8));
-  for (auto force : {QuantizedSpace::Options::Force::kInt8,
-                     QuantizedSpace::Options::Force::kInt16}) {
-    CheckEpsilonBound(space, model, force, 4);
-  }
+  CheckEpsilonBound(space, model, 4);
 }
 
 TEST(QuantizedSpaceTest, AllZeroStoreQuantizes) {
@@ -199,28 +178,38 @@ TEST(QuantizedSpaceTest, AllZeroStoreQuantizes) {
   for (const auto& h : hits) EXPECT_EQ(h.score, 0.0f);
 }
 
-TEST(QuantizedSpaceTest, EpsilonBoundsApproximationErrorBothPrecisions) {
+TEST(QuantizedSpaceTest, EpsilonBoundsApproximationError) {
   auto store = MakeStore(30, 15, 8, 14);
   GemModel model(store.get(), "GEM");
   TransformedSpace space(model, AllPairs(30, 15));
-  for (auto force : {QuantizedSpace::Options::Force::kInt8,
-                     QuantizedSpace::Options::Force::kInt16}) {
-    CheckEpsilonBound(space, model, force, 6);
-  }
+  CheckEpsilonBound(space, model, 6);
 }
 
-TEST(QuantizedSpaceTest, ForcedPrecisionIsHonoredAndAutoSelects) {
+// Codes are 11-bit: every row code lies in [0, 2047], and in each
+// non-flat column the minimum codes to 0 and the maximum to 2047.
+TEST(QuantizedSpaceTest, RowCodesSpanTheElevenBitRange) {
   auto store = MakeStore(10, 6, 4, 15);
   GemModel model(store.get(), "GEM");
   TransformedSpace space(model, AllPairs(10, 6));
   SpaceIndex index(&space);
-  QuantizedSpace q8(&index, {QuantizedSpace::Options::Force::kInt8});
-  EXPECT_EQ(q8.precision(), QuantizedSpace::Precision::kInt8);
-  QuantizedSpace q16(&index, {QuantizedSpace::Options::Force::kInt16});
-  EXPECT_EQ(q16.precision(), QuantizedSpace::Precision::kInt16);
-  QuantizedSpace qa(&index);
-  EXPECT_GE(qa.int8_relative_error_estimate(), 0.0f);
-  EXPECT_TRUE(std::isfinite(qa.int8_relative_error_estimate()));
+  QuantizedSpace quant(&index);
+  const uint32_t k = quant.latent_dim();
+  for (const bool partner : {false, true}) {
+    const size_t groups = partner ? quant.num_partners() : quant.num_events();
+    for (uint32_t d = 0; d < k; ++d) {
+      int lo = 2047, hi = 0;
+      for (size_t g = 0; g < groups; ++g) {
+        const int code = (partner ? quant.PartnerCodes(g)
+                                  : quant.EventCodes(g))[d];
+        ASSERT_GE(code, 0);
+        ASSERT_LE(code, 2047);
+        lo = std::min(lo, code);
+        hi = std::max(hi, code);
+      }
+      EXPECT_EQ(lo, 0) << "partner " << partner << " dim " << d;
+      EXPECT_EQ(hi, 2047) << "partner " << partner << " dim " << d;
+    }
+  }
 }
 
 /// The reference C order: std::stable_sort of the pair ids by C

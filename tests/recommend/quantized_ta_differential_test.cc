@@ -1,6 +1,6 @@
 // Randomized differential test of the quantized batched retrieval:
 // over 50 seeded synthetic spaces (varying |U|, |X|, K, pruning,
-// filters, precision forcing and deliberate ties), BatchTaSearch must
+// filters and deliberate ties), BatchTaSearch must
 // return exactly the BruteForce top-n, modulo tie interleaving.
 //
 // Unlike the exact-TA differential (ta_differential_test.cc), scores
@@ -13,7 +13,7 @@
 // A second property suite stretches per-dimension value ranges across
 // ten orders of magnitude (the worst case for per-dimension affine
 // quantization) and asserts the widened bound still never prunes a
-// true top-k candidate, for both forced precisions.
+// true top-k candidate.
 //
 // A third suite drives walks through many 64-row code blocks of the
 // partner list: identical partner rows, so every block ties at one
@@ -44,8 +44,6 @@ struct TrialConfig {
   uint32_t pool_size = 0;
   size_t n = 0;
   bool quantize_values = false;  // coarse grid -> deliberate ties
-  QuantizedSpace::Options::Force force =
-      QuantizedSpace::Options::Force::kAuto;
 };
 
 TrialConfig MakeTrial(uint64_t index) {
@@ -63,13 +61,6 @@ TrialConfig MakeTrial(uint64_t index) {
       static_cast<size_t>(trial.num_users) * trial.pool_size;
   trial.n = 1 + mix.Next() % (space_bound + 4);  // sometimes > space
   trial.quantize_values = (mix.Next() % 4 == 0);
-  // Cycle the precision so both kernel paths and the auto-selector all
-  // face every space shape.
-  const QuantizedSpace::Options::Force forces[] = {
-      QuantizedSpace::Options::Force::kAuto,
-      QuantizedSpace::Options::Force::kInt8,
-      QuantizedSpace::Options::Force::kInt16};
-  trial.force = forces[index % 3];
   return trial;
 }
 
@@ -108,11 +99,10 @@ std::vector<ebsn::EventId> BuildPool(const TrialConfig& trial) {
 /// Runs every case of a space as ONE batch and compares each query's
 /// results against brute force.
 void CheckBatchedDifferential(const TransformedSpace& space,
-                              const GemModel& model,
-                              QuantizedSpace::Options::Force force,
-                              uint32_t num_users, size_t n) {
+                              const GemModel& model, uint32_t num_users,
+                              size_t n) {
   SpaceIndex index(&space);
-  QuantizedSpace quant(&index, {force});
+  QuantizedSpace quant(&index);
   BatchTaSearch batch(&quant);
   BruteForceSearch bf(&space);
 
@@ -173,16 +163,14 @@ void CheckTrial(const TrialConfig& trial) {
                << "seed=" << trial.seed << " |U|=" << trial.num_users
                << " |X|=" << trial.num_events << " K=" << trial.dim
                << " top_k=" << trial.top_k << " pool=" << trial.pool_size
-               << " n=" << trial.n << " force="
-               << static_cast<int>(trial.force));
+               << " n=" << trial.n);
   auto store = BuildStore(trial);
   GemModel model(store.get(), "GEM");
   const auto pool = BuildPool(trial);
   auto pairs =
       BuildCandidatePairs(model, pool, AllUsers(trial.num_users), trial.top_k);
   TransformedSpace space(model, std::move(pairs));
-  CheckBatchedDifferential(space, model, trial.force, trial.num_users,
-                           trial.n);
+  CheckBatchedDifferential(space, model, trial.num_users, trial.n);
 }
 
 class QuantizedTaDifferentialTest
@@ -198,7 +186,7 @@ INSTANTIATE_TEST_SUITE_P(FiftySeeds, QuantizedTaDifferentialTest,
 /// Worst case for affine quantization: per-dimension scales spread
 /// across ~10 orders of magnitude. The widened threshold must still
 /// never prune a true top-k candidate — verified by demanding exact
-/// brute-force agreement under both forced precisions.
+/// brute-force agreement.
 TEST(QuantizedScaleExtremesTest, WidenedBoundNeverPrunesTrueTopK) {
   for (uint64_t seed = 0; seed < 8; ++seed) {
     SCOPED_TRACE(::testing::Message() << "seed=" << seed);
@@ -227,10 +215,7 @@ TEST(QuantizedScaleExtremesTest, WidenedBoundNeverPrunesTrueTopK) {
       for (uint32_t u = 0; u < kUsers; ++u) pairs.push_back({x, u});
     }
     TransformedSpace space(model, std::move(pairs));
-    for (auto force : {QuantizedSpace::Options::Force::kInt8,
-                       QuantizedSpace::Options::Force::kInt16}) {
-      CheckBatchedDifferential(space, model, force, kUsers, 10);
-    }
+    CheckBatchedDifferential(space, model, kUsers, 10);
   }
 }
 
@@ -253,21 +238,17 @@ TrialConfig DeepTrial(uint64_t seed, uint32_t num_users, uint32_t top_k,
   return trial;
 }
 
-/// Checks `store` (shaped by `trial`) under both forced precisions.
-void CheckBothPrecisions(const TrialConfig& trial,
-                         const embedding::EmbeddingStore& store) {
+/// Checks `store` (shaped by `trial`) against brute force.
+void CheckDeepTrial(const TrialConfig& trial,
+                    const embedding::EmbeddingStore& store) {
   GemModel model(&store, "GEM");
   auto pairs = BuildCandidatePairs(model, BuildPool(trial),
                                    AllUsers(trial.num_users), trial.top_k);
   TransformedSpace space(model, std::move(pairs));
-  for (auto force : {QuantizedSpace::Options::Force::kInt8,
-                     QuantizedSpace::Options::Force::kInt16}) {
-    SCOPED_TRACE(::testing::Message()
-                 << "seed=" << trial.seed << " |U|=" << trial.num_users
-                 << " top_k=" << trial.top_k << " n=" << trial.n
-                 << " force=" << static_cast<int>(force));
-    CheckBatchedDifferential(space, model, force, trial.num_users, trial.n);
-  }
+  SCOPED_TRACE(::testing::Message()
+               << "seed=" << trial.seed << " |U|=" << trial.num_users
+               << " top_k=" << trial.top_k << " n=" << trial.n);
+  CheckBatchedDifferential(space, model, trial.num_users, trial.n);
 }
 
 /// Every partner row has the same codes, so every partner block has the
@@ -283,7 +264,7 @@ TEST(QuantizedDeepWalkTest, EveryPartnerBlockTiesAtOneBound) {
         users.At(r, c) = users.At(0, c);
       }
     }
-    CheckBothPrecisions(trial, *store);
+    CheckDeepTrial(trial, *store);
   }
 }
 
@@ -305,7 +286,7 @@ TEST(QuantizedDeepWalkTest, DeepWalksExpandManyBlocks) {
           }
         }
       }
-      CheckBothPrecisions(trial, *store);
+      CheckDeepTrial(trial, *store);
     }
   }
 }
@@ -315,7 +296,7 @@ TEST(QuantizedDeepWalkTest, DeepWalksExpandManyBlocks) {
 TEST(QuantizedDeepWalkTest, ExhaustiveWalksMatchBruteForce) {
   for (uint64_t seed = 0; seed < 4; ++seed) {
     const TrialConfig trial = DeepTrial(seed, 150, 4, 150 * 4 + 10);
-    CheckBothPrecisions(trial, *BuildStore(trial));
+    CheckDeepTrial(trial, *BuildStore(trial));
   }
 }
 

@@ -3,7 +3,7 @@
 // functions and the TA engine's score assembly, the exhaustive group /
 // reciprocal oracles' ordering and bound semantics, and the certified
 // reciprocal top-n — on exact TA (ReciprocalSearch) and on the
-// quantized batch walk the service runs, in both precisions — against
+// quantized batch walk the service runs — against
 // its brute-force oracle over many seeded spaces.
 
 #include <algorithm>
@@ -331,14 +331,9 @@ INSTANTIATE_TEST_SUITE_P(ThirtySeeds, ReciprocalDifferentialTest,
 // the uncertified queries walk again, at twice their depth.
 void CheckBatchWalkReciprocal(
     const GemModel& model, const TransformedSpace& space,
-    QuantizedSpace::Options::Force force,
     const std::vector<std::pair<ebsn::UserId, size_t>>& queries) {
-  SCOPED_TRACE(::testing::Message()
-               << "force="
-               << (force == QuantizedSpace::Options::Force::kInt8 ? "int8"
-                                                                  : "int16"));
   SpaceIndex index(&space);
-  QuantizedSpace quant(&index, {force});
+  QuantizedSpace quant(&index);
   BatchTaSearch batch(&quant);
   BatchTaSearch::Workspace workspace;
 
@@ -411,10 +406,7 @@ TEST_P(BatchWalkReciprocalTest, CertifiedAnswerEqualsOracle) {
     queries.push_back({u, trial.n});
   }
   queries.push_back({0, space.num_points() + 3});
-  for (const auto force : {QuantizedSpace::Options::Force::kInt8,
-                           QuantizedSpace::Options::Force::kInt16}) {
-    CheckBatchWalkReciprocal(model, space, force, queries);
-  }
+  CheckBatchWalkReciprocal(model, space, queries);
 }
 
 INSTANTIATE_TEST_SUITE_P(ThirtySeeds, BatchWalkReciprocalTest,
@@ -445,10 +437,7 @@ TEST(BatchWalkReciprocalTest, ScaleExtremesStayCertified) {
                                    AllUsers(kUsers), /*top_k=*/0));
     std::vector<std::pair<ebsn::UserId, size_t>> queries;
     for (ebsn::UserId u = 0; u < kUsers; ++u) queries.push_back({u, 10});
-    for (const auto force : {QuantizedSpace::Options::Force::kInt8,
-                             QuantizedSpace::Options::Force::kInt16}) {
-      CheckBatchWalkReciprocal(model, space, force, queries);
-    }
+    CheckBatchWalkReciprocal(model, space, queries);
   }
 }
 

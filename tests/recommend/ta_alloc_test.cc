@@ -117,8 +117,7 @@ TEST(TaAllocTest, SteadyStateSearchIntoAllocatesNothing) {
 }
 
 /// Same contract for the quantized batch path: once the Workspace and
-/// the result vectors are warm, SearchBatch must not touch the heap —
-/// across both precisions, since they use different scratch buffers.
+/// the result vectors are warm, SearchBatch must not touch the heap.
 TEST(TaAllocTest, SteadyStateSearchBatchAllocatesNothing) {
   constexpr uint32_t kUsers = 25;
   constexpr uint32_t kEvents = 20;
@@ -146,28 +145,25 @@ TEST(TaAllocTest, SteadyStateSearchBatchAllocatesNothing) {
     batch_queries[u] = BatchQuery{queries[u].data(), 10, u};
   }
 
-  for (auto force : {QuantizedSpace::Options::Force::kInt8,
-                     QuantizedSpace::Options::Force::kInt16}) {
-    QuantizedSpace quant(&index, {force});
-    BatchTaSearch batch(&quant);
-    BatchTaSearch::Workspace ws;
-    std::vector<std::vector<SearchHit>> results(kBatch);
-    BatchSearchStats stats;
-    // Warm-up: grows workspace buffers and result capacities.
+  QuantizedSpace quant(&index);
+  BatchTaSearch batch(&quant);
+  BatchTaSearch::Workspace ws;
+  std::vector<std::vector<SearchHit>> results(kBatch);
+  BatchSearchStats stats;
+  // Warm-up: grows workspace buffers and result capacities.
+  batch.SearchBatch(batch_queries.data(), kBatch, results.data(),
+                    &stats, &ws);
+
+  const size_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int round = 0; round < 50; ++round) {
     batch.SearchBatch(batch_queries.data(), kBatch, results.data(),
                       &stats, &ws);
-
-    const size_t before = g_allocations.load(std::memory_order_relaxed);
-    for (int round = 0; round < 50; ++round) {
-      batch.SearchBatch(batch_queries.data(), kBatch, results.data(),
-                        &stats, &ws);
-      ASSERT_FALSE(results[0].empty());
-    }
-    const size_t after = g_allocations.load(std::memory_order_relaxed);
-    EXPECT_EQ(after - before, 0u)
-        << "steady-state SearchBatch performed " << (after - before)
-        << " heap allocations over 50 batches of " << kBatch;
+    ASSERT_FALSE(results[0].empty());
   }
+  const size_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u)
+      << "steady-state SearchBatch performed " << (after - before)
+      << " heap allocations over 50 batches of " << kBatch;
 }
 
 /// A batch whose walks outrun one 64-row code block: 300 partner
@@ -206,27 +202,24 @@ TEST(TaAllocTest, SteadyStateDeepWalkBatchAllocatesNothing) {
     batch_queries[i] = BatchQuery{queries[i].data(), kN, u};
   }
 
-  for (auto force : {QuantizedSpace::Options::Force::kInt8,
-                     QuantizedSpace::Options::Force::kInt16}) {
-    QuantizedSpace quant(&index, {force});
-    BatchTaSearch batch(&quant);
-    BatchTaSearch::Workspace ws;
-    std::vector<std::vector<SearchHit>> results(kBatch);
-    BatchSearchStats stats;
-    batch.SearchBatch(batch_queries.data(), kBatch, results.data(), &stats,
-                      &ws);
+  QuantizedSpace quant(&index);
+  BatchTaSearch batch(&quant);
+  BatchTaSearch::Workspace ws;
+  std::vector<std::vector<SearchHit>> results(kBatch);
+  BatchSearchStats stats;
+  batch.SearchBatch(batch_queries.data(), kBatch, results.data(), &stats,
+                    &ws);
 
-    const size_t before = g_allocations.load(std::memory_order_relaxed);
-    for (int round = 0; round < 20; ++round) {
-      batch.SearchBatch(batch_queries.data(), kBatch, results.data(),
-                        &stats, &ws);
-      ASSERT_EQ(results[0].size(), kN);
-    }
-    const size_t after = g_allocations.load(std::memory_order_relaxed);
-    EXPECT_EQ(after - before, 0u)
-        << "steady-state deep-walk SearchBatch performed "
-        << (after - before) << " heap allocations over 20 batches";
+  const size_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int round = 0; round < 20; ++round) {
+    batch.SearchBatch(batch_queries.data(), kBatch, results.data(),
+                      &stats, &ws);
+    ASSERT_EQ(results[0].size(), kN);
   }
+  const size_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u)
+      << "steady-state deep-walk SearchBatch performed "
+      << (after - before) << " heap allocations over 20 batches";
 }
 
 /// A flat partner half: the queries' partner coordinates are all 0, so
@@ -264,38 +257,35 @@ TEST(TaAllocTest, SteadyStateFlatQueryExpandingEveryBlockAllocatesNothing) {
     batch_queries[i] = BatchQuery{queries[i].data(), kN, u};
   }
 
-  for (auto force : {QuantizedSpace::Options::Force::kInt8,
-                     QuantizedSpace::Options::Force::kInt16}) {
-    QuantizedSpace quant(&index, {force});
-    const size_t blocks = quant.event_blocks().num_blocks() +
-                          quant.partner_blocks().num_blocks();
-    ASSERT_EQ(quant.partner_blocks().num_blocks(), 16u);
-    BatchTaSearch batch(&quant);
-    BatchTaSearch::Workspace ws;
-    std::vector<std::vector<SearchHit>> results(kBatch);
-    BatchSearchStats stats;
-    batch.SearchBatch(batch_queries.data(), kBatch, results.data(), &stats,
-                      &ws);
+  QuantizedSpace quant(&index);
+  const size_t blocks = quant.event_blocks().num_blocks() +
+                        quant.partner_blocks().num_blocks();
+  ASSERT_EQ(quant.partner_blocks().num_blocks(), 16u);
+  BatchTaSearch batch(&quant);
+  BatchTaSearch::Workspace ws;
+  std::vector<std::vector<SearchHit>> results(kBatch);
+  BatchSearchStats stats;
+  batch.SearchBatch(batch_queries.data(), kBatch, results.data(), &stats,
+                    &ws);
 
-    const size_t before = g_allocations.load(std::memory_order_relaxed);
-    for (int round = 0; round < 20; ++round) {
-      batch.SearchBatch(batch_queries.data(), kBatch, results.data(),
-                        &stats, &ws);
-      ASSERT_EQ(results[0].size(), kN);
-      ASSERT_EQ(stats.blocks_expanded, kBatch * blocks);
-    }
-    const size_t after = g_allocations.load(std::memory_order_relaxed);
-    EXPECT_EQ(after - before, 0u)
-        << "steady-state flat-query SearchBatch performed "
-        << (after - before) << " heap allocations over 20 batches";
+  const size_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int round = 0; round < 20; ++round) {
+    batch.SearchBatch(batch_queries.data(), kBatch, results.data(),
+                      &stats, &ws);
+    ASSERT_EQ(results[0].size(), kN);
+    ASSERT_EQ(stats.blocks_expanded, kBatch * blocks);
   }
+  const size_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u)
+      << "steady-state flat-query SearchBatch performed "
+      << (after - before) << " heap allocations over 20 batches";
 }
 
 /// The serving batch shape: partner queries and reciprocal forward
 /// walks (query (u, u, 0) at depth ReciprocalDepth(n)) share one
 /// SearchBatch call, then every reciprocal result is rescored and
 /// certified. Once the workspace, the result vectors and the rescore
-/// buffer are warm, none of it may touch the heap, in either precision.
+/// buffer are warm, none of it may touch the heap.
 TEST(TaAllocTest, SteadyStateReciprocalBatchAllocatesNothing) {
   constexpr uint32_t kUsers = 25;
   constexpr uint32_t kEvents = 20;
@@ -330,36 +320,33 @@ TEST(TaAllocTest, SteadyStateReciprocalBatchAllocatesNothing) {
     batch_queries[u] = BatchQuery{queries[u].data(), depth, u};
   }
 
-  for (auto force : {QuantizedSpace::Options::Force::kInt8,
-                     QuantizedSpace::Options::Force::kInt16}) {
-    QuantizedSpace quant(&index, {force});
-    BatchTaSearch batch(&quant);
-    BatchTaSearch::Workspace ws;
-    std::vector<std::vector<SearchHit>> results(kUsers);
-    std::vector<SearchStats> stats(kUsers);
-    std::vector<Recommendation> top;
-    size_t certified = 0;
-    const auto serve = [&] {
-      batch.SearchBatch(batch_queries.data(), kUsers, results.data(),
-                        nullptr, &ws, stats.data());
-      for (uint32_t u = 1; u < kUsers; u += 2) {
-        float bound = 0.0f;
-        certified += CertifyReciprocal(model, u, kN, batch_queries[u].n,
-                                       results[u], stats[u].unreturned_bound,
-                                       &top, &bound);
-      }
-    };
-    serve();  // warm-up: grows every buffer
+  QuantizedSpace quant(&index);
+  BatchTaSearch batch(&quant);
+  BatchTaSearch::Workspace ws;
+  std::vector<std::vector<SearchHit>> results(kUsers);
+  std::vector<SearchStats> stats(kUsers);
+  std::vector<Recommendation> top;
+  size_t certified = 0;
+  const auto serve = [&] {
+    batch.SearchBatch(batch_queries.data(), kUsers, results.data(),
+                      nullptr, &ws, stats.data());
+    for (uint32_t u = 1; u < kUsers; u += 2) {
+      float bound = 0.0f;
+      certified += CertifyReciprocal(model, u, kN, batch_queries[u].n,
+                                     results[u], stats[u].unreturned_bound,
+                                     &top, &bound);
+    }
+  };
+  serve();  // warm-up: grows every buffer
 
-    certified = 0;
-    const size_t before = g_allocations.load(std::memory_order_relaxed);
-    for (int round = 0; round < 50; ++round) serve();
-    const size_t after = g_allocations.load(std::memory_order_relaxed);
-    EXPECT_EQ(after - before, 0u)
-        << "steady-state reciprocal batch performed " << (after - before)
-        << " heap allocations over 50 batches";
-    EXPECT_GT(certified, 0u) << "no reciprocal query exercised the rescore";
-  }
+  certified = 0;
+  const size_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int round = 0; round < 50; ++round) serve();
+  const size_t after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0u)
+      << "steady-state reciprocal batch performed " << (after - before)
+      << " heap allocations over 50 batches";
+  EXPECT_GT(certified, 0u) << "no reciprocal query exercised the rescore";
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // the partners a change can reach and copies every other partner's
 // list from its previous snapshot, must produce bitwise the snapshot a
 // from-scratch Build() of the same staging state produces — pairs, C,
-// groups, inverse maps, the C order, quantization parameters, precision,
-// codes, block order and block maxes — at every publish of seeded write
+// groups, inverse maps, the C order, quantization parameters, codes,
+// block order and block maxes — at every publish of seeded write
 // streams, unsharded and under every shard of N = 2 and N = 3. The
 // streams mix attendance nudges, cold-user fold-ins, appended events
 // (two with identical signals, so TopK sees tied scores, and one that
@@ -78,16 +78,13 @@ void ExpectBitwiseEqual(const std::vector<T>& got, const std::vector<T>& want,
   ExpectBitwiseEqual(got.data(), want.data(), got.size(), what);
 }
 
-/// Block order, codes in block order and block maxes, in both
-/// precisions (the one a space does not use is empty on both sides).
+/// Block order, codes in block order and block maxes.
 void ExpectSameBlocks(const recommend::CodeBlocks& got,
                       const recommend::CodeBlocks& want, const char* list) {
   SCOPED_TRACE(list);
   ExpectBitwiseEqual(got.order(), want.order(), "block order");
-  ExpectBitwiseEqual(got.codes8(), want.codes8(), "codes8");
-  ExpectBitwiseEqual(got.codes16(), want.codes16(), "codes16");
-  ExpectBitwiseEqual(got.block_max8(), want.block_max8(), "block max8");
-  ExpectBitwiseEqual(got.block_max16(), want.block_max16(), "block max16");
+  ExpectBitwiseEqual(got.codes(), want.codes(), "codes");
+  ExpectBitwiseEqual(got.block_max(), want.block_max(), "block max");
 }
 
 /// One-hot queries read back each dimension's zero point (the bias),
@@ -97,12 +94,8 @@ void ExpectSameQuantization(const recommend::QuantizedSpace& got,
                             const recommend::QuantizedSpace& want) {
   const uint32_t k = want.latent_dim();
   ASSERT_EQ(got.latent_dim(), k);
-  EXPECT_EQ(got.precision(), want.precision());
   EXPECT_EQ(got.max_event_code_row_sum(), want.max_event_code_row_sum());
   EXPECT_EQ(got.max_partner_code_row_sum(), want.max_partner_code_row_sum());
-  const float got_err = got.int8_relative_error_estimate();
-  const float want_err = want.int8_relative_error_estimate();
-  ExpectBitwiseEqual(&got_err, &want_err, 1, "int8 error estimate");
   ExpectBitwiseEqual(got.c_sorted_values(), want.c_sorted_values(),
                      "c_sorted_values");
   ExpectSameBlocks(got.event_blocks(), want.event_blocks(), "event");
@@ -110,17 +103,12 @@ void ExpectSameQuantization(const recommend::QuantizedSpace& got,
   for (uint32_t d = 0; d <= 2 * k; ++d) {
     std::vector<float> query(2 * k + 1, 0.0f);
     query[d] = 1.0f;
-    std::vector<uint8_t> e8g(k), p8g(k), e8w(k), p8w(k);
-    std::vector<int16_t> e16g(k), p16g(k), e16w(k), p16w(k);
-    const auto qg = got.QuantizeQuery(query.data(), e8g.data(), p8g.data(),
-                                      e16g.data(), p16g.data());
-    const auto qw = want.QuantizeQuery(query.data(), e8w.data(), p8w.data(),
-                                       e16w.data(), p16w.data());
+    std::vector<int16_t> eg(k), pg(k), ew(k), pw(k);
+    const auto qg = got.QuantizeQuery(query.data(), eg.data(), pg.data());
+    const auto qw = want.QuantizeQuery(query.data(), ew.data(), pw.data());
     ExpectBitwiseEqual(&qg, &qw, 1, "quantized one-hot query");
-    ExpectBitwiseEqual(e8g, e8w, "query codes");
-    ExpectBitwiseEqual(p8g, p8w, "query codes");
-    ExpectBitwiseEqual(e16g, e16w, "query codes");
-    ExpectBitwiseEqual(p16g, p16w, "query codes");
+    ExpectBitwiseEqual(eg, ew, "query codes");
+    ExpectBitwiseEqual(pg, pw, "query codes");
   }
 }
 
