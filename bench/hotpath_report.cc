@@ -305,13 +305,14 @@ QuantResult MeasureQuantizedBatch(const QuerySpace& qs) {
   return result;
 }
 
-/// Snapshot publish cost at commit 30303ea, the last to build every
-/// snapshot from scratch and keep the (2K+1)-float point matrix,
-/// measured by this section's procedure on a 4-core x86-64 host with
-/// AVX2 (medians of three runs interleaved with this binary's) — frozen
-/// so the JSON always carries the "before" column.
-constexpr double kBeforeFullBuildMs = 287.4;
-constexpr double kBeforeStageMs[4] = {152.1, 49.6, 60.9, 19.1};
+/// Full-build cost at commit a313533, the last to score every pool
+/// event for every partner, as this section measured it on a 4-core
+/// x86-64 host with AVX2 — frozen so the JSON always carries the
+/// "before" column. The heap bytes are from commit 30303ea, the last
+/// to keep the (2K+1)-float point matrix.
+constexpr double kBeforeFullBuildMs = 173.765;
+constexpr double kBeforeStageMs[4] = {151.667728, 0.000689, 8.743805,
+                                      3.57682};
 constexpr int64_t kBeforeSnapshotBytes = 83000824;
 
 /// Stages of a snapshot build, in build order.

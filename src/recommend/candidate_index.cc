@@ -1,6 +1,7 @@
 #include "recommend/candidate_index.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <numeric>
 
@@ -12,62 +13,123 @@ namespace gemrec::recommend {
 
 namespace {
 
-using RankedEvent = TopK<ebsn::EventId>::Entry;
-
-/// Partner u's top-k events of `events`, by descending Dot(ū', x̄).
-/// The one ranking routine: the serial, pooled and delta builds all
-/// call it, so their outputs agree bit for bit.
-std::vector<RankedEvent> RankPartner(const GemModel& model,
-                                     const std::vector<ebsn::EventId>& events,
-                                     ebsn::UserId u, uint32_t top_k) {
-  const float* uv = model.UserVec(u);
-  const uint32_t dim = model.dim();
-  TopK<ebsn::EventId> best(top_k);
-  for (ebsn::EventId x : events) {
-    best.Push(x, Dot(uv, model.EventVec(x), dim));
+/// ‖x‖ in double. Each square of an fp32 value is exact in double and
+/// cannot under- or overflow there, so only the sum and the sqrt round.
+double Norm(const float* x, uint32_t dim) {
+  double sum = 0.0;
+  for (uint32_t i = 0; i < dim; ++i) {
+    sum += static_cast<double>(x[i]) * static_cast<double>(x[i]);
   }
-  return best.TakeSortedDescending();
+  return std::sqrt(sum);
 }
 
-/// Runs `fn(i)` for i in [0, n), on `pool` when given. Each call must
-/// write only its own outputs.
-template <typename Fn>
-void ForEachPartner(size_t n, ThreadPool* pool, Fn fn) {
-  if (pool != nullptr && n > 1) {
-    pool->ParallelFor(n, fn);
-  } else {
-    for (size_t i = 0; i < n; ++i) fn(i);
+/// Ranks partners' events over one pool. Built once per pool: the
+/// event norms, the positions in descending norm order (ties by
+/// position) and the rows gathered in that order.
+class PoolRanker {
+ public:
+  PoolRanker(const GemModel& model, const std::vector<ebsn::EventId>& events,
+             uint32_t top_k)
+      : model_(model),
+        dim_(model.dim()),
+        widen_(1.0 + std::ldexp(static_cast<double>(dim_) + 4.0, -23)),
+        floor_(std::ldexp(static_cast<double>(dim_), -148)),
+        top_k_(top_k),
+        best_(top_k) {
+    // The slack derivation of DESIGN §8.4 needs dim · 2^-24 <= 1/4.
+    GEMREC_CHECK(dim_ <= (1u << 22)) << "latent dim too large: " << dim_;
+    const size_t n = events.size();
+    norms_.resize(n);
+    for (size_t j = 0; j < n; ++j) {
+      norms_[j] = Norm(model.EventVec(events[j]), dim_);
+    }
+    order_.resize(n);
+    std::iota(order_.begin(), order_.end(), 0u);
+    std::sort(order_.begin(), order_.end(), [&](uint32_t a, uint32_t b) {
+      return norms_[a] > norms_[b] || (norms_[a] == norms_[b] && a < b);
+    });
+    ids_.resize(n);
+    rows_.resize(n * dim_);
+    for (size_t j = 0; j < n; ++j) {
+      ids_[j] = events[order_[j]];
+      std::copy_n(model.EventVec(ids_[j]), dim_, rows_.data() + j * dim_);
+    }
   }
-}
+
+  /// Partner u's ‖ū'‖ widened by the rounding slack; the argument of
+  /// Bound.
+  double WidenedNorm(ebsn::UserId u) const {
+    return Norm(model_.UserVec(u), dim_) * widen_;
+  }
+
+  /// An upper bound on the computed Dot(ū', x̄) of the event at pool
+  /// position j, from the partner's WidenedNorm. A zero row makes every
+  /// product an exact zero, so the underflow floor is added only to a
+  /// nonzero product, and the bound of a zero row is 0.
+  double Bound(double widened_norm, size_t j) const {
+    const double bound = widened_norm * norms_[j];
+    return bound > 0.0 ? bound + floor_ : bound;
+  }
+
+  /// Partner u's top-k events, the k greatest by RankKey in descending
+  /// order. Events are scored by descending norm; once the heap is full
+  /// and the next event's bound is strictly below the k-th score, no
+  /// event left can beat or tie the k-th key, so the walk stops. The
+  /// view lives until the next call.
+  const std::vector<TopK<ebsn::EventId, RankKey>::Entry>& Rank(
+      ebsn::UserId u) {
+    const float* uv = model_.UserVec(u);
+    const double widened = WidenedNorm(u);
+    best_.Reset(top_k_);
+    for (size_t j = 0; j < order_.size(); ++j) {
+      if (best_.full() &&
+          Bound(widened, order_[j]) < best_.Threshold().dot) {
+        break;
+      }
+      best_.Push(ids_[j],
+                 RankKey{Dot(uv, rows_.data() + j * dim_, dim_), order_[j]});
+    }
+    return best_.SortDescendingInPlace();
+  }
+
+ private:
+  const GemModel& model_;
+  const uint32_t dim_;
+  /// 1 + ε with ε = (dim + 4) · 2^-23, and the underflow term
+  /// dim · 2^-148 (DESIGN §8.4).
+  const double widen_;
+  const double floor_;
+  const uint32_t top_k_;
+  std::vector<double> norms_;       // by pool position
+  std::vector<uint32_t> order_;     // positions, descending norm
+  std::vector<ebsn::EventId> ids_;  // events in that order
+  std::vector<float> rows_;         // their rows in that order
+  TopK<ebsn::EventId, RankKey> best_;
+};
 
 }  // namespace
 
 std::vector<std::vector<ebsn::EventId>> TopKEventsPerUser(
     const GemModel& model, const std::vector<ebsn::EventId>& events,
-    const std::vector<ebsn::UserId>& partners, uint32_t top_k,
-    ThreadPool* pool) {
+    const std::vector<ebsn::UserId>& partners, uint32_t top_k) {
+  PoolRanker ranker(model, events, top_k);
   std::vector<std::vector<ebsn::EventId>> result(partners.size());
-  ForEachPartner(partners.size(), pool, [&](size_t i) {
-    const auto entries = RankPartner(model, events, partners[i], top_k);
-    result[i].reserve(entries.size());
-    for (const auto& e : entries) result[i].push_back(e.id);
-  });
+  for (size_t i = 0; i < partners.size(); ++i) {
+    for (const auto& e : ranker.Rank(partners[i])) result[i].push_back(e.id);
+  }
   return result;
 }
 
 std::vector<CandidatePair> BuildCandidatePairs(
     const GemModel& model, const std::vector<ebsn::EventId>& events,
-    const std::vector<ebsn::UserId>& partners, uint32_t top_k,
-    ThreadPool* pool) {
-  return BuildCandidateList(model, events, partners, top_k, nullptr, pool)
-      .pairs;
+    const std::vector<ebsn::UserId>& partners, uint32_t top_k) {
+  return BuildCandidateList(model, events, partners, top_k).pairs;
 }
 
 CandidateList BuildCandidateList(const GemModel& model,
                                  const std::vector<ebsn::EventId>& events,
                                  const std::vector<ebsn::UserId>& partners,
-                                 uint32_t top_k, const CandidateDelta* delta,
-                                 ThreadPool* pool) {
+                                 uint32_t top_k, const CandidateDelta* delta) {
   CandidateList list;
   const size_t num_partners = partners.size();
   const uint32_t dim = model.dim();
@@ -111,33 +173,37 @@ CandidateList BuildCandidateList(const GemModel& model,
   }
   list.pairs.resize(num_partners * k);
   list.c.resize(num_partners * k);
+  PoolRanker ranker(model, events, top_k);
   auto reusable = [&](size_t i) {
     if (delta == nullptr) return false;
     const ebsn::UserId u = partners[i];
     const std::vector<uint8_t>& dirty = *delta->dirty_users;
     if (u < dirty.size() && dirty[u] != 0) return false;
+    if (delta->previous_pool_size == events.size()) return true;
     const float kth = delta->previous->c_values()[i * k + k - 1];
     const float* uv = model.UserVec(u);
+    const double widened = ranker.WidenedNorm(u);
     for (size_t j = delta->previous_pool_size; j < events.size(); ++j) {
+      if (ranker.Bound(widened, j) < kth) continue;
       if (Dot(uv, model.EventVec(events[j]), dim) > kth) return false;
     }
     return true;
   };
-  ForEachPartner(num_partners, pool, [&](size_t i) {
+  for (size_t i = 0; i < num_partners; ++i) {
     CandidatePair* pairs = list.pairs.data() + i * k;
     float* c = list.c.data() + i * k;
     if (reusable(i)) {
       GEMREC_DCHECK(delta->previous->pair(i * k).partner == partners[i]);
       std::copy_n(delta->previous->pairs().data() + i * k, k, pairs);
       std::copy_n(delta->previous->c_values().data() + i * k, k, c);
-      return;
+      continue;
     }
-    const auto entries = RankPartner(model, events, partners[i], top_k);
+    const auto& ranked = ranker.Rank(partners[i]);
     for (size_t j = 0; j < k; ++j) {
-      pairs[j] = CandidatePair{entries[j].id, partners[i]};
-      c[j] = entries[j].score;
+      pairs[j] = CandidatePair{ranked[j].id, partners[i]};
+      c[j] = ranked[j].score.dot;
     }
-  });
+  }
   return list;
 }
 

@@ -4,12 +4,26 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "ebsn/types.h"
 #include "recommend/gem_model.h"
 #include "recommend/space_transform.h"
 
 namespace gemrec::recommend {
+
+/// The order a partner ranks its pool events in: higher Dot(ū', x̄)
+/// first, then lower pool position (the event's index in `events`).
+/// Scores compare as floats, so +0 == -0 and the tie goes to the
+/// position. Positions are distinct, so the order is total over one
+/// pool and a partner's top-k does not depend on the order the events
+/// are scored in.
+struct RankKey {
+  float dot;
+  uint32_t position;
+};
+inline bool operator>(RankKey a, RankKey b) {
+  return a.dot > b.dot || (a.dot == b.dot && a.position < b.position);
+}
+inline bool operator<=(RankKey a, RankKey b) { return !(a > b); }
 
 /// The paper's search-space pruning (§IV): instead of all |U| · |X|
 /// event-partner pairs, keep only each potential partner's top-k
@@ -22,17 +36,15 @@ namespace gemrec::recommend {
 /// `partners` the partners to build for, in output order: AllUsers()
 /// for the whole space, a shard's owned partners for its slice. Each
 /// partner's pairs depend on that partner alone, so a subset's list is
-/// the matching subsequence of the whole list. `top_k == 0` or
-/// `top_k >= events.size()` keeps every pair (the unpruned space of
-/// Table VI) — this materializes all |partners| · |X| pairs, so it
-/// logs a warning and checks against size_t overflow.
-///
-/// `pool` optionally parallelizes the per-partner scoring loop (caller
-/// participates; output is identical to the serial result).
+/// the matching subsequence of the whole list. A partner's pairs are
+/// its k greatest events by RankKey, in descending RankKey order.
+/// `top_k == 0` or `top_k >= events.size()` keeps every pair in pool
+/// order (the unpruned space of Table VI) — this materializes all
+/// |partners| · |X| pairs, so it logs a warning and checks against
+/// size_t overflow.
 std::vector<CandidatePair> BuildCandidatePairs(
     const GemModel& model, const std::vector<ebsn::EventId>& events,
-    const std::vector<ebsn::UserId>& partners, uint32_t top_k,
-    ThreadPool* pool = nullptr);
+    const std::vector<ebsn::UserId>& partners, uint32_t top_k);
 
 /// A candidate list with each pair's C = Dot(ū', x̄), the input of
 /// TransformedSpace. In a pruned list C is bitwise the score that
@@ -47,7 +59,9 @@ struct CandidateList {
 struct CandidateDelta {
   /// A pruned list built over the same partners and top_k, from the
   /// pool events[0, previous_pool_size), where previous_pool_size >
-  /// top_k, and from the same event rows.
+  /// top_k, and from the same event rows. The events appended since,
+  /// events[previous_pool_size, end), sit at higher pool positions
+  /// than every event of `previous`.
   const TransformedSpace* previous = nullptr;
   size_t previous_pool_size = 0;
   /// dirty_users[u] != 0 when user u's row changed since `previous`;
@@ -55,29 +69,34 @@ struct CandidateDelta {
   const std::vector<uint8_t>* dirty_users = nullptr;
 };
 
-/// BuildCandidatePairs plus C. With a `delta`, a partner's slice is
-/// copied from `delta->previous` when the partner is clean and no event
-/// appended since (events[previous_pool_size, end)) scores strictly
-/// above its k-th score. TopK drops a push with score <= its threshold
-/// without touching the heap, so that slice is bitwise what ranking
-/// the whole pool again would give; every other partner is ranked
-/// again. The result is identical to a build without `delta`.
+/// BuildCandidatePairs plus C. A pruned build scores each partner's
+/// events in descending order of ‖x̄‖ and stops once the rounding-
+/// widened Cauchy–Schwarz bound ‖ū'‖·‖x̄‖ of the next event falls
+/// strictly below the k-th score held (DESIGN §8.4), so it computes a
+/// small share of the |partners| · |X| dots; the slices are exactly
+/// the exhaustive ranking's.
+///
+/// With a `delta`, a partner's slice is copied from `delta->previous`
+/// when the partner is clean and no appended event scores strictly
+/// above its k-th score: an appended event that ties the k-th score
+/// has the higher position and loses, so that slice is bitwise what
+/// ranking the whole pool again would give. An appended event whose
+/// norm bound is already below the k-th score is not scored. Every
+/// other partner is ranked again. The result is identical to a build
+/// without `delta`.
 CandidateList BuildCandidateList(const GemModel& model,
                                  const std::vector<ebsn::EventId>& events,
                                  const std::vector<ebsn::UserId>& partners,
                                  uint32_t top_k,
-                                 const CandidateDelta* delta = nullptr,
-                                 ThreadPool* pool = nullptr);
+                                 const CandidateDelta* delta = nullptr);
 
-/// Per-partner top-k events (entry i ranks partners[i]), exposed
-/// separately for tests and for the pruning study (Fig. 7). Partners
-/// are independent, so `pool` shards the loop over them; each ranking
-/// is computed exactly as in the serial path, making the result
-/// bit-identical for any thread count.
+/// Per-partner top-k events (entry i ranks partners[i]) in descending
+/// RankKey order, by the same walk as the pruned build; exposed for
+/// tests. `top_k` must be positive; one at least |events| ranks the
+/// whole pool.
 std::vector<std::vector<ebsn::EventId>> TopKEventsPerUser(
     const GemModel& model, const std::vector<ebsn::EventId>& events,
-    const std::vector<ebsn::UserId>& partners, uint32_t top_k,
-    ThreadPool* pool = nullptr);
+    const std::vector<ebsn::UserId>& partners, uint32_t top_k);
 
 /// The user ids 0..num_users-1: the partner list of an unsharded build.
 std::vector<ebsn::UserId> AllUsers(uint32_t num_users);

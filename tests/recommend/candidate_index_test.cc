@@ -1,6 +1,8 @@
 #include "recommend/candidate_index.h"
 
 #include <algorithm>
+#include <cstring>
+#include <numeric>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -19,6 +21,135 @@ std::unique_ptr<embedding::EmbeddingStore> RandomStore(
   store->MatrixOf(graph::NodeType::kEvent)
       .FillAbsGaussian(&rng, 0.3, 0.2);
   return store;
+}
+
+/// A store with `dim`-wide rows, all zero; tests write the rows.
+std::unique_ptr<embedding::EmbeddingStore> ZeroStore(uint32_t dim,
+                                                     uint32_t num_users,
+                                                     uint32_t num_events) {
+  auto store = std::make_unique<embedding::EmbeddingStore>(
+      dim, std::array<uint32_t, 5>{num_users, num_events, 1, 1, 1});
+  store->MatrixOf(graph::NodeType::kUser).Fill(0.0f);
+  store->MatrixOf(graph::NodeType::kEvent).Fill(0.0f);
+  return store;
+}
+
+void SetRow(float* row, const std::vector<float>& values) {
+  std::copy(values.begin(), values.end(), row);
+}
+
+/// The exhaustive ranking a pruned list must equal: every pool event's
+/// Dot(ū', x̄), ordered by score descending (float comparison) and then
+/// pool position ascending, cut at k.
+CandidateList ExhaustiveList(const GemModel& model,
+                             const std::vector<ebsn::EventId>& events,
+                             const std::vector<ebsn::UserId>& partners,
+                             size_t k) {
+  CandidateList list;
+  std::vector<float> score(events.size());
+  std::vector<uint32_t> order(events.size());
+  for (ebsn::UserId u : partners) {
+    for (size_t j = 0; j < events.size(); ++j) {
+      score[j] = Dot(model.UserVec(u), model.EventVec(events[j]), model.dim());
+    }
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      return score[a] > score[b] || (score[a] == score[b] && a < b);
+    });
+    for (size_t j = 0; j < k; ++j) {
+      list.pairs.push_back(CandidatePair{events[order[j]], u});
+      list.c.push_back(score[order[j]]);
+    }
+  }
+  return list;
+}
+
+/// Pairs equal and C bitwise equal; reports the first differing slot.
+void ExpectSameList(const CandidateList& got, const CandidateList& want) {
+  ASSERT_EQ(got.pairs.size(), want.pairs.size());
+  ASSERT_EQ(got.c.size(), want.c.size());
+  for (size_t i = 0; i < want.pairs.size(); ++i) {
+    ASSERT_TRUE(got.pairs[i].event == want.pairs[i].event &&
+                got.pairs[i].partner == want.pairs[i].partner &&
+                std::memcmp(&got.c[i], &want.c[i], sizeof(float)) == 0)
+        << "slot " << i << ": got (" << got.pairs[i].event << ", "
+        << got.pairs[i].partner << ", " << got.c[i] << "), want ("
+        << want.pairs[i].event << ", " << want.pairs[i].partner << ", "
+        << want.c[i] << ")";
+  }
+}
+
+/// A seeded space mixing what the norm-ordered walk must get right:
+///  - for each partner, events parallel to its row (x̄ = c·ū', where
+///    the Cauchy–Schwarz bound is tight up to rounding), each followed
+///    at a higher pool position by a copy with a larger norm and the
+///    same Dot, so the walk meets the copy first and the tie must go
+///    to the parallel event;
+///  - a zero partner row, zero event rows and a row of -0 entries;
+///  - rows of one common norm (sign flips of one row);
+///  - one huge-norm event with a low cosine;
+///  - signed random rows.
+/// Pool positions are not event ids: the pool lists ids in reverse.
+struct MixedSpace {
+  static constexpr uint32_t kUsers = 12;
+  std::unique_ptr<embedding::EmbeddingStore> store;
+  std::vector<ebsn::EventId> events;
+};
+
+MixedSpace MakeMixedSpace(uint32_t dim, uint64_t seed) {
+  constexpr float kScales[] = {0.5f, 1.0f, 3.7f, 10.0f};
+  constexpr uint32_t kRandom = 20;
+  constexpr uint32_t kEqualNorm = 6;
+  const uint32_t num_events =
+      (MixedSpace::kUsers - 1) * 2 * std::size(kScales) + 3 + kEqualNorm +
+      1 + kRandom;
+  MixedSpace space;
+  space.store = ZeroStore(dim, MixedSpace::kUsers, num_events);
+  space.events.resize(num_events);
+  for (uint32_t j = 0; j < num_events; ++j) {
+    space.events[j] = num_events - 1 - j;
+  }
+  Rng rng(seed);
+  auto row_at = [&](uint32_t position) {
+    return space.store->VectorOf(graph::NodeType::kEvent,
+                                 space.events[position]);
+  };
+  uint32_t position = 0;
+  // User kUsers - 1 keeps its zero row.
+  for (uint32_t u = 0; u + 1 < MixedSpace::kUsers; ++u) {
+    float* uv = space.store->VectorOf(graph::NodeType::kUser, u);
+    for (uint32_t d = 0; d + 1 < dim; ++d) {
+      uv[d] = static_cast<float>(rng.Gaussian(0.2, 1.0));
+    }
+    for (const float c : kScales) {
+      float* parallel = row_at(position++);
+      float* wider = row_at(position++);
+      for (uint32_t d = 0; d < dim; ++d) parallel[d] = c * uv[d];
+      std::copy_n(parallel, dim, wider);
+      // ū' is 0 there, so the Dot is unchanged and the norm grows.
+      wider[dim - 1] = 0.5f * c;
+    }
+  }
+  position += 2;  // two zero rows
+  std::fill_n(row_at(position++), dim, -0.0f);
+  std::vector<float> base(dim);
+  for (float& v : base) v = static_cast<float>(rng.Gaussian(0.0, 1.0));
+  for (uint32_t i = 0; i < kEqualNorm; ++i) {
+    float* row = row_at(position++);
+    for (uint32_t d = 0; d < dim; ++d) {
+      row[d] = rng.UniformInt(2) == 0 ? base[d] : -base[d];
+    }
+  }
+  float* huge = row_at(position++);
+  for (uint32_t d = 0; d < dim; ++d) huge[d] = d % 2 == 0 ? 1000.0f : -1000.0f;
+  for (uint32_t i = 0; i < kRandom; ++i) {
+    float* row = row_at(position++);
+    for (uint32_t d = 0; d < dim; ++d) {
+      row[d] = static_cast<float>(rng.Gaussian(0.0, 1.0));
+    }
+  }
+  EXPECT_EQ(position, num_events);
+  return space;
 }
 
 TEST(CandidateIndexTest, ZeroTopKKeepsEveryPair) {
@@ -85,42 +216,6 @@ TEST(CandidateIndexTest, TopKLargerThanEventPoolKeepsAll) {
   EXPECT_EQ(pairs.size(), 12u);
 }
 
-TEST(CandidateIndexTest, ParallelTopKMatchesSerialExactly) {
-  // Determinism contract: sharding the per-user loop over a pool must
-  // be bit-identical to the serial path, for any pool size.
-  auto store = RandomStore(30, 40, 7);
-  GemModel model(store.get(), "GEM");
-  std::vector<ebsn::EventId> events;
-  for (uint32_t x = 0; x < 40; ++x) events.push_back(x);
-  const auto serial = TopKEventsPerUser(model, events, AllUsers(30), 6);
-  for (size_t workers : {1u, 3u, 7u}) {
-    ThreadPool pool(workers);
-    const auto parallel =
-        TopKEventsPerUser(model, events, AllUsers(30), 6, &pool);
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (size_t u = 0; u < serial.size(); ++u) {
-      EXPECT_EQ(parallel[u], serial[u])
-          << "u=" << u << " workers=" << workers;
-    }
-  }
-}
-
-TEST(CandidateIndexTest, ParallelBuildCandidatePairsMatchesSerial) {
-  auto store = RandomStore(12, 18, 8);
-  GemModel model(store.get(), "GEM");
-  std::vector<ebsn::EventId> events;
-  for (uint32_t x = 0; x < 18; ++x) events.push_back(x);
-  const auto serial = BuildCandidatePairs(model, events, AllUsers(12), 4);
-  ThreadPool pool(4);
-  const auto parallel =
-      BuildCandidatePairs(model, events, AllUsers(12), 4, &pool);
-  ASSERT_EQ(parallel.size(), serial.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(parallel[i].event, serial[i].event) << "i=" << i;
-    EXPECT_EQ(parallel[i].partner, serial[i].partner) << "i=" << i;
-  }
-}
-
 TEST(CandidateIndexTest, EventSubsetIsRespected) {
   auto store = RandomStore(3, 10, 6);
   GemModel model(store.get(), "GEM");
@@ -156,6 +251,127 @@ TEST(CandidateIndexTest, PartnerSubsetIsSubsequenceOfFullBuild) {
     }
   }
   EXPECT_TRUE(BuildCandidatePairs(model, events, {}, 3).empty());
+}
+
+TEST(CandidateIndexTest, NormWalkEqualsExhaustiveRanking) {
+  // The walk stops once the widened bound ‖ū'‖·‖x̄‖ of the next event is
+  // strictly below the k-th score; it must still return bitwise the
+  // exhaustive ranking, pairs and C, for every width Dot splits into
+  // vector body and tail.
+  for (const uint32_t dim : {4u, 13u, 32u, 64u}) {
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+      const MixedSpace space = MakeMixedSpace(dim, seed * 7919 + dim);
+      GemModel model(space.store.get(), "GEM");
+      const auto partners = AllUsers(MixedSpace::kUsers);
+      const std::vector<ebsn::UserId> subset = {9, 2, 11, 5};
+      const uint32_t pool = static_cast<uint32_t>(space.events.size());
+      for (const uint32_t k : {1u, 2u, pool - 1}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "dim=" << dim << " seed=" << seed << " k=" << k);
+        const CandidateList want =
+            ExhaustiveList(model, space.events, partners, k);
+        ExpectSameList(BuildCandidateList(model, space.events, partners, k),
+                       want);
+        const auto per_user =
+            TopKEventsPerUser(model, space.events, partners, k);
+        for (size_t i = 0; i < partners.size(); ++i) {
+          for (size_t j = 0; j < k; ++j) {
+            ASSERT_EQ(per_user[i][j], want.pairs[i * k + j].event)
+                << "partner " << i << " slot " << j;
+          }
+        }
+        ExpectSameList(BuildCandidateList(model, space.events, subset, k),
+                       ExhaustiveList(model, space.events, subset, k));
+      }
+    }
+  }
+}
+
+TEST(CandidateIndexTest, NormWalkEqualsExhaustiveRankingOnTrainedShapes) {
+  // Nonnegative rows of spread norms, as training leaves them, with a
+  // pool large enough that the walk stops early for most partners.
+  for (const uint32_t dim : {4u, 13u, 32u}) {
+    auto store = ZeroStore(dim, 40, 300);
+    Rng rng(dim);
+    store->MatrixOf(graph::NodeType::kUser).FillAbsGaussian(&rng, 0.3, 0.2);
+    store->MatrixOf(graph::NodeType::kEvent).FillAbsGaussian(&rng, 0.3, 0.2);
+    for (uint32_t x = 0; x < 300; ++x) {
+      const float scale = 0.2f + static_cast<float>(x % 17) * 0.3f;
+      float* row = store->VectorOf(graph::NodeType::kEvent, x);
+      for (uint32_t d = 0; d < dim; ++d) row[d] *= scale;
+    }
+    GemModel model(store.get(), "GEM");
+    std::vector<ebsn::EventId> events(300);
+    std::iota(events.begin(), events.end(), 0u);
+    for (const uint32_t k : {1u, 2u, 20u}) {
+      SCOPED_TRACE(::testing::Message() << "dim=" << dim << " k=" << k);
+      ExpectSameList(BuildCandidateList(model, events, AllUsers(40), k),
+                     ExhaustiveList(model, events, AllUsers(40), k));
+    }
+  }
+}
+
+TEST(CandidateIndexTest, TiedScoresResolveByPoolPosition) {
+  // Rows: A scores highest; B and its duplicate B' tie; W ties them
+  // with a larger norm (the walk meets it first); D scores lowest.
+  auto store = ZeroStore(4, 1, 5);
+  SetRow(store->VectorOf(graph::NodeType::kUser, 0), {1.0f, 2.0f, 0.5f, 0.0f});
+  SetRow(store->VectorOf(graph::NodeType::kEvent, 0), {1, 1, 1, 0});   // B
+  SetRow(store->VectorOf(graph::NodeType::kEvent, 1), {3, 1, 1, 1});   // A
+  SetRow(store->VectorOf(graph::NodeType::kEvent, 2), {0.1f, 0, 0, 0});  // D
+  SetRow(store->VectorOf(graph::NodeType::kEvent, 3), {1, 1, 1, 0});   // B'
+  SetRow(store->VectorOf(graph::NodeType::kEvent, 4), {1, 1, 1, 9});   // W
+  GemModel model(store.get(), "GEM");
+  auto slice = [&](const std::vector<ebsn::EventId>& events, uint32_t k) {
+    const CandidateList list = BuildCandidateList(model, events, {0}, k);
+    ExpectSameList(list, ExhaustiveList(model, events, {0}, k));
+    std::vector<ebsn::EventId> ids;
+    for (const auto& p : list.pairs) ids.push_back(p.event);
+    return ids;
+  };
+  // Pool positions D, W, B', A, B: the tie goes to W, then B', then B.
+  const std::vector<ebsn::EventId> pool = {2, 4, 3, 1, 0};
+  EXPECT_EQ(slice(pool, 1), (std::vector<ebsn::EventId>{1}));
+  EXPECT_EQ(slice(pool, 2), (std::vector<ebsn::EventId>{1, 4}));  // straddles
+  EXPECT_EQ(slice(pool, 3), (std::vector<ebsn::EventId>{1, 4, 3}));
+  EXPECT_EQ(slice(pool, 4), (std::vector<ebsn::EventId>{1, 4, 3, 0}));
+  // Reversed pool: B, A, B', W, D.
+  const std::vector<ebsn::EventId> reversed(pool.rbegin(), pool.rend());
+  EXPECT_EQ(slice(reversed, 2), (std::vector<ebsn::EventId>{1, 0}));
+  EXPECT_EQ(slice(reversed, 3), (std::vector<ebsn::EventId>{1, 0, 3}));
+  EXPECT_EQ(slice(reversed, 4), (std::vector<ebsn::EventId>{1, 0, 3, 4}));
+  // TopKEventsPerUser ranks the same way, the whole pool included.
+  EXPECT_EQ(TopKEventsPerUser(model, reversed, {0}, 9)[0],
+            (std::vector<ebsn::EventId>{1, 0, 3, 4, 2}));
+}
+
+TEST(CandidateIndexTest, SignedZeroScoresTieAndResolveByPosition) {
+  EXPECT_TRUE((RankKey{0.0f, 1} > RankKey{-0.0f, 2}));
+  EXPECT_TRUE((RankKey{-0.0f, 1} > RankKey{0.0f, 2}));
+  EXPECT_FALSE((RankKey{-0.0f, 2} > RankKey{0.0f, 1}));
+  EXPECT_TRUE((RankKey{0.0f, 2} <= RankKey{-0.0f, 1}));
+  EXPECT_TRUE((RankKey{1.0f, 9} > RankKey{0.0f, 1}));
+
+  // Zero scores from a zero row, a -0 row, a row orthogonal to ū' with
+  // the largest norm (met first) and a row whose products cancel.
+  auto store = ZeroStore(4, 2, 6);
+  SetRow(store->VectorOf(graph::NodeType::kUser, 0), {1, -1, 0, 0});
+  SetRow(store->VectorOf(graph::NodeType::kEvent, 0), {0, 0, 0, 0});
+  SetRow(store->VectorOf(graph::NodeType::kEvent, 1), {-0.0f, -0.0f, -0.0f, -0.0f});
+  SetRow(store->VectorOf(graph::NodeType::kEvent, 2), {0, 0, 30, 40});
+  SetRow(store->VectorOf(graph::NodeType::kEvent, 3), {2, 2, 0, 0});
+  SetRow(store->VectorOf(graph::NodeType::kEvent, 4), {-1, 1, 0, 0});  // -2
+  SetRow(store->VectorOf(graph::NodeType::kEvent, 5), {1, 0, 0, 0});   // 1
+  // User 1 keeps a zero row: every score is 0, so its slice is the
+  // lowest positions.
+  GemModel model(store.get(), "GEM");
+  const std::vector<ebsn::EventId> pool = {4, 2, 1, 5, 3, 0};
+  const CandidateList list = BuildCandidateList(model, pool, AllUsers(2), 4);
+  ExpectSameList(list, ExhaustiveList(model, pool, AllUsers(2), 4));
+  std::vector<ebsn::EventId> ids;
+  for (const auto& p : list.pairs) ids.push_back(p.event);
+  EXPECT_EQ(ids, (std::vector<ebsn::EventId>{5, 2, 1, 3,  //
+                                             4, 2, 1, 5}));
 }
 
 }  // namespace

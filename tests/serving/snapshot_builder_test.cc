@@ -6,9 +6,10 @@
 // block order and block maxes — at every publish of seeded write
 // streams, unsharded and under every shard of N = 2 and N = 3. The
 // streams mix attendance nudges, cold-user fold-ins, appended events
-// (two with identical signals, so TopK sees tied scores, and one that
-// enters most lists), re-folds of pooled events, non-append pool edits
-// and store resets.
+// (two with identical signals, so the ranking sees tied scores, one
+// that a clean partner ranks k-th followed by its duplicate, and one
+// that enters most lists), re-folds of pooled events, non-append pool
+// edits and store resets.
 // Also here: recovery refuses a checkpoint whose pool does not fit its
 // own store.
 
@@ -27,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/vec_math.h"
 #include "serving/ingest_journal.h"
 #include "serving/ingestion_queue.h"
 #include "serving/recommendation_service.h"
@@ -185,6 +187,15 @@ class WriteStream {
           AppendEvent(SignalsFor(1000), foldin_);
           AppendEvent(SignalsFor(1000), foldin_);
           break;
+        case 6:  // an appended event that lands at a partner's k-th slot
+          AppendKthEvent();
+          break;
+        case 7: {  // its duplicate: ties that clean partner's k-th score
+          const ebsn::EventId duplicate = AppendEvent(kth_signals_, foldin_);
+          EXPECT_EQ(0, std::memcmp(EventRow(kth_event_), EventRow(duplicate),
+                                   kDim * sizeof(float)));
+          break;
+        }
         case 8: {  // an event that enters most partners' lists
           embedding::OnlineUpdateOptions hot = foldin_;
           hot.bias = 60.0f;
@@ -214,6 +225,11 @@ class WriteStream {
       const auto next = builder_->BuildNext();
       const auto full = builder_->Build();
       ExpectSameSnapshot(*next, *full);
+      if (step == 6 || step == 7) {
+        // The tie goes to the lower pool position: the duplicate stays
+        // out and the partner keeps the first event at slot k.
+        EXPECT_EQ(KthEventOf(*full, kth_partner_), kth_event_);
+      }
       if (step == 8 && full->space().num_points() > 0) {
         EXPECT_GT(ListShare(*full, hot_event_), 0.5)
             << "the hot event should enter most partners' lists";
@@ -223,6 +239,55 @@ class WriteStream {
   }
 
  private:
+  const float* EventRow(ebsn::EventId event) const {
+    return builder_->staging_store()->VectorOf(graph::NodeType::kEvent, event);
+  }
+
+  /// The event at slot k of partner u's slice in `snapshot`.
+  static ebsn::EventId KthEventOf(const ModelSnapshot& snapshot,
+                                  ebsn::UserId u) {
+    const auto& pairs = snapshot.space().pairs();
+    for (size_t i = 0; i < pairs.size(); i += kTopK) {
+      if (pairs[i].partner == u) return pairs[i + kTopK - 1].event;
+    }
+    ADD_FAILURE() << "partner " << u << " has no slice";
+    return ebsn::kInvalidId;
+  }
+
+  /// Appends a folded-in event that some owned partner ranks exactly
+  /// k-th: fold-ins of candidate signals are tried on a copy of the
+  /// staging store until one has exactly k - 1 pool events scoring at
+  /// least as high (the appended event has the highest position).
+  void AppendKthEvent() {
+    const auto last = builder_->Build();
+    const auto& pairs = last->space().pairs();
+    for (uint32_t i = 0; i < 200; ++i) {
+      embedding::EmbeddingStore probe = *builder_->staging_store();
+      const embedding::NewEventSignals signals = SignalsFor(2000 + i);
+      ASSERT_TRUE(
+          embedding::FoldInColdEvent(&probe, next_event_, signals, foldin_)
+              .ok());
+      const float* row = probe.VectorOf(graph::NodeType::kEvent, next_event_);
+      for (size_t p = 0; p < pairs.size(); p += kTopK) {
+        const ebsn::UserId u = pairs[p].partner;
+        const float* uv = probe.VectorOf(graph::NodeType::kUser, u);
+        const float score = Dot(uv, row, kDim);
+        size_t above = 0;
+        for (ebsn::EventId x : pool_) {
+          above += Dot(uv, probe.VectorOf(graph::NodeType::kEvent, x),
+                       kDim) >= score ? 1 : 0;
+        }
+        if (above == kTopK - 1) {
+          kth_signals_ = signals;
+          kth_partner_ = u;
+          kth_event_ = AppendEvent(signals, foldin_);
+          return;
+        }
+      }
+    }
+    FAIL() << "no candidate event lands at a partner's k-th slot";
+  }
+
   ebsn::EventId AppendEvent(const embedding::NewEventSignals& signals,
                             const embedding::OnlineUpdateOptions& options) {
     const ebsn::EventId event = next_event_++;
@@ -257,6 +322,9 @@ class WriteStream {
   std::unique_ptr<SnapshotBuilder> builder_;
   ebsn::EventId next_event_ = kInitialEvents;
   ebsn::EventId hot_event_ = 0;
+  embedding::NewEventSignals kth_signals_;
+  ebsn::UserId kth_partner_ = 0;
+  ebsn::EventId kth_event_ = 0;
   embedding::OnlineUpdateOptions foldin_;
   embedding::OnlineUpdateOptions nudge_ = [] {
     embedding::OnlineUpdateOptions o;
