@@ -14,7 +14,9 @@
 //   3. Snapshot publish cost on the serving benchmark's city shape
 //      (Beijing at 4x scale, K = 32, top-k 20): a from-scratch build,
 //      a publish after 16 and after 64 changed users, the stage split
-//      of each, and the heap bytes one snapshot holds.
+//      of each, and the heap bytes one snapshot holds. Full and delta
+//      reps alternate, so drift over the run hits both alike, and
+//      each median is written with its p25 and p75.
 //
 // Run from the repo root so BENCH_hotpath.json lands there:
 //   ./build/bench/hotpath_report
@@ -319,22 +321,29 @@ constexpr int64_t kBeforeSnapshotBytes = 83000824;
 constexpr const char* kStageNames[4] = {"candidates", "space", "index",
                                         "quantized"};
 
+struct Quartiles {
+  double p25 = 0.0;
+  double p50 = 0.0;
+  double p75 = 0.0;
+};
+
+Quartiles QuartilesOf(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return {v[n / 4], v[n / 2], v[3 * n / 4]};
+}
+
 struct PublishResult {
   uint32_t num_users = 0;
   size_t pool_size = 0;
   size_t num_pairs = 0;
-  double full_ms = 0.0;
-  double delta16_ms = 0.0;
-  double delta64_ms = 0.0;
-  double full_stage_ms[4] = {};
-  double delta16_stage_ms[4] = {};
+  Quartiles full_ms;
+  Quartiles delta16_ms;
+  Quartiles delta64_ms;
+  Quartiles full_stage_ms[4];
+  Quartiles delta16_stage_ms[4];
   int64_t snapshot_bytes = 0;
 };
-
-double Median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
 
 /// Times the four stages of one candidate-space build, as ModelSnapshot
 /// runs them; `delta` null builds from scratch.
@@ -359,7 +368,7 @@ void TimeStages(const recommend::GemModel& model,
 }
 
 PublishResult MeasureSnapshotPublish() {
-  constexpr int kReps = 7;
+  constexpr int kReps = 41;
   constexpr uint32_t kTopK = 20;
   CityBundle city = MakeCity(ebsn::SyntheticConfig::Beijing(4.0));
   embedding::TrainerOptions options = embedding::TrainerOptions::GemA();
@@ -377,25 +386,24 @@ PublishResult MeasureSnapshotPublish() {
   serving::SnapshotBuilder builder(store, pool, result.num_users,
                                    snapshot_options);
 
-  std::vector<double> full;
-  for (int r = 0; r < kReps; ++r) {
-    const int64_t live_before = g_live_bytes.load();
-    Stopwatch watch;
-    const auto snapshot = builder.Build();
-    full.push_back(watch.ElapsedMillis());
-    result.snapshot_bytes = g_live_bytes.load() - live_before;
-    result.num_pairs = snapshot->num_candidate_pairs();
-  }
-  result.full_ms = Median(full);
-
-  // Attendance nudges on distinct random users, then one publish.
+  // Each rep times a from-scratch build, then a publish after 16 and
+  // after 64 attendance nudges on random users (Build leaves BuildNext's
+  // base alone).
   Rng rng(0x9b11);
   embedding::OnlineUpdateOptions nudge;
   nudge.iterations = 20;
   builder.BuildNext();
-  for (const size_t dirty : {size_t{16}, size_t{64}}) {
-    std::vector<double> times;
-    for (int r = 0; r < kReps; ++r) {
+  std::vector<double> full, delta16, delta64;
+  for (int r = 0; r < kReps; ++r) {
+    {
+      const int64_t live_before = g_live_bytes.load();
+      Stopwatch watch;
+      const auto snapshot = builder.Build();
+      full.push_back(watch.ElapsedMillis());
+      result.snapshot_bytes = g_live_bytes.load() - live_before;
+      result.num_pairs = snapshot->num_candidate_pairs();
+    }
+    for (const size_t dirty : {size_t{16}, size_t{64}}) {
       for (size_t i = 0; i < dirty; ++i) {
         const auto user =
             static_cast<ebsn::UserId>(rng.UniformInt(result.num_users));
@@ -404,13 +412,15 @@ PublishResult MeasureSnapshotPublish() {
       }
       Stopwatch watch;
       builder.BuildNext();
-      times.push_back(watch.ElapsedMillis());
+      (dirty == 16 ? delta16 : delta64).push_back(watch.ElapsedMillis());
     }
-    (dirty == 16 ? result.delta16_ms : result.delta64_ms) = Median(times);
   }
+  result.full_ms = QuartilesOf(full);
+  result.delta16_ms = QuartilesOf(delta16);
+  result.delta64_ms = QuartilesOf(delta64);
 
-  // Stage split: medians per stage, from scratch and with 16 partners
-  // dirty against a from-scratch previous list.
+  // Stage split per stage, from scratch and with 16 partners dirty
+  // against a from-scratch previous list, in alternating reps.
   const recommend::GemModel model(&store, "GEM-A");
   const std::vector<ebsn::UserId> partners =
       recommend::AllUsers(result.num_users);
@@ -421,16 +431,18 @@ PublishResult MeasureSnapshotPublish() {
   std::vector<uint8_t> dirty_users(result.num_users, 0);
   for (int i = 0; i < 16; ++i) dirty_users[rng.UniformInt(result.num_users)] = 1;
   const recommend::CandidateDelta delta{&previous, pool.size(), &dirty_users};
-  for (const bool use_delta : {false, true}) {
-    std::vector<double> stages[4];
-    for (int r = 0; r < kReps; ++r) {
+  std::vector<double> stages[2][4];
+  for (int r = 0; r < kReps; ++r) {
+    for (const bool use_delta : {false, true}) {
       double ms[4];
       TimeStages(model, pool, partners, kTopK, use_delta ? &delta : nullptr,
                  ms);
-      for (int s = 0; s < 4; ++s) stages[s].push_back(ms[s]);
+      for (int s = 0; s < 4; ++s) stages[use_delta][s].push_back(ms[s]);
     }
-    double* out = use_delta ? result.delta16_stage_ms : result.full_stage_ms;
-    for (int s = 0; s < 4; ++s) out[s] = Median(stages[s]);
+  }
+  for (int s = 0; s < 4; ++s) {
+    result.full_stage_ms[s] = QuartilesOf(stages[0][s]);
+    result.delta16_stage_ms[s] = QuartilesOf(stages[1][s]);
   }
   return result;
 }
@@ -443,6 +455,26 @@ std::string StageJson(const double ms[4]) {
            "\": " + std::to_string(ms[s]);
   }
   return out + "}";
+}
+
+/// StageJson of one quartile of each stage.
+std::string StageJson(const Quartiles q[4], double Quartiles::*which) {
+  const double ms[4] = {q[0].*which, q[1].*which, q[2].*which, q[3].*which};
+  return StageJson(ms);
+}
+
+/// `"name": p50, "name_p25": p25, "name_p75": p75` (no trailing comma).
+std::string QuartileJson(const std::string& name, const Quartiles& q) {
+  return "\"" + name + "\": " + std::to_string(q.p50) + ",\n    \"" + name +
+         "_p25\": " + std::to_string(q.p25) + ",\n    \"" + name +
+         "_p75\": " + std::to_string(q.p75);
+}
+
+/// The same for stage maps.
+std::string StageQuartileJson(const std::string& name, const Quartiles q[4]) {
+  return "\"" + name + "\": " + StageJson(q, &Quartiles::p50) +
+         ",\n    \"" + name + "_p25\": " + StageJson(q, &Quartiles::p25) +
+         ",\n    \"" + name + "_p75\": " + StageJson(q, &Quartiles::p75);
 }
 
 void Run() {
@@ -487,12 +519,14 @@ void Run() {
             << quant.max_abs_err << " (bound " << quant.max_epsilon
             << "), steady-state allocations "
             << quant.steady_state_allocations << "\n";
-  std::cout << "snapshot publish:     full " << publish.full_ms
+  std::cout << "snapshot publish:     full " << publish.full_ms.p50
             << " ms (before " << kBeforeFullBuildMs << "), 16 users "
-            << publish.delta16_ms << " ms, 64 users " << publish.delta64_ms
-            << " ms over " << publish.num_pairs << " pairs; stages full "
-            << StageJson(publish.full_stage_ms) << ", 16 users "
-            << StageJson(publish.delta16_stage_ms) << "; "
+            << publish.delta16_ms.p50 << " ms, 64 users "
+            << publish.delta64_ms.p50 << " ms over " << publish.num_pairs
+            << " pairs; stages full "
+            << StageJson(publish.full_stage_ms, &Quartiles::p50)
+            << ", 16 users "
+            << StageJson(publish.delta16_stage_ms, &Quartiles::p50) << "; "
             << publish.snapshot_bytes << " heap bytes per snapshot (before "
             << kBeforeSnapshotBytes << ")\n";
 
@@ -553,21 +587,26 @@ void Run() {
        << "  \"snapshot_publish\": {\n"
        << "    \"workload\": \"beijing synthetic x4 (" << publish.num_users
        << " users, " << publish.pool_size
-       << " pool events), K=32, top-k 20; medians of 7; delta = "
-          "BuildNext after that many attendance nudges\",\n"
+       << " pool events), K=32, top-k 20; medians of 41 alternating "
+          "full/delta reps, with p25/p75; delta = BuildNext after that "
+          "many attendance nudges\",\n"
        << "    \"num_pairs\": " << publish.num_pairs << ",\n"
        << "    \"before_full_build_ms\": " << kBeforeFullBuildMs << ",\n"
-       << "    \"full_build_ms\": " << publish.full_ms << ",\n"
-       << "    \"delta_publish_ms_16_users\": " << publish.delta16_ms
+       << "    " << QuartileJson("full_build_ms", publish.full_ms) << ",\n"
+       << "    "
+       << QuartileJson("delta_publish_ms_16_users", publish.delta16_ms)
        << ",\n"
-       << "    \"delta_publish_ms_64_users\": " << publish.delta64_ms
+       << "    "
+       << QuartileJson("delta_publish_ms_64_users", publish.delta64_ms)
        << ",\n"
        << "    \"before_full_stage_ms\": " << StageJson(kBeforeStageMs)
        << ",\n"
-       << "    \"full_stage_ms\": " << StageJson(publish.full_stage_ms)
+       << "    " << StageQuartileJson("full_stage_ms", publish.full_stage_ms)
        << ",\n"
-       << "    \"delta_16_users_stage_ms\": "
-       << StageJson(publish.delta16_stage_ms) << ",\n"
+       << "    "
+       << StageQuartileJson("delta_16_users_stage_ms",
+                            publish.delta16_stage_ms)
+       << ",\n"
        << "    \"before_snapshot_heap_bytes\": " << kBeforeSnapshotBytes
        << ",\n"
        << "    \"snapshot_heap_bytes\": " << publish.snapshot_bytes << "\n"

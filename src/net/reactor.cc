@@ -94,12 +94,26 @@ void Reactor::Join() {
   if (loop_thread_.joinable()) loop_thread_.join();
 }
 
+void Reactor::CompletionQueue::Push(Completion completion) {
+  std::lock_guard<std::mutex> lock(mu);
+  if (closed) return;
+  const bool was_empty = items.empty();
+  items.push_back(std::move(completion));
+  if (was_empty && std::this_thread::get_id() != loop_thread) {
+    loop->Wakeup();
+  }
+}
+
 Reactor::Connection* Reactor::FindConnection(uint64_t id) {
   const auto it = connections_.find(id);
   return it == connections_.end() ? nullptr : it->second.get();
 }
 
 void Reactor::Loop() {
+  {
+    std::lock_guard<std::mutex> lock(completions_->mu);
+    completions_->loop_thread = std::this_thread::get_id();
+  }
   std::vector<epoll_event> events;
   while (true) {
     auto now = std::chrono::steady_clock::now();
@@ -347,16 +361,12 @@ void Reactor::HandleFrame(Connection* conn, const Frame& frame) {
       std::shared_ptr<CompletionQueue> cq = completions_;
       shared_.service->StatsAsync(
           [cq, conn_id, tag](obs::MetricsSnapshot snapshot) {
-            std::lock_guard<std::mutex> lock(cq->mu);
-            if (cq->closed) return;
-            const bool was_empty = cq->items.empty();
             Completion completion;
             completion.conn_id = conn_id;
             completion.tag = tag;
             completion.is_stats = true;
             completion.stats = std::move(snapshot);
-            cq->items.push_back(std::move(completion));
-            if (was_empty && cq->loop != nullptr) cq->loop->Wakeup();
+            cq->Push(std::move(completion));
           });
       return;
     }
@@ -395,23 +405,19 @@ void Reactor::HandleFrame(Connection* conn, const Frame& frame) {
       const uint64_t conn_id = conn->id;
       // Round-trip anchor: decode time, so the histogram covers the
       // service queue wait, the search and the hop back to this thread.
+      // A cache hit completes inside SubmitAsync, on this thread; its
+      // answer is written by the drain at the end of this iteration.
       const auto received_at = std::chrono::steady_clock::now();
       std::shared_ptr<CompletionQueue> cq = completions_;
       shared_.service->SubmitAsync(
           request,
           [cq, conn_id, received_at, tag](serving::QueryResponse response) {
-            std::lock_guard<std::mutex> lock(cq->mu);
-            if (cq->closed) return;
-            const bool was_empty = cq->items.empty();
             Completion completion;
             completion.conn_id = conn_id;
             completion.response = std::move(response);
             completion.received_at = received_at;
             completion.tag = tag;
-            cq->items.push_back(std::move(completion));
-            // One wakeup per burst: later completions piggyback on the
-            // pending eventfd tick.
-            if (was_empty && cq->loop != nullptr) cq->loop->Wakeup();
+            cq->Push(std::move(completion));
           });
       return;
     }
@@ -452,9 +458,6 @@ void Reactor::HandleFrame(Connection* conn, const Frame& frame) {
       const serving::IngestAdmission admission = shared_.ingest->SubmitAsync(
           std::move(record),
           [cq, conn_id, received_at, tag](Status status, uint64_t seq) {
-            std::lock_guard<std::mutex> lock(cq->mu);
-            if (cq->closed) return;
-            const bool was_empty = cq->items.empty();
             Completion completion;
             completion.conn_id = conn_id;
             completion.received_at = received_at;
@@ -462,8 +465,7 @@ void Reactor::HandleFrame(Connection* conn, const Frame& frame) {
             completion.is_ingest = true;
             completion.ingest_status = std::move(status);
             completion.ingest_seq = seq;
-            cq->items.push_back(std::move(completion));
-            if (was_empty && cq->loop != nullptr) cq->loop->Wakeup();
+            cq->Push(std::move(completion));
           });
       if (admission != serving::IngestAdmission::kAccepted) {
         // The ack callback never fires for a refused submission.
@@ -533,12 +535,11 @@ void Reactor::FlushWrites(Connection* conn) {
 }
 
 void Reactor::DrainCompletions() {
-  std::vector<Completion> batch;
   {
     std::lock_guard<std::mutex> lock(completions_->mu);
-    batch.swap(completions_->items);
+    drained_.swap(completions_->items);
   }
-  for (Completion& completion : batch) {
+  for (Completion& completion : drained_) {
     if (!completion.is_stats) {
       // Stats answers never claimed the admission budget.
       const uint32_t prior = shared_.total_in_flight->fetch_sub(
@@ -593,6 +594,7 @@ void Reactor::DrainCompletions() {
       UpdateInterest(conn);
     }
   }
+  drained_.clear();
 }
 
 void Reactor::RespondToQuery(Connection* conn, const Completion& completion) {

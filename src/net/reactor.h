@@ -120,6 +120,16 @@ class Reactor {
     std::vector<Completion> items;
     bool closed = false;
     EventLoop* loop = nullptr;  // null once closed
+    /// The reactor's loop thread. It drains the queue at the end of
+    /// every loop iteration, so its own pushes (a backend completing
+    /// inline, inside SubmitAsync or StatsAsync) need no wakeup.
+    std::thread::id loop_thread;
+
+    /// Queues `completion` for the loop; dropped once closed. Wakes
+    /// the loop when the queue was empty and the pusher is another
+    /// thread: later pushes piggyback on the pending eventfd tick or
+    /// on the drain already due this iteration.
+    void Push(Completion completion);
   };
 
   void Loop();
@@ -163,6 +173,9 @@ class Reactor {
   uint64_t next_conn_id_ = 1;
 
   std::shared_ptr<CompletionQueue> completions_;
+  /// DrainCompletions' batch, swapped with the queue's vector so both
+  /// keep their capacity across iterations.
+  std::vector<Completion> drained_;
 
   std::atomic<bool> drain_requested_{false};
   bool draining_ = false;

@@ -73,9 +73,10 @@ struct ServerOptions {
 /// the kernel hashes to it, speaking the wire.h framed protocol (every
 /// response echoes its request's frame id). Decoded queries bridge
 /// into QueryBackend::SubmitAsync; completions hop back to the OWNING
-/// reactor through its private wakeup queue — reactors never touch
-/// each other's connections, so the hot path has no cross-reactor
-/// lock. Workers never touch a socket.
+/// reactor through its private completion queue, waking it only when
+/// they complete on another thread (a cache hit completes inline) —
+/// reactors never touch each other's connections, so the hot path has
+/// no cross-reactor lock. Workers never touch a socket.
 ///
 /// Overload behaviour is fail-fast by design: admission control (the
 /// shared in-flight budget plus the service's own saturation gauges)

@@ -73,23 +73,27 @@ struct QueryResponse {
 
 /// Abstract asynchronous query sink the network front-end drives.
 ///
-/// Two implementations exist: RecommendationService (a worker pool over
-/// one local ModelSnapshot slice) and shard::CoordinatorBackend (a
-/// scatter-gather router over N remote shard servers). NetServer and
-/// its reactors only see this interface, so the same epoll front-end,
-/// admission control, drain logic and stats plumbing serve both roles.
+/// Two implementations exist: RecommendationService (inline cache hits
+/// plus a worker pool over one local ModelSnapshot slice) and
+/// shard::CoordinatorBackend (a scatter-gather router over N remote
+/// shard servers). NetServer and its reactors only see this
+/// interface, so the same epoll front-end, admission control, drain
+/// logic and stats plumbing serve both roles.
 class QueryBackend {
  public:
   virtual ~QueryBackend() = default;
 
   /// Callback fired when the request completes — on whatever thread
-  /// the backend completes it (serving worker, router thread). Must
-  /// not block: the network front-end hands completed responses back
-  /// to its event loop here.
+  /// the backend completes it (the caller's, a serving worker, the
+  /// router thread). Must not block: the network front-end hands
+  /// completed responses back to its event loop here.
   using ResponseCallback = std::function<void(QueryResponse)>;
 
-  /// Enqueues a query that completes via callback — the zero-blocking
+  /// Submits a query that completes via callback — the zero-blocking
   /// bridge used by net::NetServer, whose epoll thread can never wait.
+  /// The callback may fire synchronously (before SubmitAsync returns,
+  /// as a local service does for a cache hit or a bad request) or
+  /// later from another thread.
   virtual void SubmitAsync(const QueryRequest& request,
                            ResponseCallback callback) = 0;
 

@@ -20,7 +20,8 @@ RecommendationService::RecommendationService(const ServiceOptions& options)
       registry_(std::make_unique<obs::MetricsRegistry>()) {
   queries_ = registry_->GetCounter(
       "gemrec_service_queries_total",
-      "Queries served (cache hits included); bumped by workers.");
+      "Queries screened, each once: cache hits, bad requests and "
+      "misses alike.");
   cache_hits_ = registry_->GetCounter(
       "gemrec_service_cache_hits_total",
       "Queries answered from the epoch-stamped result cache.");
@@ -135,10 +136,11 @@ RecommendationService::CurrentSnapshot() const {
 
 std::future<QueryResponse> RecommendationService::Submit(
     const QueryRequest& request) {
-  PendingRequest pending;
-  pending.request = request;
-  std::future<QueryResponse> future = pending.promise.get_future();
-  Enqueue(std::move(pending));
+  auto promise = std::make_shared<std::promise<QueryResponse>>();
+  std::future<QueryResponse> future = promise->get_future();
+  SubmitAsync(request, [promise](QueryResponse response) {
+    promise->set_value(std::move(response));
+  });
   return future;
 }
 
@@ -148,14 +150,76 @@ void RecommendationService::SubmitAsync(const QueryRequest& request,
   PendingRequest pending;
   pending.request = request;
   pending.callback = std::move(callback);
+  if (shutdown_.load(std::memory_order_acquire)) {
+    Reject(&pending);
+    return;
+  }
+  ScreenContext context;
+  {
+    std::lock_guard<std::mutex> lock(snapshot_mu_);
+    if (snapshot_ != nullptr) context = ScreenContext::Of(*snapshot_);
+  }
+  if (context.epoch != 0) {
+    if (Screen(&pending, context)) return;
+    pending.screened = true;
+  }
   Enqueue(std::move(pending));
+}
+
+bool RecommendationService::Screen(PendingRequest* pending,
+                                   const ScreenContext& context) {
+  const QueryRequest& request = pending->request;
+  queries_->Increment();
+  KindCounter(request.kind)->Increment();
+  if (RefuseInvalid(pending, context)) return true;
+  QueryResponse response;
+  if (request.bypass_cache ||
+      !cache_.Lookup(CacheKey::For(request), context.epoch, &response.items,
+                     &response.ta_bound)) {
+    return false;
+  }
+  response.epoch = context.epoch;
+  response.cache_hit = true;
+  cache_hits_->Increment();
+  pending->Complete(std::move(response));
+  return true;
+}
+
+bool RecommendationService::RefuseInvalid(PendingRequest* pending,
+                                          const ScreenContext& context) {
+  // Semantic validation the wire decoder cannot do: ids must resolve
+  // in the live snapshot's store (an out-of-range user would index
+  // past the user matrix). Typed kBadRequest, never a crash or a
+  // silently-empty answer.
+  const QueryRequest& request = pending->request;
+  bool invalid = request.user >= context.user_rows;
+  if (request.kind == recommend::QueryKind::kGroup) {
+    invalid = invalid || request.group.empty();
+    for (const ebsn::UserId m : request.group) {
+      invalid = invalid || m >= context.user_rows;
+    }
+  }
+  if (!invalid) return false;
+  bad_requests_->Increment();
+  QueryResponse response;
+  response.epoch = context.epoch;
+  response.code = ResponseCode::kBadRequest;
+  pending->Complete(std::move(response));
+  return true;
+}
+
+void RecommendationService::Reject(PendingRequest* pending) {
+  rejected_->Increment();
+  QueryResponse response;
+  response.code = ResponseCode::kShuttingDown;
+  pending->Complete(std::move(response));
 }
 
 void RecommendationService::Enqueue(PendingRequest pending) {
   pending.enqueue_time = std::chrono::steady_clock::now();
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
-    if (!shutdown_) {
+    if (!shutdown_.load(std::memory_order_relaxed)) {
       queue_.push_back(std::move(pending));
       queue_depth_->Set(static_cast<int64_t>(queue_.size()));
       queue_ready_.notify_one();
@@ -166,10 +230,7 @@ void RecommendationService::Enqueue(PendingRequest pending) {
   // tears down, say) must fail the one request, not abort the process:
   // complete it — outside queue_mu_, the callback may take other locks
   // — with an empty kShuttingDown response.
-  rejected_->Increment();
-  QueryResponse response;
-  response.code = ResponseCode::kShuttingDown;
-  pending.Complete(std::move(response));
+  Reject(&pending);
 }
 
 QueryResponse RecommendationService::Query(const QueryRequest& request) {
@@ -190,8 +251,9 @@ void RecommendationService::WorkerLoop() {
     batch.clear();
     {
       std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_ready_.wait(lock,
-                        [this] { return shutdown_ || !queue_.empty(); });
+      queue_ready_.wait(lock, [this] {
+        return shutdown_.load(std::memory_order_relaxed) || !queue_.empty();
+      });
       if (queue_.empty()) return;  // shutdown with a drained queue
       const size_t take = std::min(options_.max_batch, queue_.size());
       for (size_t i = 0; i < take; ++i) {
@@ -212,30 +274,25 @@ void RecommendationService::WorkerLoop() {
               .count()));
     }
 
-    // Acquire the serving snapshot once per batch: the whole batch is
-    // answered under a single epoch. Blocks only before the FIRST
-    // publish ever; a reload never blocks queries, it just swaps what
-    // the next batch acquires.
+    // Acquire the serving snapshot once per batch, and only after the
+    // batch left the queue: the whole batch is answered under a single
+    // epoch, at least as new as any answer (an inline cache hit, say)
+    // completed before one of its requests was submitted. Blocks only
+    // before the FIRST publish ever; a reload never blocks queries, it
+    // just swaps what the next batch acquires.
     std::shared_ptr<const ModelSnapshot> snapshot;
     {
       std::unique_lock<std::mutex> lock(snapshot_mu_);
       snapshot_ready_.wait(lock, [this] {
-        if (snapshot_ != nullptr) return true;
-        std::lock_guard<std::mutex> qlock(queue_mu_);
-        return shutdown_;
+        return snapshot_ != nullptr ||
+               shutdown_.load(std::memory_order_relaxed);
       });
       snapshot = snapshot_;
     }
     if (snapshot == nullptr) {
       // Shutting down before any model was published: answer with
-      // empty epoch-0 kShuttingDown responses rather than leaving
-      // broken promises.
-      for (PendingRequest& pending : batch) {
-        rejected_->Increment();
-        QueryResponse response;
-        response.code = ResponseCode::kShuttingDown;
-        pending.Complete(std::move(response));
-      }
+      // empty epoch-0 kShuttingDown responses rather than never.
+      for (PendingRequest& pending : batch) Reject(&pending);
       in_flight_->Sub(static_cast<int64_t>(batch.size()));
       continue;
     }
@@ -262,9 +319,10 @@ void RecommendationService::CompleteMiss(PendingRequest* pending,
 }
 
 void RecommendationService::ServeGroup(PendingRequest* pending,
-                                       const ModelSnapshot& snapshot,
-                                       QueryResponse response) {
+                                       const ModelSnapshot& snapshot) {
   const QueryRequest& request = pending->request;
+  QueryResponse response;
+  response.epoch = snapshot.epoch();
   const auto search_start = std::chrono::steady_clock::now();
   response.items = recommend::GroupTopEvents(
       snapshot.model(), snapshot.shard_events(), request.user, request.group,
@@ -279,55 +337,32 @@ void RecommendationService::ServeGroup(PendingRequest* pending,
   CompleteMiss(pending, std::move(response));
 }
 
-/// Answers cache hits, bad requests and group scans first, then runs
-/// every partner and reciprocal miss through ONE BatchTaSearch
-/// traversal (shared component stage and sorted-list walk, exact fp32
-/// re-rank). A reciprocal miss walks its forward query (u, u, 0) to
-/// depth ReciprocalDepth(n) and is rescored by CertifyReciprocal; the
-/// rare miss whose certificate fails rides a follow-up call at twice
-/// its depth. Completions happen only after the search that answers
-/// them, so the per-worker staging buffers stay stable.
+/// Screens requests queued before the first publish and answers group
+/// scans first, then runs every partner and reciprocal miss through
+/// ONE BatchTaSearch traversal (shared component stage and sorted-list
+/// walk, exact fp32 re-rank). A reciprocal miss walks its forward
+/// query (u, u, 0) to depth ReciprocalDepth(n) and is rescored by
+/// CertifyReciprocal; the rare miss whose certificate fails rides a
+/// follow-up call at twice its depth. Completions happen only after
+/// the search that answers them, so the per-worker staging buffers
+/// stay stable.
 void RecommendationService::ServeBatchQuantized(
     std::vector<PendingRequest>* batch, const ModelSnapshot& snapshot,
     WorkerState* state) {
   const uint64_t epoch = snapshot.epoch();
-  const uint32_t user_rows = snapshot.store().CountOf(graph::NodeType::kUser);
+  const ScreenContext context = ScreenContext::Of(snapshot);
   state->miss_index.clear();
   for (size_t i = 0; i < batch->size(); ++i) {
     PendingRequest& pending = (*batch)[i];
-    const QueryRequest& request = pending.request;
-    queries_->Increment();
-    KindCounter(request.kind)->Increment();
-
-    QueryResponse response;
-    response.epoch = epoch;
-    // Semantic validation the wire decoder cannot do: ids must resolve
-    // in the live snapshot's store (an out-of-range user would index
-    // past the user matrix). Typed kBadRequest, never a crash or a
-    // silently-empty answer.
-    bool invalid = request.user >= user_rows;
-    if (request.kind == recommend::QueryKind::kGroup) {
-      invalid = invalid || request.group.empty();
-      for (const ebsn::UserId m : request.group) {
-        invalid = invalid || m >= user_rows;
-      }
-    }
-    if (invalid) {
-      bad_requests_->Increment();
-      response.code = ResponseCode::kBadRequest;
-      pending.Complete(std::move(response));
+    // A request screened on submit was checked against that moment's
+    // snapshot; a reload since may have shrunk the user space, so its
+    // ids are checked again (never its cache entry).
+    if (pending.screened ? RefuseInvalid(&pending, context)
+                         : Screen(&pending, context)) {
       continue;
     }
-    if (!request.bypass_cache &&
-        cache_.Lookup(CacheKey::For(request), epoch, &response.items,
-                      &response.ta_bound)) {
-      response.cache_hit = true;
-      cache_hits_->Increment();
-      pending.Complete(std::move(response));
-      continue;
-    }
-    if (request.kind == recommend::QueryKind::kGroup) {
-      ServeGroup(&pending, snapshot, std::move(response));
+    if (pending.request.kind == recommend::QueryKind::kGroup) {
+      ServeGroup(&pending, snapshot);
       continue;
     }
     state->miss_index.push_back(i);

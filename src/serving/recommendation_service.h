@@ -2,6 +2,7 @@
 #define GEMREC_SERVING_RECOMMENDATION_SERVICE_H_
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -44,18 +45,23 @@ struct ServiceOptions {
 /// ModelSnapshot (the serving half of the paper's §IV online stage).
 ///
 /// Architecture:
-///  * Requests enter a bounded-batch FIFO via Submit (future-based) or
-///    the synchronous Query wrapper.
+///  * Submit / SubmitAsync screen each request on the caller's thread
+///    against the current snapshot: count it, validate its ids, and
+///    look up the result cache under the snapshot's epoch. A bad
+///    request or a cache hit completes right there; only a miss enters
+///    the FIFO. Requests submitted before the first Publish are queued
+///    unscreened.
 ///  * A fixed pool of workers drains up to max_batch requests per
-///    visit, acquires the current snapshot ONCE for the whole batch
-///    (so a batch is served under a single epoch) and answers its
-///    partner and reciprocal cache misses with one quantized
-///    BatchTaSearch walk (exact fp32 re-rank) through its
-///    thread-private workspace — the steady-state query path performs
-///    no allocation inside the walk.
+///    visit, then acquires the current snapshot ONCE for the whole
+///    batch (so a batch is served under a single epoch, never older
+///    than any answer its requests' senders had seen) and answers its
+///    partner and reciprocal misses with one quantized BatchTaSearch
+///    walk (exact fp32 re-rank) through its thread-private workspace —
+///    the steady-state query path performs no allocation inside the
+///    walk.
 ///  * Results are fronted by a sharded LRU keyed on
 ///    (user, n, filter_hash); entries are epoch-stamped, and a lookup
-///    only hits when the entry's epoch matches the batch's snapshot,
+///    only hits when the entry's epoch matches the current snapshot's,
 ///    so cache hits can never resurrect a retired snapshot.
 ///  * Publish stamps the snapshot with the next epoch and swaps the
 ///    shared_ptr under a short mutex (pointer copy, no data copy).
@@ -75,8 +81,8 @@ class RecommendationService : public QueryBackend {
   /// Calls Shutdown().
   ~RecommendationService() override;
 
-  /// Graceful stop: drains the queue (every pending promise is
-  /// fulfilled) and joins the workers. Idempotent and thread-safe with
+  /// Graceful stop: drains the queue (every queued request is
+  /// completed) and joins the workers. Idempotent and thread-safe with
   /// respect to concurrent Submit/SubmitAsync: a request that races
   /// Shutdown either gets served by the drain or is completed with an
   /// empty QueryResponse carrying ResponseCode::kShuttingDown — never
@@ -94,14 +100,16 @@ class RecommendationService : public QueryBackend {
   /// The currently published snapshot (nullptr before first Publish).
   std::shared_ptr<const ModelSnapshot> CurrentSnapshot() const;
 
-  /// Enqueues a query; the future resolves when a worker serves it.
+  /// SubmitAsync with a future: it is ready on return for a cache hit
+  /// or a bad request, and resolves when a worker serves a miss.
   /// Requests submitted before the first Publish wait in the queue.
   std::future<QueryResponse> Submit(const QueryRequest& request);
 
-  /// Enqueues a query that completes via callback instead of a future
-  /// — the zero-blocking bridge used by net::NetServer, whose epoll
-  /// thread can never wait on a future. The callback fires on the
-  /// serving worker's thread (QueryBackend contract).
+  /// Screens the query on the calling thread and completes a cache hit
+  /// or a bad request there, before returning; a miss completes later
+  /// on a serving worker's thread (QueryBackend contract). The
+  /// zero-blocking bridge used by net::NetServer, whose epoll thread
+  /// can never wait on a future.
   void SubmitAsync(const QueryRequest& request,
                    ResponseCallback callback) override;
 
@@ -133,19 +141,25 @@ class RecommendationService : public QueryBackend {
  private:
   struct PendingRequest {
     QueryRequest request;
-    std::promise<QueryResponse> promise;
-    /// When set, completion goes through the callback and the promise
-    /// is left untouched.
     ResponseCallback callback;
+    /// Screened on submit: counted, and not in the cache at the
+    /// submit-time epoch. A worker neither counts nor looks it up again.
+    bool screened = false;
     /// When the request entered the queue (queue-wait histogram).
     std::chrono::steady_clock::time_point enqueue_time;
 
-    void Complete(QueryResponse response) {
-      if (callback) {
-        callback(std::move(response));
-      } else {
-        promise.set_value(std::move(response));
-      }
+    void Complete(QueryResponse response) { callback(std::move(response)); }
+  };
+
+  /// What screening reads of a snapshot. Copied under snapshot_mu_
+  /// without taking a reference, so a submitting thread never drops a
+  /// retired snapshot's last reference (and never frees it).
+  struct ScreenContext {
+    uint64_t epoch = 0;  // 0: nothing published yet
+    uint32_t user_rows = 0;
+    static ScreenContext Of(const ModelSnapshot& snapshot) {
+      return {snapshot.epoch(),
+              snapshot.store().CountOf(graph::NodeType::kUser)};
     }
   };
 
@@ -162,11 +176,22 @@ class RecommendationService : public QueryBackend {
     std::vector<recommend::Recommendation> rescored;
   };
 
+  /// Counts the request, then completes it when its ids do not
+  /// resolve in the snapshot (kBadRequest) or the cache holds its
+  /// answer at the snapshot's epoch. Returns whether it completed; a
+  /// miss is left for the workers.
+  bool Screen(PendingRequest* pending, const ScreenContext& context);
+  /// Completes the request with kBadRequest when a user or group
+  /// member id is out of range, or the group is empty. Returns whether
+  /// it did.
+  bool RefuseInvalid(PendingRequest* pending, const ScreenContext& context);
+  /// Completes the request with an empty kShuttingDown response.
+  void Reject(PendingRequest* pending);
   void Enqueue(PendingRequest pending);
   void WorkerLoop();
-  /// Answers one drained batch: validation and cache first, group
-  /// queries by their exhaustive scan, then every partner and
-  /// reciprocal miss through one BatchTaSearch call.
+  /// Answers one drained batch: screening for requests queued before
+  /// the first publish, group queries by their exhaustive scan, then
+  /// every partner and reciprocal miss through one BatchTaSearch call.
   void ServeBatchQuantized(std::vector<PendingRequest>* batch,
                            const ModelSnapshot& snapshot,
                            WorkerState* state);
@@ -175,8 +200,7 @@ class RecommendationService : public QueryBackend {
   /// Group path: group scoring has no sorted-list structure to prune
   /// with (the aggregate depends on the whole member set), so it scans
   /// the shard's event slice exhaustively.
-  void ServeGroup(PendingRequest* pending, const ModelSnapshot& snapshot,
-                  QueryResponse response);
+  void ServeGroup(PendingRequest* pending, const ModelSnapshot& snapshot);
   obs::Counter* KindCounter(recommend::QueryKind kind) {
     switch (kind) {
       case recommend::QueryKind::kGroup: return kind_group_;
@@ -196,7 +220,9 @@ class RecommendationService : public QueryBackend {
   std::mutex queue_mu_;
   std::condition_variable queue_ready_;
   std::deque<PendingRequest> queue_;
-  bool shutdown_ = false;
+  /// Written under queue_mu_ (the workers' wait predicate reads it
+  /// there); atomic so Submit can refuse without taking the lock.
+  std::atomic<bool> shutdown_{false};
   std::once_flag shutdown_once_;
 
   ResultCache cache_;

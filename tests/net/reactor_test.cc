@@ -1,9 +1,10 @@
 // Multi-reactor front-end coverage: SO_REUSEPORT reactor groups,
 // request pipelining with frame ids over one connection (out-of-order
-// completion matched by id), the typed refusal of every other wire
-// version, and a reload+drain stress that the tier-1 TSan stage runs
-// to prove the per-reactor ownership model has no cross-thread races.
-// Every server binds 127.0.0.1 port 0.
+// completion matched by id), completions that land inline on the
+// reactor's own thread mixed with ones from another thread, the typed
+// refusal of every other wire version, and a reload+drain stress that
+// the tier-1 TSan stage runs to prove the per-reactor ownership model
+// has no cross-thread races. Every server binds 127.0.0.1 port 0.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -13,10 +14,14 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <deque>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +29,7 @@
 #include "common/rng.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "net/wire.h"
 #include "serving/snapshot_builder.h"
 #include "../testing/metrics.h"
 
@@ -195,6 +201,138 @@ TEST(ReactorTest, PipelinedQueriesMatchSequentialByFrameId) {
   const obs::MetricsSnapshot stats = Stats(server);
   EXPECT_EQ(NetCounter(stats, "responses"), kInFlight);
   EXPECT_EQ(NetCounter(stats, "overload_sheds"), 0u);
+}
+
+/// Completes every other request inline, inside SubmitAsync, and the
+/// rest from its own completer thread. Each answer is one item whose
+/// event is the request's user, so a reply names the request it
+/// answers.
+class HalfInlineBackend final : public serving::QueryBackend {
+ public:
+  HalfInlineBackend() : completer_([this] { Run(); }) {}
+  ~HalfInlineBackend() override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    ready_.notify_one();
+    completer_.join();
+  }
+
+  void SubmitAsync(const QueryRequest& request,
+                   ResponseCallback callback) override {
+    serving::QueryResponse response;
+    response.epoch = 1;
+    response.items.push_back(
+        recommend::Recommendation{request.user, 0, 1.0f});
+    if (submitted_.fetch_add(1, std::memory_order_relaxed) % 2 == 0) {
+      callback(std::move(response));
+      return;
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      pending_.emplace_back(std::move(callback), std::move(response));
+    }
+    ready_.notify_one();
+  }
+  size_t QueueDepth() const override { return 0; }
+  size_t InFlight() const override { return 0; }
+  obs::MetricsRegistry* metrics() const override { return &registry_; }
+
+ private:
+  void Run() {
+    std::deque<std::pair<ResponseCallback, serving::QueryResponse>> batch;
+    std::unique_lock<std::mutex> lock(mu_);
+    while (true) {
+      ready_.wait(lock, [this] { return stop_ || !pending_.empty(); });
+      if (pending_.empty()) return;
+      // Lets the reactor finish the read and go back to sleep first, so
+      // these completions must wake it.
+      lock.unlock();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      lock.lock();
+      batch.swap(pending_);
+      lock.unlock();
+      for (auto& [callback, response] : batch) callback(std::move(response));
+      batch.clear();
+      lock.lock();
+    }
+  }
+
+  mutable obs::MetricsRegistry registry_;
+  std::atomic<uint64_t> submitted_{0};
+  std::mutex mu_;
+  std::condition_variable ready_;
+  std::deque<std::pair<ResponseCallback, serving::QueryResponse>> pending_;
+  bool stop_ = false;
+  std::thread completer_;
+};
+
+TEST(ReactorTest, InlineAndOffThreadCompletionsAnswerEveryPipelinedFrame) {
+  // A completion pushed from the reactor's own thread does not wake its
+  // loop; one pushed from another thread must, even when it lands
+  // behind an inline one. A lost wakeup stalls the reply until the
+  // loop's 500 ms poll cap, so besides every frame being answered once
+  // under its own id, no reply may take that long.
+  constexpr int kConnections = 4;
+  constexpr int kBursts = 3;
+  constexpr uint64_t kFrames = 1000;
+  constexpr auto kReplyDeadline = std::chrono::milliseconds(400);
+  HalfInlineBackend backend;
+  ServerOptions options;
+  options.num_reactors = 2;
+  options.max_in_flight = kConnections * kFrames;
+  // Room for a whole burst's replies, so no EPOLLOUT event wakes the
+  // loop and hides a lost wakeup.
+  options.so_sndbuf = 1 << 20;
+  NetServer server(&backend, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kConnections; ++c) {
+    clients.emplace_back([&, c] {
+      auto client = MustConnect(server);
+      for (int burst = 0; burst < kBursts; ++burst) {
+        const uint64_t first_id =
+            ((static_cast<uint64_t>(c) * kBursts + burst) << 32) + 1;
+        std::vector<uint8_t> frames;
+        for (uint64_t i = 0; i < kFrames; ++i) {
+          QueryRequest request;
+          request.user = static_cast<ebsn::UserId>(i);
+          AppendQueryRequestFrame(request, FrameTag{true, first_id + i},
+                                  &frames);
+        }
+        size_t sent = 0;
+        while (sent < frames.size()) {
+          const ssize_t w = ::send(client->fd(), frames.data() + sent,
+                                   frames.size() - sent, MSG_NOSIGNAL);
+          ASSERT_GT(w, 0) << "send failed";
+          sent += static_cast<size_t>(w);
+        }
+        std::vector<bool> answered(kFrames, false);
+        for (uint64_t i = 0; i < kFrames; ++i) {
+          auto reply = client->ReceiveAny(kReplyDeadline);
+          ASSERT_TRUE(reply.ok())
+              << "connection " << c << " burst " << burst << " reply " << i
+              << ": " << reply.status().ToString();
+          ASSERT_TRUE(reply->outcome.ok) << reply->outcome.error_message;
+          const uint64_t k = reply->frame_id - first_id;
+          ASSERT_LT(k, kFrames) << "foreign id " << reply->frame_id;
+          ASSERT_FALSE(answered[k]) << "duplicate id " << reply->frame_id;
+          answered[k] = true;
+          ASSERT_EQ(reply->outcome.response.items.size(), 1u);
+          EXPECT_EQ(reply->outcome.response.items[0].event, k)
+              << "frame " << reply->frame_id << " got another's answer";
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  const obs::MetricsSnapshot stats = Stats(server);
+  EXPECT_EQ(NetCounter(stats, "responses"),
+            uint64_t{kConnections} * kBursts * kFrames);
+  EXPECT_EQ(NetCounter(stats, "overload_sheds"), 0u);
+  server.Stop();
 }
 
 TEST(ReactorTest, OtherWireVersionsGetTypedErrorThenEof) {

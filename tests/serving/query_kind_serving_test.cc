@@ -146,9 +146,10 @@ TEST_P(QueryKindDifferentialTest, ServeMatchesOracleInBothModes) {
 INSTANTIATE_TEST_SUITE_P(TwentyEightSeeds, QueryKindDifferentialTest,
                          ::testing::Range<uint64_t>(0, 28));
 
-// One worker batch carrying every request shape at once: partner,
-// group and reciprocal misses (one reciprocal deep enough to need a
-// follow-up walk), a cache hit and out-of-range users. Pins the
+// One worker batch carrying every miss shape at once: partner, group
+// and reciprocal misses (one reciprocal deep enough to need a
+// follow-up walk). The cache hit and the out-of-range users submitted
+// among them complete on submit and never ride the batch. Pins the
 // miss-index and staging-buffer bookkeeping when kinds interleave in
 // one SearchBatch call: each request must come back with its own
 // oracle's answer or its typed kBadRequest.
@@ -179,8 +180,8 @@ TEST(QueryKindMixedBatchTest, EveryKindInOneBatchGetsItsOwnAnswer) {
   const QueryResponse warm = service.Query(cached);
   ASSERT_FALSE(warm.cache_hit);
 
-  // Park the only worker inside a batch so every request below queues
-  // up and is drained together.
+  // Park the only worker inside a batch so every miss below queues up
+  // and is drained together.
   std::promise<void> entered, release;
   std::shared_future<void> released = release.get_future().share();
   QueryRequest blocker;
@@ -231,8 +232,8 @@ TEST(QueryKindMixedBatchTest, EveryKindInOneBatchGetsItsOwnAnswer) {
   release.set_value();
   std::vector<QueryResponse> responses;
   for (auto& future : futures) responses.push_back(future.get());
-  // All nine rode one batch, and the heavy user's reciprocal miss took
-  // a follow-up walk on top of the batch's first SearchBatch call.
+  // The six misses rode one batch, and the heavy user's reciprocal miss
+  // took a follow-up walk on top of the batch's first SearchBatch call.
   EXPECT_EQ(batches(), batches_before + 1);
   EXPECT_GE(walks(), walks_before + 2);
 

@@ -1,6 +1,7 @@
 // Functional coverage of the serving engine: snapshot publication,
 // query correctness against the raw batch-walk index, cache behaviour across
-// swaps, batching, and shutdown draining.
+// swaps, screening on submit (inline hits and bad requests), batching,
+// and shutdown draining.
 
 #include "serving/recommendation_service.h"
 
@@ -404,6 +405,197 @@ TEST(RecommendationServiceTest, SubmitRacingShutdownIsRejectedNotFatal) {
   // Shutdown is idempotent: a second call (and the destructor's) must
   // be harmless.
   service.Shutdown();
+}
+
+uint64_t QueueWaits(const RecommendationService& service) {
+  return service.metrics()
+      ->GetHistogram("gemrec_service_queue_wait_us")
+      ->Snapshot()
+      .count;
+}
+
+TEST(ScreenOnSubmitTest, HitCompletesOnTheCallingThreadBeforeReturn) {
+  auto store = RandomStore(10, 10, 6, 31);
+  RecommendationService service(ServiceOptions{});
+  service.Publish(MakeSnapshot(*store, 10, 10));
+  service.Publish(MakeSnapshot(*store, 10, 10));
+  QueryRequest request;
+  request.user = 3;
+  request.n = 4;
+  const QueryResponse miss = service.Query(request);  // warms epoch 2
+  ASSERT_FALSE(miss.cache_hit);
+  const uint64_t batches =
+      CounterValue(*service.metrics(), "gemrec_service_batches_total");
+  const uint64_t waits = QueueWaits(service);
+
+  bool completed = false;
+  std::thread::id completed_on;
+  QueryResponse hit;
+  service.SubmitAsync(request, [&](QueryResponse response) {
+    completed = true;
+    completed_on = std::this_thread::get_id();
+    hit = std::move(response);
+  });
+  ASSERT_TRUE(completed) << "a cache hit did not complete inside SubmitAsync";
+  EXPECT_EQ(completed_on, std::this_thread::get_id());
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(hit.epoch, 2u);
+  EXPECT_EQ(hit.ta_bound, miss.ta_bound);
+  ASSERT_EQ(hit.items.size(), miss.items.size());
+  for (size_t i = 0; i < miss.items.size(); ++i) {
+    EXPECT_EQ(hit.items[i].event, miss.items[i].event);
+    EXPECT_EQ(hit.items[i].partner, miss.items[i].partner);
+    EXPECT_EQ(hit.items[i].score, miss.items[i].score);
+  }
+  EXPECT_EQ(CounterValue(*service.metrics(), "gemrec_service_batches_total"),
+            batches);
+  EXPECT_EQ(QueueWaits(service), waits);
+}
+
+TEST(ScreenOnSubmitTest, BadRequestCompletesBeforeReturn) {
+  auto store = RandomStore(10, 10, 6, 32);
+  RecommendationService service(ServiceOptions{});
+  service.Publish(MakeSnapshot(*store, 10, 10));
+  QueryRequest out_of_range;
+  out_of_range.user = 10;
+  QueryRequest empty_group;
+  empty_group.kind = recommend::QueryKind::kGroup;
+  for (const QueryRequest& request : {out_of_range, empty_group}) {
+    bool completed = false;
+    service.SubmitAsync(request, [&](QueryResponse response) {
+      completed = true;
+      EXPECT_EQ(response.code, ResponseCode::kBadRequest);
+      EXPECT_EQ(response.epoch, 1u);
+      EXPECT_TRUE(response.items.empty());
+    });
+    EXPECT_TRUE(completed);
+  }
+  EXPECT_EQ(CounterValue(*service.metrics(),
+                         "gemrec_service_bad_requests_total"),
+            2u);
+  EXPECT_EQ(CounterValue(*service.metrics(), "gemrec_service_batches_total"),
+            0u);
+  EXPECT_EQ(QueueWaits(service), 0u);
+}
+
+TEST(ScreenOnSubmitTest, WouldBeHitBeforeFirstPublishWaitsThenIsServed) {
+  // One worker taking one request per visit: the first copy parks the
+  // worker on the snapshot wait, the second stays queued unscreened.
+  // After the publish the worker answers the first as a miss and then
+  // screens the second itself, finding the first's cache entry.
+  auto store = RandomStore(10, 10, 6, 33);
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.max_batch = 1;
+  RecommendationService service(options);
+  QueryRequest request;
+  request.user = 2;
+  request.n = 5;
+  std::future<QueryResponse> first = service.Submit(request);
+  std::future<QueryResponse> second = service.Submit(request);
+  EXPECT_EQ(second.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout)
+      << "answered before any model was published";
+  service.Publish(MakeSnapshot(*store, 10, 10));
+  const QueryResponse miss = first.get();
+  const QueryResponse hit = second.get();
+  EXPECT_FALSE(miss.cache_hit);
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_EQ(hit.epoch, 1u);
+  ASSERT_EQ(hit.items.size(), miss.items.size());
+  for (size_t i = 0; i < miss.items.size(); ++i) {
+    EXPECT_EQ(hit.items[i].score, miss.items[i].score);
+  }
+}
+
+TEST(ScreenOnSubmitTest, WouldBeHitAfterShutdownIsRefused) {
+  auto store = RandomStore(10, 10, 6, 34);
+  RecommendationService service(ServiceOptions{});
+  service.Publish(MakeSnapshot(*store, 10, 10));
+  QueryRequest request;
+  request.user = 1;
+  request.n = 3;
+  service.Query(request);
+  ASSERT_TRUE(service.Query(request).cache_hit);
+  service.Shutdown();
+  bool completed = false;
+  service.SubmitAsync(request, [&](QueryResponse response) {
+    completed = true;
+    EXPECT_EQ(response.code, ResponseCode::kShuttingDown);
+    EXPECT_FALSE(response.cache_hit);
+    EXPECT_TRUE(response.items.empty());
+  });
+  EXPECT_TRUE(completed);
+  EXPECT_EQ(CounterValue(*service.metrics(), "gemrec_service_rejected_total"),
+            1u);
+}
+
+TEST(ScreenOnSubmitTest, EveryRequestIsCountedOnce) {
+  auto store = RandomStore(10, 10, 6, 35);
+  ServiceOptions options;
+  options.num_workers = 2;
+  RecommendationService service(options);
+  QueryRequest miss;
+  miss.user = 4;
+  miss.n = 3;
+  QueryRequest bad;
+  bad.user = 99;
+  QueryRequest group;
+  group.kind = recommend::QueryKind::kGroup;
+  group.user = 1;
+  group.group = {2, 3};
+  std::future<QueryResponse> before_publish = service.Submit(group);
+  service.Publish(MakeSnapshot(*store, 10, 10));
+  EXPECT_EQ(before_publish.get().code, ResponseCode::kOk);
+  EXPECT_FALSE(service.Query(miss).cache_hit);
+  EXPECT_TRUE(service.Query(miss).cache_hit);
+  EXPECT_EQ(service.Query(bad).code, ResponseCode::kBadRequest);
+  const obs::MetricsSnapshot stats = service.metrics()->Snapshot();
+  EXPECT_EQ(CounterValue(stats, "gemrec_service_queries_total"), 4u);
+  EXPECT_EQ(CounterValue(stats, "gemrec_query_kind_total{kind=\"partner\"}"),
+            3u);
+  EXPECT_EQ(CounterValue(stats, "gemrec_query_kind_total{kind=\"group\"}"),
+            1u);
+  EXPECT_EQ(CounterValue(stats, "gemrec_service_cache_hits_total"), 1u);
+  EXPECT_EQ(CounterValue(stats, "gemrec_service_bad_requests_total"), 1u);
+}
+
+TEST(ScreenOnSubmitTest, QueuedMissIsCheckedAgainstTheSnapshotServingIt) {
+  // A miss screened against a 20-user snapshot waits in the queue while
+  // a reload publishes a 10-user one. The worker serves it under the
+  // new snapshot, so user 15 must come back kBadRequest, not index
+  // past the new user matrix.
+  auto big = RandomStore(20, 10, 6, 36);
+  auto small = RandomStore(10, 10, 6, 37);
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.max_batch = 1;
+  RecommendationService service(options);
+  service.Publish(MakeSnapshot(*big, 20, 10));
+
+  std::promise<void> entered, release;
+  std::shared_future<void> released = release.get_future().share();
+  QueryRequest blocker;
+  blocker.user = 1;
+  blocker.bypass_cache = true;
+  service.SubmitAsync(blocker, [&entered, released](QueryResponse) {
+    entered.set_value();
+    released.wait();
+  });
+  entered.get_future().wait();
+
+  QueryRequest request;
+  request.user = 15;
+  request.n = 3;
+  std::future<QueryResponse> queued = service.Submit(request);
+  service.Publish(MakeSnapshot(*small, 10, 10));
+  release.set_value();
+  const QueryResponse response = queued.get();
+  EXPECT_EQ(response.code, ResponseCode::kBadRequest);
+  EXPECT_EQ(response.epoch, 2u);
+  const obs::MetricsSnapshot stats = service.metrics()->Snapshot();
+  EXPECT_EQ(CounterValue(stats, "gemrec_service_queries_total"), 2u);
+  EXPECT_EQ(CounterValue(stats, "gemrec_service_bad_requests_total"), 1u);
 }
 
 TEST(ResultCacheTest, EpochMismatchNeverHits) {
