@@ -14,14 +14,16 @@
 //   3. Snapshot publish cost on the serving benchmark's city shape
 //      (Beijing at 4x scale, K = 32, top-k 20): a from-scratch build,
 //      a publish after 16 and after 64 changed users, the stage split
-//      of each, and the heap bytes one snapshot holds. Full and delta
-//      reps alternate, so drift over the run hits both alike, and
-//      each median is written with its p25 and p75.
+//      of each with its minor page faults, and the heap bytes one
+//      snapshot holds. Full and delta reps alternate, so drift over
+//      the run hits both alike, and each median is written with its
+//      p25 and p75.
 //
 // Run from the repo root so BENCH_hotpath.json lands there:
 //   ./build/bench/hotpath_report
 
 #include <malloc.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <atomic>
@@ -307,15 +309,18 @@ QuantResult MeasureQuantizedBatch(const QuerySpace& qs) {
   return result;
 }
 
-/// Full-build cost at commit a313533, the last to score every pool
-/// event for every partner, as this section measured it on a 4-core
-/// x86-64 host with AVX2 — frozen so the JSON always carries the
-/// "before" column. The heap bytes are from commit 30303ea, the last
-/// to keep the (2K+1)-float point matrix.
-constexpr double kBeforeFullBuildMs = 173.765;
-constexpr double kBeforeStageMs[4] = {151.667728, 0.000689, 8.743805,
-                                      3.57682};
-constexpr int64_t kBeforeSnapshotBytes = 83000824;
+/// Publish cost at commit 9363ed5, the last to rebuild the index and
+/// codes from scratch on every publish, as this section measured it on
+/// a 4-core x86-64 host with AVX2 — frozen so the JSON always carries
+/// the "before" column.
+constexpr double kBeforeFullBuildMs = 49.114293;
+constexpr double kBeforeDelta16Ms = 22.588651;
+constexpr double kBeforeDelta64Ms = 21.810559;
+constexpr double kBeforeStageMs[4] = {30.569291, 0.000928, 14.890786,
+                                      6.613593};
+constexpr double kBeforeDelta16StageMs[4] = {1.611966, 0.000706, 14.47304,
+                                             6.637888};
+constexpr int64_t kBeforeSnapshotBytes = 12198048;
 
 /// Stages of a snapshot build, in build order.
 constexpr const char* kStageNames[4] = {"candidates", "space", "index",
@@ -342,29 +347,69 @@ struct PublishResult {
   Quartiles delta64_ms;
   Quartiles full_stage_ms[4];
   Quartiles delta16_stage_ms[4];
+  double full_stage_minflt[4] = {};
+  double delta16_stage_minflt[4] = {};
   int64_t snapshot_bytes = 0;
 };
 
-/// Times the four stages of one candidate-space build, as ModelSnapshot
-/// runs them; `delta` null builds from scratch.
-void TimeStages(const recommend::GemModel& model,
-                const std::vector<ebsn::EventId>& pool,
-                const std::vector<ebsn::UserId>& partners, uint32_t top_k,
-                const recommend::CandidateDelta* delta, double stage_ms[4]) {
+/// Minor page faults of the calling thread so far.
+double MinorFaults() {
+  rusage usage{};
+  getrusage(RUSAGE_THREAD, &usage);
+  return static_cast<double>(usage.ru_minflt);
+}
+
+/// One candidate-space build, stage by stage as ModelSnapshot runs
+/// them, with each stage's time and minor faults.
+struct StageBuild {
+  std::unique_ptr<recommend::TransformedSpace> space;
+  std::unique_ptr<recommend::SpaceIndex> index;
+  std::unique_ptr<recommend::QuantizedSpace> quant;
+  double ms[4] = {};
+  double minflt[4] = {};
+};
+
+/// Builds from scratch, or with `previous` as a delta publish would
+/// from its previous snapshot: the candidates rank only `dirty_users`
+/// again and the index and codes reuse `previous`'s for every other
+/// partner slice.
+StageBuild BuildStages(const recommend::GemModel& model,
+                       const std::vector<ebsn::EventId>& pool,
+                       const std::vector<ebsn::UserId>& partners,
+                       uint32_t top_k, const StageBuild* previous,
+                       const std::vector<uint8_t>* dirty_users) {
+  StageBuild build;
   Stopwatch watch;
-  recommend::CandidateList list =
-      recommend::BuildCandidateList(model, pool, partners, top_k, delta);
-  stage_ms[0] = watch.ElapsedMillis();
-  watch.Reset();
-  recommend::TransformedSpace space(model, std::move(list.pairs),
-                                    std::move(list.c));
-  stage_ms[1] = watch.ElapsedMillis();
-  watch.Reset();
-  recommend::SpaceIndex index(&space);
-  stage_ms[2] = watch.ElapsedMillis();
-  watch.Reset();
-  recommend::QuantizedSpace quant(&index);
-  stage_ms[3] = watch.ElapsedMillis();
+  double faults = MinorFaults();
+  auto lap = [&](int stage) {
+    build.ms[stage] = watch.ElapsedMillis();
+    const double now = MinorFaults();
+    build.minflt[stage] = now - faults;
+    faults = now;
+    watch.Reset();
+  };
+  recommend::CandidateDelta delta;
+  if (previous != nullptr) {
+    delta = {previous->space.get(), pool.size(), dirty_users};
+  }
+  recommend::CandidateList list = recommend::BuildCandidateList(
+      model, pool, partners, top_k, previous ? &delta : nullptr);
+  lap(0);
+  build.space = std::make_unique<recommend::TransformedSpace>(
+      model, std::move(list.pairs), std::move(list.c));
+  lap(1);
+  build.index =
+      previous ? std::make_unique<recommend::SpaceIndex>(
+                     build.space.get(), *previous->index, list.ranked)
+               : std::make_unique<recommend::SpaceIndex>(build.space.get());
+  lap(2);
+  build.quant = previous ? std::make_unique<recommend::QuantizedSpace>(
+                               build.index.get(), *previous->quant,
+                               list.ranked)
+                         : std::make_unique<recommend::QuantizedSpace>(
+                               build.index.get());
+  lap(3);
+  return build;
 }
 
 PublishResult MeasureSnapshotPublish() {
@@ -420,29 +465,32 @@ PublishResult MeasureSnapshotPublish() {
   result.delta64_ms = QuartilesOf(delta64);
 
   // Stage split per stage, from scratch and with 16 partners dirty
-  // against a from-scratch previous list, in alternating reps.
+  // against a from-scratch previous build, in alternating reps.
   const recommend::GemModel model(&store, "GEM-A");
   const std::vector<ebsn::UserId> partners =
       recommend::AllUsers(result.num_users);
-  recommend::CandidateList previous_list =
-      recommend::BuildCandidateList(model, pool, partners, kTopK);
-  const recommend::TransformedSpace previous(
-      model, std::move(previous_list.pairs), std::move(previous_list.c));
+  const StageBuild previous =
+      BuildStages(model, pool, partners, kTopK, nullptr, nullptr);
   std::vector<uint8_t> dirty_users(result.num_users, 0);
   for (int i = 0; i < 16; ++i) dirty_users[rng.UniformInt(result.num_users)] = 1;
-  const recommend::CandidateDelta delta{&previous, pool.size(), &dirty_users};
   std::vector<double> stages[2][4];
+  std::vector<double> faults[2][4];
   for (int r = 0; r < kReps; ++r) {
     for (const bool use_delta : {false, true}) {
-      double ms[4];
-      TimeStages(model, pool, partners, kTopK, use_delta ? &delta : nullptr,
-                 ms);
-      for (int s = 0; s < 4; ++s) stages[use_delta][s].push_back(ms[s]);
+      const StageBuild build =
+          BuildStages(model, pool, partners, kTopK,
+                      use_delta ? &previous : nullptr, &dirty_users);
+      for (int s = 0; s < 4; ++s) {
+        stages[use_delta][s].push_back(build.ms[s]);
+        faults[use_delta][s].push_back(build.minflt[s]);
+      }
     }
   }
   for (int s = 0; s < 4; ++s) {
     result.full_stage_ms[s] = QuartilesOf(stages[0][s]);
     result.delta16_stage_ms[s] = QuartilesOf(stages[1][s]);
+    result.full_stage_minflt[s] = QuartilesOf(faults[0][s]).p50;
+    result.delta16_stage_minflt[s] = QuartilesOf(faults[1][s]).p50;
   }
   return result;
 }
@@ -521,12 +569,16 @@ void Run() {
             << quant.steady_state_allocations << "\n";
   std::cout << "snapshot publish:     full " << publish.full_ms.p50
             << " ms (before " << kBeforeFullBuildMs << "), 16 users "
-            << publish.delta16_ms.p50 << " ms, 64 users "
-            << publish.delta64_ms.p50 << " ms over " << publish.num_pairs
+            << publish.delta16_ms.p50 << " ms (before " << kBeforeDelta16Ms
+            << "), 64 users " << publish.delta64_ms.p50 << " ms (before "
+            << kBeforeDelta64Ms << ") over " << publish.num_pairs
             << " pairs; stages full "
             << StageJson(publish.full_stage_ms, &Quartiles::p50)
-            << ", 16 users "
-            << StageJson(publish.delta16_stage_ms, &Quartiles::p50) << "; "
+            << " (minflt " << StageJson(publish.full_stage_minflt)
+            << "), 16 users "
+            << StageJson(publish.delta16_stage_ms, &Quartiles::p50)
+            << " (minflt " << StageJson(publish.delta16_stage_minflt)
+            << "); "
             << publish.snapshot_bytes << " heap bytes per snapshot (before "
             << kBeforeSnapshotBytes << ")\n";
 
@@ -589,12 +641,17 @@ void Run() {
        << " users, " << publish.pool_size
        << " pool events), K=32, top-k 20; medians of 41 alternating "
           "full/delta reps, with p25/p75; delta = BuildNext after that "
-          "many attendance nudges\",\n"
+          "many attendance nudges; stage minflt = median minor page "
+          "faults of the stage (getrusage RUSAGE_THREAD)\",\n"
        << "    \"num_pairs\": " << publish.num_pairs << ",\n"
        << "    \"before_full_build_ms\": " << kBeforeFullBuildMs << ",\n"
        << "    " << QuartileJson("full_build_ms", publish.full_ms) << ",\n"
+       << "    \"before_delta_publish_ms_16_users\": " << kBeforeDelta16Ms
+       << ",\n"
        << "    "
        << QuartileJson("delta_publish_ms_16_users", publish.delta16_ms)
+       << ",\n"
+       << "    \"before_delta_publish_ms_64_users\": " << kBeforeDelta64Ms
        << ",\n"
        << "    "
        << QuartileJson("delta_publish_ms_64_users", publish.delta64_ms)
@@ -603,10 +660,16 @@ void Run() {
        << ",\n"
        << "    " << StageQuartileJson("full_stage_ms", publish.full_stage_ms)
        << ",\n"
+       << "    \"full_stage_minflt\": "
+       << StageJson(publish.full_stage_minflt) << ",\n"
+       << "    \"before_delta_16_users_stage_ms\": "
+       << StageJson(kBeforeDelta16StageMs) << ",\n"
        << "    "
        << StageQuartileJson("delta_16_users_stage_ms",
                             publish.delta16_stage_ms)
        << ",\n"
+       << "    \"delta_16_users_stage_minflt\": "
+       << StageJson(publish.delta16_stage_minflt) << ",\n"
        << "    \"before_snapshot_heap_bytes\": " << kBeforeSnapshotBytes
        << ",\n"
        << "    \"snapshot_heap_bytes\": " << publish.snapshot_bytes << "\n"

@@ -177,6 +177,10 @@ Result<Frame> Client::ReceiveFrameWithin(std::chrono::milliseconds timeout) {
     }
     const auto now = std::chrono::steady_clock::now();
     if (now >= deadline) {
+      // A zero-timeout drain that finds nothing is routine (the
+      // coordinator drains a shard on every readable event), so that
+      // answer carries no message and allocates nothing.
+      if (timeout.count() == 0) return Status::Timeout({});
       return Status::Timeout("receive deadline (" +
                              std::to_string(timeout.count()) +
                              "ms) elapsed");

@@ -102,7 +102,7 @@ void BatchTaSearch::SearchChunk(const BatchQuery* queries, size_t count,
   const uint32_t* pair_partner_idx = index_->pair_partner_idx().data();
   const uint32_t* c_sorted = index_->c_sorted().data();
   const float* c_values = quant_->c_values().data();
-  const float* c_sorted_values = quant_->c_sorted_values().data();
+  const float* c_sorted_values = index_->c_sorted_values().data();
 
   for (size_t q = 0; q < count; ++q) results[q].clear();
   if (per_query_stats != nullptr) {

@@ -173,6 +173,7 @@ CandidateList BuildCandidateList(const GemModel& model,
   }
   list.pairs.resize(num_partners * k);
   list.c.resize(num_partners * k);
+  if (delta != nullptr) list.ranked.assign(num_partners, 0);
   PoolRanker ranker(model, events, top_k);
   auto reusable = [&](size_t i) {
     if (delta == nullptr) return false;
@@ -198,10 +199,11 @@ CandidateList BuildCandidateList(const GemModel& model,
       std::copy_n(delta->previous->c_values().data() + i * k, k, c);
       continue;
     }
-    const auto& ranked = ranker.Rank(partners[i]);
+    if (delta != nullptr) list.ranked[i] = 1;
+    const auto& best = ranker.Rank(partners[i]);
     for (size_t j = 0; j < k; ++j) {
-      pairs[j] = CandidatePair{ranked[j].id, partners[i]};
-      c[j] = ranked[j].score.dot;
+      pairs[j] = CandidatePair{best[j].id, partners[i]};
+      c[j] = best[j].score.dot;
     }
   }
   return list;

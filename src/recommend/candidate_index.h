@@ -52,6 +52,10 @@ std::vector<CandidatePair> BuildCandidatePairs(
 struct CandidateList {
   std::vector<CandidatePair> pairs;
   std::vector<float> c;
+  /// Built with a delta: ranked[i] != 0 when partner slice i (pairs
+  /// [i * k, (i + 1) * k)) was ranked again; every other slice is
+  /// bitwise the previous list's. Empty without a delta.
+  std::vector<uint8_t> ranked;
 };
 
 /// What changed since `previous` was built, so that BuildCandidateList
@@ -82,8 +86,8 @@ struct CandidateDelta {
 /// has the higher position and loses, so that slice is bitwise what
 /// ranking the whole pool again would give. An appended event whose
 /// norm bound is already below the k-th score is not scored. Every
-/// other partner is ranked again. The result is identical to a build
-/// without `delta`.
+/// other partner is ranked again, and `ranked` names those slices.
+/// The pairs and C are identical to a build without `delta`.
 CandidateList BuildCandidateList(const GemModel& model,
                                  const std::vector<ebsn::EventId>& events,
                                  const std::vector<ebsn::UserId>& partners,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "common/logging.h"
@@ -20,6 +21,13 @@ constexpr int kLevels = 2047;
 /// constant columns.
 constexpr float kFlatRange = 1e-12f;
 
+/// The sum of a code row's k codes.
+uint64_t RowSum(const int16_t* row, uint32_t k) {
+  uint64_t sum = 0;
+  for (uint32_t d = 0; d < k; ++d) sum += static_cast<uint64_t>(row[d]);
+  return sum;
+}
+
 }  // namespace
 
 CodeBlocks::CodeBlocks(const std::vector<int16_t>& by_group, uint32_t k)
@@ -30,28 +38,81 @@ CodeBlocks::CodeBlocks(const std::vector<int16_t>& by_group, uint32_t k)
   // A row sum is at most k * 2047, far below 2^32.
   std::vector<uint64_t> keys(num_groups);
   for (size_t g = 0; g < num_groups; ++g) {
-    uint64_t sum = 0;
-    for (uint32_t d = 0; d < k_; ++d) {
-      sum += static_cast<uint64_t>(by_group[g * k_ + d]);
-    }
-    keys[g] = sum << 32 | g;
+    keys[g] = RowSum(by_group.data() + g * k_, k_) << 32 | g;
   }
   SortByHighWord(&keys);
-  order_.resize(num_groups);
-  for (size_t p = 0; p < num_groups; ++p) {
-    order_[p] = static_cast<uint32_t>(keys[p]);
+  Reserve(num_groups);
+  for (const uint64_t key : keys) {
+    const auto g = static_cast<uint32_t>(key);
+    Append(g, by_group.data() + size_t{g} * k_);
   }
-  position_.resize(num_groups);
-  codes_.resize(by_group.size());
-  block_max_.assign(num_blocks() * k_, int16_t{0});
+}
+
+CodeBlocks::CodeBlocks(const CodeBlocks& previous,
+                       const std::vector<uint8_t>& changed,
+                       const std::vector<int16_t>& changed_rows)
+    : k_(previous.k_) {
+  const size_t num_groups = previous.num_groups();
+  GEMREC_CHECK(changed.size() == num_groups);
+  // The changed groups as (row sum << 32 | r), r their rank in
+  // ascending group id, so sorted they are in (row sum, group) order.
+  std::vector<uint64_t> fresh;
+  std::vector<uint32_t> fresh_group;
+  for (size_t g = 0; g < num_groups; ++g) {
+    if (changed[g] == 0) continue;
+    const size_t r = fresh_group.size();
+    fresh.push_back(RowSum(changed_rows.data() + r * k_, k_) << 32 | r);
+    fresh_group.push_back(static_cast<uint32_t>(g));
+  }
+  GEMREC_CHECK(changed_rows.size() == fresh_group.size() * k_);
+  SortByHighWord(&fresh);
+  // Merge them with `previous`'s positions less the changed groups,
+  // read in order: every other row and so its sum is unchanged.
+  Reserve(num_groups);
+  auto f = fresh.begin();
+  auto append_fresh = [&] {
+    const auto r = static_cast<uint32_t>(*f++);
+    Append(fresh_group[r], changed_rows.data() + size_t{r} * k_);
+  };
+  // Whether the next changed row sorts before clean group g's row.
+  auto fresh_first = [&](uint64_t sum, uint32_t g) {
+    const uint64_t fresh_sum = *f >> 32;
+    return fresh_sum < sum ||
+           (fresh_sum == sum && fresh_group[static_cast<uint32_t>(*f)] < g);
+  };
   for (size_t p = 0; p < num_groups; ++p) {
-    const int16_t* row = by_group.data() + size_t{order_[p]} * k_;
-    int16_t* max_row = block_max_.data() + (p / kBlockRows) * k_;
-    position_[order_[p]] = static_cast<uint32_t>(p);
-    std::copy(row, row + k_, codes_.data() + p * k_);
-    for (uint32_t d = 0; d < k_; ++d) {
-      max_row[d] = std::max(max_row[d], row[d]);
-    }
+    const uint32_t g = previous.order_[p];
+    if (changed[g] != 0) continue;
+    const int16_t* row = previous.codes_.data() + p * k_;
+    const uint64_t sum = RowSum(row, k_);
+    while (f != fresh.end() && fresh_first(sum, g)) append_fresh();
+    Append(g, row);
+  }
+  while (f != fresh.end()) append_fresh();
+}
+
+int64_t CodeBlocks::MaxRowSum() const {
+  if (num_groups() == 0) return 0;
+  return static_cast<int64_t>(
+      RowSum(codes_.data() + (num_groups() - 1) * k_, k_));
+}
+
+void CodeBlocks::Reserve(size_t num_groups) {
+  order_.reserve(num_groups);
+  position_.resize(num_groups);
+  codes_.reserve(num_groups * k_);
+  block_max_.assign((num_groups + kBlockRows - 1) / kBlockRows * k_,
+                    int16_t{0});
+}
+
+void CodeBlocks::Append(uint32_t g, const int16_t* row) {
+  const size_t p = order_.size();
+  order_.push_back(g);
+  position_[g] = static_cast<uint32_t>(p);
+  codes_.insert(codes_.end(), row, row + k_);
+  int16_t* max_row = block_max_.data() + (p / kBlockRows) * k_;
+  for (uint32_t d = 0; d < k_; ++d) {
+    max_row[d] = std::max(max_row[d], row[d]);
   }
 }
 
@@ -65,24 +126,50 @@ QuantizedSpace::QuantizedSpace(const SpaceIndex* index)
     : index_(index), latent_dim_(index->latent_dim()) {
   GEMREC_CHECK(index != nullptr);
   GEMREC_CHECK(latent_dim_ <= kMaxLatentDim);
-  const std::vector<float>& c = c_values();
-  const size_t num_points = c.size();
-
-  // C stays exact: the space's per-pair fp32, plus a copy in
-  // C-descending rank order so the TA's C-list walk is a sequential
-  // read.
-  c_sorted_values_.resize(num_points);
-  const std::vector<uint32_t>& c_sorted = index_->c_sorted();
-  for (size_t r = 0; r < num_points; ++r) {
-    c_sorted_values_[r] = c[c_sorted[r]];
-  }
-
   BuildHalfParams(/*partner_half=*/false, &event_params_);
   BuildHalfParams(/*partner_half=*/true, &partner_params_);
-  max_event_row_sum_ =
-      EncodeRows(/*partner_half=*/false, event_params_, &event_blocks_);
-  max_partner_row_sum_ =
-      EncodeRows(/*partner_half=*/true, partner_params_, &partner_blocks_);
+  EncodeRows(/*partner_half=*/false, event_params_, &event_blocks_);
+  EncodeRows(/*partner_half=*/true, partner_params_, &partner_blocks_);
+  max_event_row_sum_ = event_blocks_.MaxRowSum();
+  max_partner_row_sum_ = partner_blocks_.MaxRowSum();
+}
+
+QuantizedSpace::QuantizedSpace(const SpaceIndex* index,
+                               const QuantizedSpace& previous,
+                               const std::vector<uint8_t>& ranked)
+    : index_(index), latent_dim_(index->latent_dim()) {
+  GEMREC_CHECK(index != nullptr);
+  GEMREC_CHECK(latent_dim_ <= kMaxLatentDim);
+  GEMREC_CHECK(previous.latent_dim_ == latent_dim_ &&
+               previous.num_partners() == num_partners() &&
+               ranked.size() == num_partners())
+      << "the previous codes cover other partner groups";
+  BuildHalfParams(/*partner_half=*/false, &event_params_);
+  BuildHalfParams(/*partner_half=*/true, &partner_params_);
+  EncodeRows(/*partner_half=*/false, event_params_, &event_blocks_);
+  auto same = [](const std::vector<float>& a, const std::vector<float>& b) {
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+  };
+  const HalfParams& old = previous.partner_params_;
+  if (same(partner_params_.min, old.min) &&
+      same(partner_params_.scale, old.scale) &&
+      same(partner_params_.half_err, old.half_err)) {
+    // Every clean row encodes as before: encode only the ranked rows.
+    std::vector<int16_t> rows;
+    for (size_t g = 0; g < ranked.size(); ++g) {
+      if (ranked[g] == 0) continue;
+      rows.resize(rows.size() + latent_dim_);
+      EncodeRow(GroupRow(/*partner_half=*/true, g), partner_params_,
+                rows.data() + rows.size() - latent_dim_);
+    }
+    partner_blocks_ = CodeBlocks(previous.partner_blocks_, ranked, rows);
+  } else {
+    EncodeRows(/*partner_half=*/true, partner_params_, &partner_blocks_);
+  }
+  max_event_row_sum_ = event_blocks_.MaxRowSum();
+  max_partner_row_sum_ = partner_blocks_.MaxRowSum();
 }
 
 const float* QuantizedSpace::GroupRow(bool partner_half, size_t g) const {
@@ -126,32 +213,28 @@ void QuantizedSpace::BuildHalfParams(bool partner_half, HalfParams* out) {
   }
 }
 
-int64_t QuantizedSpace::EncodeRows(bool partner_half,
-                                   const HalfParams& params,
-                                   CodeBlocks* blocks) {
+void QuantizedSpace::EncodeRow(const float* values, const HalfParams& params,
+                               int16_t* row) const {
+  for (uint32_t d = 0; d < latent_dim_; ++d) {
+    long code = 0;
+    if (params.scale[d] > 0.0f) {
+      code = std::lround((values[d] - params.min[d]) / params.scale[d]);
+      code = std::clamp(code, 0L, long{kLevels});
+    }
+    row[d] = static_cast<int16_t>(code);
+  }
+}
+
+void QuantizedSpace::EncodeRows(bool partner_half, const HalfParams& params,
+                                CodeBlocks* blocks) const {
   const uint32_t k = latent_dim_;
   const size_t num_groups =
       partner_half ? index_->num_partners() : index_->num_events();
-
-  std::vector<int16_t> codes(num_groups * k, int16_t{0});
-  int64_t max_row_sum = 0;
+  std::vector<int16_t> codes(num_groups * k);
   for (size_t g = 0; g < num_groups; ++g) {
-    const float* p = GroupRow(partner_half, g);
-    int16_t* row = codes.data() + g * k;
-    int64_t row_sum = 0;
-    for (uint32_t d = 0; d < k; ++d) {
-      long code = 0;
-      if (params.scale[d] > 0.0f) {
-        code = std::lround((p[d] - params.min[d]) / params.scale[d]);
-        code = std::clamp(code, 0L, long{kLevels});
-      }
-      row[d] = static_cast<int16_t>(code);
-      row_sum += code;
-    }
-    max_row_sum = std::max(max_row_sum, row_sum);
+    EncodeRow(GroupRow(partner_half, g), params, codes.data() + g * k);
   }
   *blocks = CodeBlocks(codes, k);
-  return max_row_sum;
 }
 
 QuantizedSpace::QuantizedQuery QuantizedSpace::QuantizeQuery(

@@ -32,6 +32,13 @@ class CodeBlocks {
   /// Lays out `by_group` (group g's k codes at [g * k, (g + 1) * k))
   /// in block order.
   CodeBlocks(const std::vector<int16_t>& by_group, uint32_t k);
+  /// `previous` with the row of every group g where changed[g] != 0
+  /// replaced: `changed_rows` holds those rows, k codes each, in
+  /// ascending group order. The changed rows are sorted and merged
+  /// into `previous`'s block order, whose other rows are read in
+  /// order. Bitwise equal to laying out the new rows from scratch.
+  CodeBlocks(const CodeBlocks& previous, const std::vector<uint8_t>& changed,
+             const std::vector<int16_t>& changed_rows);
 
   size_t num_groups() const { return order_.size(); }
   size_t num_blocks() const {
@@ -43,6 +50,10 @@ class CodeBlocks {
   /// Row codes by position, and block-max rows by block (k codes each).
   const std::vector<int16_t>& codes() const { return codes_; }
   const std::vector<int16_t>& block_max() const { return block_max_; }
+
+  /// The largest sum of a row's codes (0 without rows): the last
+  /// row's, as the positions ascend by row sum.
+  int64_t MaxRowSum() const;
 
   /// Group g's row.
   const int16_t* Codes(size_t g) const {
@@ -75,6 +86,10 @@ class CodeBlocks {
   /// or of the block-max matrix.
   void Dots(QueryCodes q, bool block_max, size_t first, size_t rows,
             int32_t* out) const;
+  /// Sizes the arrays for `num_groups` rows, none placed yet.
+  void Reserve(size_t num_groups);
+  /// Places group g's row at the next position.
+  void Append(uint32_t g, const int16_t* row);
 
   uint32_t k_ = 0;
   std::vector<uint32_t> order_;     // position -> group
@@ -94,8 +109,7 @@ class CodeBlocks {
 ///     each list stored once as CodeBlocks (block order plus per-block
 ///     code maxes, which bound a query's dots block by block),
 ///   * C values:      the space's one fp32 per pair, indexed by pair id
-///     for scoring, plus a copy in C-descending rank order so the TA's
-///     C walk is a sequential read.
+///     for scoring (the index keeps a copy in C order for the walk).
 ///
 /// Codes use per-dimension asymmetric affine quantization
 ///     code_d = round((v_d - min_d) / scale_d)
@@ -140,6 +154,17 @@ class QuantizedSpace {
 
   explicit QuantizedSpace(const SpaceIndex* index);
 
+  /// The codes of a delta-built `index` (SpaceIndex's delta
+  /// constructor, same `ranked`), reusing `previous`'s: partner group
+  /// g is slice g, and its row is unchanged unless ranked[g] != 0. The
+  /// event half is built as by the constructor above. The partner-half
+  /// parameters are computed again; when they are bitwise `previous`'s,
+  /// only the ranked rows are encoded and every other row's codes are
+  /// copied, else every row is encoded. Bitwise equal to
+  /// QuantizedSpace(index); `previous` need only live through the call.
+  QuantizedSpace(const SpaceIndex* index, const QuantizedSpace& previous,
+                 const std::vector<uint8_t>& ranked);
+
   const SpaceIndex& index() const { return *index_; }
   uint32_t latent_dim() const { return latent_dim_; }
   size_t num_events() const { return index_->num_events(); }
@@ -168,11 +193,6 @@ class QuantizedSpace {
   const std::vector<float>& c_values() const {
     return index_->space().c_values();
   }
-  /// C coordinates in the index's c_sorted() rank order (sequential
-  /// walk companion: c_sorted_values()[r] is the C of c_sorted()[r]).
-  const std::vector<float>& c_sorted_values() const {
-    return c_sorted_values_;
-  }
 
   /// Max over group rows of the sum of that row's codes; the query-
   /// rounding half of the epsilon bound (see QuantizeQuery).
@@ -189,10 +209,12 @@ class QuantizedSpace {
   /// Row of event group g (the event half) or partner group g.
   const float* GroupRow(bool partner_half, size_t g) const;
   void BuildHalfParams(bool partner_half, HalfParams* out);
-  /// Encodes one half's rows by group and lays them out as CodeBlocks;
-  /// returns the largest row code sum.
-  int64_t EncodeRows(bool partner_half, const HalfParams& params,
-                     CodeBlocks* blocks);
+  /// Encodes one group row's K values under `params`.
+  void EncodeRow(const float* values, const HalfParams& params,
+                 int16_t* row) const;
+  /// Encodes one half's rows by group and lays them out as CodeBlocks.
+  void EncodeRows(bool partner_half, const HalfParams& params,
+                  CodeBlocks* blocks) const;
 
   const SpaceIndex* index_;
   uint32_t latent_dim_;
@@ -203,8 +225,6 @@ class QuantizedSpace {
   CodeBlocks partner_blocks_;
   int64_t max_event_row_sum_ = 0;
   int64_t max_partner_row_sum_ = 0;
-
-  std::vector<float> c_sorted_values_;
 };
 
 }  // namespace gemrec::recommend

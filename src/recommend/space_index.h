@@ -20,7 +20,8 @@ namespace gemrec::recommend {
 ///   * pair -> group inverse maps for O(1) random-access scoring,
 ///   * the pair order sorted by the C coordinate descending, ties in
 ///     ascending pair id (the one sorted list that is
-///     query-independent),
+///     query-independent), with the C values in that order so a walk
+///     down the C list reads them sequentially,
 ///   * the partner census used by the exclusion filter.
 ///
 /// Every pass is linear: ids map to groups through dense arrays, and
@@ -31,6 +32,18 @@ namespace gemrec::recommend {
 class SpaceIndex {
  public:
   explicit SpaceIndex(const TransformedSpace* space);
+
+  /// The index of a pruned `space` built from `previous` by
+  /// BuildCandidateList with a delta: both hold the same partners'
+  /// slices of k pairs each, in the same order, and slice i (pairs
+  /// [i * k, (i + 1) * k)) differs from `previous`'s only where
+  /// ranked[i] != 0 (CandidateList::ranked). The partner groups are
+  /// copied, the event groups grouped again, and the C order merges
+  /// `previous`'s order, less the ranked slices' pairs, with those
+  /// pairs' new order in one sequential pass. Bitwise equal to
+  /// SpaceIndex(space); `previous` need only live through the call.
+  SpaceIndex(const TransformedSpace* space, const SpaceIndex& previous,
+             const std::vector<uint8_t>& ranked);
 
   const TransformedSpace& space() const { return *space_; }
   /// K: the latent dimension (point_dim == 2K + 1).
@@ -57,6 +70,10 @@ class SpaceIndex {
     return pair_partner_idx_;
   }
   const std::vector<uint32_t>& c_sorted() const { return c_sorted_; }
+  /// c_sorted_values()[r] is the C of pair c_sorted()[r], bitwise.
+  const std::vector<float>& c_sorted_values() const {
+    return c_sorted_values_;
+  }
 
   /// Number of candidate pairs whose partner is NOT `exclude_partner`
   /// (O(1) via the partner census): the count of results a top-n query
@@ -73,6 +90,9 @@ class SpaceIndex {
  private:
   static constexpr uint32_t kNoGroup = 0xFFFFFFFFu;
 
+  /// Fills the event groups and pair -> event group from the pairs.
+  void GroupEvents();
+
   const TransformedSpace* space_;
   uint32_t latent_dim_;
 
@@ -86,6 +106,7 @@ class SpaceIndex {
   std::vector<uint32_t> pair_event_idx_;
   std::vector<uint32_t> pair_partner_idx_;
   std::vector<uint32_t> c_sorted_;
+  std::vector<float> c_sorted_values_;
 };
 
 /// Sorts `items` by their high 32 bits, stably (items with equal high

@@ -70,6 +70,7 @@ void TaSearch::SearchInto(const std::vector<float>& query, size_t n,
   const auto& pair_partner_idx = index_->pair_partner_idx();
   const auto& c_sorted = index_->c_sorted();
   const std::vector<float>& c_values = space_->c_values();
+  const std::vector<float>& c_sorted_values = index_->c_sorted_values();
   const GemModel& model = space_->model();
   const size_t num_events = index_->num_events();
   const size_t num_partners = index_->num_partners();
@@ -166,7 +167,7 @@ void TaSearch::SearchInto(const std::vector<float>& query, size_t n,
   };
   auto c_head = [&]() {
     return c_cursor < num_points
-               ? c_weight * c_values[c_sorted[c_cursor]]
+               ? c_weight * c_sorted_values[c_cursor]
                : 0.0f;
   };
 

@@ -18,7 +18,7 @@ ModelSnapshot::ModelSnapshot(const embedding::EmbeddingStore& store,
                              std::vector<ebsn::EventId> events,
                              uint32_t num_users,
                              const SnapshotOptions& options,
-                             const recommend::CandidateDelta* delta)
+                             const SnapshotDelta* delta)
     : store_(store),
       model_(&store_, "gem-snapshot"),
       events_(std::move(events)),
@@ -29,15 +29,29 @@ ModelSnapshot::ModelSnapshot(const embedding::EmbeddingStore& store,
   for (const ebsn::EventId x : events_) {
     if (shard::OwnsEvent(options.shard, x)) shard_events_.push_back(x);
   }
+  const ModelSnapshot* previous = delta ? delta->previous : nullptr;
+  recommend::CandidateDelta candidate_delta;
+  if (previous != nullptr) {
+    candidate_delta = {&previous->space(), previous->events().size(),
+                       delta->dirty_users};
+  }
   recommend::CandidateList list = recommend::BuildCandidateList(
       model_, events_, shard::OwnedPartners(options.shard, num_users_),
-      options.top_k_events_per_partner, delta);
+      options.top_k_events_per_partner,
+      previous ? &candidate_delta : nullptr);
   space_ = std::make_unique<recommend::TransformedSpace>(
       model_, std::move(list.pairs), std::move(list.c));
   // One grouping/sort pass shared by the exact and quantized searchers.
-  index_ = std::make_unique<recommend::SpaceIndex>(space_.get());
+  if (previous != nullptr) {
+    index_ = std::make_unique<recommend::SpaceIndex>(
+        space_.get(), previous->index(), list.ranked);
+    quant_ = std::make_unique<recommend::QuantizedSpace>(
+        index_.get(), previous->quantized(), list.ranked);
+  } else {
+    index_ = std::make_unique<recommend::SpaceIndex>(space_.get());
+    quant_ = std::make_unique<recommend::QuantizedSpace>(index_.get());
+  }
   ta_ = std::make_unique<recommend::TaSearch>(index_.get());
-  quant_ = std::make_unique<recommend::QuantizedSpace>(index_.get());
   batch_ = std::make_unique<recommend::BatchTaSearch>(quant_.get());
 }
 

@@ -28,6 +28,17 @@ struct SnapshotOptions {
   shard::ShardSpec shard;
 };
 
+class ModelSnapshot;
+
+/// What changed since an earlier snapshot built by the same builder
+/// with the same options: the user rows that may have moved. The
+/// previous pool must be a prefix of the new one, longer than top_k
+/// (recommend::CandidateDelta).
+struct SnapshotDelta {
+  const ModelSnapshot* previous = nullptr;
+  const std::vector<uint8_t>* dirty_users = nullptr;
+};
+
 /// An immutable, self-contained serving model: a deep copy of the
 /// embedding store plus everything derived from it — the GemModel
 /// adapter, the candidate pairs with one C = ū'ᵀx̄ each (the
@@ -48,15 +59,16 @@ class ModelSnapshot {
  public:
   /// Copies `store` and builds the candidate space over `events` x the
   /// partners of 0..num_users-1 that `options.shard` owns (all of them
-  /// by default), pruned per options. With a `delta`
-  /// (recommend::BuildCandidateList) clean partners' lists are copied
-  /// from an earlier snapshot of the same builder; the result is
-  /// bitwise the same. The build runs on the calling thread, never on
-  /// serving workers.
+  /// by default), pruned per options. With a `delta`, every partner
+  /// slice the change cannot reach is copied from `delta->previous`
+  /// (recommend::BuildCandidateList), with its index entries and
+  /// codes (the delta constructors of SpaceIndex and QuantizedSpace);
+  /// the result is bitwise the same. The build runs on the calling
+  /// thread, never on serving workers.
   ModelSnapshot(const embedding::EmbeddingStore& store,
                 std::vector<ebsn::EventId> events, uint32_t num_users,
                 const SnapshotOptions& options,
-                const recommend::CandidateDelta* delta = nullptr);
+                const SnapshotDelta* delta = nullptr);
 
   ModelSnapshot(const ModelSnapshot&) = delete;
   ModelSnapshot& operator=(const ModelSnapshot&) = delete;

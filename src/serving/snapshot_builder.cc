@@ -48,9 +48,7 @@ bool SnapshotBuilder::CanReuseLast() const {
 std::shared_ptr<ModelSnapshot> SnapshotBuilder::BuildNext() {
   std::shared_ptr<ModelSnapshot> snapshot;
   if (CanReuseLast()) {
-    const recommend::CandidateDelta delta{&last_->space(),
-                                          last_->events().size(),
-                                          &dirty_users_};
+    const SnapshotDelta delta{last_.get(), &dirty_users_};
     snapshot = std::make_shared<ModelSnapshot>(staging_, events_,
                                                num_users_, options_, &delta);
   } else {

@@ -93,9 +93,10 @@ class SnapshotBuilder {
   std::shared_ptr<ModelSnapshot> Build() const;
 
   /// Builds the same snapshot as Build, reusing the previous BuildNext
-  /// result for every partner the changes since then cannot reach, so
-  /// the cost is O(changed partners · |pool|) plus linear passes over
-  /// the pair arrays. The first call, and any call after a change
+  /// result for every partner the changes since then cannot reach:
+  /// its pairs, C order entries and partner codes. The cost is
+  /// O(changed partners · |pool|) plus a merge of the C order and
+  /// linear passes over the pair and event arrays. The first call, and any call after a change
   /// that counts as "everything", or with top_k == 0 or a previous
   /// pool of at most top_k events, builds from scratch. Run it on the
   /// updater thread, then Publish the result.

@@ -188,8 +188,12 @@ void CoordinatorBackend::Submit(Pending pending) {
   {
     std::lock_guard<std::mutex> lock(inbox_.mu);
     if (!inbox_.closed) {
+      // Only the push into an empty inbox wakes the router: it empties
+      // the inbox after draining its wakeup, so a later push finds the
+      // earlier one's tick still pending or its batch not yet taken.
+      const bool was_empty = inbox_.submitted.empty();
       inbox_.submitted.push_back(std::move(pending));
-      loop_.Wakeup();
+      if (was_empty) loop_.Wakeup();
       return;
     }
   }

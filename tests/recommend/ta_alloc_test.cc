@@ -2,20 +2,16 @@
 // once their scratch and output buffers are warm, SearchInto,
 // SearchBatch and the reciprocal rescore must not touch the heap.
 // Lives in its own test binary because it replaces the global
-// allocator — the counter would otherwise pick up unrelated gtest
-// bookkeeping from neighboring suites.
+// allocator (testing/counting_allocator.h).
 
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <cstddef>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "../testing/counting_allocator.h"
 #include "recommend/batch_ta_search.h"
 #include "recommend/candidate_index.h"
 #include "recommend/gem_model.h"
@@ -23,49 +19,6 @@
 #include "recommend/query_kinds.h"
 #include "recommend/space_transform.h"
 #include "recommend/ta_search.h"
-
-namespace {
-
-std::atomic<size_t> g_allocations{0};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new(std::size_t size, std::align_val_t align) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::aligned_alloc(static_cast<std::size_t>(align), size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size, std::align_val_t align) {
-  return operator new(size, align);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace gemrec::recommend {
 namespace {
@@ -103,14 +56,14 @@ TEST(TaAllocTest, SteadyStateSearchIntoAllocatesNothing) {
     ta.SearchInto(queries[u], 10, u, &hits, &stats, &scratch);
   }
 
-  const size_t before = g_allocations.load(std::memory_order_relaxed);
+  const size_t before = ::gemrec::testing::Allocations();
   for (int round = 0; round < 50; ++round) {
     for (uint32_t u = 0; u < kUsers; ++u) {
       ta.SearchInto(queries[u], 10, u, &hits, &stats, &scratch);
       ASSERT_FALSE(hits.empty());
     }
   }
-  const size_t after = g_allocations.load(std::memory_order_relaxed);
+  const size_t after = ::gemrec::testing::Allocations();
   EXPECT_EQ(after - before, 0u)
       << "steady-state SearchInto performed " << (after - before)
       << " heap allocations over 1250 queries";
@@ -154,13 +107,13 @@ TEST(TaAllocTest, SteadyStateSearchBatchAllocatesNothing) {
   batch.SearchBatch(batch_queries.data(), kBatch, results.data(),
                     &stats, &ws);
 
-  const size_t before = g_allocations.load(std::memory_order_relaxed);
+  const size_t before = ::gemrec::testing::Allocations();
   for (int round = 0; round < 50; ++round) {
     batch.SearchBatch(batch_queries.data(), kBatch, results.data(),
                       &stats, &ws);
     ASSERT_FALSE(results[0].empty());
   }
-  const size_t after = g_allocations.load(std::memory_order_relaxed);
+  const size_t after = ::gemrec::testing::Allocations();
   EXPECT_EQ(after - before, 0u)
       << "steady-state SearchBatch performed " << (after - before)
       << " heap allocations over 50 batches of " << kBatch;
@@ -210,13 +163,13 @@ TEST(TaAllocTest, SteadyStateDeepWalkBatchAllocatesNothing) {
   batch.SearchBatch(batch_queries.data(), kBatch, results.data(), &stats,
                     &ws);
 
-  const size_t before = g_allocations.load(std::memory_order_relaxed);
+  const size_t before = ::gemrec::testing::Allocations();
   for (int round = 0; round < 20; ++round) {
     batch.SearchBatch(batch_queries.data(), kBatch, results.data(),
                       &stats, &ws);
     ASSERT_EQ(results[0].size(), kN);
   }
-  const size_t after = g_allocations.load(std::memory_order_relaxed);
+  const size_t after = ::gemrec::testing::Allocations();
   EXPECT_EQ(after - before, 0u)
       << "steady-state deep-walk SearchBatch performed "
       << (after - before) << " heap allocations over 20 batches";
@@ -268,14 +221,14 @@ TEST(TaAllocTest, SteadyStateFlatQueryExpandingEveryBlockAllocatesNothing) {
   batch.SearchBatch(batch_queries.data(), kBatch, results.data(), &stats,
                     &ws);
 
-  const size_t before = g_allocations.load(std::memory_order_relaxed);
+  const size_t before = ::gemrec::testing::Allocations();
   for (int round = 0; round < 20; ++round) {
     batch.SearchBatch(batch_queries.data(), kBatch, results.data(),
                       &stats, &ws);
     ASSERT_EQ(results[0].size(), kN);
     ASSERT_EQ(stats.blocks_expanded, kBatch * blocks);
   }
-  const size_t after = g_allocations.load(std::memory_order_relaxed);
+  const size_t after = ::gemrec::testing::Allocations();
   EXPECT_EQ(after - before, 0u)
       << "steady-state flat-query SearchBatch performed "
       << (after - before) << " heap allocations over 20 batches";
@@ -340,9 +293,9 @@ TEST(TaAllocTest, SteadyStateReciprocalBatchAllocatesNothing) {
   serve();  // warm-up: grows every buffer
 
   certified = 0;
-  const size_t before = g_allocations.load(std::memory_order_relaxed);
+  const size_t before = ::gemrec::testing::Allocations();
   for (int round = 0; round < 50; ++round) serve();
-  const size_t after = g_allocations.load(std::memory_order_relaxed);
+  const size_t after = ::gemrec::testing::Allocations();
   EXPECT_EQ(after - before, 0u)
       << "steady-state reciprocal batch performed " << (after - before)
       << " heap allocations over 50 batches";

@@ -9,7 +9,10 @@
 // (two with identical signals, so the ranking sees tied scores, one
 // that a clean partner ranks k-th followed by its duplicate, and one
 // that enters most lists), re-folds of pooled events, non-append pool
-// edits and store resets.
+// edits and store resets. One step records an attendance that moves a
+// partner-half column's min or max; each stream must publish both with
+// the partner-half quantization parameters held (the previous codes
+// are copied) and with them moved (every row is encoded again).
 // Also here: recovery refuses a checkpoint whose pool does not fit its
 // own store.
 
@@ -27,6 +30,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../testing/space_equality.h"
 #include "common/rng.h"
 #include "common/vec_math.h"
 #include "serving/ingest_journal.h"
@@ -38,6 +42,10 @@ namespace gemrec::serving {
 namespace {
 
 namespace fs = std::filesystem;
+using ::gemrec::testing::ExpectBitwiseEqual;
+using ::gemrec::testing::ExpectSameIndex;
+using ::gemrec::testing::ExpectSameQuantization;
+using ::gemrec::testing::PartnerParamsKey;
 
 constexpr uint32_t kUsers = 40;
 constexpr uint32_t kEventRows = 72;
@@ -67,53 +75,6 @@ std::vector<ebsn::EventId> InitialPool() {
   return events;
 }
 
-template <typename T>
-void ExpectBitwiseEqual(const T* got, const T* want, size_t n,
-                        const char* what) {
-  EXPECT_EQ(0, n == 0 ? 0 : std::memcmp(got, want, n * sizeof(T))) << what;
-}
-
-template <typename T>
-void ExpectBitwiseEqual(const std::vector<T>& got, const std::vector<T>& want,
-                        const char* what) {
-  ASSERT_EQ(got.size(), want.size()) << what;
-  ExpectBitwiseEqual(got.data(), want.data(), got.size(), what);
-}
-
-/// Block order, codes in block order and block maxes.
-void ExpectSameBlocks(const recommend::CodeBlocks& got,
-                      const recommend::CodeBlocks& want, const char* list) {
-  SCOPED_TRACE(list);
-  ExpectBitwiseEqual(got.order(), want.order(), "block order");
-  ExpectBitwiseEqual(got.codes(), want.codes(), "codes");
-  ExpectBitwiseEqual(got.block_max(), want.block_max(), "block max");
-}
-
-/// One-hot queries read back each dimension's zero point (the bias),
-/// scale (through the folded code scale) and rounding bound (epsilon),
-/// so equal outputs pin the private quantization parameters bitwise.
-void ExpectSameQuantization(const recommend::QuantizedSpace& got,
-                            const recommend::QuantizedSpace& want) {
-  const uint32_t k = want.latent_dim();
-  ASSERT_EQ(got.latent_dim(), k);
-  EXPECT_EQ(got.max_event_code_row_sum(), want.max_event_code_row_sum());
-  EXPECT_EQ(got.max_partner_code_row_sum(), want.max_partner_code_row_sum());
-  ExpectBitwiseEqual(got.c_sorted_values(), want.c_sorted_values(),
-                     "c_sorted_values");
-  ExpectSameBlocks(got.event_blocks(), want.event_blocks(), "event");
-  ExpectSameBlocks(got.partner_blocks(), want.partner_blocks(), "partner");
-  for (uint32_t d = 0; d <= 2 * k; ++d) {
-    std::vector<float> query(2 * k + 1, 0.0f);
-    query[d] = 1.0f;
-    std::vector<int16_t> eg(k), pg(k), ew(k), pw(k);
-    const auto qg = got.QuantizeQuery(query.data(), eg.data(), pg.data());
-    const auto qw = want.QuantizeQuery(query.data(), ew.data(), pw.data());
-    ExpectBitwiseEqual(&qg, &qw, 1, "quantized one-hot query");
-    ExpectBitwiseEqual(eg, ew, "query codes");
-    ExpectBitwiseEqual(pg, pw, "query codes");
-  }
-}
-
 void ExpectSameSnapshot(const ModelSnapshot& got, const ModelSnapshot& want) {
   EXPECT_EQ(got.events(), want.events());
   EXPECT_EQ(got.shard_events(), want.shard_events());
@@ -126,22 +87,7 @@ void ExpectSameSnapshot(const ModelSnapshot& got, const ModelSnapshot& want) {
                      "pairs");
   ExpectBitwiseEqual(gs.c_values(), ws.c_values(), "C");
 
-  const recommend::SpaceIndex& gi = got.index();
-  const recommend::SpaceIndex& wi = want.index();
-  EXPECT_EQ(gi.events(), wi.events());
-  EXPECT_EQ(gi.partners(), wi.partners());
-  ASSERT_EQ(gi.num_events(), wi.num_events());
-  ASSERT_EQ(gi.num_partners(), wi.num_partners());
-  for (size_t g = 0; g < wi.num_events(); ++g) {
-    EXPECT_TRUE(std::ranges::equal(gi.EventPairs(g), wi.EventPairs(g)));
-  }
-  for (size_t g = 0; g < wi.num_partners(); ++g) {
-    EXPECT_TRUE(std::ranges::equal(gi.PartnerPairs(g), wi.PartnerPairs(g)));
-  }
-  EXPECT_EQ(gi.pair_event_idx(), wi.pair_event_idx());
-  EXPECT_EQ(gi.pair_partner_idx(), wi.pair_partner_idx());
-  EXPECT_EQ(gi.c_sorted(), wi.c_sorted());
-
+  ExpectSameIndex(got.index(), want.index());
   ExpectSameQuantization(got.quantized(), want.quantized());
 }
 
@@ -219,12 +165,30 @@ class WriteStream {
           break;
         case 24:  // nothing changed
           break;
+        case 26:  // a write that moves a partner-half column's min or max
+          MoveColumnExtreme(*previous_);
+          break;
         default:
           RandomWrites(1 + static_cast<int>(rng_.UniformInt(4)));
       }
       const auto next = builder_->BuildNext();
       const auto full = builder_->Build();
       ExpectSameSnapshot(*next, *full);
+      // A publish after a step that is not a reset, a re-fold or a pool
+      // edit reuses the previous snapshot; it copies the previous
+      // partner codes only when the partner-half parameters held.
+      const bool delta_publish =
+          step != 0 && step != 12 && step != 16 && step != 20 && step != 29;
+      if (delta_publish) {
+        const bool params_held = PartnerParamsKey(next->quantized()) ==
+                                 PartnerParamsKey(previous_->quantized());
+        ++(params_held ? codes_reused_ : codes_encoded_);
+        if (step == 26) {
+          EXPECT_FALSE(params_held)
+              << "the write should move the partner-half parameters";
+        }
+      }
+      previous_ = next;
       if (step == 6 || step == 7) {
         // The tie goes to the lower pool position: the duplicate stays
         // out and the partner keeps the first event at slot k.
@@ -236,6 +200,8 @@ class WriteStream {
       }
       if (::testing::Test::HasFailure()) return;
     }
+    EXPECT_GT(codes_reused_, 0) << "no publish copied the partner codes";
+    EXPECT_GT(codes_encoded_, 0) << "no publish encoded every partner row";
   }
 
  private:
@@ -288,6 +254,42 @@ class WriteStream {
     FAIL() << "no candidate event lands at a partner's k-th slot";
   }
 
+  /// Records an attendance that moves a column's min or max over the
+  /// owned partners' rows, and so the partner-half parameters:
+  /// candidate attendances are tried on a copy of the staging store
+  /// until one does.
+  void MoveColumnExtreme(const ModelSnapshot& last) {
+    const std::vector<ebsn::UserId>& partners = last.index().partners();
+    auto extremes = [&](const embedding::EmbeddingStore& store) {
+      std::vector<float> out;
+      for (uint32_t d = 0; d < kDim; ++d) {
+        float lo = 0.0f, hi = 0.0f;
+        for (size_t i = 0; i < partners.size(); ++i) {
+          const float v =
+              store.VectorOf(graph::NodeType::kUser, partners[i])[d];
+          lo = i == 0 ? v : std::min(lo, v);
+          hi = i == 0 ? v : std::max(hi, v);
+        }
+        out.push_back(lo);
+        out.push_back(hi);
+      }
+      return out;
+    };
+    const std::vector<float> before = extremes(*builder_->staging_store());
+    for (const ebsn::UserId u : partners) {
+      for (const ebsn::EventId x : pool_) {
+        embedding::EmbeddingStore probe = *builder_->staging_store();
+        ASSERT_TRUE(
+            embedding::UpdateUserWithAttendance(&probe, u, x, nudge_).ok());
+        if (extremes(probe) != before) {
+          ASSERT_TRUE(builder_->RecordAttendance(u, x, nudge_).ok());
+          return;
+        }
+      }
+    }
+    FAIL() << "no attendance moves a partner-half column's min or max";
+  }
+
   ebsn::EventId AppendEvent(const embedding::NewEventSignals& signals,
                             const embedding::OnlineUpdateOptions& options) {
     const ebsn::EventId event = next_event_++;
@@ -320,6 +322,9 @@ class WriteStream {
   uint64_t seed_;
   std::vector<ebsn::EventId> pool_;
   std::unique_ptr<SnapshotBuilder> builder_;
+  std::shared_ptr<const ModelSnapshot> previous_;  // the last BuildNext
+  int codes_reused_ = 0;
+  int codes_encoded_ = 0;
   ebsn::EventId next_event_ = kInitialEvents;
   ebsn::EventId hot_event_ = 0;
   embedding::NewEventSignals kth_signals_;
