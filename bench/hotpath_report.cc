@@ -14,21 +14,23 @@
 //   3. Snapshot publish cost on the serving benchmark's city shape
 //      (Beijing at 4x scale, K = 32, top-k 20): a from-scratch build,
 //      a publish after 16 and after 64 changed users, the stage split
-//      of each with its minor page faults, and the heap bytes one
-//      snapshot holds. Full and delta reps alternate, so drift over
-//      the run hits both alike, and each median is written with its
-//      p25 and p75.
+//      of each, and the heap bytes one snapshot holds. Full and delta
+//      reps alternate, so drift over the run hits both alike, and each
+//      median is written with its p25 and p75.
+//   4. Group queries on the same city: the exhaustive GroupTopEvents
+//      against the served GroupScan, µs per query and the share of
+//      events the scan scores exactly, per aggregator.
 //
 // Run from the repo root so BENCH_hotpath.json lands there:
 //   ./build/bench/hotpath_report
 
 #include <malloc.h>
-#include <sys/resource.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <iostream>
@@ -42,6 +44,7 @@
 #include "recommend/batch_ta_search.h"
 #include "recommend/candidate_index.h"
 #include "recommend/quantized_space.h"
+#include "recommend/query_kinds.h"
 #include "recommend/space_index.h"
 #include "recommend/space_transform.h"
 #include "recommend/ta_search.h"
@@ -347,26 +350,16 @@ struct PublishResult {
   Quartiles delta64_ms;
   Quartiles full_stage_ms[4];
   Quartiles delta16_stage_ms[4];
-  double full_stage_minflt[4] = {};
-  double delta16_stage_minflt[4] = {};
   int64_t snapshot_bytes = 0;
 };
 
-/// Minor page faults of the calling thread so far.
-double MinorFaults() {
-  rusage usage{};
-  getrusage(RUSAGE_THREAD, &usage);
-  return static_cast<double>(usage.ru_minflt);
-}
-
 /// One candidate-space build, stage by stage as ModelSnapshot runs
-/// them, with each stage's time and minor faults.
+/// them, with each stage's time.
 struct StageBuild {
   std::unique_ptr<recommend::TransformedSpace> space;
   std::unique_ptr<recommend::SpaceIndex> index;
   std::unique_ptr<recommend::QuantizedSpace> quant;
   double ms[4] = {};
-  double minflt[4] = {};
 };
 
 /// Builds from scratch, or with `previous` as a delta publish would
@@ -380,12 +373,8 @@ StageBuild BuildStages(const recommend::GemModel& model,
                        const std::vector<uint8_t>* dirty_users) {
   StageBuild build;
   Stopwatch watch;
-  double faults = MinorFaults();
   auto lap = [&](int stage) {
     build.ms[stage] = watch.ElapsedMillis();
-    const double now = MinorFaults();
-    build.minflt[stage] = now - faults;
-    faults = now;
     watch.Reset();
   };
   recommend::CandidateDelta delta;
@@ -412,22 +401,38 @@ StageBuild BuildStages(const recommend::GemModel& model,
   return build;
 }
 
-PublishResult MeasureSnapshotPublish() {
+/// The serving benchmark's city shape: Beijing at 4x scale with GEM-A
+/// at K = 32 trained on one thread, its test events as the pool.
+struct ServingCity {
+  ServingCity() : city(MakeCity(ebsn::SyntheticConfig::Beijing(4.0))) {
+    embedding::TrainerOptions options = embedding::TrainerOptions::GemA();
+    options.dim = 32;
+    options.num_threads = 1;
+    trainer = TrainEmbedding(city, options, 500000);
+  }
+  const embedding::EmbeddingStore& store() const { return trainer->store(); }
+  const std::vector<ebsn::EventId>& pool() const {
+    return city.split->test_events();
+  }
+  uint32_t num_users() const { return city.dataset().num_users(); }
+
+  CityBundle city;
+  std::unique_ptr<embedding::JointTrainer> trainer;
+};
+
+/// The serving benchmark's top-k events per partner.
+constexpr uint32_t kServingTopK = 20;
+
+PublishResult MeasureSnapshotPublish(const ServingCity& serving_city) {
   constexpr int kReps = 41;
-  constexpr uint32_t kTopK = 20;
-  CityBundle city = MakeCity(ebsn::SyntheticConfig::Beijing(4.0));
-  embedding::TrainerOptions options = embedding::TrainerOptions::GemA();
-  options.dim = 32;
-  options.num_threads = 1;
-  const auto trainer = TrainEmbedding(city, options, 500000);
-  const embedding::EmbeddingStore& store = trainer->store();
-  const std::vector<ebsn::EventId>& pool = city.split->test_events();
+  const embedding::EmbeddingStore& store = serving_city.store();
+  const std::vector<ebsn::EventId>& pool = serving_city.pool();
 
   PublishResult result;
-  result.num_users = city.dataset().num_users();
+  result.num_users = serving_city.num_users();
   result.pool_size = pool.size();
   serving::SnapshotOptions snapshot_options;
-  snapshot_options.top_k_events_per_partner = kTopK;
+  snapshot_options.top_k_events_per_partner = kServingTopK;
   serving::SnapshotBuilder builder(store, pool, result.num_users,
                                    snapshot_options);
 
@@ -470,28 +475,126 @@ PublishResult MeasureSnapshotPublish() {
   const std::vector<ebsn::UserId> partners =
       recommend::AllUsers(result.num_users);
   const StageBuild previous =
-      BuildStages(model, pool, partners, kTopK, nullptr, nullptr);
+      BuildStages(model, pool, partners, kServingTopK, nullptr, nullptr);
   std::vector<uint8_t> dirty_users(result.num_users, 0);
   for (int i = 0; i < 16; ++i) dirty_users[rng.UniformInt(result.num_users)] = 1;
   std::vector<double> stages[2][4];
-  std::vector<double> faults[2][4];
   for (int r = 0; r < kReps; ++r) {
     for (const bool use_delta : {false, true}) {
       const StageBuild build =
-          BuildStages(model, pool, partners, kTopK,
+          BuildStages(model, pool, partners, kServingTopK,
                       use_delta ? &previous : nullptr, &dirty_users);
-      for (int s = 0; s < 4; ++s) {
-        stages[use_delta][s].push_back(build.ms[s]);
-        faults[use_delta][s].push_back(build.minflt[s]);
-      }
+      for (int s = 0; s < 4; ++s) stages[use_delta][s].push_back(build.ms[s]);
     }
   }
   for (int s = 0; s < 4; ++s) {
     result.full_stage_ms[s] = QuartilesOf(stages[0][s]);
     result.delta16_stage_ms[s] = QuartilesOf(stages[1][s]);
-    result.full_stage_minflt[s] = QuartilesOf(faults[0][s]).p50;
-    result.delta16_stage_minflt[s] = QuartilesOf(faults[1][s]).p50;
   }
+  return result;
+}
+
+struct GroupScanResult {
+  size_t queries = 0;
+  size_t pool_size = 0;
+  /// Per aggregator, indexed by GroupAggregator: µs per query of the
+  /// oracle and of the scan, and the scan's mean share of events
+  /// scored exactly.
+  Quartiles oracle_us[2];
+  Quartiles scan_us[2];
+  double scored_fraction[2] = {};
+  /// Scan answers (items, score bits, bound bits) that differ from
+  /// the oracle's.
+  size_t mismatches = 0;
+};
+
+bool SameBits(float a, float b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+/// Group queries shaped like the serving benchmark's (a uniform user,
+/// three distinct other members, top 10) over one snapshot's slice:
+/// the exhaustive GroupTopEvents against the served GroupScan, in
+/// alternating reps, after a pass that checks every scan answer
+/// bitwise against the oracle's.
+GroupScanResult MeasureGroupScan(const ServingCity& serving_city) {
+  constexpr size_t kGroupQueries = 1000;
+  constexpr int kReps = 11;
+  serving::SnapshotOptions options;
+  options.top_k_events_per_partner = kServingTopK;
+  const serving::ModelSnapshot snapshot(serving_city.store(),
+                                        serving_city.pool(),
+                                        serving_city.num_users(), options);
+  const recommend::GemModel& model = snapshot.model();
+  struct GroupQuery {
+    ebsn::UserId user;
+    std::vector<ebsn::UserId> members;
+  };
+  std::vector<GroupQuery> queries(kGroupQueries);
+  Rng rng(0x6a0b);
+  for (GroupQuery& q : queries) {
+    q.user = static_cast<ebsn::UserId>(
+        rng.UniformInt(serving_city.num_users()));
+    while (q.members.size() < 3) {
+      const auto m = static_cast<ebsn::UserId>(
+          rng.UniformInt(serving_city.num_users()));
+      if (m != q.user && std::find(q.members.begin(), q.members.end(), m) ==
+                             q.members.end()) {
+        q.members.push_back(m);
+      }
+    }
+  }
+
+  GroupScanResult result;
+  result.queries = kGroupQueries;
+  result.pool_size = snapshot.shard_events().size();
+  recommend::GroupScanScratch scratch;
+  recommend::SearchStats stats;
+  size_t returned = 0;  // keeps the timed calls' results live
+  for (const auto agg :
+       {recommend::GroupAggregator::kSum, recommend::GroupAggregator::kMin}) {
+    const int a = static_cast<int>(agg);
+    double scored = 0.0;
+    for (const GroupQuery& q : queries) {
+      float bound = 0.0f;
+      const auto want = recommend::GroupTopEvents(
+          model, snapshot.shard_events(), q.user, q.members, agg, kTopN,
+          &bound);
+      const auto got = recommend::GroupScan(
+          model, snapshot.shard_events_by_norm(), q.user, q.members, agg,
+          kTopN, &scratch, &stats);
+      scored += stats.examined_fraction;
+      bool same = got.size() == want.size() &&
+                  SameBits(stats.unreturned_bound, bound);
+      for (size_t i = 0; same && i < got.size(); ++i) {
+        same = got[i].event == want[i].event &&
+               SameBits(got[i].score, want[i].score);
+      }
+      result.mismatches += same ? 0 : 1;
+    }
+    result.scored_fraction[a] = scored / static_cast<double>(kGroupQueries);
+
+    std::vector<double> oracle_us, scan_us;
+    for (int r = 0; r < kReps; ++r) {
+      Stopwatch watch;
+      for (const GroupQuery& q : queries) {
+        returned += recommend::GroupTopEvents(model, snapshot.shard_events(),
+                                              q.user, q.members, agg, kTopN)
+                        .size();
+      }
+      oracle_us.push_back(watch.ElapsedMicros() / kGroupQueries);
+      watch.Reset();
+      for (const GroupQuery& q : queries) {
+        returned += recommend::GroupScan(model,
+                                         snapshot.shard_events_by_norm(),
+                                         q.user, q.members, agg, kTopN,
+                                         &scratch, &stats)
+                        .size();
+      }
+      scan_us.push_back(watch.ElapsedMicros() / kGroupQueries);
+    }
+    result.oracle_us[a] = QuartilesOf(oracle_us);
+    result.scan_us[a] = QuartilesOf(scan_us);
+  }
+  GEMREC_CHECK(returned == 2 * 2 * kReps * kGroupQueries * kTopN);
   return result;
 }
 
@@ -539,7 +642,9 @@ void Run() {
   const QuerySpace qs = BuildQuerySpace(city);
   const TaResult ta = MeasureTaSearch(qs);
   const QuantResult quant = MeasureQuantizedBatch(qs);
-  const PublishResult publish = MeasureSnapshotPublish();
+  const ServingCity serving_city;
+  const PublishResult publish = MeasureSnapshotPublish(serving_city);
+  const GroupScanResult group = MeasureGroupScan(serving_city);
 
   const double speedup_k100 =
       k100.items_per_sec / kSeedTrainK100ItemsPerSec;
@@ -574,13 +679,21 @@ void Run() {
             << kBeforeDelta64Ms << ") over " << publish.num_pairs
             << " pairs; stages full "
             << StageJson(publish.full_stage_ms, &Quartiles::p50)
-            << " (minflt " << StageJson(publish.full_stage_minflt)
-            << "), 16 users "
-            << StageJson(publish.delta16_stage_ms, &Quartiles::p50)
-            << " (minflt " << StageJson(publish.delta16_stage_minflt)
-            << "); "
+            << ", 16 users "
+            << StageJson(publish.delta16_stage_ms, &Quartiles::p50) << "; "
             << publish.snapshot_bytes << " heap bytes per snapshot (before "
             << kBeforeSnapshotBytes << ")\n";
+  for (const int a : {0, 1}) {
+    std::cout << "group scan "
+              << recommend::GroupAggregatorName(
+                     static_cast<recommend::GroupAggregator>(a))
+              << ":       oracle " << group.oracle_us[a].p50
+              << " us/query, scan " << group.scan_us[a].p50
+              << " us/query, scored " << group.scored_fraction[a]
+              << " of " << group.pool_size << " events\n";
+  }
+  std::cout << "group scan answers differing from the oracle: "
+            << group.mismatches << "\n";
 
   std::ofstream json("BENCH_hotpath.json");
   json << "{\n"
@@ -641,8 +754,7 @@ void Run() {
        << " users, " << publish.pool_size
        << " pool events), K=32, top-k 20; medians of 41 alternating "
           "full/delta reps, with p25/p75; delta = BuildNext after that "
-          "many attendance nudges; stage minflt = median minor page "
-          "faults of the stage (getrusage RUSAGE_THREAD)\",\n"
+          "many attendance nudges\",\n"
        << "    \"num_pairs\": " << publish.num_pairs << ",\n"
        << "    \"before_full_build_ms\": " << kBeforeFullBuildMs << ",\n"
        << "    " << QuartileJson("full_build_ms", publish.full_ms) << ",\n"
@@ -660,19 +772,35 @@ void Run() {
        << ",\n"
        << "    " << StageQuartileJson("full_stage_ms", publish.full_stage_ms)
        << ",\n"
-       << "    \"full_stage_minflt\": "
-       << StageJson(publish.full_stage_minflt) << ",\n"
        << "    \"before_delta_16_users_stage_ms\": "
        << StageJson(kBeforeDelta16StageMs) << ",\n"
        << "    "
        << StageQuartileJson("delta_16_users_stage_ms",
                             publish.delta16_stage_ms)
        << ",\n"
-       << "    \"delta_16_users_stage_minflt\": "
-       << StageJson(publish.delta16_stage_minflt) << ",\n"
        << "    \"before_snapshot_heap_bytes\": " << kBeforeSnapshotBytes
        << ",\n"
        << "    \"snapshot_heap_bytes\": " << publish.snapshot_bytes << "\n"
+       << "  },\n"
+       << "  \"group_scan\": {\n"
+       << "    \"workload\": \"same city as snapshot_publish ("
+       << group.pool_size << " pool events), " << group.queries
+       << " group queries per aggregator (a uniform user, 3 distinct other "
+          "members, top 10); oracle = GroupTopEvents, scan = GroupScan over "
+          "the snapshot's norm-ordered slice; medians of 11 alternating "
+          "reps, with p25/p75; scored_fraction = mean share of events "
+          "scored exactly\",\n";
+  for (const int a : {0, 1}) {
+    const std::string name = recommend::GroupAggregatorName(
+        static_cast<recommend::GroupAggregator>(a));
+    json << "    " << QuartileJson(name + "_oracle_us", group.oracle_us[a])
+         << ",\n"
+         << "    " << QuartileJson(name + "_scan_us", group.scan_us[a])
+         << ",\n"
+         << "    \"" << name
+         << "_scored_fraction\": " << group.scored_fraction[a] << ",\n";
+  }
+  json << "    \"answer_mismatches\": " << group.mismatches << "\n"
        << "  }\n"
        << "}\n";
   std::cout << "\nwrote BENCH_hotpath.json\n";

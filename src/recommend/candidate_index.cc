@@ -13,16 +13,6 @@ namespace gemrec::recommend {
 
 namespace {
 
-/// ‖x‖ in double. Each square of an fp32 value is exact in double and
-/// cannot under- or overflow there, so only the sum and the sqrt round.
-double Norm(const float* x, uint32_t dim) {
-  double sum = 0.0;
-  for (uint32_t i = 0; i < dim; ++i) {
-    sum += static_cast<double>(x[i]) * static_cast<double>(x[i]);
-  }
-  return std::sqrt(sum);
-}
-
 /// Ranks partners' events over one pool. Built once per pool: the
 /// event norms, the positions in descending norm order (ties by
 /// position) and the rows gathered in that order.
@@ -41,13 +31,9 @@ class PoolRanker {
     const size_t n = events.size();
     norms_.resize(n);
     for (size_t j = 0; j < n; ++j) {
-      norms_[j] = Norm(model.EventVec(events[j]), dim_);
+      norms_[j] = NormInDouble(model.EventVec(events[j]), dim_);
     }
-    order_.resize(n);
-    std::iota(order_.begin(), order_.end(), 0u);
-    std::sort(order_.begin(), order_.end(), [&](uint32_t a, uint32_t b) {
-      return norms_[a] > norms_[b] || (norms_[a] == norms_[b] && a < b);
-    });
+    order_ = DescendingNormOrder(norms_);
     ids_.resize(n);
     rows_.resize(n * dim_);
     for (size_t j = 0; j < n; ++j) {
@@ -59,7 +45,7 @@ class PoolRanker {
   /// Partner u's ‖ū'‖ widened by the rounding slack; the argument of
   /// Bound.
   double WidenedNorm(ebsn::UserId u) const {
-    return Norm(model_.UserVec(u), dim_) * widen_;
+    return NormInDouble(model_.UserVec(u), dim_) * widen_;
   }
 
   /// An upper bound on the computed Dot(ū', x̄) of the event at pool
@@ -108,6 +94,23 @@ class PoolRanker {
 };
 
 }  // namespace
+
+double NormInDouble(const float* x, uint32_t dim) {
+  double sum = 0.0;
+  for (uint32_t i = 0; i < dim; ++i) {
+    sum += static_cast<double>(x[i]) * static_cast<double>(x[i]);
+  }
+  return std::sqrt(sum);
+}
+
+std::vector<uint32_t> DescendingNormOrder(const std::vector<double>& norms) {
+  std::vector<uint32_t> order(norms.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return norms[a] > norms[b] || (norms[a] == norms[b] && a < b);
+  });
+  return order;
+}
 
 std::vector<std::vector<ebsn::EventId>> TopKEventsPerUser(
     const GemModel& model, const std::vector<ebsn::EventId>& events,

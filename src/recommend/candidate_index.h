@@ -102,6 +102,16 @@ std::vector<std::vector<ebsn::EventId>> TopKEventsPerUser(
     const GemModel& model, const std::vector<ebsn::EventId>& events,
     const std::vector<ebsn::UserId>& partners, uint32_t top_k);
 
+/// ‖x‖ of a dim-length row, in double. Each square of an fp32 value is
+/// exact in double and cannot under- or overflow there, so only the
+/// sum and the sqrt round.
+double NormInDouble(const float* x, uint32_t dim);
+
+/// The visiting order of the norm-ordered walks (the pruned candidate
+/// build and the group scan): the positions of `norms` by descending
+/// norm, ties by position.
+std::vector<uint32_t> DescendingNormOrder(const std::vector<double>& norms);
+
 /// The user ids 0..num_users-1: the partner list of an unsharded build.
 std::vector<ebsn::UserId> AllUsers(uint32_t num_users);
 

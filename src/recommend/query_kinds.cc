@@ -5,11 +5,33 @@
 #include <limits>
 
 #include "common/logging.h"
+#include "common/vec_math.h"
+#include "recommend/candidate_index.h"
 
 namespace gemrec::recommend {
 namespace {
 
 constexpr float kNegInf = -std::numeric_limits<float>::infinity();
+
+/// The relative slack ε(d) = (d + 4) · 2^-23 of a value computed with at
+/// most d fp32 roundings on every product's path (DESIGN §17.2).
+double RoundingSlack(size_t d) {
+  return std::ldexp(static_cast<double>(d) + 4.0, -23);
+}
+
+/// Keeps `rec` if it is among the `cap` best under RecommendationOrder;
+/// the heap's front is the worst held.
+void PushBounded(std::vector<Recommendation>* heap, size_t cap,
+                 const Recommendation& rec) {
+  if (heap->size() < cap) {
+    heap->push_back(rec);
+    std::push_heap(heap->begin(), heap->end(), RecommendationOrder);
+  } else if (RecommendationOrder(rec, heap->front())) {
+    std::pop_heap(heap->begin(), heap->end(), RecommendationOrder);
+    heap->back() = rec;
+    std::push_heap(heap->begin(), heap->end(), RecommendationOrder);
+  }
+}
 
 /// Sorts the first min(n + 1, size) entries and derives the
 /// unreturned-bound + truncation shared by both exhaustive oracles:
@@ -136,6 +158,171 @@ std::vector<Recommendation> GroupTopEvents(
         x, ebsn::kInvalidId, GroupEventScore(model, user, members, x, agg)});
   }
   return FinishExhaustive(std::move(all), n, bound_out);
+}
+
+EventsByNorm OrderEventsByNorm(const GemModel& model,
+                               const std::vector<ebsn::EventId>& events) {
+  std::vector<double> norms(events.size());
+  for (size_t j = 0; j < events.size(); ++j) {
+    norms[j] = NormInDouble(model.EventVec(events[j]), model.dim());
+  }
+  EventsByNorm ordered;
+  ordered.ids.reserve(events.size());
+  ordered.norms.reserve(events.size());
+  for (const uint32_t j : DescendingNormOrder(norms)) {
+    ordered.ids.push_back(events[j]);
+    ordered.norms.push_back(norms[j]);
+  }
+  return ordered;
+}
+
+std::vector<Recommendation> GroupScan(const GemModel& model,
+                                      const EventsByNorm& events,
+                                      ebsn::UserId user,
+                                      const std::vector<ebsn::UserId>& members,
+                                      GroupAggregator agg, size_t n,
+                                      GroupScanScratch* scratch,
+                                      SearchStats* stats) {
+  GEMREC_CHECK(!members.empty()) << "group query with no members";
+  const uint32_t dim = model.dim();
+  const size_t size = members.size();
+  const bool is_sum = agg == GroupAggregator::kSum;
+  // The slack derivation of DESIGN §17.2 needs its largest rounding
+  // count, 2·dim + |M| + 3, times 2^-24 to be at most 1/4.
+  GEMREC_CHECK(2 * static_cast<size_t>(dim) + size + 3 <= (size_t{1} << 22))
+      << "group too large to bound: dim " << dim << ", " << size
+      << " members";
+  const float* uv = model.UserVec(user);
+  const double user_norm = NormInDouble(uv, dim);
+  // Gradual underflow: each fp32 product may lose up to 2^-150 more,
+  // and an exact score sums 3·|M|·dim of them.
+  const double floor =
+      std::ldexp(static_cast<double>((3 * size + 1) * dim), -149);
+  const double slope_floor = std::ldexp(static_cast<double>(dim), -149);
+
+  // Per member: the exact score's u·m̄, and in double ‖m̄‖, u·m̄ and
+  // (min) the line ‖ū + m̄‖·‖x̄‖ + u·m̄ bounding its term, widened.
+  std::vector<float>& member_dots = scratch->member_dots;
+  member_dots.resize(size);
+  scratch->slopes.resize(is_sum ? 0 : size);
+  scratch->intercepts.resize(is_sum ? 0 : size);
+  const double term_slack = RoundingSlack(dim + 2);
+  double sum_norms = 0.0;  // Σ ‖m̄‖
+  double sum_dots = 0.0;   // Σ u·m̄
+  for (size_t i = 0; i < size; ++i) {
+    const float* mv = model.UserVec(members[i]);
+    member_dots[i] = Dot(uv, mv, dim);
+    double dot = 0.0;
+    double joint = 0.0;  // ‖ū + m̄‖²
+    for (uint32_t t = 0; t < dim; ++t) {
+      const double u = uv[t];
+      const double m = mv[t];
+      dot += u * m;
+      joint += (u + m) * (u + m);
+    }
+    const double member_norm = NormInDouble(mv, dim);
+    sum_norms += member_norm;
+    sum_dots += dot;
+    if (!is_sum) {
+      scratch->slopes[i] = std::sqrt(joint) +
+                           term_slack * (user_norm + member_norm) +
+                           slope_floor;
+      scratch->intercepts[i] =
+          dot + term_slack * user_norm * member_norm + floor;
+    }
+  }
+
+  // The sum: S(x) = r·x̄ + Σ u·m̄ in real arithmetic, and its computed
+  // value lies within ε·(W·‖x̄‖ + V), W = |M|·‖ū‖ + Σ ‖m̄‖ and
+  // V = ‖ū‖·Σ ‖m̄‖. An exact score has dim + |M| + 2 roundings on each
+  // product's path; the one-dot estimate Dot(r, x̄) adds dim + 1 (the
+  // reduced dot's and r's rounding to fp32).
+  const double spread = static_cast<double>(size) * user_norm + sum_norms;
+  const double offset = user_norm * sum_norms;
+  double slope = 0.0;
+  double intercept = 0.0;
+  double dot_slope = 0.0;
+  double dot_intercept = 0.0;
+  if (is_sum) {
+    scratch->reduced.resize(dim);
+    double r_sq = 0.0;
+    for (uint32_t t = 0; t < dim; ++t) {
+      double r = static_cast<double>(size) * uv[t];
+      for (const ebsn::UserId m : members) r += model.UserVec(m)[t];
+      scratch->reduced[t] = static_cast<float>(r);
+      r_sq += r * r;
+    }
+    const double slack = RoundingSlack(dim + size + 2);
+    slope = std::sqrt(r_sq) + slack * spread + slope_floor;
+    intercept = sum_dots + slack * offset + floor;
+    const double dot_slack = RoundingSlack(2 * dim + size + 3);
+    dot_slope = dot_slack * spread + slope_floor;
+    dot_intercept = sum_dots + dot_slack * offset + floor;
+  }
+
+  // The bound on every event of norm `norm` or less.
+  auto norm_bound = [&](double norm) {
+    if (is_sum) return slope * norm + intercept;
+    double bound = std::numeric_limits<double>::infinity();
+    for (size_t i = 0; i < size; ++i) {
+      bound = std::min(bound,
+                       scratch->slopes[i] * norm + scratch->intercepts[i]);
+    }
+    return bound;
+  };
+
+  std::vector<Recommendation>& heap = scratch->heap;
+  heap.clear();
+  // n + 1 held, or every event when n reaches the slice.
+  const size_t cap = std::min(n, events.ids.size()) + 1;
+  size_t scored = 0;
+  for (size_t j = 0; j < events.ids.size(); ++j) {
+    const double norm = events.norms[j];
+    const bool full = heap.size() == cap;
+    const float kth = full ? heap.front().score : kNegInf;
+    // Every later event has a smaller or equal norm, so a smaller or
+    // equal bound: none can reach the (n + 1)-th score.
+    if (full && norm_bound(norm) < kth) break;
+    const ebsn::EventId x = events.ids[j];
+    const float* xv = model.EventVec(x);
+    if (is_sum && full &&
+        static_cast<double>(Dot(scratch->reduced.data(), xv, dim)) +
+                dot_slope * norm + dot_intercept <
+            kth) {
+      continue;
+    }
+    ++scored;
+    // PairwiseScore's association, (u·x̄ + u·m̄) + m̄·x̄, with u·x̄ taken
+    // once per event.
+    const float ux = Dot(uv, xv, dim);
+    float score = 0.0f;
+    size_t i = 0;
+    for (; i < size; ++i) {
+      const float term =
+          (ux + member_dots[i]) + Dot(model.UserVec(members[i]), xv, dim);
+      if (is_sum) {
+        score += term;
+        continue;
+      }
+      // The min is at most this term: strictly below the (n + 1)-th
+      // score, the event cannot enter.
+      if (term < kth) break;
+      score = i == 0 ? term : std::min(score, term);
+    }
+    if (i < size) continue;
+    PushBounded(&heap, cap, Recommendation{x, ebsn::kInvalidId, score});
+  }
+
+  std::sort_heap(heap.begin(), heap.end(), RecommendationOrder);
+  stats->unreturned_bound = heap.size() > n ? heap[n].score : kNegInf;
+  stats->points_examined = scored;
+  stats->sorted_accesses = 0;
+  stats->examined_fraction =
+      events.ids.empty() ? 0.0
+                         : static_cast<double>(scored) /
+                               static_cast<double>(events.ids.size());
+  const size_t returned = std::min(n, heap.size());
+  return std::vector<Recommendation>(heap.begin(), heap.begin() + returned);
 }
 
 std::vector<Recommendation> ReciprocalTopPairs(

@@ -83,9 +83,8 @@ void ReciprocalQueryVector(const GemModel& model, ebsn::UserId u,
 /// ascending — N-shard merges reproduce it bit-for-bit.
 bool RecommendationOrder(const Recommendation& a, const Recommendation& b);
 
-/// Exhaustive group-event ranking over `events` (the oracle, and the
-/// serve-path scan — group scoring has no sorted-list structure to
-/// prune with, so serving runs this same code over its event slice).
+/// Exhaustive group-event ranking over `events`: the oracle GroupScan
+/// is tested against, scoring every event with GroupEventScore.
 /// `bound_out`, when non-null, receives a sound upper bound on the
 /// score of every event NOT returned: the best dropped score, or -inf
 /// when nothing was dropped (SearchStats::unreturned_bound
@@ -94,6 +93,53 @@ std::vector<Recommendation> GroupTopEvents(
     const GemModel& model, const std::vector<ebsn::EventId>& events,
     ebsn::UserId user, const std::vector<ebsn::UserId>& members,
     GroupAggregator agg, size_t n, float* bound_out = nullptr);
+
+/// The scan domain of GroupScan: events in descending ‖x̄‖ order, ties
+/// by their position in the input (DescendingNormOrder, the order the
+/// pruned candidate build walks), each with its ‖x̄‖ in double.
+struct EventsByNorm {
+  std::vector<ebsn::EventId> ids;
+  std::vector<double> norms;
+};
+EventsByNorm OrderEventsByNorm(const GemModel& model,
+                               const std::vector<ebsn::EventId>& events);
+
+/// Reusable buffers for GroupScan: once warm, a scan allocates only
+/// the vector it returns.
+struct GroupScanScratch {
+  std::vector<Recommendation> heap;  // top n + 1, worst at the front
+  std::vector<float> member_dots;    // u·m̄ per member
+  std::vector<float> reduced;        // sum: r = |M|·ū + Σ m̄ in fp32
+  std::vector<double> slopes;        // min: per-member bound lines
+  std::vector<double> intercepts;
+};
+
+/// The served group ranking: bitwise GroupTopEvents over the same
+/// events (items, scores and bound), without scoring most of them.
+/// Walks `events` in descending norm order and keeps the top n + 1
+/// under RecommendationOrder; once n + 1 are held, the walk stops at
+/// the first event whose norm bound is strictly below the (n + 1)-th
+/// score, and skips events a cheaper bound rules out (DESIGN §17.2):
+///
+///   sum: S(x) = r·x̄ + Σ u·m̄ with r = |M|·ū + Σ m̄. The walk stops on
+///        ‖r‖·‖x̄‖ + Σ u·m̄; an event is scored only when its one-dot
+///        bound Dot(r, x̄) + Σ u·m̄ reaches the (n + 1)-th score.
+///   min: the walk stops on min over m of ‖ū + m̄‖·‖x̄‖ + u·m̄; an event
+///        drops out at the first member term strictly below that score.
+///
+/// Every bound is widened by the rounding slack derived in §17.2.
+/// Exact scores take u·x̄ once per event and u·m̄ once per query and
+/// associate as PairwiseScore does, so they are bitwise
+/// GroupEventScore. `stats` receives the bound (GroupTopEvents'),
+/// points_examined = the events scored exactly, and their fraction of
+/// `events`. `members` must be non-empty.
+std::vector<Recommendation> GroupScan(const GemModel& model,
+                                      const EventsByNorm& events,
+                                      ebsn::UserId user,
+                                      const std::vector<ebsn::UserId>& members,
+                                      GroupAggregator agg, size_t n,
+                                      GroupScanScratch* scratch,
+                                      SearchStats* stats);
 
 /// Exhaustive reciprocal ranking over a transformed space (the
 /// oracle). Pairs with partner == user are excluded, mirroring the

@@ -26,9 +26,11 @@ ModelSnapshot::ModelSnapshot(const embedding::EmbeddingStore& store,
       pool_hash_(HashEventPool(events_)) {
   // Group queries scan whole events, so their cover is by event id;
   // partner and reciprocal queries walk only the owned partners' pairs.
+  std::vector<ebsn::EventId> owned;
   for (const ebsn::EventId x : events_) {
-    if (shard::OwnsEvent(options.shard, x)) shard_events_.push_back(x);
+    if (shard::OwnsEvent(options.shard, x)) owned.push_back(x);
   }
+  shard_events_ = recommend::OrderEventsByNorm(model_, owned);
   const ModelSnapshot* previous = delta ? delta->previous : nullptr;
   recommend::CandidateDelta candidate_delta;
   if (previous != nullptr) {

@@ -11,6 +11,7 @@
 #include "recommend/candidate_index.h"
 #include "recommend/gem_model.h"
 #include "recommend/quantized_space.h"
+#include "recommend/query_kinds.h"
 #include "recommend/space_index.h"
 #include "recommend/space_transform.h"
 #include "recommend/ta_search.h"
@@ -95,10 +96,16 @@ class ModelSnapshot {
   }
   const std::vector<ebsn::EventId>& events() const { return events_; }
   /// This shard's slice of the event pool under OwnsEvent — the scan
-  /// domain of group queries. Equals events() when unsharded; the N
+  /// domain of group queries — in descending ‖x̄‖ order, ties by pool
+  /// position (recommend::OrderEventsByNorm), for full and delta
+  /// builds alike. Holds the events of events() when unsharded; the N
   /// slices are disjoint and their union is events(), so the shard
   /// merger reassembles the single-instance group ranking exactly.
   const std::vector<ebsn::EventId>& shard_events() const {
+    return shard_events_.ids;
+  }
+  /// shard_events() with their norms, what recommend::GroupScan walks.
+  const recommend::EventsByNorm& shard_events_by_norm() const {
     return shard_events_;
   }
   uint32_t num_users() const { return num_users_; }
@@ -121,7 +128,7 @@ class ModelSnapshot {
   embedding::EmbeddingStore store_;  // deep copy; owned
   recommend::GemModel model_;        // points into store_
   std::vector<ebsn::EventId> events_;
-  std::vector<ebsn::EventId> shard_events_;
+  recommend::EventsByNorm shard_events_;
   uint32_t num_users_;
   uint64_t pool_hash_;
   std::unique_ptr<recommend::TransformedSpace> space_;

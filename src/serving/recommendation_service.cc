@@ -319,17 +319,16 @@ void RecommendationService::CompleteMiss(PendingRequest* pending,
 }
 
 void RecommendationService::ServeGroup(PendingRequest* pending,
-                                       const ModelSnapshot& snapshot) {
+                                       const ModelSnapshot& snapshot,
+                                       WorkerState* state) {
   const QueryRequest& request = pending->request;
   QueryResponse response;
   response.epoch = snapshot.epoch();
   const auto search_start = std::chrono::steady_clock::now();
-  response.items = recommend::GroupTopEvents(
-      snapshot.model(), snapshot.shard_events(), request.user, request.group,
-      request.aggregator, request.n, &response.stats.unreturned_bound);
-  response.stats.points_examined = snapshot.shard_events().size();
-  response.stats.examined_fraction =
-      snapshot.shard_events().empty() ? 0.0 : 1.0;
+  response.items = recommend::GroupScan(
+      snapshot.model(), snapshot.shard_events_by_norm(), request.user,
+      request.group, request.aggregator, request.n, &state->group,
+      &response.stats);
   ta_search_us_->Record(static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - search_start)
@@ -338,7 +337,7 @@ void RecommendationService::ServeGroup(PendingRequest* pending,
 }
 
 /// Screens requests queued before the first publish and answers group
-/// scans first, then runs every partner and reciprocal miss through
+/// queries first, then runs every partner and reciprocal miss through
 /// ONE BatchTaSearch traversal (shared component stage and sorted-list
 /// walk, exact fp32 re-rank). A reciprocal miss walks its forward
 /// query (u, u, 0) to depth ReciprocalDepth(n) and is rescored by
@@ -362,7 +361,7 @@ void RecommendationService::ServeBatchQuantized(
       continue;
     }
     if (pending.request.kind == recommend::QueryKind::kGroup) {
-      ServeGroup(&pending, snapshot);
+      ServeGroup(&pending, snapshot, state);
       continue;
     }
     state->miss_index.push_back(i);

@@ -174,6 +174,7 @@ class RecommendationService : public QueryBackend {
     std::vector<std::vector<recommend::SearchHit>> miss_hits;
     std::vector<recommend::SearchStats> miss_stats;
     std::vector<recommend::Recommendation> rescored;
+    recommend::GroupScanScratch group;
   };
 
   /// Counts the request, then completes it when its ids do not
@@ -190,17 +191,17 @@ class RecommendationService : public QueryBackend {
   void Enqueue(PendingRequest pending);
   void WorkerLoop();
   /// Answers one drained batch: screening for requests queued before
-  /// the first publish, group queries by their exhaustive scan, then
+  /// the first publish, group queries by their norm-ordered scan, then
   /// every partner and reciprocal miss through one BatchTaSearch call.
   void ServeBatchQuantized(std::vector<PendingRequest>* batch,
                            const ModelSnapshot& snapshot,
                            WorkerState* state);
   /// Caches a miss's answer under its certified bound and completes it.
   void CompleteMiss(PendingRequest* pending, QueryResponse response);
-  /// Group path: group scoring has no sorted-list structure to prune
-  /// with (the aggregate depends on the whole member set), so it scans
-  /// the shard's event slice exhaustively.
-  void ServeGroup(PendingRequest* pending, const ModelSnapshot& snapshot);
+  /// Group path: recommend::GroupScan over the shard's event slice,
+  /// with the worker's scratch.
+  void ServeGroup(PendingRequest* pending, const ModelSnapshot& snapshot,
+                  WorkerState* state);
   obs::Counter* KindCounter(recommend::QueryKind kind) {
     switch (kind) {
       case recommend::QueryKind::kGroup: return kind_group_;

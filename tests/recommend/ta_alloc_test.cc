@@ -1,6 +1,7 @@
 // Pins the zero-allocation contracts of TaSearch and BatchTaSearch:
 // once their scratch and output buffers are warm, SearchInto,
-// SearchBatch and the reciprocal rescore must not touch the heap.
+// SearchBatch and the reciprocal rescore must not touch the heap; and
+// a warm GroupScan allocates only the items it returns.
 // Lives in its own test binary because it replaces the global
 // allocator (testing/counting_allocator.h).
 
@@ -300,6 +301,62 @@ TEST(TaAllocTest, SteadyStateReciprocalBatchAllocatesNothing) {
       << "steady-state reciprocal batch performed " << (after - before)
       << " heap allocations over 50 batches";
   EXPECT_GT(certified, 0u) << "no reciprocal query exercised the rescore";
+}
+
+/// Once its scratch is warm, a served group scan's one heap allocation
+/// is the vector of items it returns (none when it returns nothing).
+TEST(TaAllocTest, WarmGroupScanAllocatesOnlyItsItems) {
+  constexpr uint32_t kUsers = 40;
+  constexpr uint32_t kEvents = 300;
+  auto store = std::make_unique<embedding::EmbeddingStore>(
+      32, std::array<uint32_t, 5>{kUsers, kEvents, 1, 1, 1});
+  Rng rng(21);
+  store->MatrixOf(graph::NodeType::kUser).FillAbsGaussian(&rng, 0.2, 0.3);
+  store->MatrixOf(graph::NodeType::kEvent).FillAbsGaussian(&rng, 0.2, 0.3);
+  GemModel model(store.get(), "GEM");
+  std::vector<ebsn::EventId> pool(kEvents);
+  for (uint32_t x = 0; x < kEvents; ++x) pool[x] = x;
+  const EventsByNorm ordered = OrderEventsByNorm(model, pool);
+
+  struct Query {
+    ebsn::UserId user;
+    std::vector<ebsn::UserId> members;
+    GroupAggregator agg;
+    size_t n;
+  };
+  std::vector<Query> queries;
+  for (int q = 0; q < 60; ++q) {
+    Query query{static_cast<ebsn::UserId>(rng.UniformInt(kUsers)), {},
+                q % 2 == 0 ? GroupAggregator::kSum : GroupAggregator::kMin,
+                std::array<size_t, 5>{0, 1, 10, 50, kEvents}[q % 5]};
+    const size_t size = 1 + rng.UniformInt(8);
+    while (query.members.size() < size) {
+      query.members.push_back(
+          static_cast<ebsn::UserId>(rng.UniformInt(kUsers)));
+    }
+    queries.push_back(std::move(query));
+  }
+
+  GroupScanScratch scratch;
+  SearchStats stats;
+  size_t returning = 0;  // queries that return items
+  for (const Query& q : queries) {  // warm-up: grows the scratch
+    const auto items = GroupScan(model, ordered, q.user, q.members, q.agg,
+                                 q.n, &scratch, &stats);
+    returning += items.empty() ? 0 : 1;
+  }
+  ASSERT_GT(returning, 0u);
+  ASSERT_LT(returning, queries.size());
+  const size_t before = ::gemrec::testing::Allocations();
+  for (int round = 0; round < 5; ++round) {
+    for (const Query& q : queries) {
+      GroupScan(model, ordered, q.user, q.members, q.agg, q.n, &scratch,
+                &stats);
+    }
+  }
+  const size_t after = ::gemrec::testing::Allocations();
+  EXPECT_EQ(after - before, 5 * returning)
+      << "a warm group scan should allocate only its returned items";
 }
 
 }  // namespace
