@@ -1,5 +1,6 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 
@@ -7,6 +8,8 @@
 
 namespace gemrec {
 namespace {
+
+std::atomic<uint64_t> g_workers_started{0};
 
 /// Shared state of one ParallelFor call. Owned jointly by the caller
 /// and the helper tasks (shared_ptr), so a helper that is dequeued
@@ -41,6 +44,7 @@ ThreadPool::ThreadPool(size_t num_threads) {
   for (size_t i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this] { WorkerLoop(); });
   }
+  g_workers_started.fetch_add(num_threads, std::memory_order_relaxed);
 }
 
 ThreadPool::~ThreadPool() {
@@ -87,6 +91,23 @@ void ThreadPool::ParallelFor(size_t n,
   state->cv.wait(lock, [&] {
     return state->done.load(std::memory_order_acquire) == n;
   });
+}
+
+void ThreadPool::ForEachChunk(
+    size_t n, size_t chunks, const std::function<void(size_t, size_t)>& fn) {
+  chunks = std::clamp<size_t>(chunks, 1, std::max<size_t>(n, 1));
+  auto run = [&](size_t c) { fn(c * n / chunks, (c + 1) * n / chunks); };
+  const size_t helpers = std::min(ClampThreads(0), chunks) - 1;
+  if (helpers == 0) {
+    for (size_t c = 0; c < chunks; ++c) run(c);
+    return;
+  }
+  ThreadPool pool(helpers);
+  pool.ParallelFor(chunks, run);
+}
+
+uint64_t ThreadPool::workers_started() {
+  return g_workers_started.load(std::memory_order_relaxed);
 }
 
 size_t ThreadPool::ClampThreads(size_t requested) {

@@ -3,6 +3,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -11,9 +12,10 @@
 
 namespace gemrec {
 
-/// Minimal fixed-size worker pool. Used by the hogwild trainer, the
-/// adaptive sampler's ranking rebuilds and the candidate-index build;
-/// tasks must not throw.
+/// Minimal fixed-size worker pool. Used by the hogwild trainer and the
+/// adaptive sampler's ranking rebuilds, which keep one pool across
+/// calls, and through ForEachChunk by the snapshot build's candidate
+/// ranking, which starts one per build; tasks must not throw.
 ///
 /// Workers are created once and reused across submissions — callers on
 /// a hot path (e.g. JointTrainer::TrainChunk every chunk) pay no
@@ -42,6 +44,20 @@ class ThreadPool {
   /// whose workers are busy with long-running work) degrades to serial
   /// execution on the caller instead of deadlocking.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
+
+  /// Runs fn(begin, end) over `chunks` contiguous ranges of [0, n)
+  /// (chunk c is [c·n/chunks, (c+1)·n/chunks)), in no fixed order, and
+  /// returns when every call finished. The calling thread takes chunks
+  /// too. With two or more chunks on a multi-core host, a pool of at
+  /// most ClampThreads(0) - 1 workers helps, and it is joined before
+  /// the call returns, so no thread outlives it; one chunk runs on the
+  /// caller alone and starts no thread. `chunks` is clamped to
+  /// [1, max(n, 1)].
+  static void ForEachChunk(size_t n, size_t chunks,
+                           const std::function<void(size_t, size_t)>& fn);
+
+  /// Pool workers started in this process so far, by any pool.
+  static uint64_t workers_started();
 
   /// Caps a requested worker count at the host's hardware concurrency
   /// (0 means "use all hardware threads"); never returns 0.

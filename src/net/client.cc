@@ -207,12 +207,6 @@ Result<TaggedReply> Client::ReceiveAny(std::chrono::milliseconds timeout) {
   return DecodeReply(std::move(frame));
 }
 
-Status Client::SendStatsRequest(uint64_t frame_id) {
-  std::vector<uint8_t> bytes;
-  AppendStatsRequestFrame(FrameTag{true, frame_id}, &bytes);
-  return SendAll(bytes.data(), bytes.size());
-}
-
 Result<QueryOutcome> Client::Receive() {
   GEMREC_ASSIGN_OR_RETURN(TaggedReply reply, ReceiveAny());
   return std::move(reply.outcome);

@@ -43,9 +43,10 @@ struct IngestOutcome {
 
 /// One reply pulled off a pipelined connection: the frame id it
 /// answers (echoed by the server from the matching SendTagged), plus
-/// the outcome. A kStatsResponse (answering SendStatsRequest on the
-/// same pipelined connection) arrives with `is_stats` set and `stats`
-/// filled; `outcome` is meaningful otherwise.
+/// the outcome. A kStatsResponse (answering a tagged kStatsRequest on
+/// the same pipelined connection, sent with SendAll) arrives with
+/// `is_stats` set and `stats` filled; `outcome` is meaningful
+/// otherwise.
 struct TaggedReply {
   uint64_t frame_id = 0;
   bool is_stats = false;
@@ -102,11 +103,6 @@ class Client {
   /// a parked shard costs exactly the deadline, never the io_timeout.
   Result<TaggedReply> ReceiveAny(std::chrono::milliseconds timeout);
 
-  /// Writes one tagged kStatsRequest on the pipelined connection; the
-  /// kStatsResponse arrives through ReceiveAny with `is_stats` set
-  /// (completion order, like query replies).
-  Status SendStatsRequest(uint64_t frame_id);
-
   /// Write path. Attend reports "user registered for event" (new_user
   /// folds in a cold user vector seeded by the event); PublishNewEvent
   /// streams a just-published event's fold-in signals. Both block for
@@ -132,12 +128,15 @@ class Client {
   /// so returned metrics carry empty `help`.
   Result<obs::MetricsSnapshot> Stats();
 
+  /// Writes `n` already-encoded bytes, e.g. one frame encoded once and
+  /// sent to several servers.
+  Status SendAll(const uint8_t* data, size_t n);
+
   int fd() const { return fd_; }
 
  private:
   explicit Client(int fd) : fd_(fd) {}
 
-  Status SendAll(const uint8_t* data, size_t n);
   /// Blocks until one complete frame is decoded.
   Result<Frame> ReceiveFrame();
   /// Poll-based ReceiveFrame with a hard deadline (Status::Timeout).

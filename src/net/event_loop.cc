@@ -65,9 +65,11 @@ void EventLoop::Wakeup() {
 }
 
 void EventLoop::DrainWakeup() {
+  // A non-semaphore eventfd read returns the whole counter and resets
+  // it, so one read drains every Wakeup so far; it fails with EAGAIN
+  // only when there was none.
   uint64_t value;
-  while (::read(wakeup_fd_, &value, sizeof(value)) > 0) {
-  }
+  [[maybe_unused]] const ssize_t n = ::read(wakeup_fd_, &value, sizeof(value));
 }
 
 }  // namespace gemrec::net

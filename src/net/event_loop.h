@@ -38,7 +38,8 @@ class EventLoop {
   /// Makes the current/next Poll return. Async-signal-safe.
   void Wakeup();
 
-  /// Drains the wakeup channel (call when a kWakeupTag event fires so
+  /// Drains the wakeup channel with one read, however many Wakeup
+  /// calls came before (call when a kWakeupTag event fires so
   /// level-triggered epoll stops reporting it).
   void DrainWakeup();
 

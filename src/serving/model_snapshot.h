@@ -65,7 +65,9 @@ class ModelSnapshot {
   /// (recommend::BuildCandidateList), with its index entries and
   /// codes (the delta constructors of SpaceIndex and QuantizedSpace);
   /// the result is bitwise the same. The build runs on the calling
-  /// thread, never on serving workers.
+  /// thread, never on serving workers; the candidate ranking also
+  /// borrows a pool of helper threads that is joined before it returns
+  /// (recommend::BuildCandidateList), so no thread outlives the build.
   ModelSnapshot(const embedding::EmbeddingStore& store,
                 std::vector<ebsn::EventId> events, uint32_t num_users,
                 const SnapshotOptions& options,

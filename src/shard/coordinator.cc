@@ -271,11 +271,17 @@ void CoordinatorBackend::Dispatch(Pending pending, TimePoint now) {
   pending.replies.resize(shards_.size());
   pending.waiting.assign(shards_.size(), 0);
   pending.sent_at = now;
+  frame_.clear();
+  if (query) {
+    net::AppendQueryRequestFrame(pending.request, net::FrameTag{true, id},
+                                 &frame_);
+  } else {
+    net::AppendStatsRequestFrame(net::FrameTag{true, id}, &frame_);
+  }
   for (uint32_t i = 0; i < shards_.size(); ++i) {
     net::Client* client = shards_[i].client.get();
     if (client == nullptr) continue;  // breaker open: slice missing
-    const Status sent = query ? client->SendTagged(pending.request, id)
-                              : client->SendStatsRequest(id);
+    const Status sent = client->SendAll(frame_.data(), frame_.size());
     if (!sent.ok()) {
       StrikeShard(i, /*connection_broken=*/true, now);
       continue;

@@ -205,6 +205,9 @@ class CoordinatorBackend : public serving::QueryBackend {
   /// SAME id goes to every shard — separate connections, so no
   /// collision is possible).
   uint64_t next_id_ = 1;
+  /// Dispatch's encode buffer, reused: a fan-out's frame is encoded
+  /// once and the same bytes go to every live shard.
+  std::vector<uint8_t> frame_;
   /// Fan-outs still waiting on at least one shard.
   std::unordered_map<uint64_t, Pending> pending_;
   /// Ids whose outstanding count hit zero mid-sweep; completed (and

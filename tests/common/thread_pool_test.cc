@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -81,6 +83,41 @@ TEST(ThreadPoolTest, ClampThreadsNormalizesRequests) {
   EXPECT_EQ(ThreadPool::ClampThreads(hw + 1000), hw);
   EXPECT_EQ(ThreadPool::ClampThreads(1), 1u);
   EXPECT_LE(ThreadPool::ClampThreads(hw), hw);
+}
+
+TEST(ThreadPoolTest, ForEachChunkCoversContiguousRangesOnce) {
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{1000}}) {
+    for (const size_t chunks : {size_t{0}, size_t{1}, size_t{3}, size_t{64},
+                                size_t{5000}}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " chunks=" << chunks);
+      std::vector<std::atomic<int>> hits(n);
+      std::mutex mu;
+      std::vector<std::pair<size_t, size_t>> ranges;
+      ThreadPool::ForEachChunk(n, chunks, [&](size_t begin, size_t end) {
+        for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+        std::lock_guard<std::mutex> lock(mu);
+        ranges.emplace_back(begin, end);
+      });
+      for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+      std::sort(ranges.begin(), ranges.end());
+      const size_t want =
+          std::clamp<size_t>(chunks, 1, std::max<size_t>(n, 1));
+      ASSERT_EQ(ranges.size(), want);
+      for (size_t c = 0; c < want; ++c) {
+        EXPECT_EQ(ranges[c].first, c * n / want);
+        EXPECT_EQ(ranges[c].second, (c + 1) * n / want);
+      }
+    }
+  }
+}
+
+TEST(ThreadPoolTest, ForEachChunkStartsThreadsOnlyForSeveralChunks) {
+  const uint64_t started = ThreadPool::workers_started();
+  ThreadPool::ForEachChunk(1000, 1, [](size_t, size_t) {});
+  EXPECT_EQ(ThreadPool::workers_started(), started);
+  ThreadPool::ForEachChunk(1000, 8, [](size_t, size_t) {});
+  EXPECT_EQ(ThreadPool::workers_started(),
+            started + std::min<size_t>(ThreadPool::ClampThreads(0), 8) - 1);
 }
 
 }  // namespace
