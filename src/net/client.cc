@@ -22,6 +22,24 @@ timeval ToTimeval(std::chrono::milliseconds ms) {
   return tv;
 }
 
+/// Writes what the socket takes of `data` without blocking: the byte
+/// count, possibly short (0 when the socket buffer is full).
+Result<size_t> SendSome(int fd, const uint8_t* data, size_t n) {
+  size_t sent = 0;
+  while (sent < n) {
+    const ssize_t w =
+        ::send(fd, data + sent, n - sent, MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (w >= 0) {
+      sent += static_cast<size_t>(w);
+      continue;
+    }
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
+    return Status::IoError(std::string("send: ") + std::strerror(errno));
+  }
+  return sent;
+}
+
 }  // namespace
 
 Result<std::unique_ptr<Client>> Client::Connect(
@@ -81,6 +99,22 @@ Status Client::SendAll(const uint8_t* data, size_t n) {
     }
     return Status::IoError(std::string("send: ") + std::strerror(errno));
   }
+  return Status::Ok();
+}
+
+Status Client::SendNonBlocking(const uint8_t* data, size_t n) {
+  size_t sent = 0;
+  if (out_.empty()) {
+    GEMREC_ASSIGN_OR_RETURN(sent, SendSome(fd_, data, n));
+  }
+  out_.insert(out_.end(), data + sent, data + n);
+  return Status::Ok();
+}
+
+Status Client::FlushQueued() {
+  GEMREC_ASSIGN_OR_RETURN(const size_t sent,
+                          SendSome(fd_, out_.data(), out_.size()));
+  out_.erase(out_.begin(), out_.begin() + static_cast<ptrdiff_t>(sent));
   return Status::Ok();
 }
 

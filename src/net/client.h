@@ -4,6 +4,7 @@
 #include <chrono>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "net/wire.h"
@@ -132,6 +133,19 @@ class Client {
   /// sent to several servers.
   Status SendAll(const uint8_t* data, size_t n);
 
+  /// Non-blocking SendAll: writes what the socket takes now and keeps
+  /// the unsent remainder, byte for byte, in one reusable buffer
+  /// (queued()). Behind a non-empty remainder the bytes only queue, so
+  /// frames leave in call order. An error means the connection is
+  /// unusable. The caller flushes the remainder with FlushQueued once
+  /// the socket is writable again (EPOLLOUT).
+  Status SendNonBlocking(const uint8_t* data, size_t n);
+  /// Writes as much of the remainder as the socket takes without
+  /// blocking.
+  Status FlushQueued();
+  /// Bytes accepted by SendNonBlocking that the socket has not taken.
+  size_t queued() const { return out_.size(); }
+
   int fd() const { return fd_; }
 
  private:
@@ -151,6 +165,8 @@ class Client {
   /// choose their own id space (collisions with these are harmless —
   /// the server echoes blindly, matching is entirely client-side).
   uint64_t next_frame_id_ = 1;
+  /// SendNonBlocking's unsent remainder.
+  std::vector<uint8_t> out_;
 };
 
 }  // namespace gemrec::net

@@ -105,9 +105,11 @@ Status IngestionQueue::Start() {
   // 1. The newest checkpoint (when checkpointing is configured)
   //    replaces the operator-provided base the builder was constructed
   //    with.
+  bool checkpoint_loaded = false;
   if (!options_.checkpoint_base.empty()) {
     auto checkpoint = LoadIngestCheckpoint(options_.checkpoint_base);
     if (checkpoint.ok()) {
+      checkpoint_loaded = true;
       IngestCheckpoint& cp = checkpoint.value();
       // The checkpoint's store and pool replace the builder's together,
       // so they are checked against each other.
@@ -157,9 +159,16 @@ Status IngestionQueue::Start() {
   seq_counter_ = std::max(journal_->last_seq(), checkpoint_seq_);
 
   // 3. Every acknowledged write is retrievable before the first new
-  //    submission is accepted.
-  service_->Publish(builder_->BuildNext());
-  m_publishes_->Increment();
+  //    submission is accepted. When recovery changed nothing and the
+  //    service already serves a snapshot of exactly the builder's
+  //    inputs (a boot that published Build() first), that snapshot
+  //    becomes the delta base instead of a second build.
+  const bool recovered_nothing = !checkpoint_loaded && replayed_ == 0;
+  if (!recovered_nothing ||
+      !builder_->AdoptIfCurrent(service_->CurrentSnapshot())) {
+    service_->Publish(builder_->BuildNext());
+    m_publishes_->Increment();
+  }
 
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -115,7 +115,10 @@ class IngestionQueue {
   /// Recovery + liftoff: loads the newest checkpoint (if any), opens
   /// the journal (truncating a torn tail), replays records past the
   /// watermark, publishes the recovered snapshot, then starts the
-  /// ingest thread. Must be called once before any Submit.
+  /// ingest thread. When recovery applied nothing and the service
+  /// already serves a snapshot of exactly the builder's inputs, Start
+  /// keeps it (SnapshotBuilder::AdoptIfCurrent) and publishes nothing.
+  /// Must be called once before any Submit.
   Status Start();
 
   /// Non-blocking admission. On kAccepted the ack callback fires on

@@ -23,6 +23,7 @@ ModelSnapshot::ModelSnapshot(const embedding::EmbeddingStore& store,
       model_(&store_, "gem-snapshot"),
       events_(std::move(events)),
       num_users_(num_users),
+      options_(options),
       pool_hash_(HashEventPool(events_)) {
   // Group queries scan whole events, so their cover is by event id;
   // partner and reciprocal queries walk only the owned partners' pairs.

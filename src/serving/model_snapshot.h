@@ -27,6 +27,8 @@ struct SnapshotOptions {
   /// only its events in group queries (`gemrec serve --shard i/N`).
   /// The default spec builds everything.
   shard::ShardSpec shard;
+
+  bool operator==(const SnapshotOptions&) const = default;
 };
 
 class ModelSnapshot;
@@ -111,6 +113,8 @@ class ModelSnapshot {
     return shard_events_;
   }
   uint32_t num_users() const { return num_users_; }
+  /// The options the snapshot was built with.
+  const SnapshotOptions& options() const { return options_; }
   size_t num_candidate_pairs() const { return space_->num_points(); }
   const embedding::EmbeddingStore& store() const { return store_; }
 
@@ -132,6 +136,7 @@ class ModelSnapshot {
   std::vector<ebsn::EventId> events_;
   recommend::EventsByNorm shard_events_;
   uint32_t num_users_;
+  SnapshotOptions options_;
   uint64_t pool_hash_;
   std::unique_ptr<recommend::TransformedSpace> space_;
   std::unique_ptr<recommend::SpaceIndex> index_;  // shared by searchers

@@ -1,12 +1,34 @@
 #include "serving/snapshot_builder.h"
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 #include <utility>
 
 #include "recommend/quantized_space.h"
 
 namespace gemrec::serving {
+namespace {
+
+/// Whether two stores hold bitwise the same rows (padding ignored).
+bool SameRows(const embedding::EmbeddingStore& a,
+              const embedding::EmbeddingStore& b) {
+  if (a.dim() != b.dim()) return false;
+  for (size_t t = 0; t < embedding::EmbeddingStore::kNumTypes; ++t) {
+    const auto type = static_cast<graph::NodeType>(t);
+    const Matrix& x = a.MatrixOf(type);
+    const Matrix& y = b.MatrixOf(type);
+    if (x.rows() != y.rows() || x.cols() != y.cols()) return false;
+    for (size_t r = 0; r < x.rows(); ++r) {
+      if (std::memcmp(x.Row(r), y.Row(r), x.cols() * sizeof(float)) != 0) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+}  // namespace
 
 SnapshotBuilder::SnapshotBuilder(const embedding::EmbeddingStore& initial,
                                  std::vector<ebsn::EventId> events,
@@ -58,6 +80,19 @@ std::shared_ptr<ModelSnapshot> SnapshotBuilder::BuildNext() {
   std::fill(dirty_users_.begin(), dirty_users_.end(), 0);
   reuse_blocked_ = false;
   return snapshot;
+}
+
+bool SnapshotBuilder::AdoptIfCurrent(
+    std::shared_ptr<const ModelSnapshot> served) {
+  if (served == nullptr || served->num_users() != num_users_ ||
+      served->events() != events_ || served->options() != options_ ||
+      !SameRows(served->store(), staging_)) {
+    return false;
+  }
+  last_ = std::move(served);
+  std::fill(dirty_users_.begin(), dirty_users_.end(), 0);
+  reuse_blocked_ = false;
+  return true;
 }
 
 Status ValidateStoreShape(const embedding::EmbeddingStore& store,

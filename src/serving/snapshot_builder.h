@@ -102,6 +102,13 @@ class SnapshotBuilder {
   /// updater thread, then Publish the result.
   std::shared_ptr<ModelSnapshot> BuildNext();
 
+  /// Takes `served` as the base of the next BuildNext, in place of a
+  /// publish, when it was built from exactly the current staging
+  /// state: bitwise the same store rows, the same pool, user count and
+  /// options. It is then the snapshot Build would return now. Returns
+  /// whether it did; otherwise nothing changes.
+  bool AdoptIfCurrent(std::shared_ptr<const ModelSnapshot> served);
+
  private:
   void MarkUserDirty(ebsn::UserId user) {
     if (user < dirty_users_.size()) dirty_users_[user] = 1;

@@ -81,6 +81,12 @@ CoordinatorBackend::CoordinatorBackend(std::vector<ShardEndpoint> shards,
   if (options_.breaker_backoff.count() <= 0) {
     options_.breaker_backoff = std::chrono::milliseconds(1);
   }
+  // A zero deadline would mean "no timeout" to the socket layer and a
+  // zero poll timeout to the router. The connect is the one blocking
+  // socket call; every send and receive on a shard is non-blocking.
+  options_.shard_deadline =
+      std::max(options_.shard_deadline, std::chrono::milliseconds(1));
+  client_options_.connect_timeout = options_.shard_deadline;
   shards_.reserve(shards.size());
   for (size_t i = 0; i < shards.size(); ++i) {
     ShardState state;
@@ -115,18 +121,26 @@ CoordinatorBackend::~CoordinatorBackend() { Stop(); }
 
 Status CoordinatorBackend::Start() {
   GEMREC_CHECK(!started_) << "CoordinatorBackend started twice";
+  // Connect first, install under the mutex: no connect holds it.
+  std::vector<Result<std::unique_ptr<net::Client>>> clients;
+  for (const ShardState& shard : shards_) {
+    clients.push_back(net::Client::Connect(
+        shard.endpoint.host, shard.endpoint.port, client_options_));
+  }
   const auto now = std::chrono::steady_clock::now();
   size_t connected = 0;
+  std::lock_guard<std::mutex> lock(mu_);
   for (uint32_t i = 0; i < shards_.size(); ++i) {
-    ShardState& shard = shards_[i];
-    const Status status = ConnectShard(i);
-    if (status.ok()) {
+    if (clients[i].ok()) {
+      InstallLocked(i, std::move(clients[i]).value());
       ++connected;
       continue;
     }
+    ShardState& shard = shards_[i];
     GEMREC_LOG(Warning) << "shard " << i << " (" << shard.endpoint.host
                         << ":" << shard.endpoint.port
-                        << ") unreachable at startup: " << status.message()
+                        << ") unreachable at startup: "
+                        << clients[i].status().message()
                         << "; breaker open, will re-probe";
     shard.consecutive_failures = options_.breaker_threshold;
     shard.reprobe_at = now + shard.backoff;
@@ -142,9 +156,9 @@ Status CoordinatorBackend::Start() {
 void CoordinatorBackend::Stop() {
   if (!started_) return;
   {
-    std::lock_guard<std::mutex> lock(inbox_.mu);
-    if (inbox_.closed) return;
-    inbox_.closed = true;
+    std::lock_guard<std::mutex> lock(mu_);
+    if (closed_) return;
+    closed_ = true;
   }
   loop_.Wakeup();
   if (thread_.joinable()) thread_.join();
@@ -171,11 +185,6 @@ void CoordinatorBackend::StatsAsync(StatsCallback callback) {
   Submit(std::move(pending));
 }
 
-size_t CoordinatorBackend::QueueDepth() const {
-  std::lock_guard<std::mutex> lock(inbox_.mu);
-  return inbox_.submitted.size();
-}
-
 size_t CoordinatorBackend::InFlight() const {
   return in_flight_.load(std::memory_order_relaxed);
 }
@@ -185,83 +194,97 @@ obs::MetricsRegistry* CoordinatorBackend::metrics() const {
 }
 
 void CoordinatorBackend::Submit(Pending pending) {
-  {
-    std::lock_guard<std::mutex> lock(inbox_.mu);
-    if (!inbox_.closed) {
-      // Only the push into an empty inbox wakes the router: it empties
-      // the inbox after draining its wakeup, so a later push finds the
-      // earlier one's tick still pending or its batch not yet taken.
-      const bool was_empty = inbox_.submitted.empty();
-      inbox_.submitted.push_back(std::move(pending));
-      if (was_empty) loop_.Wakeup();
-      return;
-    }
+  std::unique_lock<std::mutex> lock(mu_);
+  if (closed_) {
+    lock.unlock();
+    Abandon(std::move(pending));
+    return;
   }
-  Abandon(std::move(pending));
+  // Empty unless this fan-out, or one whose last waiting shard a failed
+  // send evicted, finished here.
+  std::vector<Pending> done;
+  DispatchLocked(std::move(pending), std::chrono::steady_clock::now(),
+                 &done);
+  TakeFinishedLocked(&done);
+  lock.unlock();
+  Finish(&done);
 }
 
-Status CoordinatorBackend::ConnectShard(uint32_t index) {
+void CoordinatorBackend::InstallLocked(uint32_t index,
+                                       std::unique_ptr<net::Client> client) {
   ShardState& shard = shards_[index];
-  // The router thread blocks in connect and send, so both are bounded
-  // by the shard deadline; replies are only read without blocking.
-  // (A zero timeout would mean "no timeout" to the socket layer.)
-  net::ClientOptions client_options;
-  client_options.connect_timeout =
-      std::max(options_.shard_deadline, std::chrono::milliseconds(1));
-  client_options.io_timeout = client_options.connect_timeout;
-  GEMREC_ASSIGN_OR_RETURN(
-      shard.client, net::Client::Connect(shard.endpoint.host,
-                                         shard.endpoint.port,
-                                         client_options));
+  shard.client = std::move(client);
   // Tag = shard index + 1 (kWakeupTag occupies 0).
   loop_.Add(shard.client->fd(), EPOLLIN, static_cast<uint64_t>(index) + 1);
-  return Status::Ok();
 }
 
 void CoordinatorBackend::Loop() {
   std::vector<epoll_event> events;
-  std::vector<Pending> submitted;
-  bool closed = false;
-  while (!closed) {
-    auto now = std::chrono::steady_clock::now();
-    loop_.Poll(NextTimeoutMs(now), &events);
-    now = std::chrono::steady_clock::now();
-    for (const epoll_event& ev : events) {
-      if (ev.data.u64 == net::EventLoop::kWakeupTag) {
-        loop_.DrainWakeup();
-        continue;
-      }
-      const auto index = static_cast<uint32_t>(ev.data.u64 - 1);
-      // A stale event for a connection evicted earlier this batch:
-      // the fd is gone from the epoll set, but the event array may
-      // still carry it.
-      if (index >= shards_.size() || !shards_[index].client) continue;
-      DrainShard(index, now);
-    }
+  std::vector<Pending> done;
+  std::vector<uint32_t> reprobes;
+  while (true) {
+    int timeout_ms = 0;
     {
-      // Submit refuses new work once closed, so the batch claimed
-      // together with `closed` is the last one.
-      std::lock_guard<std::mutex> lock(inbox_.mu);
-      submitted.swap(inbox_.submitted);
-      closed = inbox_.closed;
+      std::lock_guard<std::mutex> lock(mu_);
+      if (closed_) break;
+      timeout_ms = NextTimeoutMsLocked(std::chrono::steady_clock::now());
     }
-    for (Pending& pending : submitted) Dispatch(std::move(pending), now);
-    submitted.clear();
-    SweepDeadlines(now);
-    SweepReprobes(now);
+    loop_.Poll(timeout_ms, &events);
+    const auto now = std::chrono::steady_clock::now();
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (const epoll_event& ev : events) {
+        if (ev.data.u64 == net::EventLoop::kWakeupTag) {
+          loop_.DrainWakeup();
+          continue;
+        }
+        const auto index = static_cast<uint32_t>(ev.data.u64 - 1);
+        // A stale event for a connection evicted since the poll: the
+        // fd is gone from the epoll set, but the event array may still
+        // carry it.
+        if (index >= shards_.size() || !shards_[index].client) continue;
+        if (ev.events & ~static_cast<uint32_t>(EPOLLOUT)) {
+          DrainShardLocked(index, now);
+        }
+        if ((ev.events & EPOLLOUT) && shards_[index].client) {
+          FlushShardLocked(index, now);
+        }
+      }
+      SweepDeadlinesLocked(now);
+      TakeFinishedLocked(&done);
+      for (uint32_t i = 0; i < shards_.size(); ++i) {
+        if (!shards_[i].client && now >= shards_[i].reprobe_at) {
+          reprobes.push_back(i);
+        }
+      }
+    }
+    Finish(&done);
+    for (const uint32_t index : reprobes) Reprobe(index);
+    reprobes.clear();
   }
-  finished_.clear();
-  in_flight_.store(0, std::memory_order_relaxed);
-  for (auto& [id, pending] : pending_) Abandon(std::move(pending));
-  pending_.clear();
-  for (ShardState& shard : shards_) {
-    if (!shard.client) continue;
-    loop_.Del(shard.client->fd());
-    shard.client.reset();
+  {
+    // Submit sends nothing once closed_ is set, so the fan-outs left
+    // here are the last ones.
+    std::lock_guard<std::mutex> lock(mu_);
+    for (auto& [id, pending] : pending_) done.push_back(std::move(pending));
+    pending_.clear();
+    finished_.clear();
+    for (ShardState& shard : shards_) {
+      if (!shard.client) continue;
+      loop_.Del(shard.client->fd());
+      shard.client.reset();
+    }
+  }
+  for (Pending& pending : done) {
+    if (pending.kind == Pending::Kind::kQuery) {
+      in_flight_.fetch_sub(1, std::memory_order_relaxed);
+    }
+    Abandon(std::move(pending));
   }
 }
 
-void CoordinatorBackend::Dispatch(Pending pending, TimePoint now) {
+void CoordinatorBackend::DispatchLocked(Pending pending, TimePoint now,
+                                        std::vector<Pending>* done) {
   const bool query = pending.kind == Pending::Kind::kQuery;
   if (query) {
     queries_total_->Increment();
@@ -279,12 +302,18 @@ void CoordinatorBackend::Dispatch(Pending pending, TimePoint now) {
     net::AppendStatsRequestFrame(net::FrameTag{true, id}, &frame_);
   }
   for (uint32_t i = 0; i < shards_.size(); ++i) {
-    net::Client* client = shards_[i].client.get();
-    if (client == nullptr) continue;  // breaker open: slice missing
-    const Status sent = client->SendAll(frame_.data(), frame_.size());
-    if (!sent.ok()) {
-      StrikeShard(i, /*connection_broken=*/true, now);
+    ShardState& shard = shards_[i];
+    if (!shard.client) continue;  // breaker open: slice missing
+    const bool was_queued = shard.client->queued() > 0;
+    if (!shard.client->SendNonBlocking(frame_.data(), frame_.size()).ok()) {
+      StrikeShardLocked(i, /*connection_broken=*/true, now);
       continue;
+    }
+    if (!was_queued && shard.client->queued() > 0) {
+      // The socket is full: the router sends the rest once it drains.
+      shard.queued_since = now;
+      loop_.Mod(shard.client->fd(), EPOLLIN | EPOLLOUT,
+                static_cast<uint64_t>(i) + 1);
     }
     pending.waiting[i] = 1;
     ++pending.outstanding;
@@ -293,13 +322,13 @@ void CoordinatorBackend::Dispatch(Pending pending, TimePoint now) {
     // Every shard down: a query degrades immediately to an (empty)
     // typed partial result rather than an error, a stats scrape to
     // the coordinator's own registry; the breaker re-probes recover.
-    Complete(std::move(pending));
+    done->push_back(std::move(pending));
     return;
   }
   pending_.emplace(id, std::move(pending));
 }
 
-void CoordinatorBackend::DrainShard(uint32_t index, TimePoint now) {
+void CoordinatorBackend::DrainShardLocked(uint32_t index, TimePoint now) {
   ShardState& shard = shards_[index];
   while (shard.client) {
     auto reply = shard.client->ReceiveAny(std::chrono::milliseconds(0));
@@ -309,16 +338,30 @@ void CoordinatorBackend::DrainShard(uint32_t index, TimePoint now) {
       // connection is unusable regardless of the strike count.
       GEMREC_LOG(Warning) << "shard " << index << " connection error: "
                           << reply.status().message();
-      StrikeShard(index, /*connection_broken=*/true, now);
+      StrikeShardLocked(index, /*connection_broken=*/true, now);
       break;
     }
-    HandleReply(index, std::move(reply).value(), now);
+    HandleReplyLocked(index, std::move(reply).value(), now);
   }
-  CompleteFinished();
 }
 
-void CoordinatorBackend::HandleReply(uint32_t index, net::TaggedReply reply,
-                                     TimePoint now) {
+void CoordinatorBackend::FlushShardLocked(uint32_t index, TimePoint now) {
+  ShardState& shard = shards_[index];
+  const size_t before = shard.client->queued();
+  if (!shard.client->FlushQueued().ok()) {
+    StrikeShardLocked(index, /*connection_broken=*/true, now);
+    return;
+  }
+  if (shard.client->queued() == 0) {
+    loop_.Mod(shard.client->fd(), EPOLLIN, static_cast<uint64_t>(index) + 1);
+  } else if (shard.client->queued() < before) {
+    shard.queued_since = now;  // the shard still reads
+  }
+}
+
+void CoordinatorBackend::HandleReplyLocked(uint32_t index,
+                                           net::TaggedReply reply,
+                                           TimePoint now) {
   // Any decoded reply proves the shard alive and keeps the breaker
   // closed — even a typed error (an OVERLOADED shard is healthy, just
   // shedding).
@@ -333,18 +376,18 @@ void CoordinatorBackend::HandleReply(uint32_t index, net::TaggedReply reply,
     shards_[index].rpc_us->Record(ElapsedUs(pending.sent_at, now));
   }
   pending.replies[index] = std::move(reply);
-  CloseSlot(it->first, pending, index);
+  CloseSlotLocked(it->first, pending, index);
 }
 
-void CoordinatorBackend::CloseSlot(uint64_t id, Pending& pending,
-                                   uint32_t index) {
+void CoordinatorBackend::CloseSlotLocked(uint64_t id, Pending& pending,
+                                         uint32_t index) {
   pending.waiting[index] = 0;
   if (--pending.outstanding == 0) finished_.push_back(id);
 }
 
-void CoordinatorBackend::SweepDeadlines(TimePoint now) {
+void CoordinatorBackend::SweepDeadlinesLocked(TimePoint now) {
   // Mark misses and collect the shards struck, WITHOUT evicting
-  // mid-iteration (EvictShard walks the same map).
+  // mid-iteration (EvictShardLocked walks the same map).
   std::vector<uint32_t> struck;
   for (auto& [id, pending] : pending_) {
     if (now < pending.sent_at + options_.shard_deadline) continue;
@@ -352,27 +395,36 @@ void CoordinatorBackend::SweepDeadlines(TimePoint now) {
       if (!pending.waiting[i]) continue;
       deadline_misses_total_->Increment();
       struck.push_back(i);
-      CloseSlot(id, pending, i);
+      CloseSlotLocked(id, pending, i);
     }
   }
-  CompleteFinished();
   for (const uint32_t index : struck) {
-    StrikeShard(index, /*connection_broken=*/false, now);
+    StrikeShardLocked(index, /*connection_broken=*/false, now);
+  }
+  for (uint32_t i = 0; i < shards_.size(); ++i) {
+    const ShardState& shard = shards_[i];
+    if (shard.client && shard.client->queued() > 0 &&
+        now >= shard.queued_since + options_.shard_deadline) {
+      // The shard read none of its remainder for a whole deadline: the
+      // connection is as good as gone.
+      StrikeShardLocked(i, /*connection_broken=*/true, now);
+    }
   }
 }
 
-void CoordinatorBackend::StrikeShard(uint32_t index, bool connection_broken,
-                                     TimePoint now) {
+void CoordinatorBackend::StrikeShardLocked(uint32_t index,
+                                           bool connection_broken,
+                                           TimePoint now) {
   ShardState& shard = shards_[index];
   if (!shard.client) return;
   ++shard.consecutive_failures;
   if (connection_broken ||
       shard.consecutive_failures >= options_.breaker_threshold) {
-    EvictShard(index, now);
+    EvictShardLocked(index, now);
   }
 }
 
-void CoordinatorBackend::EvictShard(uint32_t index, TimePoint now) {
+void CoordinatorBackend::EvictShardLocked(uint32_t index, TimePoint now) {
   ShardState& shard = shards_[index];
   if (!shard.client) return;
   evictions_total_->Increment();
@@ -387,39 +439,46 @@ void CoordinatorBackend::EvictShard(uint32_t index, TimePoint now) {
   // Every slot still waiting on this shard fails now — a fan-out keeps
   // its other shards' answers (a query degrades to partial).
   for (auto& [id, pending] : pending_) {
-    if (pending.waiting[index]) CloseSlot(id, pending, index);
-  }
-  CompleteFinished();
-}
-
-void CoordinatorBackend::SweepReprobes(TimePoint now) {
-  for (uint32_t i = 0; i < shards_.size(); ++i) {
-    ShardState& shard = shards_[i];
-    if (shard.client || now < shard.reprobe_at) continue;
-    if (ConnectShard(i).ok()) {
-      shard.consecutive_failures = 0;
-      shard.backoff = options_.breaker_backoff;
-      reconnects_total_->Increment();
-      GEMREC_LOG(Info) << "shard " << i << " breaker closed (re-probe "
-                       << "succeeded)";
-    } else {
-      shard.backoff = std::min(shard.backoff * kBreakerBackoffMultiplier,
-                               kBreakerBackoffMax);
-      shard.reprobe_at = now + shard.backoff;
-    }
+    if (pending.waiting[index]) CloseSlotLocked(id, pending, index);
   }
 }
 
-void CoordinatorBackend::CompleteFinished() {
-  while (!finished_.empty()) {
-    const uint64_t id = finished_.back();
-    finished_.pop_back();
+void CoordinatorBackend::Reprobe(uint32_t index) {
+  // Only this thread connects a shard whose breaker is open, and the
+  // endpoint never changes, so the connect needs no lock.
+  const ShardEndpoint& endpoint = shards_[index].endpoint;
+  auto client =
+      net::Client::Connect(endpoint.host, endpoint.port, client_options_);
+  std::lock_guard<std::mutex> lock(mu_);
+  if (closed_) return;
+  ShardState& shard = shards_[index];
+  if (client.ok()) {
+    InstallLocked(index, std::move(client).value());
+    shard.consecutive_failures = 0;
+    shard.backoff = options_.breaker_backoff;
+    reconnects_total_->Increment();
+    GEMREC_LOG(Info) << "shard " << index << " breaker closed (re-probe "
+                     << "succeeded)";
+  } else {
+    shard.backoff = std::min(shard.backoff * kBreakerBackoffMultiplier,
+                             kBreakerBackoffMax);
+    shard.reprobe_at = std::chrono::steady_clock::now() + shard.backoff;
+  }
+}
+
+void CoordinatorBackend::TakeFinishedLocked(std::vector<Pending>* done) {
+  for (const uint64_t id : finished_) {
     auto it = pending_.find(id);
     if (it == pending_.end()) continue;
-    Pending pending = std::move(it->second);
+    done->push_back(std::move(it->second));
     pending_.erase(it);
-    Complete(std::move(pending));
   }
+  finished_.clear();
+}
+
+void CoordinatorBackend::Finish(std::vector<Pending>* done) {
+  for (Pending& pending : *done) Complete(std::move(pending));
+  done->clear();
 }
 
 void CoordinatorBackend::Complete(Pending pending) {
@@ -465,21 +524,26 @@ void CoordinatorBackend::Abandon(Pending pending) {
   pending.on_query(std::move(response));
 }
 
-int CoordinatorBackend::NextTimeoutMs(TimePoint now) const {
-  auto nearest = TimePoint::max();
+int CoordinatorBackend::NextTimeoutMsLocked(TimePoint now) const {
+  // Never past one deadline from now: a fan-out registered while the
+  // router sleeps is due no sooner, so it needs no wakeup.
+  auto nearest = now + options_.shard_deadline;
   for (const auto& [id, pending] : pending_) {
     nearest = std::min(nearest, pending.sent_at + options_.shard_deadline);
   }
   for (const ShardState& shard : shards_) {
-    if (!shard.client) nearest = std::min(nearest, shard.reprobe_at);
+    if (!shard.client) {
+      nearest = std::min(nearest, shard.reprobe_at);
+    } else if (shard.client->queued() > 0) {
+      nearest = std::min(nearest, shard.queued_since + options_.shard_deadline);
+    }
   }
-  if (nearest == TimePoint::max()) return -1;
   const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                       nearest - now)
                       .count();
   if (ms <= 0) return 0;
   // +1 rounds up so a deadline 0.4ms away does not busy-spin.
-  return static_cast<int>(std::min<int64_t>(ms + 1, 60'000));
+  return static_cast<int>(ms + 1);
 }
 
 }  // namespace gemrec::shard

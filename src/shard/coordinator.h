@@ -36,9 +36,9 @@ struct RouterOptions {
   /// its slot marked failed (a query degrades to a typed partial
   /// result, a stats scrape to the shards that answered) and one
   /// consecutive-failure strike — no fan-out is ever held hostage by
-  /// one parked shard. It also bounds every blocking socket call the
-  /// router thread makes on a shard connection: the connect (startup
-  /// and re-probe) and each send.
+  /// one parked shard. It also bounds a shard connect (startup and
+  /// re-probe), how long a send remainder may wait for a shard to read
+  /// it, and how long the idle router thread sleeps.
   std::chrono::milliseconds shard_deadline{250};
   /// Consecutive failures (deadline misses, io errors, failed sends)
   /// before the breaker opens: the shard's connection is dropped and
@@ -55,18 +55,18 @@ struct RouterOptions {
 /// the difference except for the partial flag when a shard is
 /// degraded.
 ///
-/// One persistent pipelined GMNP connection per shard, all multiplexed
-/// on a single router thread (net::EventLoop). Every fan-out — a query
-/// or a kStatsRequest — is one pending record keyed by the frame id it
-/// sends to every shard: per-shard reply slots, one send time, one
-/// deadline. Replies are collected in completion order via nonblocking
-/// drains (Client::ReceiveAny(0ms)), and the record completes once
-/// every shard has answered, failed, or missed the deadline. A query
-/// completes with the merged top-k (merger.h); a stats scrape with the
-/// coordinator's own registry plus every answering shard's snapshot
-/// with a {shard="i"} suffix appended to each metric name, so one
-/// scrape sees the whole tier. Stats ride the async StatsAsync path,
-/// so they are answered even while the front-end drains.
+/// One persistent pipelined GMNP connection per shard. Every fan-out
+/// — a query or a kStatsRequest — is one pending record keyed by the
+/// frame id it sends to every shard: per-shard reply slots, one send
+/// time, one deadline. Replies are collected in completion order via
+/// nonblocking drains (Client::ReceiveAny(0ms)), and the record
+/// completes once every shard has answered, failed, or missed the
+/// deadline. A query completes with the merged top-k (merger.h); a
+/// stats scrape with the coordinator's own registry plus every
+/// answering shard's snapshot with a {shard="i"} suffix appended to
+/// each metric name, so one scrape sees the whole tier. Stats ride the
+/// async StatsAsync path, so they are answered even while the
+/// front-end drains.
 ///
 /// Failure handling is breaker-style per shard: consecutive failures
 /// open the breaker (connection dropped, fan-out skips the shard);
@@ -78,9 +78,24 @@ struct RouterOptions {
 /// histogram.
 ///
 /// Thread model: SubmitAsync/StatsAsync are callable from any thread
-/// (mutex-guarded inbox + eventfd wakeup); callbacks fire on the
-/// router thread and must not block (the reactor bridge just pushes a
-/// completion and wakes its own loop).
+/// and send the fan-out themselves, on the calling thread (a front
+/// reactor), under the one coordinator mutex: they assign the frame
+/// id, encode the frame once, send it to every live shard and register
+/// the pending record. The router thread (net::EventLoop over the
+/// shard connections) only drains replies, sweeps deadlines and
+/// re-probes evicted shards. A submission never wakes it: it sleeps at
+/// most shard_deadline, and a fan-out registered meanwhile is due no
+/// sooner, so the sweep still catches it on time. Three rules keep a
+/// submitter from ever waiting on a shard:
+///  * Sends never block. What a shard's socket does not take waits in
+///    that connection's remainder buffer, which the router flushes on
+///    EPOLLOUT; a remainder the shard reads none of for shard_deadline
+///    strikes it as broken, as a failed send does.
+///  * No blocking call holds the mutex: a re-probe's connect runs with
+///    it released, and only the new connection is installed under it.
+///  * Callbacks run outside the mutex, on whichever thread finished the
+///    fan-out (the router for replies and deadlines; the submitter when
+///    no shard was live). They must not block, and may submit again.
 class CoordinatorBackend : public serving::QueryBackend {
  public:
   explicit CoordinatorBackend(std::vector<ShardEndpoint> shards,
@@ -104,9 +119,9 @@ class CoordinatorBackend : public serving::QueryBackend {
   /// immediately with kShuttingDown.
   void SubmitAsync(const serving::QueryRequest& request,
                    ResponseCallback callback) override;
-  /// Submitted but not yet claimed by the router thread.
-  size_t QueueDepth() const override;
-  /// Queries claimed, awaiting shard replies.
+  /// Always 0: a submission is sent before SubmitAsync returns.
+  size_t QueueDepth() const override { return 0; }
+  /// Queries sent, awaiting shard replies.
   size_t InFlight() const override;
   obs::MetricsRegistry* metrics() const override;
   void StatsAsync(StatsCallback callback) override;
@@ -123,6 +138,9 @@ class CoordinatorBackend : public serving::QueryBackend {
     uint32_t consecutive_failures = 0;
     std::chrono::milliseconds backoff{0};
     TimePoint reprobe_at;
+    /// When the client's send remainder became non-empty or last
+    /// shrank.
+    TimePoint queued_since;
     obs::Histogram* rpc_us = nullptr;
   };
 
@@ -145,46 +163,61 @@ class CoordinatorBackend : public serving::QueryBackend {
     size_t outstanding = 0;
   };
 
+  // Every method named "...Locked" runs with mu_ held; the others take
+  // it themselves or touch nothing it guards.
+
   void Loop();
-  /// Queues a submitted fan-out, or completes it as shut down when
-  /// the router is closed.
+  /// Sends a submitted fan-out on the calling thread, or completes it
+  /// as shut down once Stop began.
   void Submit(Pending pending);
-  void Dispatch(Pending pending, TimePoint now);
+  /// Sends the fan-out to every live shard and registers it; a fan-out
+  /// no shard took goes straight to `done`.
+  void DispatchLocked(Pending pending, TimePoint now,
+                      std::vector<Pending>* done);
   /// Drains every complete frame buffered on shard `index` without
   /// blocking; a transport error evicts the shard.
-  void DrainShard(uint32_t index, TimePoint now);
-  void HandleReply(uint32_t index, net::TaggedReply reply, TimePoint now);
-  /// Marks deadline misses, strikes the shards involved, opens
-  /// breakers past the threshold, completes finished fan-outs.
-  void SweepDeadlines(TimePoint now);
-  /// Attempts to reconnect evicted shards whose backoff elapsed.
-  void SweepReprobes(TimePoint now);
-  /// Connects shard `index` and registers it with the loop.
-  Status ConnectShard(uint32_t index);
+  void DrainShardLocked(uint32_t index, TimePoint now);
+  /// Sends what shard `index`'s socket takes of its remainder.
+  void FlushShardLocked(uint32_t index, TimePoint now);
+  void HandleReplyLocked(uint32_t index, net::TaggedReply reply,
+                         TimePoint now);
+  /// Marks deadline misses and strikes the shards involved; strikes a
+  /// shard whose send remainder outlived the deadline as broken.
+  void SweepDeadlinesLocked(TimePoint now);
+  /// Connects shard `index` with the mutex released, then installs the
+  /// connection (or schedules the next re-probe) under it.
+  void Reprobe(uint32_t index);
+  /// Registers a connected client as shard `index`'s connection.
+  void InstallLocked(uint32_t index, std::unique_ptr<net::Client> client);
   /// One failure strike; opens the breaker at the threshold.
   /// `connection_broken` forces an immediate eviction (the transport
   /// is unusable regardless of the count).
-  void StrikeShard(uint32_t index, bool connection_broken, TimePoint now);
+  void StrikeShardLocked(uint32_t index, bool connection_broken,
+                         TimePoint now);
   /// Opens the breaker: drops the connection, schedules the re-probe
   /// and fails every pending slot still waiting on the shard.
-  void EvictShard(uint32_t index, TimePoint now);
-  /// Stops waiting on shard `index` for fan-out `id`; queues the
-  /// fan-out for completion when it was the last slot.
-  void CloseSlot(uint64_t id, Pending& pending, uint32_t index);
-  /// Completes and erases every pending fan-out whose outstanding
-  /// count reached zero.
-  void CompleteFinished();
+  void EvictShardLocked(uint32_t index, TimePoint now);
+  /// Stops waiting on shard `index` for fan-out `id`; marks the
+  /// fan-out finished when it was the last slot.
+  void CloseSlotLocked(uint64_t id, Pending& pending, uint32_t index);
+  /// Moves every finished fan-out out of pending_ into `done`.
+  void TakeFinishedLocked(std::vector<Pending>* done);
+  /// Completes each fan-out of `done` (the mutex released) and clears
+  /// it.
+  void Finish(std::vector<Pending>* done);
   /// A query completes with the merged top-k, a stats scrape with the
   /// coordinator's snapshot plus the shards' {shard="i"} rollups.
   void Complete(Pending pending);
   /// Shutdown: a query gets kShuttingDown, a stats scrape what it has.
   void Abandon(Pending pending);
-  /// Poll timeout until the nearest deadline or re-probe.
-  int NextTimeoutMs(TimePoint now) const;
+  /// Poll timeout until the nearest deadline or re-probe, at most
+  /// shard_deadline.
+  int NextTimeoutMsLocked(TimePoint now) const;
 
   std::unique_ptr<obs::MetricsRegistry> registry_;
-  std::vector<ShardState> shards_;
   RouterOptions options_;
+  /// Every shard connection's connect timeout (shard_deadline).
+  net::ClientOptions client_options_;
 
   obs::Counter* queries_total_ = nullptr;
   obs::Counter* partial_results_total_ = nullptr;
@@ -194,25 +227,23 @@ class CoordinatorBackend : public serving::QueryBackend {
 
   net::EventLoop loop_;
 
-  struct Inbox {
-    mutable std::mutex mu;
-    std::vector<Pending> submitted;
-    bool closed = false;
-  };
-  Inbox inbox_;
-
+  /// Guards everything below except in_flight_ and the router thread.
+  mutable std::mutex mu_;
+  std::vector<ShardState> shards_;
+  /// Set by Stop: no fan-out is sent after it.
+  bool closed_ = false;
   /// Coordinator-assigned frame ids, one id-space for every kind (the
   /// SAME id goes to every shard — separate connections, so no
   /// collision is possible).
   uint64_t next_id_ = 1;
-  /// Dispatch's encode buffer, reused: a fan-out's frame is encoded
-  /// once and the same bytes go to every live shard.
+  /// The encode buffer, reused: a fan-out's frame is encoded once and
+  /// the same bytes go to every live shard.
   std::vector<uint8_t> frame_;
   /// Fan-outs still waiting on at least one shard.
   std::unordered_map<uint64_t, Pending> pending_;
-  /// Ids whose outstanding count hit zero mid-sweep; completed (and
-  /// erased) together afterwards so no code path mutates the map
-  /// while another is iterating it.
+  /// Ids whose outstanding count hit zero; moved out of pending_
+  /// together afterwards so no code path mutates the map while
+  /// another is iterating it.
   std::vector<uint64_t> finished_;
 
   std::atomic<size_t> in_flight_{0};

@@ -31,6 +31,8 @@ struct ShardSpec {
 
   bool unsharded() const { return count <= 1; }
   bool valid() const { return count >= 1 && index < count; }
+
+  bool operator==(const ShardSpec&) const = default;
 };
 
 /// True iff `spec` owns `partner` and so every candidate pair whose

@@ -14,7 +14,8 @@
 // the partner-half quantization parameters held (the previous codes
 // are copied) and with them moved (every row is encoded again).
 // Also here: recovery refuses a checkpoint whose pool does not fit its
-// own store.
+// own store, and IngestionQueue::Start keeps a served snapshot built
+// from exactly the builder's inputs instead of building it again.
 
 #include <unistd.h>
 
@@ -30,6 +31,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../testing/metrics.h"
 #include "../testing/space_equality.h"
 #include "common/rng.h"
 #include "common/vec_math.h"
@@ -357,7 +359,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 /// The pool a recovered checkpoint carries is checked against that
 /// checkpoint's own store before either reaches the builder.
-class CheckpointShapeTest : public ::testing::Test {
+/// A per-test temporary directory for journals and checkpoints.
+class IngestDirTest : public ::testing::Test {
  protected:
   void SetUp() override {
     const auto* info =
@@ -372,6 +375,11 @@ class CheckpointShapeTest : public ::testing::Test {
     fs::remove_all(dir_, ec);
   }
 
+  fs::path dir_;
+};
+
+class CheckpointShapeTest : public IngestDirTest {
+ protected:
   /// Starts a queue over a valid base after writing a checkpoint whose
   /// pool is `checkpoint_pool`.
   Status StartWithCheckpointPool(std::vector<ebsn::EventId> checkpoint_pool) {
@@ -387,8 +395,6 @@ class CheckpointShapeTest : public ::testing::Test {
     IngestionQueue queue(&service, &builder, iq);
     return queue.Start();
   }
-
-  fs::path dir_;
 };
 
 TEST_F(CheckpointShapeTest, PoolNamingAnEventPastTheStoreIsRefused) {
@@ -404,6 +410,87 @@ TEST_F(CheckpointShapeTest, PoolListingAnEventTwiceIsRefused) {
 TEST_F(CheckpointShapeTest, FittingCheckpointStarts) {
   const Status s = StartWithCheckpointPool({0, 1, kEventRows - 1});
   EXPECT_TRUE(s.ok()) << s.ToString();
+}
+
+class IngestStartTest : public IngestDirTest {
+ protected:
+  IngestStartTest() { options_.top_k_events_per_partner = kTopK; }
+
+  IngestionQueueOptions QueueOptions() const {
+    IngestionQueueOptions iq;
+    iq.journal_path = (dir_ / "journal").string();
+    return iq;
+  }
+
+  uint64_t Publishes(const RecommendationService& service) const {
+    return ::gemrec::testing::CounterValue(service.metrics()->Snapshot(),
+                                           "gemrec_ingest_publishes_total");
+  }
+
+  SnapshotOptions options_;
+};
+
+TEST_F(IngestStartTest, KeepsTheServedBuildOnAnEmptyJournal) {
+  SnapshotBuilder builder(DeltaStore(4), InitialPool(), kUsers, options_);
+  RecommendationService service(ServiceOptions{});
+  const std::shared_ptr<ModelSnapshot> booted = builder.Build();
+  service.Publish(booted);
+  const IngestionQueueOptions iq = QueueOptions();
+  IngestionQueue queue(&service, &builder, iq);
+  ASSERT_TRUE(queue.Start().ok());
+  EXPECT_EQ(service.CurrentSnapshot().get(), booted.get());
+  EXPECT_EQ(service.CurrentSnapshot()->epoch(), 1u);
+  EXPECT_EQ(Publishes(service), 0u);
+
+  // The kept snapshot is the delta base of the next publish, which
+  // must still equal a from-scratch build of the same state.
+  IngestRecord record;
+  record.user = 7;
+  record.event = 3;
+  ASSERT_TRUE(queue.Submit(record).ok());
+  queue.Flush();
+  const std::shared_ptr<const ModelSnapshot> served =
+      service.CurrentSnapshot();
+  EXPECT_EQ(served->epoch(), 2u);
+  SnapshotBuilder fresh(DeltaStore(4), InitialPool(), kUsers, options_);
+  ASSERT_TRUE(fresh.RecordAttendance(7, 3, iq.nudge).ok());
+  ExpectSameSnapshot(*served, *fresh.Build());
+  queue.Shutdown();
+}
+
+TEST_F(IngestStartTest, FoldInStagedAfterThePublishMakesStartPublish) {
+  SnapshotBuilder builder(DeltaStore(4), InitialPool(), kUsers, options_);
+  RecommendationService service(ServiceOptions{});
+  const std::shared_ptr<ModelSnapshot> booted = builder.Build();
+  service.Publish(booted);
+  const IngestionQueueOptions iq = QueueOptions();
+  ASSERT_TRUE(builder.RecordAttendance(5, 2, iq.nudge).ok());
+  IngestionQueue queue(&service, &builder, iq);
+  ASSERT_TRUE(queue.Start().ok());
+  const std::shared_ptr<const ModelSnapshot> served =
+      service.CurrentSnapshot();
+  EXPECT_NE(served.get(), booted.get());
+  EXPECT_EQ(served->epoch(), 2u);
+  EXPECT_EQ(Publishes(service), 1u);
+  ExpectSameSnapshot(*served, *builder.Build());
+  queue.Shutdown();
+}
+
+TEST_F(IngestStartTest, SnapshotOfAnotherStoreMakesStartPublish) {
+  SnapshotBuilder builder(DeltaStore(4), InitialPool(), kUsers, options_);
+  SnapshotBuilder other(DeltaStore(9), InitialPool(), kUsers, options_);
+  RecommendationService service(ServiceOptions{});
+  const std::shared_ptr<ModelSnapshot> booted = other.Build();
+  service.Publish(booted);
+  IngestionQueue queue(&service, &builder, QueueOptions());
+  ASSERT_TRUE(queue.Start().ok());
+  const std::shared_ptr<const ModelSnapshot> served =
+      service.CurrentSnapshot();
+  EXPECT_NE(served.get(), booted.get());
+  EXPECT_EQ(served->epoch(), 2u);
+  EXPECT_EQ(Publishes(service), 1u);
+  ExpectSameSnapshot(*served, *builder.Build());
+  queue.Shutdown();
 }
 
 }  // namespace

@@ -3,23 +3,34 @@
 // cost the router at most its shard deadline per re-probe, never the
 // socket defaults; a shard that accepts TCP and never answers must
 // degrade both queries and stats scrapes through the one deadline
-// sweep. Also pins the `--shards` endpoint-list parser.
+// sweep. The fan-out is sent on the submitting thread, so SubmitAsync
+// must return at once while a re-probe hangs or a shard's socket is
+// full, a fan-out submitted while the router sleeps must still be
+// swept on time, a callback may submit again, and Stop racing
+// submitters completes every query exactly once. Also pins the
+// `--shards` endpoint-list parser.
 
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <array>
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <functional>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "embedding/embedding_store.h"
+#include "net/wire.h"
 #include "shard/coordinator.h"
 #include "shard/shard_group.h"
 #include "../testing/metrics.h"
@@ -118,10 +129,14 @@ Timed AskTimed(CoordinatorBackend* coordinator,
   coordinator->SubmitAsync(request, [promise](serving::QueryResponse r) {
     promise->set_value(std::move(r));
   });
-  EXPECT_EQ(future.wait_for(std::chrono::seconds(30)),
-            std::future_status::ready);
   Timed timed;
-  timed.response = future.get();
+  if (future.wait_for(std::chrono::seconds(30)) !=
+      std::future_status::ready) {
+    ADD_FAILURE() << "no answer within 30 s";
+    timed.response.code = serving::ResponseCode::kShuttingDown;
+  } else {
+    timed.response = future.get();
+  }
   timed.elapsed = Clock::now() - start;
   return timed;
 }
@@ -228,6 +243,262 @@ TEST(CoordinatorTest, SilentShardMissesTheDeadlineForQueriesAndStats) {
                          "gemrec_shard_deadline_misses_total"),
             query_misses + 1);
   coordinator.Stop();
+  group.Stop();
+}
+
+/// Counts completions and waits (bounded) for an expected number.
+class Completions {
+ public:
+  void Add() {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++count_;
+    cv_.notify_all();
+  }
+  bool WaitFor(size_t expected, std::chrono::seconds timeout) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, timeout, [&] { return count_ >= expected; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  size_t count_ = 0;
+};
+
+TEST(CoordinatorTest, SubmitReturnsAtOnceWhileABlackHoledShardIsReprobed) {
+  const auto store = RandomStore(23);
+  ShardGroup group(*store, AllEvents(), kUsers, GroupOptions());
+  ASSERT_TRUE(group.Start().ok());
+  DeafListener hole(/*fill=*/true);
+  ASSERT_NE(hole.port(), 0) << "could not set up the black-hole listener";
+
+  // Each re-probe of shard 1 hangs for the whole deadline, and with a
+  // short backoff one is running most of the time: the router thread
+  // sits in connect while the submitter keeps sending.
+  RouterOptions options;
+  options.shard_deadline = std::chrono::milliseconds(400);
+  options.breaker_backoff = std::chrono::milliseconds(10);
+  CoordinatorBackend coordinator(
+      {group.endpoints()[0], ShardEndpoint{"127.0.0.1", hole.port()}},
+      options);
+  ASSERT_TRUE(coordinator.Start().ok());
+
+  serving::QueryRequest request;
+  request.n = 5;
+  request.bypass_cache = true;
+  Completions done;
+  size_t submitted = 0;
+  Clock::duration slowest{0};
+  const auto until = Clock::now() + std::chrono::milliseconds(1500);
+  while (Clock::now() < until) {
+    request.user = static_cast<ebsn::UserId>(submitted % kUsers);
+    const auto start = Clock::now();
+    coordinator.SubmitAsync(request,
+                            [&done](serving::QueryResponse) { done.Add(); });
+    slowest = std::max(slowest, Clock::now() - start);
+    ++submitted;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_LT(slowest, options.shard_deadline / 4)
+      << "a submission waited "
+      << std::chrono::duration_cast<std::chrono::milliseconds>(slowest)
+             .count()
+      << " ms";
+  EXPECT_TRUE(done.WaitFor(submitted, std::chrono::seconds(30)));
+  coordinator.Stop();
+  group.Stop();
+}
+
+TEST(CoordinatorTest, SubmitReturnsAtOnceWhileAShardsSocketIsFull) {
+  DeafListener silent(/*fill=*/false);
+  ASSERT_NE(silent.port(), 0) << "could not set up the silent listener";
+  RouterOptions options;
+  options.shard_deadline = std::chrono::milliseconds(2000);
+  CoordinatorBackend coordinator({ShardEndpoint{"127.0.0.1", silent.port()}},
+                                 options);
+  ASSERT_TRUE(coordinator.Start().ok());
+
+  // Group frames of ~1 KiB, 16 MiB in all: several times what a
+  // loopback connection buffers for a peer that never reads (the send
+  // buffer grows to at most 4 MiB by default), so the socket fills and
+  // later frames wait in the coordinator's remainder.
+  serving::QueryRequest request;
+  request.n = 5;
+  request.kind = recommend::QueryKind::kGroup;
+  request.group.assign(net::kMaxGroupMembers, 1);
+  constexpr size_t kSubmissions = 16 * 1024;
+  Completions done;
+  Clock::duration slowest{0};
+  const auto first = Clock::now();
+  for (size_t i = 0; i < kSubmissions; ++i) {
+    const auto start = Clock::now();
+    coordinator.SubmitAsync(request,
+                            [&done](serving::QueryResponse) { done.Add(); });
+    slowest = std::max(slowest, Clock::now() - start);
+  }
+  EXPECT_LT(slowest, options.shard_deadline / 4)
+      << "a submission waited "
+      << std::chrono::duration_cast<std::chrono::milliseconds>(slowest)
+             .count()
+      << " ms";
+  // Otherwise the remainder strike could have evicted the shard before
+  // the last submissions, which would then skip it.
+  EXPECT_LT(Clock::now() - first, options.shard_deadline)
+      << "the submissions together outlasted the deadline";
+  // The shard never answers: every fan-out fails at the deadline, and
+  // the unsent remainder strikes the connection as broken.
+  EXPECT_TRUE(done.WaitFor(kSubmissions, std::chrono::seconds(30)));
+  EXPECT_GE(CounterValue(*coordinator.metrics(),
+                         "gemrec_shard_evictions_total"),
+            1u);
+  coordinator.Stop();
+}
+
+TEST(CoordinatorTest, FanOutSubmittedWhileTheRouterSleepsMeetsTheDeadline) {
+  DeafListener silent(/*fill=*/false);
+  ASSERT_NE(silent.port(), 0) << "could not set up the silent listener";
+
+  const auto deadline = std::chrono::milliseconds(300);
+  const auto slack = std::chrono::seconds(2);
+  RouterOptions options;
+  options.shard_deadline = deadline;
+  // Keep the silent shard connected through every miss.
+  options.breaker_threshold = 1000;
+  // The only shard never answers, so no reply can wake the router:
+  // only its own bounded sleep brings it to the deadline sweep.
+  CoordinatorBackend coordinator({ShardEndpoint{"127.0.0.1", silent.port()}},
+                                 options);
+  ASSERT_TRUE(coordinator.Start().ok());
+
+  serving::QueryRequest request;
+  request.user = 3;
+  request.n = 5;
+  // Nothing is pending, so the router sleeps a whole deadline at a
+  // time; these idle gaps land each submission at a different point
+  // of that sleep.
+  for (const int idle_ms : {450, 100, 700, 250}) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(idle_ms));
+    const Timed got = AskTimed(&coordinator, request);
+    EXPECT_EQ(got.response.code, serving::ResponseCode::kOk);
+    EXPECT_TRUE(got.response.partial);
+    EXPECT_GE(got.elapsed, deadline);
+    EXPECT_LT(got.elapsed, deadline + slack) << "after " << idle_ms
+                                             << " ms idle";
+  }
+  coordinator.Stop();
+}
+
+TEST(CoordinatorTest, CallbackThatSubmitsAgainDoesNotDeadlock) {
+  const auto store = RandomStore(25);
+  ShardGroup group(*store, AllEvents(), kUsers, GroupOptions());
+  ASSERT_TRUE(group.Start().ok());
+  CoordinatorBackend coordinator(group.endpoints());
+  ASSERT_TRUE(coordinator.Start().ok());
+
+  // Each completion submits the next fan-out from inside its callback,
+  // alternating queries and stats scrapes.
+  constexpr int kChain = 40;
+  auto finished = std::make_shared<std::promise<int>>();
+  auto answered = std::make_shared<std::atomic<int>>(0);
+  std::function<void(int)> next;
+  next = [&](int step) {
+    if (step == kChain) {
+      finished->set_value(answered->load());
+      return;
+    }
+    if (step % 2 == 1) {
+      coordinator.StatsAsync([&next, step](obs::MetricsSnapshot) {
+        next(step + 1);
+      });
+      return;
+    }
+    serving::QueryRequest request;
+    request.user = static_cast<ebsn::UserId>(step % kUsers);
+    request.n = 5;
+    request.bypass_cache = true;
+    coordinator.SubmitAsync(
+        request, [&next, answered, step](serving::QueryResponse response) {
+          if (response.code == serving::ResponseCode::kOk &&
+              !response.partial) {
+            answered->fetch_add(1);
+          }
+          next(step + 1);
+        });
+  };
+  auto future = finished->get_future();
+  next(0);
+  ASSERT_EQ(future.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready)
+      << "a resubmitting callback stalled the chain";
+  EXPECT_EQ(future.get(), kChain / 2);
+  coordinator.Stop();
+  group.Stop();
+}
+
+TEST(CoordinatorTest, StopRacingSubmittersCompletesEveryQueryOnce) {
+  const auto store = RandomStore(26);
+  ShardGroup group(*store, AllEvents(), kUsers, GroupOptions());
+  ASSERT_TRUE(group.Start().ok());
+  CoordinatorBackend coordinator(group.endpoints());
+  ASSERT_TRUE(coordinator.Start().ok());
+
+  // Each thread submits until it has seen Stop return, then a few
+  // more, so submissions overlap every stage of the shutdown.
+  constexpr int kThreads = 4;
+  constexpr int kMaxPerThread = 20000;
+  constexpr int kAfterStop = 20;
+  std::vector<std::atomic<int>> calls(kThreads * kMaxPerThread);
+  std::vector<int> submitted(kThreads, 0);
+  std::atomic<bool> stopped{false};
+  std::atomic<int> shut_down{0};
+  std::atomic<int> unexpected_codes{0};
+  Completions done;
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&, t] {
+      int after_stop = 0;
+      for (int i = 0; i < kMaxPerThread && after_stop < kAfterStop; ++i) {
+        if (stopped.load()) ++after_stop;
+        const int slot = t * kMaxPerThread + i;
+        serving::QueryRequest request;
+        request.user = static_cast<ebsn::UserId>(slot % kUsers);
+        request.n = 5;
+        request.bypass_cache = true;
+        coordinator.SubmitAsync(
+            request, [&, slot](serving::QueryResponse response) {
+              // Shards shed a burst this size with a typed kOverloaded.
+              if (response.code == serving::ResponseCode::kShuttingDown) {
+                shut_down.fetch_add(1);
+              } else if (response.code != serving::ResponseCode::kOk &&
+                         response.code !=
+                             serving::ResponseCode::kOverloaded) {
+                unexpected_codes.fetch_add(1);
+              }
+              calls[slot].fetch_add(1);
+              done.Add();
+            });
+        ++submitted[t];
+        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  coordinator.Stop();
+  stopped.store(true);
+  for (std::thread& submitter : submitters) submitter.join();
+  size_t total = 0;
+  for (int t = 0; t < kThreads; ++t) total += submitted[t];
+  ASSERT_TRUE(done.WaitFor(total, std::chrono::seconds(30)));
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kMaxPerThread; ++i) {
+      const int slot = t * kMaxPerThread + i;
+      EXPECT_EQ(calls[slot].load(), i < submitted[t] ? 1 : 0)
+          << "query " << slot;
+    }
+  }
+  EXPECT_GE(shut_down.load(), kThreads * kAfterStop);
+  EXPECT_EQ(unexpected_codes.load(), 0);
+  EXPECT_EQ(coordinator.InFlight(), 0u);
   group.Stop();
 }
 
