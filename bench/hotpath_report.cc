@@ -12,11 +12,11 @@
 //      unpruned test-event x partner space (the Table-VI workload),
 //      with the steady-state heap-allocation count (must be 0).
 //   3. Snapshot publish cost on the serving benchmark's city shape
-//      (Beijing at 4x scale, K = 32, top-k 20): a from-scratch build,
-//      a publish after 16 and after 64 changed users, the stage split
-//      of each, and the heap bytes one snapshot holds. Full and delta
-//      reps alternate, so drift over the run hits both alike, and each
-//      median is written with its p25 and p75.
+//      (Beijing at 4x scale, K = 32, top-k 20): a build with no
+//      previous, a publish after 16 and after 64 changed users, the
+//      stage split of each, and the heap bytes one snapshot holds. Full
+//      and delta reps alternate, so drift over the run hits both alike,
+//      and each median is written with its p25 and p75.
 //   4. Group queries on the same city: the exhaustive GroupTopEvents
 //      against the served GroupScan, µs per query and the share of
 //      events the scan scores exactly, per aggregator.
@@ -364,7 +364,7 @@ struct StageBuild {
   double ms[4] = {};
 };
 
-/// Builds from scratch, or with `previous` as a delta publish would
+/// Builds with no previous, or with `previous` as a delta publish would
 /// from its previous snapshot: the candidates rank only `dirty_users`
 /// again and the index and codes reuse `previous`'s for every other
 /// partner slice.
@@ -389,16 +389,13 @@ StageBuild BuildStages(const recommend::GemModel& model,
   build.space = std::make_unique<recommend::TransformedSpace>(
       model, std::move(list.pairs), std::move(list.c));
   lap(1);
-  build.index =
-      previous ? std::make_unique<recommend::SpaceIndex>(
-                     build.space.get(), *previous->index, list.ranked)
-               : std::make_unique<recommend::SpaceIndex>(build.space.get());
+  build.index = std::make_unique<recommend::SpaceIndex>(
+      build.space.get(), previous ? previous->index.get() : nullptr,
+      list.ranked);
   lap(2);
-  build.quant = previous ? std::make_unique<recommend::QuantizedSpace>(
-                               build.index.get(), *previous->quant,
-                               list.ranked)
-                         : std::make_unique<recommend::QuantizedSpace>(
-                               build.index.get());
+  build.quant = std::make_unique<recommend::QuantizedSpace>(
+      build.index.get(), previous ? previous->quant.get() : nullptr,
+      list.ranked);
   lap(3);
   return build;
 }
@@ -438,9 +435,9 @@ PublishResult MeasureSnapshotPublish(const ServingCity& serving_city) {
   serving::SnapshotBuilder builder(store, pool, result.num_users,
                                    snapshot_options);
 
-  // Each rep times a from-scratch build, then a publish after 16 and
-  // after 64 attendance nudges on random users (Build leaves BuildNext's
-  // base alone).
+  // Each rep times a build with no previous, then a publish after 16
+  // and after 64 attendance nudges on random users (Build leaves
+  // BuildNext's base alone).
   Rng rng(0x9b11);
   embedding::OnlineUpdateOptions nudge;
   nudge.iterations = 20;
@@ -471,8 +468,8 @@ PublishResult MeasureSnapshotPublish(const ServingCity& serving_city) {
   result.delta16_ms = QuartilesOf(delta16);
   result.delta64_ms = QuartilesOf(delta64);
 
-  // Stage split per stage, from scratch and with 16 partners dirty
-  // against a from-scratch previous build, in alternating reps.
+  // Stage split per stage, with no previous and with 16 partners dirty
+  // against a previous built with none, in alternating reps.
   const recommend::GemModel model(&store, "GEM-A");
   const std::vector<ebsn::UserId> partners =
       recommend::AllUsers(result.num_users);

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification (see ROADMAP.md): default build + full ctest,
-# then a ThreadSanitizer pass over the concurrency-bearing suites
+# configured with -DGEMREC_WERROR=ON so a new compiler warning fails
+# the stage, then a ThreadSanitizer pass over the concurrency-bearing suites
 # (thread pool / hogwild trainer / adaptive sampler / TA search /
 # serving engine snapshot-swap stress / ingestion write path / network
 # front-end), then an UndefinedBehaviorSanitizer pass over the
@@ -88,7 +89,7 @@ for arg in "$@"; do
 done
 
 echo "== tier-1: default build + full test suite =="
-cmake -B build -S . >/dev/null
+cmake -B build -S . -DGEMREC_WERROR=ON >/dev/null
 cmake --build build -j "$(nproc)"
 (cd build && ctest --output-on-failure -j "$(nproc)")
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <numeric>
 
 #include "common/logging.h"
 #include "common/vec_math.h"
@@ -30,45 +31,44 @@ uint64_t RowSum(const int16_t* row, uint32_t k) {
 
 }  // namespace
 
-CodeBlocks::CodeBlocks(const std::vector<int16_t>& by_group, uint32_t k)
+CodeBlocks::CodeBlocks(const std::vector<int16_t>& changed_rows, uint32_t k,
+                       const CodeBlocks* previous,
+                       std::span<const uint8_t> changed)
     : k_(k) {
-  GEMREC_CHECK(k_ > 0 && by_group.size() % k_ == 0);
-  const size_t num_groups = by_group.size() / k_;
-  // (row sum << 32 | group), sorted: ascending sums, ties by group id.
-  // A row sum is at most k * 2047, far below 2^32.
-  std::vector<uint64_t> keys(num_groups);
-  for (size_t g = 0; g < num_groups; ++g) {
-    keys[g] = RowSum(by_group.data() + g * k_, k_) << 32 | g;
-  }
-  SortByHighWord(&keys);
-  Reserve(num_groups);
-  for (const uint64_t key : keys) {
-    const auto g = static_cast<uint32_t>(key);
-    Append(g, by_group.data() + size_t{g} * k_);
-  }
-}
-
-CodeBlocks::CodeBlocks(const CodeBlocks& previous,
-                       const std::vector<uint8_t>& changed,
-                       const std::vector<int16_t>& changed_rows)
-    : k_(previous.k_) {
-  const size_t num_groups = previous.num_groups();
-  GEMREC_CHECK(changed.size() == num_groups);
-  // The changed groups as (row sum << 32 | r), r their rank in
-  // ascending group id, so sorted they are in (row sum, group) order.
-  std::vector<uint64_t> fresh;
+  GEMREC_CHECK(k_ > 0 && changed_rows.size() % k_ == 0);
+  const size_t num_changed = changed_rows.size() / k_;
+  // The changed groups, ascending: with no previous, every group.
   std::vector<uint32_t> fresh_group;
-  for (size_t g = 0; g < num_groups; ++g) {
-    if (changed[g] == 0) continue;
-    const size_t r = fresh_group.size();
-    fresh.push_back(RowSum(changed_rows.data() + r * k_, k_) << 32 | r);
-    fresh_group.push_back(static_cast<uint32_t>(g));
+  std::span<const uint32_t> previous_order;
+  size_t num_groups = num_changed;
+  if (previous != nullptr) {
+    GEMREC_CHECK(previous->k_ == k_ &&
+                 changed.size() == previous->num_groups());
+    for (size_t g = 0; g < changed.size(); ++g) {
+      if (changed[g] != 0) fresh_group.push_back(static_cast<uint32_t>(g));
+    }
+    GEMREC_CHECK(fresh_group.size() == num_changed);
+    previous_order = previous->order_;
+    num_groups = previous->num_groups();
+  } else {
+    fresh_group.resize(num_changed);
+    std::iota(fresh_group.begin(), fresh_group.end(), 0u);
   }
-  GEMREC_CHECK(changed_rows.size() == fresh_group.size() * k_);
+  // The changed rows as (row sum << 32 | r), r their rank in ascending
+  // group id, so sorted they are in (row sum, group) order. A row sum
+  // is at most k * 2047, far below 2^32.
+  std::vector<uint64_t> fresh(num_changed);
+  for (size_t r = 0; r < num_changed; ++r) {
+    fresh[r] = RowSum(changed_rows.data() + r * k_, k_) << 32 | r;
+  }
   SortByHighWord(&fresh);
-  // Merge them with `previous`'s positions less the changed groups,
-  // read in order: every other row and so its sum is unchanged.
-  Reserve(num_groups);
+  // Merge them with previous's positions less the changed groups, read
+  // in order: every other row and so its sum is unchanged.
+  order_.reserve(num_groups);
+  position_.resize(num_groups);
+  codes_.reserve(num_groups * k_);
+  block_max_.assign((num_groups + kBlockRows - 1) / kBlockRows * k_,
+                    int16_t{0});
   auto f = fresh.begin();
   auto append_fresh = [&] {
     const auto r = static_cast<uint32_t>(*f++);
@@ -80,10 +80,10 @@ CodeBlocks::CodeBlocks(const CodeBlocks& previous,
     return fresh_sum < sum ||
            (fresh_sum == sum && fresh_group[static_cast<uint32_t>(*f)] < g);
   };
-  for (size_t p = 0; p < num_groups; ++p) {
-    const uint32_t g = previous.order_[p];
+  for (size_t p = 0; p < previous_order.size(); ++p) {
+    const uint32_t g = previous_order[p];
     if (changed[g] != 0) continue;
-    const int16_t* row = previous.codes_.data() + p * k_;
+    const int16_t* row = previous->codes_.data() + p * k_;
     const uint64_t sum = RowSum(row, k_);
     while (f != fresh.end() && fresh_first(sum, g)) append_fresh();
     Append(g, row);
@@ -95,14 +95,6 @@ int64_t CodeBlocks::MaxRowSum() const {
   if (num_groups() == 0) return 0;
   return static_cast<int64_t>(
       RowSum(codes_.data() + (num_groups() - 1) * k_, k_));
-}
-
-void CodeBlocks::Reserve(size_t num_groups) {
-  order_.reserve(num_groups);
-  position_.resize(num_groups);
-  codes_.reserve(num_groups * k_);
-  block_max_.assign((num_groups + kBlockRows - 1) / kBlockRows * k_,
-                    int16_t{0});
 }
 
 void CodeBlocks::Append(uint32_t g, const int16_t* row) {
@@ -122,52 +114,40 @@ void CodeBlocks::Dots(QueryCodes q, bool block_max, size_t first,
   DotQ16Rows(q, m + first * k_, rows, k_, out);
 }
 
-QuantizedSpace::QuantizedSpace(const SpaceIndex* index)
-    : index_(index), latent_dim_(index->latent_dim()) {
-  GEMREC_CHECK(index != nullptr);
-  GEMREC_CHECK(latent_dim_ <= kMaxLatentDim);
-  BuildHalfParams(/*partner_half=*/false, &event_params_);
-  BuildHalfParams(/*partner_half=*/true, &partner_params_);
-  EncodeRows(/*partner_half=*/false, event_params_, &event_blocks_);
-  EncodeRows(/*partner_half=*/true, partner_params_, &partner_blocks_);
-  max_event_row_sum_ = event_blocks_.MaxRowSum();
-  max_partner_row_sum_ = partner_blocks_.MaxRowSum();
-}
-
 QuantizedSpace::QuantizedSpace(const SpaceIndex* index,
-                               const QuantizedSpace& previous,
-                               const std::vector<uint8_t>& ranked)
+                               const QuantizedSpace* previous,
+                               std::span<const uint8_t> ranked)
     : index_(index), latent_dim_(index->latent_dim()) {
   GEMREC_CHECK(index != nullptr);
   GEMREC_CHECK(latent_dim_ <= kMaxLatentDim);
-  GEMREC_CHECK(previous.latent_dim_ == latent_dim_ &&
-               previous.num_partners() == num_partners() &&
-               ranked.size() == num_partners())
-      << "the previous codes cover other partner groups";
   BuildHalfParams(/*partner_half=*/false, &event_params_);
   BuildHalfParams(/*partner_half=*/true, &partner_params_);
-  EncodeRows(/*partner_half=*/false, event_params_, &event_blocks_);
-  auto same = [](const std::vector<float>& a, const std::vector<float>& b) {
-    return a.size() == b.size() &&
-           (a.empty() ||
-            std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
-  };
-  const HalfParams& old = previous.partner_params_;
-  if (same(partner_params_.min, old.min) &&
-      same(partner_params_.scale, old.scale) &&
-      same(partner_params_.half_err, old.half_err)) {
-    // Every clean row encodes as before: encode only the ranked rows.
-    std::vector<int16_t> rows;
-    for (size_t g = 0; g < ranked.size(); ++g) {
-      if (ranked[g] == 0) continue;
-      rows.resize(rows.size() + latent_dim_);
-      EncodeRow(GroupRow(/*partner_half=*/true, g), partner_params_,
-                rows.data() + rows.size() - latent_dim_);
-    }
-    partner_blocks_ = CodeBlocks(previous.partner_blocks_, ranked, rows);
-  } else {
-    EncodeRows(/*partner_half=*/true, partner_params_, &partner_blocks_);
+  event_blocks_ = CodeBlocks(EncodeRows(/*partner_half=*/false, event_params_),
+                             latent_dim_);
+  bool params_held = false;
+  if (previous != nullptr) {
+    GEMREC_CHECK(previous->latent_dim_ == latent_dim_ &&
+                 previous->num_partners() == num_partners() &&
+                 ranked.size() == num_partners())
+        << "the previous codes cover other partner groups";
+    auto same = [](const std::vector<float>& a, const std::vector<float>& b) {
+      return a.size() == b.size() &&
+             (a.empty() ||
+              std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+    };
+    const HalfParams& old = previous->partner_params_;
+    params_held = same(partner_params_.min, old.min) &&
+                  same(partner_params_.scale, old.scale) &&
+                  same(partner_params_.half_err, old.half_err);
   }
+  // With the parameters held, every clean row encodes as before: only
+  // the ranked rows are encoded and merged into the previous blocks.
+  const std::span<const uint8_t> changed =
+      params_held ? ranked : std::span<const uint8_t>{};
+  partner_blocks_ = CodeBlocks(
+      EncodeRows(/*partner_half=*/true, partner_params_, changed),
+      latent_dim_, params_held ? &previous->partner_blocks_ : nullptr,
+      changed);
   max_event_row_sum_ = event_blocks_.MaxRowSum();
   max_partner_row_sum_ = partner_blocks_.MaxRowSum();
 }
@@ -225,16 +205,21 @@ void QuantizedSpace::EncodeRow(const float* values, const HalfParams& params,
   }
 }
 
-void QuantizedSpace::EncodeRows(bool partner_half, const HalfParams& params,
-                                CodeBlocks* blocks) const {
-  const uint32_t k = latent_dim_;
+std::vector<int16_t> QuantizedSpace::EncodeRows(
+    bool partner_half, const HalfParams& params,
+    std::span<const uint8_t> only) const {
   const size_t num_groups =
       partner_half ? index_->num_partners() : index_->num_events();
-  std::vector<int16_t> codes(num_groups * k);
+  const size_t num_rows =
+      num_groups - std::count(only.begin(), only.end(), uint8_t{0});
+  std::vector<int16_t> codes(num_rows * latent_dim_);
+  int16_t* row = codes.data();
   for (size_t g = 0; g < num_groups; ++g) {
-    EncodeRow(GroupRow(partner_half, g), params, codes.data() + g * k);
+    if (!only.empty() && only[g] == 0) continue;
+    EncodeRow(GroupRow(partner_half, g), params, row);
+    row += latent_dim_;
   }
-  *blocks = CodeBlocks(codes, k);
+  return codes;
 }
 
 QuantizedSpace::QuantizedQuery QuantizedSpace::QuantizeQuery(

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "recommend/space_index.h"
@@ -29,16 +30,17 @@ class CodeBlocks {
   static constexpr size_t kBlockRows = 64;
 
   CodeBlocks() = default;
-  /// Lays out `by_group` (group g's k codes at [g * k, (g + 1) * k))
-  /// in block order.
-  CodeBlocks(const std::vector<int16_t>& by_group, uint32_t k);
-  /// `previous` with the row of every group g where changed[g] != 0
-  /// replaced: `changed_rows` holds those rows, k codes each, in
-  /// ascending group order. The changed rows are sorted and merged
-  /// into `previous`'s block order, whose other rows are read in
-  /// order. Bitwise equal to laying out the new rows from scratch.
-  CodeBlocks(const CodeBlocks& previous, const std::vector<uint8_t>& changed,
-             const std::vector<int16_t>& changed_rows);
+  /// Lays out `changed_rows` (k codes each) in block order. With no
+  /// `previous`, row g is group g's. With a `previous`, they are the
+  /// rows of the groups g where changed[g] != 0, in ascending group
+  /// order, and every other group keeps previous's row. The changed
+  /// rows are sorted and merged into previous's block order, whose
+  /// other rows are read in order: with no previous, that is the
+  /// layout of every row. A merge is bitwise the layout of the new
+  /// rows with no previous; `previous` need only live through the call.
+  CodeBlocks(const std::vector<int16_t>& changed_rows, uint32_t k,
+             const CodeBlocks* previous = nullptr,
+             std::span<const uint8_t> changed = {});
 
   size_t num_groups() const { return order_.size(); }
   size_t num_blocks() const {
@@ -86,8 +88,6 @@ class CodeBlocks {
   /// or of the block-max matrix.
   void Dots(QueryCodes q, bool block_max, size_t first, size_t rows,
             int32_t* out) const;
-  /// Sizes the arrays for `num_groups` rows, none placed yet.
-  void Reserve(size_t num_groups);
   /// Places group g's row at the next position.
   void Append(uint32_t g, const int16_t* row);
 
@@ -152,18 +152,18 @@ class QuantizedSpace {
     float epsilon = 0.0f;
   };
 
-  explicit QuantizedSpace(const SpaceIndex* index);
-
-  /// The codes of a delta-built `index` (SpaceIndex's delta
-  /// constructor, same `ranked`), reusing `previous`'s: partner group
-  /// g is slice g, and its row is unchanged unless ranked[g] != 0. The
-  /// event half is built as by the constructor above. The partner-half
-  /// parameters are computed again; when they are bitwise `previous`'s,
-  /// only the ranked rows are encoded and every other row's codes are
-  /// copied, else every row is encoded. Bitwise equal to
-  /// QuantizedSpace(index); `previous` need only live through the call.
-  QuantizedSpace(const SpaceIndex* index, const QuantizedSpace& previous,
-                 const std::vector<uint8_t>& ranked);
+  /// Quantizes `index`'s rows. With a `previous`, `index` is built
+  /// from previous's index with the same `ranked` (SpaceIndex):
+  /// partner group g is slice g, and its row is unchanged unless
+  /// ranked[g] != 0. The event half is always encoded; so are both
+  /// halves' parameters. When the partner-half parameters are bitwise
+  /// previous's, only the ranked partner rows are encoded and merged
+  /// into previous's code blocks; otherwise, as with no previous,
+  /// every row is. A delta build is bitwise the codes with no
+  /// previous; `previous` need only live through the call.
+  explicit QuantizedSpace(const SpaceIndex* index,
+                          const QuantizedSpace* previous = nullptr,
+                          std::span<const uint8_t> ranked = {});
 
   const SpaceIndex& index() const { return *index_; }
   uint32_t latent_dim() const { return latent_dim_; }
@@ -212,9 +212,11 @@ class QuantizedSpace {
   /// Encodes one group row's K values under `params`.
   void EncodeRow(const float* values, const HalfParams& params,
                  int16_t* row) const;
-  /// Encodes one half's rows by group and lays them out as CodeBlocks.
-  void EncodeRows(bool partner_half, const HalfParams& params,
-                  CodeBlocks* blocks) const;
+  /// One half's rows by group, encoded under `params`: every group's,
+  /// or with a nonempty `only`, those of the groups g where
+  /// only[g] != 0.
+  std::vector<int16_t> EncodeRows(bool partner_half, const HalfParams& params,
+                                  std::span<const uint8_t> only = {}) const;
 
   const SpaceIndex* index_;
   uint32_t latent_dim_;

@@ -83,76 +83,64 @@ void SortByHighWord(std::vector<uint64_t>* items) {
   }
 }
 
-std::vector<uint32_t> SortByCDescending(const std::vector<float>& c) {
-  const size_t n = c.size();
-  // Key in the high word, pair id in the low word; the sort moves only
-  // by the key, so the low word doubles as the output.
-  std::vector<uint64_t> items(n);
-  for (size_t i = 0; i < n; ++i) {
-    items[i] = uint64_t{DescendingKey(c[i])} << 32 | i;
-  }
-  SortByHighWord(&items);
-  std::vector<uint32_t> order(n);
-  for (size_t i = 0; i < n; ++i) order[i] = static_cast<uint32_t>(items[i]);
-  return order;
-}
-
-SpaceIndex::SpaceIndex(const TransformedSpace* space) : space_(space) {
-  GEMREC_CHECK(space != nullptr);
-  latent_dim_ = space->model().dim();
-  const size_t n = space_->num_points();
-  const std::vector<CandidatePair>& pairs = space_->pairs();
-  const std::vector<float>& c = space_->c_values();
-
-  GroupEvents();
-  partner_group_ = GroupPairs(
-      n, [&](size_t i) { return pairs[i].partner; }, kNoGroup, &partners_,
-      &partner_offsets_, &partner_pair_ids_, &pair_partner_idx_);
-  c_sorted_ = SortByCDescending(c);
-  c_sorted_values_.resize(n);
-  for (size_t r = 0; r < n; ++r) c_sorted_values_[r] = c[c_sorted_[r]];
-}
-
 SpaceIndex::SpaceIndex(const TransformedSpace* space,
-                       const SpaceIndex& previous,
-                       const std::vector<uint8_t>& ranked)
+                       const SpaceIndex* previous,
+                       std::span<const uint8_t> ranked)
     : space_(space) {
   GEMREC_CHECK(space != nullptr);
   latent_dim_ = space->model().dim();
   const size_t n = space_->num_points();
   const std::vector<CandidatePair>& pairs = space_->pairs();
   const std::vector<float>& c = space_->c_values();
-  const size_t num_slices = previous.num_partners();
-  GEMREC_CHECK(ranked.size() == num_slices &&
-               n == previous.space().num_points())
-      << "the space and its previous index hold other partner slices";
 
-  // The partner groups are the slices: each holds k pairs of one
-  // partner, in the previous partner order, so they copy unchanged.
-  const size_t k = num_slices == 0 ? 0 : n / num_slices;
-  for (size_t g = 0; g < num_slices; ++g) {
-    GEMREC_CHECK(previous.partner_offsets_[g + 1] == (g + 1) * k)
-        << "partner group " << g << " is not a slice of " << k << " pairs";
-    const size_t checked = ranked[g] != 0 ? k : 1;
-    for (size_t j = 0; j < checked; ++j) {
-      GEMREC_CHECK(pairs[g * k + j].partner == previous.partners_[g])
-          << "slice " << g << " changed partner";
+  // Slice s holds pairs [s * k, (s + 1) * k). With no previous, every
+  // pair is ranked: one slice of all n pairs.
+  size_t k = n;
+  size_t num_slices = n == 0 ? 0 : 1;
+  std::span<const uint32_t> previous_order;
+  std::span<const float> previous_values;
+  if (previous != nullptr) {
+    num_slices = previous->num_partners();
+    GEMREC_CHECK(ranked.size() == num_slices &&
+                 n == previous->space().num_points())
+        << "the space and its previous index hold other partner slices";
+    // The partner groups are the slices: each holds k pairs of one
+    // partner, in the previous partner order, so they copy unchanged.
+    k = num_slices == 0 ? 0 : n / num_slices;
+    for (size_t g = 0; g < num_slices; ++g) {
+      GEMREC_CHECK(previous->partner_offsets_[g + 1] == (g + 1) * k)
+          << "partner group " << g << " is not a slice of " << k << " pairs";
+      const size_t checked = ranked[g] != 0 ? k : 1;
+      for (size_t j = 0; j < checked; ++j) {
+        GEMREC_CHECK(pairs[g * k + j].partner == previous->partners_[g])
+            << "slice " << g << " changed partner";
+      }
     }
+    partners_ = previous->partners_;
+    partner_offsets_ = previous->partner_offsets_;
+    partner_pair_ids_ = previous->partner_pair_ids_;
+    partner_group_ = previous->partner_group_;
+    pair_partner_idx_ = previous->pair_partner_idx_;
+    previous_order = previous->c_sorted_;
+    previous_values = previous->c_sorted_values_;
+  } else {
+    partner_group_ = GroupPairs(
+        n, [&](size_t i) { return pairs[i].partner; }, kNoGroup, &partners_,
+        &partner_offsets_, &partner_pair_ids_, &pair_partner_idx_);
   }
-  partners_ = previous.partners_;
-  partner_offsets_ = previous.partner_offsets_;
-  partner_pair_ids_ = previous.partner_pair_ids_;
-  partner_group_ = previous.partner_group_;
-  pair_partner_idx_ = previous.pair_partner_idx_;
-  GroupEvents();
-
-  // The ranked slices' pairs as (key << 32 | id) items in that order,
-  // the order SortByCDescending gives every pair.
+  GroupPairs(
+      n, [&](size_t i) { return pairs[i].event; }, kNoGroup, &events_,
+      &event_offsets_, &event_pair_ids_, &pair_event_idx_);
+  // The ranked pairs as (key << 32 | id) items, sorted: by C
+  // descending, ties in ascending id, as std::stable_sort orders them.
   std::vector<uint64_t> fresh;
-  for (size_t g = 0; g < num_slices; ++g) {
-    if (ranked[g] == 0) continue;
-    for (size_t i = g * k; i < (g + 1) * k; ++i) {
-      fresh.push_back(uint64_t{DescendingKey(c[i])} << 32 | i);
+  for (size_t slice = 0; slice < num_slices; ++slice) {
+    if (previous != nullptr && ranked[slice] == 0) continue;
+    const size_t at = fresh.size();
+    fresh.resize(at + k);
+    for (size_t j = 0; j < k; ++j) {
+      const size_t i = slice * k + j;
+      fresh[at + j] = uint64_t{DescendingKey(c[i])} << 32 | i;
     }
   }
   SortByHighWord(&fresh);
@@ -169,10 +157,10 @@ SpaceIndex::SpaceIndex(const TransformedSpace* space,
     ++out;
   };
   auto f = fresh.begin();
-  for (size_t r = 0; r < n; ++r) {
-    const uint32_t id = previous.c_sorted_[r];
+  for (size_t r = 0; r < previous_order.size(); ++r) {
+    const uint32_t id = previous_order[r];
     if (ranked[id / k] != 0) continue;
-    const float value = previous.c_sorted_values_[r];
+    const float value = previous_values[r];
     const uint64_t item = uint64_t{DescendingKey(value)} << 32 | id;
     for (; f != fresh.end() && *f < item; ++f) {
       emit(static_cast<uint32_t>(*f), c[static_cast<uint32_t>(*f)]);
@@ -183,14 +171,6 @@ SpaceIndex::SpaceIndex(const TransformedSpace* space,
     emit(static_cast<uint32_t>(*f), c[static_cast<uint32_t>(*f)]);
   }
   GEMREC_CHECK(out == n);
-}
-
-void SpaceIndex::GroupEvents() {
-  const std::vector<CandidatePair>& pairs = space_->pairs();
-  GroupPairs(
-      space_->num_points(), [&](size_t i) { return pairs[i].event; },
-      kNoGroup, &events_, &event_offsets_, &event_pair_ids_,
-      &pair_event_idx_);
 }
 
 }  // namespace gemrec::recommend

@@ -31,19 +31,21 @@ namespace gemrec::recommend {
 /// Immutable after construction; `space` must outlive the index.
 class SpaceIndex {
  public:
-  explicit SpaceIndex(const TransformedSpace* space);
-
-  /// The index of a pruned `space` built from `previous` by
-  /// BuildCandidateList with a delta: both hold the same partners'
-  /// slices of k pairs each, in the same order, and slice i (pairs
-  /// [i * k, (i + 1) * k)) differs from `previous`'s only where
-  /// ranked[i] != 0 (CandidateList::ranked). The partner groups are
-  /// copied, the event groups grouped again, and the C order merges
-  /// `previous`'s order, less the ranked slices' pairs, with those
-  /// pairs' new order in one sequential pass. Bitwise equal to
-  /// SpaceIndex(space); `previous` need only live through the call.
-  SpaceIndex(const TransformedSpace* space, const SpaceIndex& previous,
-             const std::vector<uint8_t>& ranked);
+  /// Indexes `space`. With a `previous` index, `space` is a pruned
+  /// space built from previous's by BuildCandidateList with a delta:
+  /// both hold the same partners' slices of k pairs each, in the same
+  /// order, and slice i (pairs [i * k, (i + 1) * k)) differs from
+  /// previous's only where ranked[i] != 0 (CandidateList::ranked).
+  /// The partner groups are then copied; with no previous they are
+  /// grouped from the pairs, and every pair counts as ranked. The
+  /// event groups are always grouped again, and the C order merges
+  /// previous's order, less the ranked pairs, with those pairs' own
+  /// sorted order in one sequential pass: with no previous, that is
+  /// the full sort. A delta build is bitwise the index with no
+  /// previous; `previous` need only live through the call.
+  explicit SpaceIndex(const TransformedSpace* space,
+                      const SpaceIndex* previous = nullptr,
+                      std::span<const uint8_t> ranked = {});
 
   const TransformedSpace& space() const { return *space_; }
   /// K: the latent dimension (point_dim == 2K + 1).
@@ -90,9 +92,6 @@ class SpaceIndex {
  private:
   static constexpr uint32_t kNoGroup = 0xFFFFFFFFu;
 
-  /// Fills the event groups and pair -> event group from the pairs.
-  void GroupEvents();
-
   const TransformedSpace* space_;
   uint32_t latent_dim_;
 
@@ -113,11 +112,6 @@ class SpaceIndex {
 /// words keep their order), in linear time. With (key << 32 | i) items
 /// built in ascending i, this is std::sort of the items.
 void SortByHighWord(std::vector<uint64_t>* items);
-
-/// Pair ids ordered by `c` descending, ties in ascending id: exactly
-/// std::stable_sort of 0..n-1 under `c[a] > c[b]` (so -0 ties +0), in
-/// linear time. `c` must hold no NaN.
-std::vector<uint32_t> SortByCDescending(const std::vector<float>& c);
 
 }  // namespace gemrec::recommend
 

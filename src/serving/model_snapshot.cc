@@ -44,16 +44,13 @@ ModelSnapshot::ModelSnapshot(const embedding::EmbeddingStore& store,
       previous ? &candidate_delta : nullptr);
   space_ = std::make_unique<recommend::TransformedSpace>(
       model_, std::move(list.pairs), std::move(list.c));
-  // One grouping/sort pass shared by the exact and quantized searchers.
-  if (previous != nullptr) {
-    index_ = std::make_unique<recommend::SpaceIndex>(
-        space_.get(), previous->index(), list.ranked);
-    quant_ = std::make_unique<recommend::QuantizedSpace>(
-        index_.get(), previous->quantized(), list.ranked);
-  } else {
-    index_ = std::make_unique<recommend::SpaceIndex>(space_.get());
-    quant_ = std::make_unique<recommend::QuantizedSpace>(index_.get());
-  }
+  // One grouping/sort pass shared by the exact and quantized searchers;
+  // with a previous snapshot, its index and codes are reused for every
+  // slice that was not ranked again.
+  index_ = std::make_unique<recommend::SpaceIndex>(
+      space_.get(), previous ? &previous->index() : nullptr, list.ranked);
+  quant_ = std::make_unique<recommend::QuantizedSpace>(
+      index_.get(), previous ? &previous->quantized() : nullptr, list.ranked);
   ta_ = std::make_unique<recommend::TaSearch>(index_.get());
   batch_ = std::make_unique<recommend::BatchTaSearch>(quant_.get());
 }

@@ -36,7 +36,8 @@ class ModelSnapshot;
 /// What changed since an earlier snapshot built by the same builder
 /// with the same options: the user rows that may have moved. The
 /// previous pool must be a prefix of the new one, longer than top_k
-/// (recommend::CandidateDelta).
+/// (recommend::CandidateDelta). With no `previous`, the snapshot is
+/// built with no previous and `dirty_users` is not read.
 struct SnapshotDelta {
   const ModelSnapshot* previous = nullptr;
   const std::vector<uint8_t>* dirty_users = nullptr;
@@ -62,11 +63,13 @@ class ModelSnapshot {
  public:
   /// Copies `store` and builds the candidate space over `events` x the
   /// partners of 0..num_users-1 that `options.shard` owns (all of them
-  /// by default), pruned per options. With a `delta`, every partner
-  /// slice the change cannot reach is copied from `delta->previous`
-  /// (recommend::BuildCandidateList), with its index entries and
-  /// codes (the delta constructors of SpaceIndex and QuantizedSpace);
-  /// the result is bitwise the same. The build runs on the calling
+  /// by default), pruned per options. The candidate list, the index
+  /// and the codes are built once, each with an optional previous:
+  /// with a `delta` whose previous is set, every partner slice the
+  /// change cannot reach is copied from `delta->previous`
+  /// (recommend::BuildCandidateList), with its index entries and codes
+  /// (SpaceIndex, QuantizedSpace); with no previous, every slice is
+  /// ranked. The result is bitwise the same. The build runs on the calling
   /// thread, never on serving workers; the candidate ranking also
   /// borrows a pool of helper threads that is joined before it returns
   /// (recommend::BuildCandidateList), so no thread outlives the build.

@@ -68,14 +68,10 @@ bool SnapshotBuilder::CanReuseLast() const {
 }
 
 std::shared_ptr<ModelSnapshot> SnapshotBuilder::BuildNext() {
-  std::shared_ptr<ModelSnapshot> snapshot;
-  if (CanReuseLast()) {
-    const SnapshotDelta delta{last_.get(), &dirty_users_};
-    snapshot = std::make_shared<ModelSnapshot>(staging_, events_,
-                                               num_users_, options_, &delta);
-  } else {
-    snapshot = Build();
-  }
+  const SnapshotDelta delta{CanReuseLast() ? last_.get() : nullptr,
+                            &dirty_users_};
+  auto snapshot = std::make_shared<ModelSnapshot>(staging_, events_,
+                                                  num_users_, options_, &delta);
   last_ = snapshot;
   std::fill(dirty_users_.begin(), dirty_users_.end(), 0);
   reuse_blocked_ = false;

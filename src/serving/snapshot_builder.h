@@ -28,8 +28,9 @@ namespace gemrec::serving {
 /// "everything" (a store reset, a re-fold of an event already in the
 /// pool, a pool edit that is not an append). BuildNext reuses the last
 /// snapshot it built for every partner that change cannot reach
-/// (recommend::BuildCandidateList); Build always starts from scratch.
-/// Both give bitwise the same snapshot.
+/// (recommend::BuildCandidateList); Build always builds with no
+/// previous. Both run the one snapshot build (ModelSnapshot) and give
+/// bitwise the same snapshot.
 ///
 /// Not thread-safe: one updater thread owns the builder (the service
 /// handles concurrency on the query side).
@@ -87,8 +88,8 @@ class SnapshotBuilder {
     return &staging_;
   }
 
-  /// Builds an immutable snapshot of the current staging state from
-  /// scratch (the candidate build, the space, its index and codes).
+  /// Builds an immutable snapshot of the current staging state with no
+  /// previous (the candidate build, the space, its index and codes).
   /// Leaves the recorded changes in place for BuildNext.
   std::shared_ptr<ModelSnapshot> Build() const;
 
@@ -96,10 +97,11 @@ class SnapshotBuilder {
   /// result for every partner the changes since then cannot reach:
   /// its pairs, C order entries and partner codes. The cost is
   /// O(changed partners · |pool|) plus a merge of the C order and
-  /// linear passes over the pair and event arrays. The first call, and any call after a change
-  /// that counts as "everything", or with top_k == 0 or a previous
-  /// pool of at most top_k events, builds from scratch. Run it on the
-  /// updater thread, then Publish the result.
+  /// linear passes over the pair and event arrays. The first call, and
+  /// any call after a change that counts as "everything", or with
+  /// top_k == 0 or a previous pool of at most top_k events, builds with
+  /// no previous, as Build does. Run it on the updater thread, then
+  /// Publish the result.
   std::shared_ptr<ModelSnapshot> BuildNext();
 
   /// Takes `served` as the base of the next BuildNext, in place of a

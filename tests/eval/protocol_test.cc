@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "../testing/fixtures.h"
+#include "embedding/trainer.h"
 #include "eval/ground_truth.h"
+#include "recommend/gem_model.h"
 
 namespace gemrec::eval {
 namespace {
@@ -163,6 +165,44 @@ TEST(AccuracyResultDeathTest, MissingCutoffIsFatal) {
   r.cutoffs = {1, 5};
   r.accuracy = {0.1, 0.2};
   EXPECT_DEATH(r.At(10), "was not evaluated");
+}
+
+TEST(ProtocolSplitTest, ValidationSplitIsUsedNotTest) {
+  // Evaluating the same model on validation vs test gives different
+  // case counts (validation is half the size of test by the 1:2
+  // split), proving the protocol actually switches pools.
+  auto city = testing::MakeSmallCity(778);
+  embedding::TrainerOptions options = embedding::TrainerOptions::GemA();
+  options.dim = 16;
+  options.num_samples = 40000;
+  embedding::JointTrainer trainer(city.graphs.get(), options);
+  trainer.Train();
+  recommend::GemModel model(&trainer.store(), "m");
+
+  ProtocolOptions validation_protocol;
+  validation_protocol.target_split = ebsn::Split::kValidation;
+  const auto validation_result = EvaluateColdStartEvents(
+      model, city.dataset(), *city.split, validation_protocol);
+  ProtocolOptions test_protocol;
+  const auto test_result = EvaluateColdStartEvents(
+      model, city.dataset(), *city.split, test_protocol);
+  EXPECT_GT(validation_result.num_cases, 0u);
+  EXPECT_GT(test_result.num_cases, validation_result.num_cases);
+}
+
+TEST(ProtocolDeathTest, TrainingSplitEvaluationRejected) {
+  auto city = testing::MakeSmallCity(780);
+  embedding::TrainerOptions options = embedding::TrainerOptions::GemA();
+  options.dim = 8;
+  options.num_samples = 100;
+  embedding::JointTrainer trainer(city.graphs.get(), options);
+  trainer.Train();
+  recommend::GemModel model(&trainer.store(), "m");
+  ProtocolOptions protocol;
+  protocol.target_split = ebsn::Split::kTraining;
+  EXPECT_DEATH(EvaluateColdStartEvents(model, city.dataset(),
+                                       *city.split, protocol),
+               "meaningless");
 }
 
 }  // namespace

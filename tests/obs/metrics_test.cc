@@ -32,7 +32,9 @@ TEST(HistogramBucketTest, UpperBoundsMatchBucketRanges) {
   for (const uint64_t v : {0ull, 1ull, 2ull, 7ull, 8ull, 4095ull}) {
     const uint32_t i = HistogramBucketIndex(v);
     EXPECT_LE(v, HistogramBucketUpperBound(i)) << v;
-    if (i > 0) EXPECT_GT(v, HistogramBucketUpperBound(i - 1)) << v;
+    if (i > 0) {
+      EXPECT_GT(v, HistogramBucketUpperBound(i - 1)) << v;
+    }
   }
 }
 

@@ -574,8 +574,12 @@ TEST(CandidateIndexTest, ChunkedDeltaEqualsFreshBuild) {
     ExpectSameList(list, BuildCandidateList(model, space.events, partners, k));
     ASSERT_EQ(list.ranked.size(), kUsers);
     for (ebsn::UserId u = 0; u < kUsers; ++u) {
-      if (dirty[u] != 0) EXPECT_EQ(list.ranked[u], 1) << "user " << u;
-      if (!c.append) EXPECT_EQ(list.ranked[u], dirty[u]) << "user " << u;
+      if (dirty[u] != 0) {
+        EXPECT_EQ(list.ranked[u], 1) << "user " << u;
+      }
+      if (!c.append) {
+        EXPECT_EQ(list.ranked[u], dirty[u]) << "user " << u;
+      }
     }
   }
 }

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -223,12 +224,28 @@ std::vector<uint32_t> StableSortOrder(const std::vector<float>& c) {
 }
 
 TEST(SpaceIndexCOrderTest, RadixOrderEqualsStableSortOnTiedValues) {
+  // The index reads C only as sort keys, so these spaces take picked C
+  // values over event-major pairs rather than dot products.
+  auto store = MakeStore(60, 50, 4, 77);
+  GemModel model(store.get(), "GEM");
+  const std::vector<CandidatePair> all = AllPairs(60, 50);
+  auto expect_stable_order = [&](const std::vector<float>& c) {
+    const TransformedSpace space(
+        model, {all.begin(), all.begin() + static_cast<long>(c.size())}, c);
+    const SpaceIndex index(&space);
+    const std::vector<uint32_t> want = StableSortOrder(c);
+    EXPECT_EQ(index.c_sorted(), want);
+    ASSERT_EQ(index.c_sorted_values().size(), c.size());
+    for (size_t r = 0; r < want.size(); ++r) {
+      EXPECT_EQ(std::bit_cast<uint32_t>(index.c_sorted_values()[r]),
+                std::bit_cast<uint32_t>(c[want[r]]));
+    }
+  };
   // Repeated values, both zeros (which `>` finds equal), negatives,
   // subnormals and values whose keys share every high digit.
-  std::vector<float> c = {0.5f,   -0.0f, 0.0f,   2.0f,  0.5f,  -3.0f,
-                          1e-40f, 0.0f,  -1e-40f, -0.0f, 2.0f,  -3.0f,
-                          1.0f,   1.0000001f, 1.0f, 1e30f, -1e30f, 0.5f};
-  EXPECT_EQ(SortByCDescending(c), StableSortOrder(c));
+  expect_stable_order({0.5f,   -0.0f, 0.0f,   2.0f,  0.5f,  -3.0f,
+                       1e-40f, 0.0f,  -1e-40f, -0.0f, 2.0f,  -3.0f,
+                       1.0f,   1.0000001f, 1.0f, 1e30f, -1e30f, 0.5f});
   Rng rng(77);
   for (int round = 0; round < 20; ++round) {
     // Few distinct values among many pairs: long runs of ties.
@@ -236,9 +253,9 @@ TEST(SpaceIndexCOrderTest, RadixOrderEqualsStableSortOnTiedValues) {
     for (float& v : values) v = static_cast<float>(rng.Gaussian(0.0, 2.0));
     std::vector<float> many(1 + rng.UniformInt(3000));
     for (float& v : many) v = values[rng.UniformInt(values.size())];
-    EXPECT_EQ(SortByCDescending(many), StableSortOrder(many));
+    expect_stable_order(many);
   }
-  EXPECT_TRUE(SortByCDescending({}).empty());
+  expect_stable_order({});
 }
 
 TEST(SpaceIndexCOrderTest, IndexOrderEqualsStableSortOnTiedSpaces) {

@@ -238,7 +238,9 @@ TEST(ReciprocalTopPairsTest, ExcludesSelfAndRanksByMin) {
     EXPECT_NE(top[i].partner, u);
     EXPECT_EQ(top[i].score,
               ReciprocalScore(model, u, top[i].partner, top[i].event));
-    if (i > 0) EXPECT_FALSE(RecommendationOrder(top[i], top[i - 1]));
+    if (i > 0) {
+      EXPECT_FALSE(RecommendationOrder(top[i], top[i - 1]));
+    }
   }
   EXPECT_LE(bound, top.back().score);
 }

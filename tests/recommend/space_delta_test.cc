@@ -1,11 +1,10 @@
-// The delta constructors of SpaceIndex and QuantizedSpace, which build
-// a pruned space's index and codes from the previous space's by
-// re-doing only the partner slices that were ranked again, must give
-// bitwise what the full constructors give: groups, inverse maps, the C
-// order with its C values, quantization parameters, codes, block order
-// and block maxes. Covered: a re-ranked pair whose C ties a clean
-// pair's, +0 and -0 keys, a re-ranked slice whose values did not
-// change, no slice and every slice re-ranked, and seeded random
+// SpaceIndex and QuantizedSpace built with a previous index and codes,
+// which re-do only the partner slices that were ranked again, must give
+// bitwise what the same constructors give with no previous: groups,
+// inverse maps, the C order with its C values, quantization parameters,
+// codes, block order and block maxes. Covered: a re-ranked pair whose C
+// ties a clean pair's, +0 and -0 keys, a re-ranked slice whose values
+// did not change, no slice and every slice re-ranked, and seeded random
 // subsets that take both partner-code paths (parameters held: clean
 // rows' codes copied; parameters moved: every row encoded).
 //
@@ -79,7 +78,7 @@ class SpaceDeltaTest : public ::testing::Test {
     store_.MatrixOf(graph::NodeType::kEvent).FillAbsGaussian(&rng, 0.2, 0.3);
   }
 
-  /// Builds `list`'s space, index and codes from scratch as the
+  /// Builds `list`'s space, index and codes with no previous, as the
   /// previous build.
   void BuildPrevious(const List& list) {
     previous_quant_.reset();
@@ -90,19 +89,18 @@ class SpaceDeltaTest : public ::testing::Test {
     previous_quant_ = std::make_unique<QuantizedSpace>(previous_index_.get());
   }
 
-  /// Builds `next`'s index and codes from the previous build with the
-  /// delta constructors and from scratch, expects them bitwise equal,
-  /// and makes `next` the previous build. Returns whether the
-  /// partner-half parameters held.
+  /// Builds `next`'s index and codes from the previous build and with
+  /// no previous, expects them bitwise equal, and makes `next` the
+  /// previous build. Returns whether the partner-half parameters held.
   bool ExpectDeltaEqualsFull(const List& next,
                              const std::vector<uint8_t>& ranked) {
     TransformedSpace space(model_, next.pairs, next.c);
     const SpaceIndex full_index(&space);
     const QuantizedSpace full_quant(&full_index);
-    auto index = std::make_unique<SpaceIndex>(&space, *previous_index_,
+    auto index = std::make_unique<SpaceIndex>(&space, previous_index_.get(),
                                               ranked);
-    auto quant =
-        std::make_unique<QuantizedSpace>(index.get(), *previous_quant_, ranked);
+    auto quant = std::make_unique<QuantizedSpace>(
+        index.get(), previous_quant_.get(), ranked);
     ExpectSameIndex(*index, full_index);
     ExpectSameQuantization(*quant, full_quant);
     const bool held =
@@ -237,7 +235,8 @@ TEST(SpaceDeltaDeathTest, SlicesOfAnotherLengthAreRefused) {
   // The same pair count, but partner 0's slice took partner 1's pair.
   const TransformedSpace next(
       model, {{0, 0}, {1, 0}, {2, 0}, {1, 1}}, {1.0f, 0.5f, 0.2f, 0.5f});
-  EXPECT_DEATH(SpaceIndex(&next, previous_index, {1, 1}), "changed partner");
+  const std::vector<uint8_t> ranked = {1, 1};
+  EXPECT_DEATH(SpaceIndex(&next, &previous_index, ranked), "changed partner");
 }
 
 }  // namespace

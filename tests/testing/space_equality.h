@@ -2,8 +2,8 @@
 #define GEMREC_TESTS_TESTING_SPACE_EQUALITY_H_
 
 // Bitwise comparisons of the query-independent serving structures
-// (SpaceIndex, QuantizedSpace), shared by the tests that check a delta
-// build against a full build of the same space.
+// (SpaceIndex, QuantizedSpace), shared by the tests that check a build
+// with a previous against a build of the same space with none.
 
 #include <algorithm>
 #include <cstdint>
